@@ -12,6 +12,7 @@ Ricci-flat-parallel test.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,7 @@ from .alphabeta import (
     matrix_jets,
     riemann_data_from_jets,
 )
-from .core import FinslerMetric, circle_directions, ricci
+from .core import FinslerMetric, circle_directions, exact_key, ricci
 from .errors import DegenerateValue, DomainError, NotEinstein
 from .exprlang import Binary, Number, eval_jet, eval_scalar, parse
 from .jets import get_context, jet_pow, jet_sqrt
@@ -67,50 +68,111 @@ def zero_covector(n):
     return [Number(0.0) for _ in range(n)]
 
 
+# base points whose coefficients a p-power metric keeps; a point at which
+# the engine evaluates floats and jets of order 2 and 4 fills six keys
+COEFFICIENT_MEMO_KEYS = 24
+
+
+class CoefficientMemo:
+    """The x-only part of a p-power metric, kept for recent base points.
+
+    a_ij(x) (for i <= j) and b_i(x) do not depend on the direction, yet
+    every sample (x, y) needs them: as floats in ``scalar`` and ``domain``
+    and as jets in the jet builder.  Each list is evaluated once per key,
+    ``(what, context size, order, x)`` with size and order 0 for floats,
+    and the ``COEFFICIENT_MEMO_KEYS`` most recently used keys are kept.  x
+    enters the key as its exact bits, so no rounding can serve a
+    neighbouring point.  Lists are evaluated on first use and an
+    evaluation that raises stores nothing, so a DomainError is raised in
+    the same order as without the memo.
+    """
+
+    def __init__(self, a_ast, b_ast):
+        n = len(a_ast)
+        self.pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        self._exprs = {"a": [a_ast[i][j] for i, j in self.pairs],
+                       "b": list(b_ast)}
+        self._entries = OrderedDict()
+
+    def __len__(self):
+        return len(self._entries)
+
+    def _recall(self, key, evaluate):
+        entries = self._entries
+        value = entries.get(key)
+        if value is None:
+            value = entries[key] = evaluate()
+            if len(entries) > COEFFICIENT_MEMO_KEYS:
+                entries.popitem(last=False)
+        else:
+            entries.move_to_end(key)
+        return value
+
+    def values(self, what, x):
+        """Float values of the ``what`` ("a" or "b") coefficients at x."""
+        exprs = self._exprs[what]
+        return self._recall(
+            (what, 0, 0, exact_key(x)),
+            lambda: [eval_scalar(e, x) for e in exprs])
+
+    def jets(self, what, ctx, xvals):
+        """Jets of the ``what`` coefficients in ``ctx`` at ``xvals``."""
+        exprs = self._exprs[what]
+        return self._recall(
+            (what, ctx.num_vars, ctx.order, exact_key(xvals)),
+            lambda: [eval_jet(e, ctx, xvals) for e in exprs])
+
+
 def ppower_metric(spec):
     """FinslerMetric for a p-power spec, with its admissibility predicate.
 
     The domain requires alpha > 0, 1 + s > 0 and 1 + (1-p) s > 0 with
     s = beta/alpha; the last guard keeps the spray denominators healthy up
-    to the positivity boundary.
+    to the positivity boundary.  The coefficients are read through a
+    ``CoefficientMemo``, exposed as the metric's ``coefficients``.
     """
     n = spec.dim
-    a_ast, b_ast, p = spec.alpha, spec.beta, spec.p
+    b_ast, p = spec.beta, spec.p
     beta_zero = all(isinstance(b, Number) and b.value == 0.0 for b in b_ast)
+    memo = CoefficientMemo(spec.alpha, b_ast)
+    pairs = memo.pairs
 
     def builder(x_jets, y_jets):
         ctx = x_jets[0].ctx
         xvals = [j.value for j in x_jets]
         alpha2 = None
-        for i in range(n):
-            for j in range(i, n):
-                coef = eval_jet(a_ast[i][j], ctx, xvals)
-                term = coef * y_jets[i] * y_jets[j]
-                if i != j:
-                    term = 2.0 * term
-                alpha2 = term if alpha2 is None else alpha2 + term
+        for (i, j), coef in zip(pairs, memo.jets("a", ctx, xvals)):
+            term = coef * y_jets[i] * y_jets[j]
+            if i != j:
+                term = 2.0 * term
+            alpha2 = term if alpha2 is None else alpha2 + term
         alpha = jet_sqrt(alpha2)
         if beta_zero:
             return alpha
         beta = None
-        for i in range(n):
-            term = eval_jet(b_ast[i], ctx, xvals) * y_jets[i]
+        for i, coef in enumerate(memo.jets("b", ctx, xvals)):
+            term = coef * y_jets[i]
             beta = term if beta is None else beta + term
         return alpha * jet_pow(1.0 + beta / alpha, p)
 
-    def scalar(x, y):
+    def alpha2_value(x, y):
         alpha2 = 0.0
-        for i in range(n):
-            for j in range(i, n):
-                coef = eval_scalar(a_ast[i][j], x)
-                alpha2 += coef * y[i] * y[j] * (2.0 if i != j else 1.0)
+        for (i, j), coef in zip(pairs, memo.values("a", x)):
+            alpha2 += coef * y[i] * y[j] * (2.0 if i != j else 1.0)
+        return alpha2
+
+    def beta_value(x, y):
+        b = memo.values("b", x)
+        return sum(b[i] * y[i] for i in range(n))
+
+    def scalar(x, y):
+        alpha2 = alpha2_value(x, y)
         if alpha2 <= 0.0:
             raise DomainError("alpha^2 is not positive")
         alpha = math.sqrt(alpha2)
         if beta_zero:
             return alpha
-        beta = sum(eval_scalar(b_ast[i], x) * y[i] for i in range(n))
-        s = beta / alpha
+        s = beta_value(x, y) / alpha
         if 1.0 + s <= 0.0:
             raise DomainError("1 + beta/alpha is not positive")
         return alpha * (1.0 + s) ** p
@@ -119,22 +181,19 @@ def ppower_metric(spec):
         # alpha > 0 and 1 + beta/alpha > 0; convexity failures beyond the
         # positivity bound are detected downstream as SingularMetric
         try:
-            alpha2 = 0.0
-            for i in range(n):
-                for j in range(i, n):
-                    coef = eval_scalar(a_ast[i][j], x)
-                    alpha2 += coef * y[i] * y[j] * (2.0 if i != j else 1.0)
+            alpha2 = alpha2_value(x, y)
             if alpha2 <= 0.0:
                 return False
             if beta_zero:
                 return True
             alpha = math.sqrt(alpha2)
-            beta = sum(eval_scalar(b_ast[i], x) * y[i] for i in range(n))
-            return 1.0 + beta / alpha > 1e-12
+            return 1.0 + beta_value(x, y) / alpha > 1e-12
         except DomainError:
             return False
 
-    return FinslerMetric(n, builder, scalar, domain, name=f"ppower(p={p})")
+    metric = FinslerMetric(n, builder, scalar, domain, name=f"ppower(p={p})")
+    metric.coefficients = memo
+    return metric
 
 
 def _is_int(p):

@@ -16,6 +16,7 @@ with Ric the trace of R and the Einstein scalar Ric / ((n-1) F^2).
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,15 @@ class TangentSample:
     def of(x, y):
         return TangentSample(tuple(float(v) for v in x),
                              tuple(float(v) for v in y))
+
+
+def exact_key(*vectors):
+    """The exact bits of float vectors as bytes, for use as a dictionary key.
+
+    Unlike rounded or tuple keys, 0.0 and -0.0 differ and no two distinct
+    points share a key.
+    """
+    return b"".join(struct.pack(f"{len(v)}d", *v) for v in vectors)
 
 
 class FinslerMetric:

@@ -42,7 +42,11 @@ def _apply(f, point, multi_index, h):
 
 
 def fd_partial(f, point, multi_index, step=None):
-    """Raw partial derivative of ``f`` at ``point``, Richardson-extrapolated."""
+    """Raw partial derivative of ``f`` at ``point``, Richardson-extrapolated.
+
+    ``f`` may return a numpy array; every component is then differenced
+    with the same weights, in the same order, as a scalar ``f`` would be.
+    """
     order = sum(multi_index)
     if order == 0:
         return f(list(point))

@@ -2,16 +2,15 @@
 
 Per-sample domain failures are recorded as skipped rows with a reason and
 never abort the run; the singular sets of these metric families are dense
-enough that aborting would make random sampling useless.  Samples are
-evaluated concurrently (cap with FINSLERLAB_THREADS); the report is
-assembled in manifest order so output is deterministic.
+enough that aborting would make random sampling useless.  Each Einstein
+scalar of a run is evaluated once, into an ``EinsteinTable`` that the
+sample rows and every check read.  Samples and checks are evaluated in
+manifest order, so output is deterministic.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -40,31 +39,13 @@ from .constructions import (
 )
 from .core import (
     einstein_scalar,
+    exact_key,
     flag_curvature,
-    reversibility_residual,
     spray,
     sphere_directions,
 )
 from .errors import FinslerError
 from .report import manifest_hash
-
-
-def _thread_count():
-    env = os.environ.get("FINSLERLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
-
-
-def _map_samples(fn, items):
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _point_admissible(manifest, x, margin):
@@ -129,7 +110,38 @@ def _tensors(manifest, x, order=3):
     return rd, ab
 
 
-def _sample_row(manifest, metric, dirs, x):
+class EinsteinTable:
+    """The Einstein scalars of one run, each (x, y) evaluated once.
+
+    Calling the table returns the value at (x, y), or raises the
+    FinslerError that its evaluation raised; both are stored under the
+    exact bits of x and y, so the sample rows and every check read the same
+    numbers without evaluating a sample twice.
+    """
+
+    def __init__(self, metric):
+        self.metric = metric
+        self._results = {}
+
+    def __call__(self, x, y):
+        key = exact_key(x, y)
+        result = self._results.get(key)
+        if result is None:
+            try:
+                result = einstein_scalar(self.metric, x, list(y))
+            except FinslerError as exc:
+                result = exc.with_traceback(None)  # keep no frames alive
+            self._results[key] = result
+        if isinstance(result, FinslerError):
+            raise result.with_traceback(None)
+        return result
+
+    def reversal(self, x, y):
+        """|lambda(x, y) - lambda(x, -y)|; both rays must be admissible."""
+        return abs(self(x, y) - self(x, [-v for v in y]))
+
+
+def _sample_row(manifest, metric, lam, dirs, x):
     row = {"x": [float(v) for v in x]}
     try:
         _, ab = _tensors(manifest, x)
@@ -144,12 +156,12 @@ def _sample_row(manifest, metric, dirs, x):
         if not metric.in_domain(x, y):
             continue
         try:
-            values.append(einstein_scalar(metric, x, list(y)))
+            values.append(lam(x, y))
         except FinslerError:
             continue
         if rev is None and metric.in_domain(x, [-v for v in y]):
             try:
-                rev = reversibility_residual(metric, x, list(y))
+                rev = lam.reversal(x, y)
             except FinslerError:
                 rev = None
     if values:
@@ -172,6 +184,12 @@ def _sample_row(manifest, metric, dirs, x):
     return row
 
 
+def _worst(values):
+    """The largest residual, folded from 0.0 so a NaN is passed over; inf
+    when nothing was evaluated, so an empty check cannot pass."""
+    return max(0.0, *values) if values else math.inf
+
+
 def _check_result(name, residuals, tolerances, notes=None, skipped=None):
     """Assemble one check block; the verdict is a pure function of
     residuals and tolerances so reports are auditable on their own."""
@@ -186,7 +204,9 @@ def _check_result(name, residuals, tolerances, notes=None, skipped=None):
     }
 
 
-def run_check(name, manifest, metric, points, dirs):
+def run_check(name, manifest, metric, points, dirs, lam):
+    """One check block; ``lam`` is the run's EinsteinTable.  A check that
+    evaluated no sample reports an infinite residual, so it cannot pass."""
     tol_map = manifest.tolerances
     skipped = []
 
@@ -199,7 +219,7 @@ def run_check(name, manifest, metric, points, dirs):
             for y in dirs:
                 if metric.in_domain(x, y):
                     try:
-                        values.append(einstein_scalar(metric, x, list(y)))
+                        values.append(lam(x, y))
                     except FinslerError as exc:
                         skipped.append(f"x={x}: {exc}")
             if len(values) >= 2:
@@ -221,7 +241,7 @@ def run_check(name, manifest, metric, points, dirs):
                         and metric.in_domain(x, [-v for v in y])):
                     continue
                 try:
-                    values.append(reversibility_residual(metric, x, list(y)))
+                    values.append(lam.reversal(x, y))
                 except FinslerError as exc:
                     skipped.append(f"x={x}: {exc}")
         if values:
@@ -231,59 +251,61 @@ def run_check(name, manifest, metric, points, dirs):
 
     if name == "flag_curvature":
         tol = tol_map["flag_consistency"]
-        worst = 0.0
+        values = []
         notes = []
         for x in points:
             y0 = None
-            lam = None
+            lam0 = None
             for y in dirs:
                 if metric.in_domain(x, y):
                     try:
-                        lam = einstein_scalar(metric, x, list(y))
+                        lam0 = lam(x, y)
                         y0 = list(y)
                         break
                     except FinslerError:
                         continue
-            if lam is None:
+            if lam0 is None:
                 skipped.append(f"x={x}: no admissible direction")
                 continue
+            scale = max(1.0, abs(lam0))
             if manifest.kind == "sqrt2d_family":
                 try:
                     k_formula = sqrt2d_flag_curvature(manifest.family.spec, x)
-                    worst = max(worst, abs(k_formula - lam) / max(1.0, abs(lam)))
+                    values.append(abs(k_formula - lam0) / scale)
                 except FinslerError as exc:
                     notes.append(f"x={x}: closed form unavailable ({exc})")
             if metric.dim == 2:
                 u = [-y0[1], y0[0]]
                 try:
                     k_flag = flag_curvature(metric, x, y0, u)
-                    worst = max(worst, abs(k_flag - lam) / max(1.0, abs(lam)))
+                    values.append(abs(k_flag - lam0) / scale)
                 except FinslerError as exc:
                     skipped.append(f"x={x}: {exc}")
-        return _check_result(name, {"max_residual": worst},
+        return _check_result(name, {"max_residual": _worst(values)},
                              {"max_residual": tol}, notes=notes,
                              skipped=skipped)
 
     if name == "pde_residuals":
         tol = tol_map["pde_residuals"]
-        worst = 0.0
+        values = []
         for x in points:
             res = manifest.family.pde_residuals(x)
-            worst = max(worst, *(abs(v) for v in res.values()))
-        return _check_result(name, {"max_residual": worst},
+            values += [abs(v) for v in res.values()]
+        return _check_result(name, {"max_residual": _worst(values)},
                              {"max_residual": tol})
 
     if name == "ricci_identities":
         tol = tol_map["ricci_identities"]
-        worst = [0.0, 0.0, 0.0, 0.0]
+        rows = []
         sign = curvature_term_sign()
         for x in points:
             try:
                 rd, ab = _tensors(manifest, x)
                 res, _ = ricci_identity_residuals(rd, ab, sign)
-                worst = [max(w, r) for w, r in zip(worst, res)]
+                rows.append(res)
             except FinslerError as exc:
                 skipped.append(f"x={x}: {exc}")
+        worst = [_worst(col) for col in zip(*rows)] if rows else [math.inf] * 4
         residuals = {f"identity_{i + 1}": w for i, w in enumerate(worst)}
         return _check_result(name, residuals,
                              {k: tol for k in residuals},
@@ -337,7 +359,7 @@ def run_check(name, manifest, metric, points, dirs):
     if name == "sqrt2d_conditions":
         tol = tol_map["sqrt2d_conditions"]
         worst = {}
-        worst_k = 0.0
+        agreements = []
         for x in points:
             try:
                 rep = sqrt2d_structure_report(
@@ -351,18 +373,19 @@ def run_check(name, manifest, metric, points, dirs):
                 if y0 is None:
                     skipped.append(f"x={x}: no admissible direction")
                     continue
-                lam = einstein_scalar(metric, x, list(y0))
-                worst_k = max(worst_k, abs(k_alpha - lam) / max(1.0, abs(lam)))
+                lam0 = lam(x, y0)
+                agreements.append(abs(k_alpha - lam0) / max(1.0, abs(lam0)))
             except FinslerError as exc:
                 skipped.append(f"x={x}: {exc}")
         residuals = dict(worst) if worst else {"r00_equation": math.inf}
-        residuals["curvature_agreement"] = worst_k if worst else math.inf
+        residuals["curvature_agreement"] = _worst(agreements)
         return _check_result(name, residuals, {k: tol for k in residuals},
                              skipped=skipped)
 
     if name == "positivity":
         disagreements = 0.0
         inadmissible = 0.0
+        evaluated = 0
         notes = []
         p = manifest.ppower.p
         for x in points:
@@ -371,6 +394,7 @@ def run_check(name, manifest, metric, points, dirs):
             except FinslerError as exc:
                 skipped.append(f"x={x}: {exc}")
                 continue
+            evaluated += 1
             closed = positivity_check(p, ab.b2)
             sampled, margin = positivity_sample(p, ab.b2, 101)
             if closed != sampled:
@@ -384,6 +408,8 @@ def run_check(name, manifest, metric, points, dirs):
                              f"(b^2={ab.b2:.6f})")
         residuals = {"disagreements": disagreements,
                      "inadmissible_points": inadmissible}
+        if not evaluated:
+            residuals = {k: math.inf for k in residuals}
         return _check_result(name, residuals,
                              {k: 0.5 for k in residuals},
                              notes=notes, skipped=skipped)
@@ -391,20 +417,21 @@ def run_check(name, manifest, metric, points, dirs):
     if name == "killing_deformation":
         tol = tol_map["killing_deformation"]
         norm_tol = tol_map["killing_norm_identity"]
-        worst_r = 0.0
-        worst_norm = 0.0
+        r_values = []
+        norm_values = []
         for x in points:
             try:
                 kd = killing_deformation(manifest.alpha_spec,
                                          manifest.beta_spec, x)
-                worst_r = max(worst_r, kd.r_residual)
-                worst_norm = max(worst_norm,
-                                 abs(kd.btilde_norm_sq - kd.expected_norm_sq))
+                r_values.append(kd.r_residual)
+                norm_values.append(
+                    abs(kd.btilde_norm_sq - kd.expected_norm_sq))
             except FinslerError as exc:
                 skipped.append(f"x={x}: {exc}")
         return _check_result(
             name,
-            {"killing_residual": worst_r, "norm_identity": worst_norm},
+            {"killing_residual": _worst(r_values),
+             "norm_identity": _worst(norm_values)},
             {"killing_residual": tol, "norm_identity": norm_tol},
             skipped=skipped)
 
@@ -428,13 +455,13 @@ def run(manifest, include_timings=False):
     points = collect_points(manifest)
     dirs = sphere_directions(manifest.dimension,
                              manifest.samples.direction_count)
-    sample_rows = _map_samples(
-        lambda x: _sample_row(manifest, metric, dirs, x), points)
+    lam = EinsteinTable(metric)
+    sample_rows = [_sample_row(manifest, metric, lam, dirs, x) for x in points]
     checks = []
     timings = {}
     for name in manifest.checks:
         t0 = time.perf_counter()
-        checks.append(run_check(name, manifest, metric, points, dirs))
+        checks.append(run_check(name, manifest, metric, points, dirs, lam))
         timings[name] = time.perf_counter() - t0
     verdict = all(c["verdict"] for c in checks)
     report = {

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from finslerlab import ManifestError, load_manifest, run, validate_manifest
+from finslerlab import ManifestError, load_manifest, run, runner, validate_manifest
 from finslerlab.cli import main as cli_main
 from finslerlab.report import json_dumps, manifest_hash, report_csv
 
@@ -213,13 +213,37 @@ def test_riemann_kind_manifest():
         assert sample["lambda_mean"] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_thread_cap_is_deterministic(monkeypatch):
+def test_warm_memo_report_is_identical(monkeypatch):
+    manifest = validate_manifest(rotational_doc())
+    metric = runner.build_metric(manifest)
+    fresh = runner.build_metric
+    monkeypatch.setattr(runner, "build_metric",
+                        lambda m: metric if m is manifest else fresh(m))
+    cold = json_dumps(run(manifest))
+    run(validate_manifest(ppower_doc()))
+    assert len(metric.coefficients) > 0  # warm from the first run
+    assert json_dumps(run(manifest)) == cold
+
+
+def test_check_without_samples_fails():
+    # B = x1^2 + x2^2 > 1 at both points: no sample is in the domain
     doc = rotational_doc()
-    monkeypatch.setenv("FINSLERLAB_THREADS", "1")
-    serial = json_dumps(run(validate_manifest(doc)))
-    monkeypatch.setenv("FINSLERLAB_THREADS", "4")
-    threaded = json_dumps(run(validate_manifest(doc)))
-    assert serial == threaded
+    doc["samples"]["points"] = [[1.2, 0.0], [0.0, 1.5]]
+    doc["checks"] = ["flag_curvature", "killing_deformation",
+                     "sqrt2d_conditions"]
+    report = run(validate_manifest(doc))
+    for check in report["checks"]:
+        assert not check["verdict"], check["name"]
+        assert all(math.isinf(v) for v in check["residuals"].values())
+        assert len(check["skipped"]) == 2
+    doc = ppower_doc(checks=["ricci_identities", "positivity"])
+    doc["metric"]["a"] = [["1/x1", "0"], ["0", "1"]]
+    doc["samples"]["points"] = [[0.0, 0.2]]  # a_11 is singular at x1 = 0
+    report = run(validate_manifest(doc))
+    for check in report["checks"]:
+        assert not check["verdict"], check["name"]
+        assert all(math.isinf(v) for v in check["residuals"].values())
+        assert len(check["skipped"]) == 1
 
 
 def test_cli_run_exit_codes(tmp_path, capsys):
