@@ -126,9 +126,13 @@ class CoefficientMemo:
 def ppower_metric(spec):
     """FinslerMetric for a p-power spec, with its admissibility predicate.
 
-    The domain requires alpha > 0, 1 + s > 0 and 1 + (1-p) s > 0 with
-    s = beta/alpha; the last guard keeps the spray denominators healthy up
-    to the positivity boundary.  The coefficients are read through a
+    The domain predicate tests alpha > 0 and 1 + s > 0 with
+    s = beta/alpha, nothing more.  The third convexity condition, which
+    fails beyond the positivity bound (``positivity_check``), is not
+    tested there: the engine raises ``SingularMetric`` when the
+    fundamental tensor stops being positive definite, and
+    ``alphabeta.structural_spray`` guards its own denominator
+    1 + (1-p) s.  The coefficients are read through a
     ``CoefficientMemo``, exposed as the metric's ``coefficients``.
     """
     n = spec.dim
@@ -255,19 +259,23 @@ def positivity_margins(p, s, b_sq):
 def positivity_sample(p, b_sq, s_grid=101):
     """Grid evaluation of the three convexity inequalities.
 
-    ``s_grid`` is either a count (interior grid on (-b, b)) or explicit
-    slopes inside that interval.  Returns (all_positive, worst_margin).
+    ``s_grid`` is either a count of evenly spaced slopes on the closed
+    interval [-b, b], both endpoints included (for p <= 0 and p >= 1/2 the
+    binding inequality sits at s = -b), or explicit slopes in that
+    interval.  Returns (all_positive, worst_margin).
     """
     if p == 0.0:
         raise ValueError("the exponent p must be nonzero")
     b = math.sqrt(b_sq)
     if isinstance(s_grid, int):
         count = s_grid
-        grid = [-b + 2.0 * b * (i + 1) / (count + 1) for i in range(count)]
+        if count < 2:
+            raise ValueError("a slope grid needs both endpoints of [-b, b]")
+        grid = [-b + 2.0 * b * i / (count - 1) for i in range(count)]
     else:
         grid = [float(s) for s in s_grid]
-        if any(abs(s) >= b for s in grid):
-            raise ValueError("s grid must lie strictly inside (-b, b)")
+        if any(abs(s) > b for s in grid):
+            raise ValueError("s grid must lie inside [-b, b]")
     worst = math.inf
     for s in grid:
         worst = min(worst, *positivity_margins(p, s, b_sq))

@@ -15,6 +15,7 @@ with Ric the trace of R and the Einstein scalar Ric / ((n-1) F^2).
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -90,24 +91,49 @@ class FinslerMetric:
         return self._jet_builder(x_jets, y_jets)
 
 
-def _unit(n2, i):
-    e = [0] * n2
-    e[i] = 1
-    return tuple(e)
+class _PartialTable:
+    """Where the partials core reads sit in one 2n-variable jet context.
+
+    Each attribute is an index array into the coefficient vector: unit
+    monomials ``x[k]`` and ``y[j]``, and second-order pairs ``xy[k][l]``
+    (x^k y^l) and ``yy[i][j]`` (y^i y^j).  :func:`_read` turns one of them
+    into raw partials with a single gather.
+    """
+
+    def __init__(self, ctx):
+        n = ctx.num_vars // 2
+        units = np.array(ctx.unit, dtype=np.intp)
+
+        def pair(a, b):
+            mono = [0] * ctx.num_vars
+            mono[a] += 1
+            mono[b] += 1
+            return ctx.index[tuple(mono)]
+
+        self.x = units[:n]
+        self.y = units[n:]
+        self.xy = np.array([[pair(k, n + l) for l in range(n)]
+                            for k in range(n)], dtype=np.intp)
+        self.yy = np.array([[pair(n + i, n + j) for j in range(n)]
+                            for i in range(n)], dtype=np.intp)
 
 
-def _pair(n2, i, j):
-    e = [0] * n2
-    e[i] += 1
-    e[j] += 1
-    return tuple(e)
+@functools.cache
+def _partial_table(ctx):
+    """The context's :class:`_PartialTable`, built on first use."""
+    return _PartialTable(ctx)
+
+
+def _read(coeffs, idx, ctx):
+    """Raw partials at monomial indices ``idx`` of the last axis of ``coeffs``.
+
+    Entry by entry this is ``extract_partial``: coefficient times factorial.
+    """
+    return coeffs[..., idx] * ctx.factorial[idx]
 
 
 def _g_values(metric, f2, x, y):
-    n = metric.dim
-    n2 = 2 * n
-    g = [[0.5 * f2.partial(_pair(n2, n + i, n + j)) for j in range(n)]
-         for i in range(n)]
+    g = (0.5 * _read(f2.c, _partial_table(f2.ctx).yy, f2.ctx)).tolist()
     if not is_positive_definite(g):
         raise SingularMetric(
             f"fundamental tensor not positive definite at x={list(x)!r}, "
@@ -128,12 +154,14 @@ def spray(metric, x, y):
     """Geodesic coefficients G^i as a float vector (2-homogeneous in y)."""
     metric.require_domain(x, y)
     n = metric.dim
-    n2 = 2 * n
     f = metric.jet(x, y, 2)
     f2 = f * f
     g = _g_values(metric, f2, x, y)
-    rhs = [sum(f2.partial(_pair(n2, k, n + l)) * y[k] for k in range(n))
-           - f2.partial(_unit(n2, l)) for l in range(n)]
+    table = _partial_table(f2.ctx)
+    f2_xy = _read(f2.c, table.xy, f2.ctx).tolist()
+    f2_x = _read(f2.c, table.x, f2.ctx).tolist()
+    rhs = [sum(f2_xy[k][l] * y[k] for k in range(n)) - f2_x[l]
+           for l in range(n)]
     cols = solve(g, [rhs])
     return np.array([0.25 * v for v in cols[0]])
 
@@ -168,16 +196,15 @@ def riemann_curvature(metric, x, y):
     """R^i_k as an n-by-n float matrix (the trace is the Ricci curvature)."""
     metric.require_domain(x, y)
     n = metric.dim
-    n2 = 2 * n
     g_jets, _ = _spray_jets(metric, x, y)
-    g_val = [gj.value for gj in g_jets]
-    gx = [[g_jets[i].partial(_unit(n2, k)) for k in range(n)] for i in range(n)]
-    gy = [[g_jets[i].partial(_unit(n2, n + j)) for j in range(n)]
-          for i in range(n)]
-    gxy = [[[g_jets[i].partial(_pair(n2, j, n + k)) for k in range(n)]
-            for j in range(n)] for i in range(n)]
-    gyy = [[[g_jets[i].partial(_pair(n2, n + j, n + k)) for k in range(n)]
-            for j in range(n)] for i in range(n)]
+    ctx = g_jets[0].ctx
+    table = _partial_table(ctx)
+    coeffs = np.stack([gj.c for gj in g_jets])
+    g_val = coeffs[:, 0].tolist()
+    # gx[i][k] = dG^i/dx^k, gy[i][j] = dG^i/dy^j,
+    # gxy[i][j][k] = d2G^i/dx^j dy^k, gyy[i][j][k] = d2G^i/dy^j dy^k
+    gx, gy, gxy, gyy = (_read(coeffs, idx, ctx).tolist()
+                        for idx in (table.x, table.y, table.xy, table.yy))
     r = np.zeros((n, n))
     for i in range(n):
         for k in range(n):

@@ -69,7 +69,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*/^(),]))"
 )
 
-_COORD_RE = re.compile(r"^x([1-9])$")
+_COORD_RE = re.compile(r"^x([1-8])$")
 
 
 def _tokenize(source):

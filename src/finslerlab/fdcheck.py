@@ -8,7 +8,10 @@ so no single step serves all orders.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import struct
 from itertools import product
 
 FD_STEPS = {1: 1e-5, 2: 1e-4, 3: 4e-3, 4: 2e-2}
@@ -31,29 +34,89 @@ def _stencil_1d(order, h):
     raise ValueError(f"unsupported derivative order {order}")
 
 
-def _apply(f, point, multi_index, h):
-    stencils = [_stencil_1d(k, h) for k in multi_index]
+@functools.lru_cache(maxsize=16)
+def _plan(multi_indices, step):
+    """The part of :func:`fd_partials` that does not depend on the point.
+
+    Returns the distinct offset vectors of all stencils and, per
+    multi-index, ``None`` for order 0 (the point itself) or its coarse and
+    fine stencils as ``(offset slot, weight)`` pairs in ``product`` order.
+    """
+    offsets = {}
+    plans = []
+    for multi_index in multi_indices:
+        order = sum(multi_index)
+        if order == 0:
+            plans.append(None)
+            continue
+        h = FD_STEPS[order] if step is None else step
+        stencils = []
+        for size in (h, h / 2.0):
+            stencil = []
+            for combo in product(*(_stencil_1d(k, size) for k in multi_index)):
+                off = tuple(o for o, _ in combo)
+                slot = offsets.setdefault(off, len(offsets))
+                stencil.append((slot, math.prod(w for _, w in combo)))
+            stencils.append(tuple(stencil))
+        plans.append(tuple(stencils))
+    return tuple(offsets), tuple(plans)
+
+
+def _weighted_sum(values, stencil):
     total = 0.0
-    for combo in product(*stencils):
-        shifted = [x + off for x, (off, _) in zip(point, combo)]
-        weight = math.prod(w for _, w in combo)
-        total += weight * f(shifted)
+    for slot, weight in stencil:
+        total += weight * values[slot]
     return total
+
+
+def fd_partials(f, point, multi_indices, step=None):
+    """Raw partials of ``f`` at ``point``, one per multi-index, Richardson-extrapolated.
+
+    The coarse and fine stencils of every multi-index are planned first, and
+    ``f`` is called once per distinct stencil point, in sorted order, so
+    points that share their leading coordinates are evaluated one after
+    another.  Each partial is then summed from those values with the same
+    weights, in the same order, as its own stencils alone would sum them.
+    ``f`` may return a numpy array; every component is then differenced
+    with the same weights, in the same order, as a scalar ``f`` would be.
+    """
+    offsets, plans = _plan(
+        tuple(tuple(int(e) for e in m) for m in multi_indices), step)
+    # the exact bits of a point key its slot (as core.exact_key, but one
+    # precompiled format for the hundreds of points of one call)
+    pack = struct.Struct(f"{len(point)}d").pack
+    slots = {}
+    points = []
+
+    def slot_of(z):
+        slot = slots.setdefault(pack(*z), len(points))
+        if slot == len(points):
+            points.append(z)
+        return slot
+
+    # value slot of each offset vector, and of the point itself
+    at = [slot_of(tuple(map(operator.add, point, off))) for off in offsets]
+    here = slot_of(tuple(point)) if None in plans else None
+    values = [None] * len(points)
+    for i in sorted(range(len(points)), key=points.__getitem__):
+        values[i] = f(list(points[i]))
+    by_offset = [values[i] for i in at]
+    out = []
+    for plan in plans:
+        if plan is None:
+            out.append(values[here])
+            continue
+        coarse, fine = (_weighted_sum(by_offset, stencil) for stencil in plan)
+        out.append((4.0 * fine - coarse) / 3.0)
+    return out
 
 
 def fd_partial(f, point, multi_index, step=None):
     """Raw partial derivative of ``f`` at ``point``, Richardson-extrapolated.
 
-    ``f`` may return a numpy array; every component is then differenced
-    with the same weights, in the same order, as a scalar ``f`` would be.
+    The one-index case of :func:`fd_partials`.
     """
-    order = sum(multi_index)
-    if order == 0:
-        return f(list(point))
-    h = FD_STEPS[order] if step is None else step
-    coarse = _apply(f, point, multi_index, h)
-    fine = _apply(f, point, multi_index, h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+    return fd_partials(f, point, [multi_index], step)[0]
 
 
 def rel_err(got, want, floor=1.0):

@@ -60,6 +60,9 @@ class JetContext:
         self.monomials = _monomials(num_vars, order)
         self.ncoef = len(self.monomials)
         self.index = {mono: i for i, mono in enumerate(self.monomials)}
+        # index of the unit monomial of each variable
+        self.unit = [self.index[tuple(int(v == u) for v in range(num_vars))]
+                     for u in range(num_vars)]
         self.degree = np.array([sum(m) for m in self.monomials])
         self.factorial = np.array(
             [math.prod(math.factorial(e) for e in m) for m in self.monomials],
@@ -114,6 +117,12 @@ def get_context(num_vars, order):
     return ctx
 
 
+def _cauchy(ctx, a, b):
+    """Truncated Cauchy product of two coefficient vectors of ``ctx``."""
+    prod = a[ctx._mul_i] * b[ctx._mul_j]
+    return np.bincount(ctx._mul_k, weights=prod, minlength=ctx.ncoef)
+
+
 class Jet:
     """A truncated Taylor expansion; treat instances as immutable."""
 
@@ -137,6 +146,8 @@ class Jet:
         return None
 
     def __add__(self, other):
+        if type(other) is Jet and other.ctx is self.ctx:
+            return Jet(self.ctx, self.c + other.c)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -145,6 +156,8 @@ class Jet:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is Jet and other.ctx is self.ctx:
+            return Jet(self.ctx, self.c - other.c)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -160,15 +173,15 @@ class Jet:
         return Jet(self.ctx, -self.c)
 
     def __mul__(self, other):
+        ctx = self.ctx
+        if type(other) is Jet and other.ctx is ctx:  # same-context fast path
+            return Jet(ctx, _cauchy(ctx, self.c, other.c))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if not isinstance(other, Jet):  # scalar fast path
-            return Jet(self.ctx, self.c * float(other))
-        ctx = self.ctx
-        prod = self.c[ctx._mul_i] * o.c[ctx._mul_j]
-        return Jet(ctx, np.bincount(ctx._mul_k, weights=prod,
-                                    minlength=ctx.ncoef))
+            return Jet(ctx, self.c * float(other))
+        return Jet(ctx, _cauchy(ctx, self.c, o.c))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
@@ -176,6 +189,8 @@ class Jet:
         return NotImplemented
 
     def __truediv__(self, other):
+        if type(other) is Jet and other.ctx is self.ctx:
+            return self * other._reciprocal()
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -245,8 +260,7 @@ def lift_variable(ctx, index, value):
             f"variable index {index} out of range for {ctx.num_vars} variables")
     c = np.zeros(ctx.ncoef)
     c[0] = float(value)
-    unit = tuple(1 if v == index else 0 for v in range(ctx.num_vars))
-    c[ctx.index[unit]] = 1.0
+    c[ctx.unit[index]] = 1.0
     return Jet(ctx, c)
 
 

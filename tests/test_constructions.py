@@ -136,8 +136,27 @@ def test_positivity_check_edge_small_exponent(p):
 def test_positivity_sample_explicit_grid():
     ok, margin = positivity_sample(1.0, 0.49, [-0.3, 0.0, 0.4])
     assert ok and margin > 0
+    # the endpoints +-b belong to the slope interval
+    ok, _ = positivity_sample(1.0, 0.25, [-0.5, 0.5])
+    assert ok
     with pytest.raises(ValueError):
         positivity_sample(1.0, 0.25, [0.6])
+    with pytest.raises(ValueError):
+        positivity_sample(1.0, 0.25, 1)
+
+
+@pytest.mark.parametrize("p", [-1.0, 0.75, 1.0, 3.0])
+def test_positivity_sample_includes_slope_endpoints(p):
+    """For p <= 0 and p >= 1/2 the binding inequality sits at s = -b, so
+    only a grid that contains it agrees with the closed form just past the
+    bound."""
+    bound = 1.0 / (p - 1.0) ** 2 if p > 2.0 or p < 0.0 else 1.0
+    for factor in (0.99, 1.005, 1.01):
+        b_sq = factor * bound
+        for count in (101, 201):
+            sampled, _ = positivity_sample(p, b_sq, count)
+            assert sampled == positivity_check(p, b_sq) == (factor < 1.0), (
+                factor, count)
 
 
 def test_family_values(example_family):

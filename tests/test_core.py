@@ -326,3 +326,51 @@ def test_three_dimensional_engine():
     r = riemann_curvature(metric, x, y)
     assert float(np.abs(r @ np.array(y)).max()) < 1e-9 * max(
         1.0, float(np.abs(r).max()))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("order", [2, 4])
+def test_partial_table_reads_equal_extract_partial(n, order):
+    """Each index-table gather equals extract_partial bit for bit."""
+    from finslerlab.core import _partial_table, _read
+    from finslerlab.jets import Jet, extract_partial, get_context
+
+    ctx = get_context(2 * n, order)
+    table = _partial_table(ctx)
+    rng = np.random.default_rng(n * 10 + order)
+    jets = [Jet(ctx, rng.uniform(-3.0, 3.0, size=ctx.ncoef))
+            for _ in range(n)]
+    stacked = np.stack([j.c for j in jets])
+
+    def mono(*variables):
+        e = [0] * (2 * n)
+        for v in variables:
+            e[v] += 1
+        return tuple(e)
+
+    wants = {
+        "x": lambda j, k: extract_partial(j, mono(k)),
+        "y": lambda j, k: extract_partial(j, mono(n + k)),
+        "xy": lambda j, k, l: extract_partial(j, mono(k, n + l)),
+        "yy": lambda j, k, l: extract_partial(j, mono(n + k, n + l)),
+    }
+    for name, want in wants.items():
+        idx = getattr(table, name)
+        per_jet = _read(stacked, idx, ctx)
+        for i, jet in enumerate(jets):
+            got = _read(jet.c, idx, ctx)
+            assert got.tobytes() == per_jet[i].tobytes()
+            for pos in np.ndindex(idx.shape):
+                assert got[pos].tobytes() == np.float64(
+                    want(jet, *pos)).tobytes(), (name, pos)
+    assert _partial_table(ctx) is table
+
+
+def test_domain_beyond_positivity_bound_surfaces_as_singular_metric():
+    """The p-power domain tests alpha > 0 and 1 + s > 0 only; with
+    1 + (1-p) s = -0.6 the sample is in the domain and the engine reports
+    the lost convexity as SingularMetric."""
+    metric = ppower_metric(PPowerSpec(IDENTITY, ["0.8", "0"], 3.0))
+    assert metric.in_domain([0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(SingularMetric):
+        spray(metric, [0.0, 0.0], [1.0, 0.0])

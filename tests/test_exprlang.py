@@ -44,6 +44,14 @@ def test_unknown_identifier():
         parse("x10")
 
 
+def test_coordinates_stop_at_x8():
+    assert parse("x8") == Coord(7)
+    with pytest.raises(UnknownIdentifier):
+        parse("x9")
+    with pytest.raises(UnknownIdentifier):
+        parse("x0")
+
+
 def test_syntax_error_offset():
     with pytest.raises(ExprSyntaxError) as info:
         parse("x1 + ")

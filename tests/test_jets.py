@@ -230,3 +230,31 @@ def test_coefficient_count():
     assert ctx.ncoef == math.comb(3 + 4, 4)
     ctx2 = JetContext(2, 2)
     assert ctx2.ncoef == 6
+
+
+def test_same_context_fast_path_matches_coerced_path():
+    """Jets of a distinct but compatible context take the coerced path;
+    its results equal the same-context fast path bit for bit."""
+    from finslerlab.jets import Jet
+    shared = get_context(3, 4)
+    other = JetContext(3, 4)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        a = Jet(shared, rng.uniform(-1.0, 1.0, size=shared.ncoef))
+        b = Jet(shared, rng.uniform(-1.0, 1.0, size=shared.ncoef) + 3.0)
+        b_other = Jet(other, b.c.copy())
+        for op in ("add", "sub", "mul", "div"):
+            fast = jet_arith(op, a, b)
+            coerced = jet_arith(op, a, b_other)
+            assert fast.c.tobytes() == coerced.c.tobytes(), op
+
+
+def test_lift_variable_unit_table():
+    ctx = get_context(4, 3)
+    for index in range(4):
+        j = lift_variable(ctx, index, 0.5)
+        unit = tuple(int(v == index) for v in range(4))
+        assert np.flatnonzero(j.c).tolist() == [0, ctx.index[unit]]
+        assert extract_partial(j, unit) == 1.0
+    with pytest.raises(IndexError):
+        lift_variable(ctx, 4, 0.0)
