@@ -11,6 +11,13 @@ extracting the required partials from one order-4 jet of F^2:
             + 2 G^j d^2G^i/dy^j dy^k - dG^i/dy^j dG^j/dy^k
 
 with Ric the trace of R and the Einstein scalar Ric / ((n-1) F^2).
+
+Only F and F^2 need order 4.  The curvature tail -- g_ij and the spray
+right-hand side as jets, the n-by-n jet solve for G^i and the Riemann read
+-- is valid to degree 2 only, so it runs in the order-2 context: g and the
+F^2 partials are gathered out of the order-4 jet of F^2 into order-2
+coefficients (``_TailTable``), with the same bits as differentiating the
+order-4 jet.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneratePlane, DomainError, SingularMetric
-from .jets import get_context, lift_variable
+from .jets import Jet, get_context, lift_variable
 from .linalg import invert, is_positive_definite, solve
 
 DENOMINATOR_FLOOR = 1e-12
@@ -124,6 +131,56 @@ def _partial_table(ctx):
     return _PartialTable(ctx)
 
 
+class _TailTable:
+    """Where the curvature tail's inputs sit in an order-4 jet of F^2.
+
+    ``low`` is the order-2 context on the same 2n variables.  Each tensor
+    is a pair (index array, factor array) whose last axis runs over the
+    monomials m of ``low``: the partial d/dz^a ... of F^2 has order-2
+    coefficient ``c[idx] * factor`` at m, where idx indexes m + e_a + ...
+    and factor = (m + e_a + ...)! / m!.  That equals differentiating the
+    order-4 jet one variable at a time, bit for bit: with |m| <= 2 each
+    factor is a product of at most two of 1, 2, 3, 4 with at most one 3,
+    so one rounded multiply gives what multiplying by each in turn gives.
+
+    ``g[i][j]`` reads d^2/dy^i dy^j, ``xy[l][k]`` d^2/dy^l dx^k and
+    ``x[l]`` d/dx^l.
+    """
+
+    def __init__(self, ctx):
+        n = ctx.num_vars // 2
+        self.low = low = get_context(ctx.num_vars, 2)
+        monomials = np.array(low.monomials)
+
+        def lowered(*variables):
+            raised = monomials.copy()
+            for v in variables:
+                raised[:, v] += 1
+            return [ctx.index[tuple(m)] for m in raised.tolist()]
+
+        def tensor(rows):
+            idx = np.array(rows, dtype=np.intp)
+            return idx, ctx.factorial[idx] / low.factorial
+
+        self.g = tensor([[lowered(n + i, n + j) for j in range(n)]
+                         for i in range(n)])
+        self.xy = tensor([[lowered(n + l, k) for k in range(n)]
+                          for l in range(n)])
+        self.x = tensor([lowered(l) for l in range(n)])
+
+
+@functools.cache
+def _tail_table(ctx):
+    """The order-4 context's :class:`_TailTable`, built on first use."""
+    return _TailTable(ctx)
+
+
+def _gather(coeffs, tensor):
+    """Order-2 coefficients of one ``_TailTable`` tensor of F^2."""
+    idx, factor = tensor
+    return coeffs[idx] * factor
+
+
 def _read(coeffs, idx, ctx):
     """Raw partials at monomial indices ``idx`` of the last axis of ``coeffs``.
 
@@ -167,26 +224,29 @@ def spray(metric, x, y):
 
 
 def _spray_jets(metric, x, y):
-    """G^i as jets valid to order 2, for the curvature extraction."""
+    """G^i as jets of the order-2 context, for the curvature extraction.
+
+    Also returns the order-4 jet of F.
+    """
     n = metric.dim
-    ctx = get_context(2 * n, 4)
-    x_jets = [lift_variable(ctx, i, x[i]) for i in range(n)]
-    y_jets = [lift_variable(ctx, n + i, y[i]) for i in range(n)]
-    f = metric._jet_builder(x_jets, y_jets)
+    f = metric.jet(x, y, 4)
     f2 = f * f
-    g_jets = [[0.5 * f2.derivative(n + i).derivative(n + j) for j in range(n)]
-              for i in range(n)]
-    if not is_positive_definite([[g_jets[i][j].value for j in range(n)]
-                                 for i in range(n)]):
+    table = _tail_table(f2.ctx)
+    low = table.low
+    g = 0.5 * _gather(f2.c, table.g)
+    if not is_positive_definite(g[:, :, 0].tolist()):
         raise SingularMetric(
             f"fundamental tensor not positive definite at x={list(x)!r}, "
             f"y={list(y)!r}")
+    g_jets = [[Jet(low, g[i, j]) for j in range(n)] for i in range(n)]
+    f2_xy = _gather(f2.c, table.xy)
+    f2_x = _gather(f2.c, table.x)
+    y_jets = [lift_variable(low, n + k, y[k]) for k in range(n)]
     rhs = []
     for l in range(n):
-        df_l = f2.derivative(n + l)
-        acc = -f2.derivative(l)
+        acc = Jet(low, -f2_x[l])
         for k in range(n):
-            acc = acc + df_l.derivative(k) * y_jets[k]
+            acc = acc + Jet(low, f2_xy[l, k]) * y_jets[k]
         rhs.append(acc)
     cols = solve(g_jets, [rhs])
     return [0.25 * gi for gi in cols[0]], f

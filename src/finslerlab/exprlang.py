@@ -13,6 +13,7 @@ function and inherits its positivity requirement.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -34,31 +35,40 @@ FUNCTIONS = {"sqrt": 1, "exp": 1, "ln": 1, "sin": 1, "cos": 1, "pow": 2}
 MAX_COORDS = 8
 
 
+class _Node:
+    """Base of the expression nodes below."""
+
+    @functools.cached_property
+    def coordinate_count(self):
+        """``max_coord(self) + 1``, walked once and kept on the node."""
+        return max_coord(self) + 1
+
+
 @dataclass(frozen=True)
-class Number:
+class Number(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Coord:
+class Coord(_Node):
     index: int
 
 
 @dataclass(frozen=True)
-class Unary:
+class Unary(_Node):
     op: str  # "neg"
     operand: object
 
 
 @dataclass(frozen=True)
-class Binary:
+class Binary(_Node):
     op: str  # add | sub | mul | div | pow
     left: object
     right: object
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     func: str
     args: tuple
 
@@ -269,7 +279,7 @@ _JET_FUNCS = {"sqrt": jet_sqrt, "exp": jet_exp, "ln": jet_ln,
 
 def eval_jet(node, ctx, point):
     """Evaluate with each coordinate lifted as a jet variable at ``point``."""
-    need = max_coord(node) + 1
+    need = node.coordinate_count
     if need > len(point):
         raise ValueError(
             f"expression uses x{need} but the point has {len(point)} coordinates")

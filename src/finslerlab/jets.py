@@ -9,6 +9,13 @@ plain Cauchy product truncated at degree d.
 Degrees are filtered: the degree-k coefficients of any arithmetic result
 depend only on degree <= k coefficients of the inputs, so differentiating a
 jet (which loses one order of validity) never corrupts the surviving orders.
+The monomials of an order-d context open the list of every higher-order
+context with the same variables, so a computation whose inputs are valid
+only to degree d can run in the order-d context and give the same bits.
+
+A coordinate jet (from :func:`lift_variable`) has two nonzero coefficients,
+so a product with it sums two terms per output instead of every pair of the
+Cauchy product.
 """
 
 from __future__ import annotations
@@ -80,22 +87,29 @@ class JetContext:
         self._mul_i = np.array(mi, dtype=np.intp)
         self._mul_j = np.array(mj, dtype=np.intp)
         self._mul_k = np.array(mk, dtype=np.intp)
-        # per-variable tables for d/dx_v: dst gets (exp_v+1) * src
-        self._deriv = []
+        # per-variable tables (lower, upper, factor): lower indexes each
+        # monomial m below the top degree, upper indexes m + e_v and factor
+        # is m_v + 1; d/dx_v reads upper into lower.  A product by the
+        # coordinate x_v (``_shift_product``) sums the terms a[source] into
+        # ``target``: the first ``shifted`` are a[m] into m + e_v for the
+        # lower monomials, the rest a[m] (times the value) into m.
+        self._raise = []
+        self._shift = []
+        every = np.arange(self.ncoef, dtype=np.intp)
         for v in range(num_vars):
-            dst, src, fac = [], [], []
+            lower, upper, fac = [], [], []
             for i, m in enumerate(self.monomials):
                 if sum(m) >= order:
                     continue
                 bumped = m[:v] + (m[v] + 1,) + m[v + 1:]
-                dst.append(i)
-                src.append(self.index[bumped])
+                lower.append(i)
+                upper.append(self.index[bumped])
                 fac.append(m[v] + 1)
-            self._deriv.append(
-                (np.array(dst, dtype=np.intp),
-                 np.array(src, dtype=np.intp),
-                 np.array(fac, dtype=float))
-            )
+            lower = np.array(lower, dtype=np.intp)
+            upper = np.array(upper, dtype=np.intp)
+            self._raise.append((lower, upper, np.array(fac, dtype=float)))
+            self._shift.append((np.concatenate((lower, every)),
+                                np.concatenate((upper, every)), len(lower)))
 
     def compatible(self, other):
         return (self is other
@@ -121,6 +135,29 @@ def _cauchy(ctx, a, b):
     """Truncated Cauchy product of two coefficient vectors of ``ctx``."""
     prod = a[ctx._mul_i] * b[ctx._mul_j]
     return np.bincount(ctx._mul_k, weights=prod, minlength=ctx.ncoef)
+
+
+def _shift_product(a, coordinate):
+    """Coefficient vector ``a`` times a coordinate jet x_v = value + unit.
+
+    The Cauchy product restricted to the two nonzero coefficients of x_v:
+    output m sums a[m - e_v] (times 1) and then a[m] * value, from +0.0,
+    as the full product does.  On finite coefficients the pairs left out
+    add only zeros, so the bits are the Cauchy product's, -0.0 included.
+    """
+    source, target, shifted = coordinate.ctx._shift[coordinate.var]
+    terms = a[source]
+    terms[shifted:] *= coordinate.c[0]
+    return np.bincount(target, terms, len(a))
+
+
+def _product(a, b):
+    """Coefficients of the truncated product of jets ``a`` and ``b``."""
+    if type(b) is CoordinateJet:
+        return _shift_product(a.c, b)
+    if type(a) is CoordinateJet:
+        return _shift_product(b.c, a)
+    return _cauchy(a.ctx, a.c, b.c)
 
 
 class Jet:
@@ -174,14 +211,19 @@ class Jet:
 
     def __mul__(self, other):
         ctx = self.ctx
-        if type(other) is Jet and other.ctx is ctx:  # same-context fast path
-            return Jet(ctx, _cauchy(ctx, self.c, other.c))
+        kind = type(other)
+        if kind is Jet and other.ctx is ctx:  # same-context fast paths
+            if type(self) is Jet:
+                return Jet(ctx, _cauchy(ctx, self.c, other.c))
+            return Jet(ctx, _shift_product(other.c, self))
+        if kind is CoordinateJet and other.ctx is ctx:
+            return Jet(ctx, _shift_product(self.c, other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if not isinstance(other, Jet):  # scalar fast path
             return Jet(ctx, self.c * float(other))
-        return Jet(ctx, _cauchy(ctx, self.c, o.c))
+        return Jet(ctx, _product(self, o))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
@@ -215,9 +257,11 @@ class Jet:
                 f"division by a jet with value {b0!r} below the floor")
         u = Jet(ctx, self.c / b0)
         u.c[0] = 0.0
-        # 1/b = (1 - u + u^2 - ...) / b0, truncated; u has no constant term
-        inv = constant(ctx, 1.0)
-        for _ in range(ctx.order):
+        # 1/b = (1 - u + u^2 - ...) / b0, truncated; u has no constant term.
+        # Step s fixes the degree-s coefficients, so ``order`` steps are
+        # enough; the first, 1 - u * 1, needs no product.
+        inv = 1.0 - u
+        for _ in range(ctx.order - 1):
             inv = 1.0 - u * inv
         return Jet(ctx, inv.c / b0)
 
@@ -235,9 +279,9 @@ class Jet:
         zero because they are not determined by the input truncation.
         """
         ctx = self.ctx
-        dst, src, fac = ctx._deriv[var]
+        lower, upper, fac = ctx._raise[var]
         out = np.zeros(ctx.ncoef)
-        out[dst] = self.c[src] * fac
+        out[lower] = self.c[upper] * fac
         return Jet(ctx, out)
 
     def partial(self, multi_index):
@@ -245,6 +289,22 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(value={self.c[0]!r}, ctx={self.ctx!r})"
+
+
+class CoordinateJet(Jet):
+    """The jet of coordinate ``var``: a value plus a unit first derivative.
+
+    ``Jet.__mul__`` multiplies by it with :func:`_shift_product`; it
+    defines no operator of its own.  Anything computed from it is a plain
+    Jet.
+    """
+
+    __slots__ = ("var",)
+
+    def __init__(self, ctx, coeffs, var):
+        self.ctx = ctx
+        self.c = coeffs
+        self.var = var
 
 
 def constant(ctx, value):
@@ -261,7 +321,7 @@ def lift_variable(ctx, index, value):
     c = np.zeros(ctx.ncoef)
     c[0] = float(value)
     c[ctx.unit[index]] = 1.0
-    return Jet(ctx, c)
+    return CoordinateJet(ctx, c, index)
 
 
 def extract_partial(jet, multi_index):
@@ -277,16 +337,27 @@ def extract_partial(jet, multi_index):
 
 
 def _int_pow(jet, k):
+    """jet ** k by squaring, low bit first.
+
+    Where a product by the constant 1 would stand (the first factor, and
+    1 / jet ** -k) the other factor is copied with ``+ 0.0``, which gives
+    the bits that product gives; the square after the top bit is skipped.
+    """
+    ctx = jet.ctx
     if k < 0:
-        return constant(jet.ctx, 1.0) / _int_pow(jet, -k)
-    result = constant(jet.ctx, 1.0)
+        return Jet(ctx, _int_pow(jet, -k)._reciprocal().c + 0.0)
+    if k == 0:
+        return constant(ctx, 1.0)
+    result = None
     base = jet
-    while k:
+    while True:
         if k & 1:
-            result = result * base
-        base = base * base
+            result = (Jet(ctx, base.c + 0.0) if result is None
+                      else result * base)
         k >>= 1
-    return result
+        if not k:
+            return result
+        base = base * base
 
 
 def _compose(jet, derivs):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .constructions import PPowerSpec, Sqrt2dFamilySpec, sqrt2d_family
 from .errors import ExprError, ManifestError
-from .exprlang import max_coord, parse
+from .exprlang import parse
 
 MAX_DIMENSION = 8
 
@@ -101,7 +101,7 @@ def _parse_expr(text, pointer, dimension):
         ast = parse(text)
     except ExprError as exc:
         raise ManifestError(f"expression error: {exc}", pointer) from exc
-    used = max_coord(ast) + 1
+    used = ast.coordinate_count
     _expect(used <= dimension,
             f"expression uses x{used} but dimension is {dimension}", pointer)
     return ast

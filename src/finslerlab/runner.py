@@ -3,9 +3,10 @@
 Per-sample domain failures are recorded as skipped rows with a reason and
 never abort the run; the singular sets of these metric families are dense
 enough that aborting would make random sampling useless.  Each Einstein
-scalar of a run is evaluated once, into an ``EinsteinTable`` that the
-sample rows and every check read.  Samples and checks are evaluated in
-manifest order, so output is deterministic.
+scalar of a run is evaluated once, into an ``EinsteinTable``, and the
+alphabeta tensor data of each point once, into a ``TensorTable``; the
+sample rows and every check read both.  Samples and checks are evaluated
+in manifest order, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -104,31 +105,29 @@ def build_metric(manifest):
     return ppower_metric(manifest.ppower)
 
 
-def _tensors(manifest, x, order=3):
-    rd = riemann_data_from_jets(matrix_jets(manifest.alpha_spec, x, order), x)
-    ab = ab_tensors_from_jets(rd, covector_jets(manifest.beta_spec, x, order))
+def _tensors(manifest, x):
+    rd = riemann_data_from_jets(matrix_jets(manifest.alpha_spec, x, 3), x)
+    ab = ab_tensors_from_jets(rd, covector_jets(manifest.beta_spec, x, 3))
     return rd, ab
 
 
-class EinsteinTable:
-    """The Einstein scalars of one run, each (x, y) evaluated once.
+class _RunTable:
+    """Results of one run, each evaluated once.
 
-    Calling the table returns the value at (x, y), or raises the
-    FinslerError that its evaluation raised; both are stored under the
-    exact bits of x and y, so the sample rows and every check read the same
-    numbers without evaluating a sample twice.
+    A result, or the FinslerError its evaluation raised, is stored under
+    exact bits (``core.exact_key``), so the sample rows and every check
+    read the same numbers, and the same skip text, without evaluating
+    twice.
     """
 
-    def __init__(self, metric):
-        self.metric = metric
+    def __init__(self):
         self._results = {}
 
-    def __call__(self, x, y):
-        key = exact_key(x, y)
+    def _recall(self, key, evaluate):
         result = self._results.get(key)
         if result is None:
             try:
-                result = einstein_scalar(self.metric, x, list(y))
+                result = evaluate()
             except FinslerError as exc:
                 result = exc.with_traceback(None)  # keep no frames alive
             self._results[key] = result
@@ -136,15 +135,41 @@ class EinsteinTable:
             raise result.with_traceback(None)
         return result
 
+
+class TensorTable(_RunTable):
+    """The alphabeta tensor data of one run: ``(rd, ab)`` at each point x,
+    or the FinslerError building it raised."""
+
+    def __init__(self, manifest):
+        super().__init__()
+        self.manifest = manifest
+
+    def __call__(self, x):
+        return self._recall(exact_key(x), lambda: _tensors(self.manifest, x))
+
+
+class EinsteinTable(_RunTable):
+    """The Einstein scalars of one run: the value at (x, y), or the
+    FinslerError its evaluation raised."""
+
+    def __init__(self, metric):
+        super().__init__()
+        self.metric = metric
+
+    def __call__(self, x, y):
+        return self._recall(
+            exact_key(x, y),
+            lambda: einstein_scalar(self.metric, x, list(y)))
+
     def reversal(self, x, y):
         """|lambda(x, y) - lambda(x, -y)|; both rays must be admissible."""
         return abs(self(x, y) - self(x, [-v for v in y]))
 
 
-def _sample_row(manifest, metric, lam, dirs, x):
+def _sample_row(manifest, metric, lam, tensors, dirs, x):
     row = {"x": [float(v) for v in x]}
     try:
-        _, ab = _tensors(manifest, x)
+        _, ab = tensors(x)
         row["b_squared"] = float(ab.b2)
     except FinslerError as exc:
         row["b_squared"] = None
@@ -204,9 +229,10 @@ def _check_result(name, residuals, tolerances, notes=None, skipped=None):
     }
 
 
-def run_check(name, manifest, metric, points, dirs, lam):
-    """One check block; ``lam`` is the run's EinsteinTable.  A check that
-    evaluated no sample reports an infinite residual, so it cannot pass."""
+def run_check(name, manifest, metric, points, dirs, lam, tensors):
+    """One check block; ``lam`` and ``tensors`` are the run's EinsteinTable
+    and TensorTable.  A check that evaluated no sample reports an infinite
+    residual, so it cannot pass."""
     tol_map = manifest.tolerances
     skipped = []
 
@@ -300,7 +326,7 @@ def run_check(name, manifest, metric, points, dirs, lam):
         sign = curvature_term_sign()
         for x in points:
             try:
-                rd, ab = _tensors(manifest, x)
+                rd, ab = tensors(x)
                 res, _ = ricci_identity_residuals(rd, ab, sign)
                 rows.append(res)
             except FinslerError as exc:
@@ -319,7 +345,7 @@ def run_check(name, manifest, metric, points, dirs, lam):
         values = []
         for x in points:
             try:
-                rd, ab = _tensors(manifest, x)
+                rd, ab = tensors(x)
             except FinslerError as exc:
                 skipped.append(f"x={x}: {exc}")
                 continue
@@ -390,7 +416,7 @@ def run_check(name, manifest, metric, points, dirs, lam):
         p = manifest.ppower.p
         for x in points:
             try:
-                _, ab = _tensors(manifest, x)
+                _, ab = tensors(x)
             except FinslerError as exc:
                 skipped.append(f"x={x}: {exc}")
                 continue
@@ -456,12 +482,15 @@ def run(manifest, include_timings=False):
     dirs = sphere_directions(manifest.dimension,
                              manifest.samples.direction_count)
     lam = EinsteinTable(metric)
-    sample_rows = [_sample_row(manifest, metric, lam, dirs, x) for x in points]
+    tensors = TensorTable(manifest)
+    sample_rows = [_sample_row(manifest, metric, lam, tensors, dirs, x)
+                   for x in points]
     checks = []
     timings = {}
     for name in manifest.checks:
         t0 = time.perf_counter()
-        checks.append(run_check(name, manifest, metric, points, dirs, lam))
+        checks.append(run_check(name, manifest, metric, points, dirs, lam,
+                                tensors))
         timings[name] = time.perf_counter() - t0
     verdict = all(c["verdict"] for c in checks)
     report = {

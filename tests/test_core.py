@@ -24,6 +24,7 @@ from finslerlab import (
     sqrt2d_family,
 )
 from finslerlab.core import sphere_directions
+from fdtools import funk_spec
 
 IDENTITY = [["1", "0"], ["0", "1"]]
 SPHERE = [["4/(1+x1^2+x2^2)^2", "0"], ["0", "4/(1+x1^2+x2^2)^2"]]
@@ -374,3 +375,87 @@ def test_domain_beyond_positivity_bound_surfaces_as_singular_metric():
     assert metric.in_domain([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(SingularMetric):
         spray(metric, [0.0, 0.0], [1.0, 0.0])
+
+
+TAIL_CASES = [
+    (PPowerSpec(CURVED, CURVED_BETA, 0.5), [0.2, -0.1],
+     [[1.0, 0.3], [-0.4, 0.9], [0.0, 1.0]]),
+    (PPowerSpec([["1 + 0.2*x1^2", "0.05*x1*x2", "0"],
+                 ["0.05*x1*x2", "1 + 0.1*x3^2", "0.03*x2"],
+                 ["0", "0.03*x2", "1 + 0.15*x2^2"]],
+                ["0.1*x2", "0.05*x1^2", "-0.08*x3"], 2.0),
+     [0.1, -0.2, 0.3], [[1.0, 0.2, -0.5], [0.0, 0.0, 1.0]]),
+    (funk_spec(4), [0.1, -0.2, 0.15, 0.05],
+     [[1.0, 0.3, -0.2, 0.5], [0.0, 1.0, 0.0, 0.0]]),
+]
+
+
+def _order4_spray_jets(metric, x, y):
+    """The spray jets by differentiating the order-4 jet of F^2 and running
+    the whole tail in the order-4 context, with full products."""
+    from finslerlab.jets import Jet, get_context, lift_variable
+    from finslerlab.linalg import solve
+
+    n = metric.dim
+    ctx = get_context(2 * n, 4)
+    f = metric.jet(x, y, 4)
+    f2 = f * f
+    g_jets = [[0.5 * f2.derivative(n + i).derivative(n + j) for j in range(n)]
+              for i in range(n)]
+    # plain jets with coordinate coefficients take the Cauchy product
+    y_jets = [Jet(ctx, lift_variable(ctx, n + k, y[k]).c) for k in range(n)]
+    rhs = []
+    for l in range(n):
+        df_l = f2.derivative(n + l)
+        acc = -f2.derivative(l)
+        for k in range(n):
+            acc = acc + df_l.derivative(k) * y_jets[k]
+        rhs.append(acc)
+    cols = solve(g_jets, [rhs])
+    return [0.25 * gi for gi in cols[0]]
+
+
+def _riemann_from(g_jets, y):
+    """R^i_k read partial by partial with extract_partial."""
+    from finslerlab.jets import extract_partial
+
+    n = len(g_jets)
+
+    def d(i, *variables):
+        mono = [0] * (2 * n)
+        for v in variables:
+            mono[v] += 1
+        return float(extract_partial(g_jets[i], mono))
+
+    r = np.zeros((n, n))
+    for i in range(n):
+        for k in range(n):
+            acc = 2.0 * d(i, k)
+            for j in range(n):
+                acc -= y[j] * d(i, j, n + k)
+                acc += 2.0 * float(g_jets[j].value) * d(i, n + j, n + k)
+                acc -= d(i, n + j) * d(j, n + k)
+            r[i, k] = acc
+    return r
+
+
+@pytest.mark.parametrize("spec,x,directions", TAIL_CASES,
+                         ids=["2d", "3d", "4d-funk"])
+def test_order2_tail_matches_the_order4_path(spec, x, directions):
+    """G and R from the order-2 tail equal the order-4 derivative path bit
+    for bit, signs of zeros included."""
+    from finslerlab.core import _spray_jets
+
+    metric = ppower_metric(spec)
+    for y in directions:
+        got, f = _spray_jets(metric, x, y)
+        want = _order4_spray_jets(metric, x, y)
+        assert f.ctx.order == 4
+        ncoef = got[0].ctx.ncoef
+        assert got[0].ctx.order == 2 and ncoef < want[0].ctx.ncoef
+        for g_low, g_high in zip(got, want):
+            assert np.array_equal(g_low.c, g_high.c[:ncoef])
+            assert np.array_equal(np.signbit(g_low.c),
+                                  np.signbit(g_high.c[:ncoef]))
+        r = riemann_curvature(metric, x, y)
+        assert r.tobytes() == _riemann_from(want, y).tobytes()

@@ -167,3 +167,33 @@ def test_max_coord():
     assert max_coord(parse("1 + 2")) == -1
     assert max_coord(parse("x3*x1")) == 2
     assert max_coord(Call("pow", (Coord(4), Number(2.0)))) == 4
+
+
+def test_eval_jet_walks_each_tree_once(monkeypatch):
+    """The coordinate count is walked once per parsed tree and kept on it,
+    not once per evaluation; both ValueErrors keep their text."""
+    from finslerlab import exprlang
+
+    walked = []
+    original = exprlang.max_coord
+
+    def counting(node):
+        walked.append(node)
+        return original(node)
+
+    monkeypatch.setattr(exprlang, "max_coord", counting)
+    tree = parse("x1*x2 + sin(x1)^2")
+    ctx = get_context(2, 2)
+    eval_jet(tree, ctx, [0.1, 0.2])
+    assert len(walked) == 8  # one visit per node
+    for k in range(20):
+        eval_jet(tree, ctx, [0.1 * k, 0.2])
+    assert len(walked) == 8
+    assert tree.coordinate_count == 2
+    with pytest.raises(ValueError, match="uses x2 but the point has 1 "
+                                         "coordinates"):
+        eval_jet(tree, ctx, [0.1])
+    with pytest.raises(ValueError, match="uses x2 but the context has 1 "
+                                         "variables"):
+        eval_jet(tree, get_context(1, 2), [0.1, 0.2])
+    assert len(walked) == 8

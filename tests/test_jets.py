@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslerlab import DegenerateValue, DomainError
 from finslerlab.jets import (
+    CoordinateJet,
+    Jet,
     JetContext,
+    _cauchy,
     constant,
     extract_partial,
     get_context,
@@ -258,3 +263,88 @@ def test_lift_variable_unit_table():
         assert extract_partial(j, unit) == 1.0
     with pytest.raises(IndexError):
         lift_variable(ctx, 4, 0.0)
+
+
+# -- products that skip work give the bits of the products they replace --
+
+# zeros of both signs are drawn often, so the sign of every zero is checked
+COEFFICIENTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                         st.floats(-50.0, 50.0, allow_nan=False))
+
+
+def _same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _coefficients(data, ctx, elements=COEFFICIENTS):
+    return np.array(data.draw(
+        st.lists(elements, min_size=ctx.ncoef, max_size=ctx.ncoef)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       shape=st.sampled_from([(4, 2), (4, 4), (8, 4)]),
+       value=st.one_of(st.sampled_from([0.0, -0.0]), COEFFICIENTS))
+def test_shift_product_equals_cauchy_product(data, shape, value):
+    ctx = get_context(*shape)
+    a = Jet(ctx, _coefficients(data, ctx))
+    var = data.draw(st.integers(0, ctx.num_vars - 1))
+    x = lift_variable(ctx, var, value)
+    assert type(x) is CoordinateJet
+    _same_bits((a * x).c, _cauchy(ctx, a.c, x.c))
+    _same_bits((x * a).c, _cauchy(ctx, x.c, a.c))
+    other = lift_variable(ctx, data.draw(st.integers(0, ctx.num_vars - 1)),
+                          data.draw(COEFFICIENTS))
+    _same_bits((x * other).c, _cauchy(ctx, x.c, other.c))
+    assert type(a * x) is Jet and type(x * 2.0) is Jet
+
+
+def _one(ctx):
+    return constant(ctx, 1.0).c
+
+
+def _loop_reciprocal(ctx, c):
+    """The reciprocal as a loop of full products, starting from 1."""
+    b0 = c[0]
+    u = c / b0
+    u[0] = 0.0
+    inv = _one(ctx)
+    for _ in range(ctx.order):
+        inv = _one(ctx) - _cauchy(ctx, u, inv)
+    return inv / b0
+
+
+def _loop_int_pow(ctx, c, k):
+    """Square-and-multiply from 1, squaring after every bit."""
+    if k < 0:
+        return _cauchy(ctx, _one(ctx),
+                       _loop_reciprocal(ctx, _loop_int_pow(ctx, c, -k)))
+    result = _one(ctx)
+    base = c
+    while k:
+        if k & 1:
+            result = _cauchy(ctx, result, base)
+        base = _cauchy(ctx, base, base)
+        k >>= 1
+    return result
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       shape=st.sampled_from([(1, 4), (2, 2), (3, 3), (4, 4)]),
+       k=st.integers(-5, 6),
+       head=st.floats(0.2, 2.0),
+       negative=st.booleans())
+def test_int_pow_and_reciprocal_match_the_loops(data, shape, k, head,
+                                                 negative):
+    ctx = get_context(*shape)
+    small = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.5, 0.5))
+    c = _coefficients(data, ctx, small)
+    c[0] = -head if negative else head
+    jet = Jet(ctx, c.copy())
+    _same_bits(jet._reciprocal().c, _loop_reciprocal(ctx, c))
+    _same_bits((jet ** k).c, _loop_int_pow(ctx, c, k))
+    x = lift_variable(ctx, 0, c[0])
+    _same_bits((x ** k).c, _loop_int_pow(ctx, x.c, k))
+    assert jet.c.tobytes() == c.tobytes()  # the operand is left as it was

@@ -1,21 +1,24 @@
-"""Each tangent sample is evaluated once: the runner's Einstein-scalar table
-and the x-only coefficient memo of p-power metrics."""
+"""Each tangent sample is evaluated once: the runner's Einstein-scalar and
+tensor tables, the x-only coefficient memo of p-power metrics, and the
+curvature tail in the order-2 context."""
 
 import math
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-from finslerlab import constructions, runner
+from finslerlab import constructions, jets, runner
 from finslerlab.constructions import (
     COEFFICIENT_MEMO_KEYS,
     PPowerSpec,
     ppower_metric,
 )
 from finslerlab.core import circle_directions, einstein_scalar, exact_key
-from finslerlab.errors import DomainError
+from finslerlab.errors import DomainError, FinslerError
 from finslerlab.manifest import load_manifest
+from fdtools import funk_spec
 
 CURVED = [["1 + 0.3*x1^2 + 0.1*x2^2", "0.12*x1*x2"],
           ["0.12*x1*x2", "1 + 0.2*x2^2 + 0.15*x1^2"]]
@@ -101,3 +104,67 @@ def test_domain_errors_keep_text_and_order(alpha, point, message):
         with pytest.raises(DomainError, match=re.escape(message)):
             metric.value(point, [1.0, 0.5])
         assert not metric.in_domain(point, [1.0, 0.5])
+
+
+def test_einstein_scalar_runs_the_tail_at_order_two(monkeypatch):
+    """Per 4-D Einstein scalar (warm coefficient memo) only F and F^2 take
+    order-4 Cauchy products: 9 of them, down from 128 with the tail in the
+    order-4 context.  Products by a coordinate take no Cauchy product."""
+    metric = ppower_metric(funk_spec(4))
+    x = [0.1, -0.2, 0.15, 0.05]
+    einstein_scalar(metric, x, [0.0, 1.0, 0.0, 0.0])
+    products = Counter()
+    original = jets._cauchy
+
+    def counting(ctx, a, b):
+        products[ctx.order] += 1
+        return original(ctx, a, b)
+
+    monkeypatch.setattr(jets, "_cauchy", counting)
+    lam = einstein_scalar(metric, x, [1.0, 0.3, -0.2, 0.5])
+    assert abs(lam + 0.25) < 1e-9
+    assert 0 < products[4] <= 9
+    assert set(products) == {2, 4}
+
+
+def test_run_builds_tensor_data_once_per_point(monkeypatch):
+    calls = Counter()
+    original = runner._tensors
+
+    def counting(manifest, x):
+        calls[exact_key(x)] += 1
+        return original(manifest, x)
+
+    monkeypatch.setattr(runner, "_tensors", counting)
+    report = runner.run(load_manifest("manifests/funk_ball.json"))
+    assert report["verdict"]
+    # the sample rows, structural_vs_generic, ricci_identities and
+    # positivity all read each point
+    assert {"structural_vs_generic", "ricci_identities", "positivity"} <= {
+        c["name"] for c in report["checks"]}
+    assert len(calls) == len(report["samples"])
+    assert set(calls.values()) == {1}
+
+
+def test_tensor_table_raises_the_stored_error_again(monkeypatch):
+    calls = Counter()
+    original = runner._tensors
+
+    def counting(manifest, x):
+        calls[exact_key(x)] += 1
+        return original(manifest, x)
+
+    monkeypatch.setattr(runner, "_tensors", counting)
+    spec = SimpleNamespace(alpha_spec=[["x1", "0"], ["0", "x1"]],
+                           beta_spec=["0", "0"])
+    table = runner.TensorTable(spec)
+    texts = []
+    for _ in range(3):
+        with pytest.raises(FinslerError) as info:
+            table([-0.5, 0.1])
+        texts.append(str(info.value))
+    assert texts[0] and texts == [texts[0]] * 3
+    rd, ab = table([0.5, 0.1])
+    again = table([0.5, 0.1])
+    assert again[0] is rd and again[1] is ab
+    assert list(calls.values()) == [1, 1]
