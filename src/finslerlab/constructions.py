@@ -26,8 +26,27 @@ from .alphabeta import (
 )
 from .core import FinslerMetric, circle_directions, exact_key, ricci
 from .errors import DegenerateValue, DomainError, NotEinstein
-from .exprlang import Binary, Number, eval_jet, eval_scalar, parse
-from .jets import get_context, jet_pow, jet_sqrt
+from .exprlang import (
+    BatchFailed,
+    Binary,
+    Number,
+    Tape,
+    each,
+    eval_jet,
+    eval_scalar,
+    parse,
+)
+from .jets import (
+    Jet,
+    _cauchy,
+    _one,
+    _power,
+    _recip,
+    _shift_product,
+    _sqrt,
+    get_context,
+    jet_pow,
+)
 from .linalg import invert
 
 V_FLOOR = 1e-9
@@ -78,13 +97,14 @@ class CoefficientMemo:
 
     a_ij(x) (for i <= j) and b_i(x) do not depend on the direction, yet
     every sample (x, y) needs them: as floats in ``scalar`` and ``domain``
-    and as jets in the jet builder.  Each list is evaluated once per key,
-    ``(what, context size, order, x)`` with size and order 0 for floats,
-    and the ``COEFFICIENT_MEMO_KEYS`` most recently used keys are kept.  x
+    and as jets in the jet builder.  Each list is compiled on first use
+    into one ``exprlang.Tape`` and replayed once per key
+    ``(what, context size, order, x)``, with size and order 0 for floats;
+    the ``COEFFICIENT_MEMO_KEYS`` most recently used keys are kept.  x
     enters the key as its exact bits, so no rounding can serve a
-    neighbouring point.  Lists are evaluated on first use and an
-    evaluation that raises stores nothing, so a DomainError is raised in
-    the same order as without the memo.
+    neighbouring point.  An evaluation that raises stores nothing, so a
+    DomainError is raised in the same order as without the memo.  A batch
+    of points (``batch``) is replayed without a key.
     """
 
     def __init__(self, a_ast, b_ast):
@@ -92,10 +112,18 @@ class CoefficientMemo:
         self.pairs = [(i, j) for i in range(n) for j in range(i, n)]
         self._exprs = {"a": [a_ast[i][j] for i, j in self.pairs],
                        "b": list(b_ast)}
+        self._tapes = {}
         self._entries = OrderedDict()
 
     def __len__(self):
         return len(self._entries)
+
+    def tape(self, what):
+        """The tape of the ``what`` ("a" or "b") list, compiled on first use."""
+        tape = self._tapes.get(what)
+        if tape is None:
+            tape = self._tapes[what] = Tape(self._exprs[what])
+        return tape
 
     def _recall(self, key, evaluate):
         entries = self._entries
@@ -109,18 +137,19 @@ class CoefficientMemo:
         return value
 
     def values(self, what, x):
-        """Float values of the ``what`` ("a" or "b") coefficients at x."""
-        exprs = self._exprs[what]
-        return self._recall(
-            (what, 0, 0, exact_key(x)),
-            lambda: [eval_scalar(e, x) for e in exprs])
+        """Float values of the ``what`` coefficients at x."""
+        return self._recall((what, 0, 0, exact_key(x)),
+                            lambda: self.tape(what).floats(x))
+
+    def batch(self, what, x):
+        """Float values at the points of the coordinate-major array x."""
+        return self.tape(what).batch(x)
 
     def jets(self, what, ctx, xvals):
-        """Jets of the ``what`` coefficients in ``ctx`` at ``xvals``."""
-        exprs = self._exprs[what]
-        return self._recall(
-            (what, ctx.num_vars, ctx.order, exact_key(xvals)),
-            lambda: [eval_jet(e, ctx, xvals) for e in exprs])
+        """Jet coefficient vectors of the ``what`` coefficients in ``ctx``
+        at ``xvals``."""
+        return self._recall((what, ctx.num_vars, ctx.order, exact_key(xvals)),
+                            lambda: self.tape(what).jets(ctx, xvals))
 
 
 def ppower_metric(spec):
@@ -134,6 +163,15 @@ def ppower_metric(spec):
     ``alphabeta.structural_spray`` guards its own denominator
     1 + (1-p) s.  The coefficients are read through a
     ``CoefficientMemo``, exposed as the metric's ``coefficients``.
+
+    F is assembled from alpha^2 = a_ij y^i y^j, beta = b_i y^i and
+    alpha (1 + beta/alpha)^p on raw jet coefficient vectors (the jet
+    builder) or floats, with the kernels and the operation order of the
+    Jet operators.  The scalar function also takes x and y as
+    coordinate-major (n, B) arrays of B points and then returns F at
+    each, with the bits of the one-point calls; where a point would
+    raise, the points are evaluated one by one, so the first of them
+    raises its own error.
     """
     n = spec.dim
     b_ast, p = spec.beta, spec.p
@@ -144,54 +182,78 @@ def ppower_metric(spec):
     def builder(x_jets, y_jets):
         ctx = x_jets[0].ctx
         xvals = [j.value for j in x_jets]
+        # each y^i is a coordinate jet: a product by it is a shift product
+        ys = [(j.var, j.c[0]) for j in y_jets]
         alpha2 = None
         for (i, j), coef in zip(pairs, memo.jets("a", ctx, xvals)):
-            term = coef * y_jets[i] * y_jets[j]
+            term = _shift_product(
+                ctx, _shift_product(ctx, coef, *ys[i]), *ys[j])
             if i != j:
-                term = 2.0 * term
+                term = term * 2.0
             alpha2 = term if alpha2 is None else alpha2 + term
-        alpha = jet_sqrt(alpha2)
+        alpha = _sqrt(ctx, alpha2)
         if beta_zero:
-            return alpha
+            return Jet(ctx, alpha)
         beta = None
         for i, coef in enumerate(memo.jets("b", ctx, xvals)):
-            term = coef * y_jets[i]
+            term = _shift_product(ctx, coef, *ys[i])
             beta = term if beta is None else beta + term
-        return alpha * jet_pow(1.0 + beta / alpha, p)
+        base = _cauchy(ctx, beta, _recip(ctx, alpha)) + _one(ctx)
+        return Jet(ctx, _cauchy(ctx, alpha, _power(ctx, base, p)))
 
-    def alpha2_value(x, y):
+    def alpha2_value(a, y):
         alpha2 = 0.0
-        for (i, j), coef in zip(pairs, memo.values("a", x)):
+        for (i, j), coef in zip(pairs, a):
             alpha2 += coef * y[i] * y[j] * (2.0 if i != j else 1.0)
         return alpha2
 
-    def beta_value(x, y):
-        b = memo.values("b", x)
-        return sum(b[i] * y[i] for i in range(n))
+    def beta_value(b, y):
+        beta = 0.0
+        for i in range(n):
+            beta += b[i] * y[i]
+        return beta
 
     def scalar(x, y):
-        alpha2 = alpha2_value(x, y)
+        if getattr(y, "ndim", 1) == 2:
+            try:
+                return batch_scalar(x, y)
+            except (BatchFailed, ArithmeticError):
+                return np.array([scalar(x[:, k], y[:, k])
+                                 for k in range(y.shape[1])])
+        alpha2 = alpha2_value(memo.values("a", x), y)
         if alpha2 <= 0.0:
             raise DomainError("alpha^2 is not positive")
         alpha = math.sqrt(alpha2)
         if beta_zero:
             return alpha
-        s = beta_value(x, y) / alpha
+        s = beta_value(memo.values("b", x), y) / alpha
         if 1.0 + s <= 0.0:
             raise DomainError("1 + beta/alpha is not positive")
         return alpha * (1.0 + s) ** p
+
+    def batch_scalar(x, y):
+        alpha2 = alpha2_value(memo.batch("a", x), y)
+        if np.any(alpha2 <= 0.0):
+            raise BatchFailed
+        alpha = np.sqrt(alpha2)
+        if beta_zero:
+            return alpha
+        base = 1.0 + beta_value(memo.batch("b", x), y) / alpha
+        if np.any(base <= 0.0):
+            raise BatchFailed
+        return alpha * each(lambda v: v ** p, base)
 
     def domain(x, y):
         # alpha > 0 and 1 + beta/alpha > 0; convexity failures beyond the
         # positivity bound are detected downstream as SingularMetric
         try:
-            alpha2 = alpha2_value(x, y)
+            alpha2 = alpha2_value(memo.values("a", x), y)
             if alpha2 <= 0.0:
                 return False
             if beta_zero:
                 return True
             alpha = math.sqrt(alpha2)
-            return 1.0 + beta_value(x, y) / alpha > 1e-12
+            return 1.0 + beta_value(memo.values("b", x), y) / alpha > 1e-12
         except DomainError:
             return False
 

@@ -9,17 +9,52 @@ in the surface syntax and are 0-based internally.  Supported functions:
 sqrt, exp, ln, sin, cos (one argument) and pow (two arguments).  ``a^r``
 with a non-integer literal exponent evaluates through the real-power jet
 function and inherits its positivity requirement.
+
+``eval_scalar`` and ``eval_jet`` evaluate one tree by walking it.  A list
+of expressions that is evaluated again and again (the a_ij and b_i of a
+metric) is compiled once into a :class:`Tape`: a flat
+list of instructions, one per distinct subtree (hash-consing, Griewank and
+Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 6), in the
+order in which the walks first evaluate them.  The tape replays over
+floats, over a batch of points (one array per coordinate) and over raw
+jet coefficient vectors, with the float and jet operations of the walks,
+so every value, every error and its text come out as the walks give them.
+Subtrees without coordinates are folded by the walks themselves; a literal
+times a jet is then a scalar multiply plus 0.0, which has the bits of the
+walk's Cauchy product by a constant jet.  Sources are parsed once
+(:func:`parse` keeps recent trees), so a source evaluated repeatedly is
+one tree.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import re
+import struct
 from dataclasses import dataclass
 
-from .errors import ArityError, DomainError, ExprSyntaxError, UnknownIdentifier
+import numpy as np
+
+from .errors import (
+    ArityError,
+    DomainError,
+    ExprSyntaxError,
+    FinslerError,
+    UnknownIdentifier,
+)
 from .jets import (
+    _cauchy,
+    _cos,
+    _exp,
+    _ln,
+    _power,
+    _recip,
+    _shift_product,
+    _sin,
+    _sqrt,
     constant,
     jet_cos,
     jet_exp,
@@ -203,8 +238,17 @@ class _Parser:
         return Call(name, tuple(args))
 
 
+# sources kept parsed; the trees are immutable, so callers can share them
+PARSE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse(source):
-    """Parse expression source text into an AST."""
+    """Parse expression source text into an AST.
+
+    The most recently used sources are kept parsed, so a source that is
+    evaluated again and again is parsed once and yields the same tree.
+    """
     return _Parser(source).parse()
 
 
@@ -340,48 +384,426 @@ def eval_scalar(node, point):
             return _pow_scalar(eval_scalar(node.left, point), node.right, point)
         a = eval_scalar(node.left, point)
         b = eval_scalar(node.right, point)
-        if node.op == "add":
-            return a + b
-        if node.op == "sub":
-            return a - b
-        if node.op == "mul":
-            return a * b
-        if abs(b) < 1e-300:
-            raise DomainError("scalar division by zero")
-        return a / b
+        return _SCALAR_OPS[node.op](a, b)
     if isinstance(node, Call):
         if node.func == "pow":
             return _pow_scalar(eval_scalar(node.args[0], point),
                                node.args[1], point)
-        a = eval_scalar(node.args[0], point)
-        if node.func == "sqrt":
-            if a <= 0.0:
-                raise DomainError(f"sqrt of nonpositive value {a!r}")
-            return math.sqrt(a)
-        if node.func == "exp":
-            return math.exp(a)
-        if node.func == "ln":
-            if a <= 0.0:
-                raise DomainError(f"ln of nonpositive value {a!r}")
-            return math.log(a)
-        if node.func == "sin":
-            return math.sin(a)
-        return math.cos(a)
+        return _SCALAR_FUNCS[node.func](eval_scalar(node.args[0], point))
     raise TypeError(f"not an expression node: {node!r}")
 
 
 def _pow_scalar(base, exponent_node, point):
     if _is_constant(exponent_node):
-        r = _constant_value(exponent_node)
-        if abs(r - round(r)) < 1e-12:
-            k = int(round(r))
+        return _scalar_const_pow(_constant_value(exponent_node))(base)
+    return _scalar_pow(base, eval_scalar(exponent_node, point))
+
+
+# The float operations with their domain rules, shared by ``eval_scalar``
+# and the float replay of a tape.
+
+def _scalar_div(a, b):
+    if abs(b) < 1e-300:
+        raise DomainError("scalar division by zero")
+    return a / b
+
+
+def _scalar_const_pow(r):
+    """The function base -> base ** r for a constant exponent r."""
+    if abs(r - round(r)) < 1e-12:
+        k = int(round(r))
+
+        def integer(base, unused=None):
             if k < 0 and abs(base) < 1e-300:
                 raise DomainError("negative power of zero")
             return base ** k
+        return integer
+
+    def real(base, unused=None):
         if base <= 0.0:
-            raise DomainError(f"non-integer power of nonpositive value {base!r}")
+            raise DomainError(
+                f"non-integer power of nonpositive value {base!r}")
         return base ** r
-    e = eval_scalar(exponent_node, point)
+    return real
+
+
+def _scalar_pow(base, e):
     if base <= 0.0:
         raise DomainError(f"non-constant power of nonpositive value {base!r}")
     return base ** e
+
+
+def _scalar_sqrt(a):
+    if a <= 0.0:
+        raise DomainError(f"sqrt of nonpositive value {a!r}")
+    return math.sqrt(a)
+
+
+def _scalar_ln(a):
+    if a <= 0.0:
+        raise DomainError(f"ln of nonpositive value {a!r}")
+    return math.log(a)
+
+
+_SCALAR_OPS = {"add": operator.add, "sub": operator.sub,
+               "mul": operator.mul, "div": _scalar_div}
+_SCALAR_FUNCS = {"sqrt": _scalar_sqrt, "exp": math.exp, "ln": _scalar_ln,
+                 "sin": math.sin, "cos": math.cos}
+
+
+# -- tapes --------------------------------------------------------------
+
+class BatchFailed(Exception):
+    """A point of a batch left the domain of an operation.
+
+    Raised by :meth:`Tape.batch`; the caller evaluates the batch point by
+    point instead, so the first failing point raises its own error.
+    """
+
+
+class Tape:
+    """A list of expressions compiled into one straight-line program.
+
+    ``Tape(exprs)`` compiles the expressions; the replays below evaluate
+    them.
+
+    Every distinct subtree is one instruction (hash-consing), so a subtree
+    shared by several entries, or repeated inside one, is computed once.
+    Instructions are kept in the order in which the tree walks
+    (``eval_scalar``, ``eval_jet``) first evaluate their nodes, so the
+    first error a replay raises is the one the walks raise first.  A
+    subtree without coordinates is a literal: the walk itself folds it
+    once per replay mode, and an error it raises is raised again at the
+    literal's first use.
+
+    The same tape replays over floats (:meth:`floats`), over a batch of
+    points (:meth:`batch`) and over jet coefficient vectors
+    (:meth:`jets`), each with the bits of the corresponding tree walk.
+    The replays return their values as the walks would, except that jets
+    come as raw coefficient vectors; treat them as read-only, since a
+    literal entry is shared by every replay.
+    """
+
+    def __init__(self, exprs):
+        self.exprs = tuple(exprs)
+        self.need = max((e.coordinate_count for e in self.exprs), default=0)
+        self.coords, self.literals, self.code, self.outputs = _compile(
+            self.exprs)
+        self._modes = {}
+
+    def __len__(self):
+        """The number of instructions."""
+        return sum(1 for entry in self.code if entry[0] != "literal")
+
+    def _program(self, mode, lower):
+        program = self._modes.get(mode)
+        if program is None:
+            program = self._modes[mode] = lower(self)
+        return program
+
+    def floats(self, point):
+        """Float values of the expressions at ``point``, as ``eval_scalar``."""
+        if self.need > len(point):
+            return [eval_scalar(e, point) for e in self.exprs]
+        program, literals = self._program("floats", _lower_floats)
+        vals = [float(point[i]) for i in self.coords] + literals
+        _run(program, vals)
+        return [vals[o] for o in self.outputs]
+
+    def batch(self, point):
+        """Float values at a batch of points, each with the bits of
+        :meth:`floats`.
+
+        ``point[i]`` is the array of coordinate i over the batch; literal
+        entries come as floats.  Raises :class:`BatchFailed` where some
+        point would raise.
+        """
+        if self.need > len(point):
+            raise BatchFailed
+        program, literals = self._program("batch", _lower_batch)
+        vals = [np.asarray(point[i], dtype=float) for i in self.coords]
+        vals += literals
+        try:
+            _run(program, vals)
+        except (FinslerError, ArithmeticError, ValueError):
+            raise BatchFailed from None
+        return [vals[o] for o in self.outputs]
+
+    def jets(self, ctx, point):
+        """Jet coefficient vectors of the expressions in ``ctx`` at
+        ``point``, as ``eval_jet(e, ctx, point).c``."""
+        if self.need > len(point) or self.need > ctx.num_vars:
+            return [eval_jet(e, ctx, point).c for e in self.exprs]
+        program, literals = self._program(ctx, functools.partial(
+            _lower_jets, ctx))
+        vals = [lift_variable(ctx, i, point[i]).c for i in self.coords]
+        vals += literals
+        _run(program, vals)
+        return [vals[o] for o in self.outputs]
+
+
+def _literal_key(node):
+    """Structural key of a subtree without coordinates; numbers by bits."""
+    if isinstance(node, Number):
+        return (type(node.value), struct.pack("<d", node.value))
+    if isinstance(node, Unary):
+        return ("neg", _literal_key(node.operand))
+    if isinstance(node, Binary):
+        return (node.op, _literal_key(node.left), _literal_key(node.right))
+    if isinstance(node, Call):
+        return (node.func,) + tuple(_literal_key(a) for a in node.args)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _compile(exprs):
+    """Hash-consed instructions of ``exprs`` in first-evaluation order.
+
+    Returns (coordinate index per coordinate slot, node per literal slot,
+    code, output slot per expression).  Slots number the coordinates
+    first, then the literals, then one result per instruction.  ``code``
+    holds ``(op, a, b)`` instructions and a ``("literal", slot, None)``
+    marker at the first use of each literal; ``b`` is the exponent of ``powc``
+    and unused by one-operand instructions.
+    """
+    ids = {}
+    coords, literals, code = [], [], []
+
+    def intern(key, make):
+        uid = ids.get(key)
+        if uid is None:
+            uid = ids[key] = len(ids)
+            make(uid)
+        return uid
+
+    def visit(node):
+        if node.coordinate_count == 0:
+            def literal(uid):
+                literals.append((uid, node))
+                code.append(("literal", uid))
+            return intern(("literal", _literal_key(node)), literal)
+        if isinstance(node, Coord):
+            return intern(("x", node.index),
+                          lambda uid: coords.append((uid, node.index)))
+        if isinstance(node, Unary):
+            return emit("neg", visit(node.operand))
+        if isinstance(node, Binary):
+            if node.op == "pow":
+                return power(node.left, node.right)
+            a = visit(node.left)
+            return emit(node.op, a, visit(node.right))
+        if isinstance(node, Call):
+            if node.func == "pow":
+                return power(*node.args)
+            return emit(node.func, visit(node.args[0]))
+        raise TypeError(f"not an expression node: {node!r}")
+
+    def power(base, exponent):
+        a = visit(base)
+        if _is_constant(exponent):
+            r = _constant_value(exponent)
+            return emit("powc", a, r, struct.pack("<d", r))
+        return emit("powe", a, visit(exponent))
+
+    def emit(op, a, b=None, b_key=None):
+        key = (op, a, b if b_key is None else b_key)
+        return intern(key, lambda uid: code.append((op, uid, a, b)))
+
+    outputs = [visit(e) for e in exprs]
+    slot = {uid: k for k, (uid, _) in enumerate(coords + literals)}
+    for entry in code:
+        if entry[0] != "literal":
+            slot[entry[1]] = len(slot)
+    renumbered = []
+    for entry in code:
+        if entry[0] == "literal":
+            renumbered.append(("literal", slot[entry[1]], None))
+        else:
+            op, _, a, b = entry
+            if op != "powc" and b is not None:
+                b = slot[b]
+            renumbered.append((op, slot[a], b))
+    return ([index for _, index in coords], [node for _, node in literals],
+             renumbered, [slot[uid] for uid in outputs])
+
+
+def _run(program, vals):
+    """Replay ``(fn, a, b)`` instructions, appending one value each."""
+    append = vals.append
+    for fn, a, b in program:
+        append(fn(vals[a], vals[b]))
+
+
+# errors that folding a literal may raise; they are raised again at the
+# literal's first use
+_FOLD_ERRORS = (FinslerError, ArithmeticError, ValueError)
+
+
+def _lower(tape, fold, fail, instruction):
+    """The replay program of one mode: ``(program, literal values)``.
+
+    ``fold(node)`` folds a literal, ``fail(node)`` is the instruction that
+    raises where its folding raised, and ``instruction(op, a, b, kinds)``
+    the function of one instruction, given the static kind of each slot:
+    ``("x", index)`` for a coordinate, ``("literal", value)`` for a
+    literal (value None where folding raised) and ``("", None)`` for a
+    result.
+    """
+    kinds = [("x", i) for i in tape.coords]
+    values = []
+    for node in tape.literals:
+        try:
+            value = fold(node)
+        except _FOLD_ERRORS:
+            value = None
+        values.append(value)
+        kinds.append(("literal", value))
+    program = []
+    for op, a, b in tape.code:
+        if op == "literal":
+            if values[a - len(tape.coords)] is None:
+                program.append((fail(tape.literals[a - len(tape.coords)]),
+                                a, a))
+            continue
+        fn = instruction(op, a, b, kinds)
+        program.append((fn, a, a if b is None or op == "powc" else b))
+        kinds.append(("", None))
+    return program, values
+
+
+def _neg(p, q):
+    return -p
+
+
+def _unary(fn):
+    return lambda p, q: fn(p)
+
+
+def _fold_float(node):
+    return eval_scalar(node, ())
+
+
+def _fail_float(node):
+    return lambda p, q: eval_scalar(node, ())
+
+
+def _float_instruction(op, a, b, kinds):
+    if op == "neg":
+        return _neg
+    if op == "powc":
+        return _scalar_const_pow(b)
+    if op == "powe":
+        return _scalar_pow
+    if op in _SCALAR_OPS:
+        return _SCALAR_OPS[op]
+    return _unary(_SCALAR_FUNCS[op])
+
+
+def _lower_floats(tape):
+    return _lower(tape, _fold_float, _fail_float, _float_instruction)
+
+
+def each(fn, *columns):
+    """``fn`` applied point by point to Python floats, so every result has
+    the bits of the scalar call; a column may be a float."""
+    args = [c.tolist() if isinstance(c, np.ndarray) else itertools.repeat(c)
+            for c in columns]
+    return np.array(list(map(fn, *args)), dtype=float)
+
+
+def _check(fails):
+    if np.any(fails):
+        raise BatchFailed
+
+
+def _batch_div(p, q):
+    _check(np.abs(q) < 1e-300)
+    return p / q
+
+
+def _batch_sqrt(p, q):
+    _check(p <= 0.0)
+    return np.sqrt(p)
+
+
+def _lower_batch(tape):
+    """Float instructions over arrays: the IEEE operations (neg, +, -, *,
+    / and sqrt, whose numpy results are the correctly rounded ones) on
+    whole arrays, every other operation point by point, since numpy's
+    power and transcendental functions may round differently."""
+    def instruction(op, a, b, kinds):
+        if op == "div":
+            return _batch_div
+        if op == "sqrt":
+            return _batch_sqrt
+        fn = _float_instruction(op, a, b, kinds)
+        if op in ("neg", "add", "sub", "mul"):
+            return fn
+        return lambda p, q: each(fn, p, q)
+
+    return _lower(tape, _fold_float, _fail_float, instruction)
+
+
+def _jet_product(ctx, left, right):
+    """The kernel of ``Jet.__mul__`` for operands of the given static kinds.
+
+    A literal jet (value v, zero elsewhere) times a jet c has the bits
+    of the scalar multiply c * v plus 0.0: the Cauchy product sums the one
+    term c[m] * v with signed zeros, from +0.0.
+    """
+    kind, value = left
+    if kind == "literal":
+        v = None if value is None else value[0]
+        return lambda p, q: q * v + 0.0
+    if right[0] == "literal":
+        v = None if right[1] is None else right[1][0]
+        return lambda p, q: p * v + 0.0
+    if right[0] == "x":
+        j = right[1]
+        return lambda p, q: _shift_product(ctx, p, j, q[0])
+    if kind == "x":
+        return lambda p, q: _shift_product(ctx, q, value, p[0])
+    return functools.partial(_cauchy, ctx)
+
+
+_RESULT = ("", None)
+
+_JET_FUNCS_RAW = {"sqrt": _sqrt, "exp": _exp, "ln": _ln, "sin": _sin,
+                  "cos": _cos}
+
+
+def _lower_jets(ctx, tape):
+    def fold(node):
+        return eval_jet(node, ctx, ()).c
+
+    def fail(node):
+        return lambda p, q: eval_jet(node, ctx, ())
+
+    def instruction(op, a, b, kinds):
+        if op == "neg":
+            return _neg
+        if op == "add":
+            return operator.add
+        if op == "sub":
+            return operator.sub
+        if op == "mul":
+            return _jet_product(ctx, kinds[a], kinds[b])
+        if op == "div":
+            if kinds[b][0] == "literal" and kinds[b][1] is not None:
+                try:
+                    inverse = _recip(ctx, kinds[b][1])
+                except FinslerError:
+                    return lambda p, q: _recip(ctx, q)
+                times = _jet_product(ctx, kinds[a], ("literal", inverse))
+                return lambda p, q: times(p, inverse)
+            times = _jet_product(ctx, kinds[a], _RESULT)
+            return lambda p, q: times(p, _recip(ctx, q))
+        if op == "powc":
+            var = kinds[a][1] if kinds[a][0] == "x" else None
+            return lambda p, q: _power(ctx, p, b, var)
+        if op == "powe":
+            times = _jet_product(ctx, kinds[b], _RESULT)
+            return lambda p, q: _exp(ctx, times(q, _ln(ctx, p)))
+        fn = _JET_FUNCS_RAW[op]
+        return lambda p, q: fn(ctx, p)
+
+    return _lower(tape, fold, fail, instruction)

@@ -14,6 +14,8 @@ import operator
 import struct
 from itertools import product
 
+import numpy as np
+
 FD_STEPS = {1: 1e-5, 2: 1e-4, 3: 4e-3, 4: 2e-2}
 
 
@@ -72,13 +74,16 @@ def _weighted_sum(values, stencil):
 def fd_partials(f, point, multi_indices, step=None):
     """Raw partials of ``f`` at ``point``, one per multi-index, Richardson-extrapolated.
 
-    The coarse and fine stencils of every multi-index are planned first, and
-    ``f`` is called once per distinct stencil point, in sorted order, so
-    points that share their leading coordinates are evaluated one after
-    another.  Each partial is then summed from those values with the same
-    weights, in the same order, as its own stencils alone would sum them.
-    ``f`` may return a numpy array; every component is then differenced
-    with the same weights, in the same order, as a scalar ``f`` would be.
+    ``f`` takes an array of points, one per row, and returns one value per
+    row (:func:`per_row` makes such an ``f`` from a function of one
+    point).  The coarse and fine stencils of every multi-index are planned
+    first, and ``f`` is called once, with every distinct stencil point in
+    sorted order, so points that share their leading coordinates are
+    neighbours.  Each partial is then summed from those values with the
+    same weights, in the same order, as its own stencils alone would sum
+    them.  A value may be a numpy array; every component is then
+    differenced with the same weights, in the same order, as a scalar
+    value would be.
     """
     offsets, plans = _plan(
         tuple(tuple(int(e) for e in m) for m in multi_indices), step)
@@ -97,9 +102,12 @@ def fd_partials(f, point, multi_indices, step=None):
     # value slot of each offset vector, and of the point itself
     at = [slot_of(tuple(map(operator.add, point, off))) for off in offsets]
     here = slot_of(tuple(point)) if None in plans else None
+    order = sorted(range(len(points)), key=points.__getitem__)
     values = [None] * len(points)
-    for i in sorted(range(len(points)), key=points.__getitem__):
-        values[i] = f(list(points[i]))
+    if points:
+        rows = f(np.array([points[i] for i in order], dtype=float))
+        for i, value in zip(order, rows):
+            values[i] = value
     by_offset = [values[i] for i in at]
     out = []
     for plan in plans:
@@ -111,12 +119,21 @@ def fd_partials(f, point, multi_indices, step=None):
     return out
 
 
+def per_row(f):
+    """A function of an array of points, one per row, that calls ``f``
+    once per row, with the row as a list of floats."""
+    def rows(points):
+        return [f(row) for row in points.tolist()]
+    return rows
+
+
 def fd_partial(f, point, multi_index, step=None):
     """Raw partial derivative of ``f`` at ``point``, Richardson-extrapolated.
 
-    The one-index case of :func:`fd_partials`.
+    ``f`` is a function of one point; this is the one-index case of
+    :func:`fd_partials`.
     """
-    return fd_partials(f, point, [multi_index], step)[0]
+    return fd_partials(per_row(f), point, [multi_index], step)[0]
 
 
 def rel_err(got, want, floor=1.0):

@@ -16,6 +16,13 @@ only to degree d can run in the order-d context and give the same bits.
 A coordinate jet (from :func:`lift_variable`) has two nonzero coefficients,
 so a product with it sums two terms per output instead of every pair of the
 Cauchy product.
+
+Each operation is one kernel over raw coefficient vectors (``_cauchy``,
+``_shift_product``, ``_recip``, ``_int_power``, ``_power``, ``_compose``
+and the functions).  The Jet operators and ``jet_*`` functions wrap them,
+and compiled expression tapes (``exprlang.Tape``) and the p-power builder
+call them directly, without a Jet per operation.  A jet keeps its
+reciprocal once computed, so a jet solve divides by each pivot once.
 """
 
 from __future__ import annotations
@@ -137,37 +144,155 @@ def _cauchy(ctx, a, b):
     return np.bincount(ctx._mul_k, weights=prod, minlength=ctx.ncoef)
 
 
-def _shift_product(a, coordinate):
-    """Coefficient vector ``a`` times a coordinate jet x_v = value + unit.
+def _shift_product(ctx, a, var, value):
+    """Coefficient vector ``a`` times the coordinate x_var = value + unit.
 
-    The Cauchy product restricted to the two nonzero coefficients of x_v:
-    output m sums a[m - e_v] (times 1) and then a[m] * value, from +0.0,
-    as the full product does.  On finite coefficients the pairs left out
-    add only zeros, so the bits are the Cauchy product's, -0.0 included.
+    The Cauchy product restricted to the two nonzero coefficients of the
+    coordinate: output m sums a[m - e_var] (times 1) and then
+    a[m] * value, from +0.0, as the full product does.  On finite
+    coefficients the pairs left out add only zeros, so the bits are the
+    Cauchy product's, -0.0 included.
     """
-    source, target, shifted = coordinate.ctx._shift[coordinate.var]
+    source, target, shifted = ctx._shift[var]
     terms = a[source]
-    terms[shifted:] *= coordinate.c[0]
+    terms[shifted:] *= value
     return np.bincount(target, terms, len(a))
 
 
 def _product(a, b):
     """Coefficients of the truncated product of jets ``a`` and ``b``."""
     if type(b) is CoordinateJet:
-        return _shift_product(a.c, b)
+        return _shift_product(a.ctx, a.c, b.var, b.c[0])
     if type(a) is CoordinateJet:
-        return _shift_product(b.c, a)
+        return _shift_product(a.ctx, b.c, a.var, a.c[0])
     return _cauchy(a.ctx, a.c, b.c)
+
+
+def _one(ctx):
+    c = np.zeros(ctx.ncoef)
+    c[0] = 1.0
+    return c
+
+
+def _recip(ctx, c):
+    """Coefficients of 1 / c."""
+    b0 = c[0]
+    if abs(b0) < ctx.div_floor:
+        raise DegenerateValue(
+            f"division by a jet with value {b0!r} below the floor")
+    u = c / b0
+    u[0] = 0.0
+    # 1/b = (1 - u + u^2 - ...) / b0, truncated; u has no constant term.
+    # Step s fixes the degree-s coefficients, so ``order`` steps are
+    # enough; the first, 1 - u * 1, needs no product.
+    one = _one(ctx)
+    inv = one - u
+    for _ in range(ctx.order - 1):
+        inv = one - _cauchy(ctx, u, inv)
+    return inv / b0
+
+
+def _int_power(ctx, c, k, var=None):
+    """c ** k by squaring, low bit first; ``var`` marks a coordinate c.
+
+    Where a product by the constant 1 would stand (the first factor, and
+    1 / c ** -k) the other factor is copied with ``+ 0.0``, which gives
+    the bits that product gives; the square after the top bit is skipped.
+    The first square of a coordinate is a shift product.
+    """
+    if k < 0:
+        return _recip(ctx, _int_power(ctx, c, -k, var)) + 0.0
+    if k == 0:
+        return _one(ctx)
+    result = None
+    base = c
+    while True:
+        if k & 1:
+            result = base + 0.0 if result is None else _cauchy(ctx, result, base)
+        k >>= 1
+        if not k:
+            return result
+        if var is None:
+            base = _cauchy(ctx, base, base)
+        else:
+            base = _shift_product(ctx, base, var, base[0])
+            var = None
+
+
+def _compose(ctx, c, derivs):
+    """Sum f^(k)(v)/k! * h^k for h = c - value, given derivs[k] = f^(k)(v)."""
+    h = c.copy()
+    h[0] = 0.0
+    out = np.zeros(ctx.ncoef)
+    out[0] = float(derivs[0])
+    hpow = None
+    fact = 1.0
+    for k in range(1, ctx.order + 1):
+        hpow = h if hpow is None else _cauchy(ctx, hpow, h)
+        fact *= k
+        if derivs[k] != 0.0:
+            out = out + hpow * float(derivs[k] / fact)
+    return out
+
+
+def _power(ctx, c, r, var=None):
+    """c ** r for real r; non-integer r requires a strictly positive value."""
+    if abs(r - round(r)) < 1e-12:
+        return _int_power(ctx, c, int(round(r)), var)
+    v = c[0]
+    if v <= 0.0:
+        raise DomainError(
+            f"non-integer power {r!r} of nonpositive value {v!r}")
+    derivs = [v ** r]
+    coef = 1.0
+    for k in range(1, ctx.order + 1):
+        coef *= r - (k - 1)
+        derivs.append(coef * v ** (r - k))
+    return _compose(ctx, c, derivs)
+
+
+def _sqrt(ctx, c):
+    if c[0] <= 0.0:
+        raise DomainError(f"sqrt of nonpositive value {c[0]!r}")
+    return _power(ctx, c, 0.5)
+
+
+def _exp(ctx, c):
+    e = math.exp(c[0])
+    return _compose(ctx, c, [e] * (ctx.order + 1))
+
+
+def _ln(ctx, c):
+    v = c[0]
+    if v <= 0.0:
+        raise DomainError(f"ln of nonpositive value {v!r}")
+    derivs = [math.log(v)]
+    for k in range(1, ctx.order + 1):
+        derivs.append((-1.0) ** (k - 1) * math.factorial(k - 1) / v ** k)
+    return _compose(ctx, c, derivs)
+
+
+def _sin(ctx, c):
+    v = c[0]
+    cycle = [math.sin(v), math.cos(v), -math.sin(v), -math.cos(v)]
+    return _compose(ctx, c, [cycle[k % 4] for k in range(ctx.order + 1)])
+
+
+def _cos(ctx, c):
+    v = c[0]
+    cycle = [math.cos(v), -math.sin(v), -math.cos(v), math.sin(v)]
+    return _compose(ctx, c, [cycle[k % 4] for k in range(ctx.order + 1)])
 
 
 class Jet:
     """A truncated Taylor expansion; treat instances as immutable."""
 
-    __slots__ = ("ctx", "c")
+    __slots__ = ("ctx", "c", "_inv")
 
     def __init__(self, ctx, coeffs):
         self.ctx = ctx
         self.c = coeffs
+        self._inv = None
 
     @property
     def value(self):
@@ -215,9 +340,9 @@ class Jet:
         if kind is Jet and other.ctx is ctx:  # same-context fast paths
             if type(self) is Jet:
                 return Jet(ctx, _cauchy(ctx, self.c, other.c))
-            return Jet(ctx, _shift_product(other.c, self))
+            return Jet(ctx, _shift_product(ctx, other.c, self.var, self.c[0]))
         if kind is CoordinateJet and other.ctx is ctx:
-            return Jet(ctx, _shift_product(self.c, other))
+            return Jet(ctx, _shift_product(ctx, self.c, other.var, other.c[0]))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -250,20 +375,11 @@ class Jet:
         return o * self._reciprocal()
 
     def _reciprocal(self):
-        ctx = self.ctx
-        b0 = self.c[0]
-        if abs(b0) < ctx.div_floor:
-            raise DegenerateValue(
-                f"division by a jet with value {b0!r} below the floor")
-        u = Jet(ctx, self.c / b0)
-        u.c[0] = 0.0
-        # 1/b = (1 - u + u^2 - ...) / b0, truncated; u has no constant term.
-        # Step s fixes the degree-s coefficients, so ``order`` steps are
-        # enough; the first, 1 - u * 1, needs no product.
-        inv = 1.0 - u
-        for _ in range(ctx.order - 1):
-            inv = 1.0 - u * inv
-        return Jet(ctx, inv.c / b0)
+        """The jet of 1 / self, computed once and kept on the jet."""
+        inv = self._inv
+        if inv is None:
+            inv = self._inv = Jet(self.ctx, _recip(self.ctx, self.c))
+        return inv
 
     def __pow__(self, exponent):
         if isinstance(exponent, (int, np.integer)):
@@ -304,6 +420,7 @@ class CoordinateJet(Jet):
     def __init__(self, ctx, coeffs, var):
         self.ctx = ctx
         self.c = coeffs
+        self._inv = None
         self.var = var
 
 
@@ -337,129 +454,32 @@ def extract_partial(jet, multi_index):
 
 
 def _int_pow(jet, k):
-    """jet ** k by squaring, low bit first.
-
-    Where a product by the constant 1 would stand (the first factor, and
-    1 / jet ** -k) the other factor is copied with ``+ 0.0``, which gives
-    the bits that product gives; the square after the top bit is skipped.
-    """
-    ctx = jet.ctx
-    if k < 0:
-        return Jet(ctx, _int_pow(jet, -k)._reciprocal().c + 0.0)
-    if k == 0:
-        return constant(ctx, 1.0)
-    result = None
-    base = jet
-    while True:
-        if k & 1:
-            result = (Jet(ctx, base.c + 0.0) if result is None
-                      else result * base)
-        k >>= 1
-        if not k:
-            return result
-        base = base * base
-
-
-def _compose(jet, derivs):
-    """Sum f^(k)(v)/k! * h^k for h = jet - value, given derivs[k] = f^(k)(v)."""
-    ctx = jet.ctx
-    h = Jet(ctx, jet.c.copy())
-    h.c[0] = 0.0
-    out = constant(ctx, derivs[0])
-    hpow = None
-    fact = 1.0
-    for k in range(1, ctx.order + 1):
-        hpow = h if hpow is None else hpow * h
-        fact *= k
-        if derivs[k] != 0.0:
-            out = out + (derivs[k] / fact) * hpow
-    return out
+    """jet ** k for an integer k (see :func:`_int_power`)."""
+    var = jet.var if type(jet) is CoordinateJet else None
+    return Jet(jet.ctx, _int_power(jet.ctx, jet.c, k, var))
 
 
 def jet_sqrt(jet):
-    if jet.value <= 0.0:
-        raise DomainError(f"sqrt of nonpositive value {jet.value!r}")
-    return jet_pow(jet, 0.5)
+    return Jet(jet.ctx, _sqrt(jet.ctx, jet.c))
 
 
 def jet_exp(jet):
-    e = math.exp(jet.value)
-    return _compose(jet, [e] * (jet.ctx.order + 1))
+    return Jet(jet.ctx, _exp(jet.ctx, jet.c))
+
 
 def jet_ln(jet):
-    v = jet.value
-    if v <= 0.0:
-        raise DomainError(f"ln of nonpositive value {v!r}")
-    derivs = [math.log(v)]
-    for k in range(1, jet.ctx.order + 1):
-        derivs.append((-1.0) ** (k - 1) * math.factorial(k - 1) / v ** k)
-    return _compose(jet, derivs)
+    return Jet(jet.ctx, _ln(jet.ctx, jet.c))
 
 
 def jet_sin(jet):
-    v = jet.value
-    cycle = [math.sin(v), math.cos(v), -math.sin(v), -math.cos(v)]
-    return _compose(jet, [cycle[k % 4] for k in range(jet.ctx.order + 1)])
+    return Jet(jet.ctx, _sin(jet.ctx, jet.c))
 
 
 def jet_cos(jet):
-    v = jet.value
-    cycle = [math.cos(v), -math.sin(v), -math.cos(v), math.sin(v)]
-    return _compose(jet, [cycle[k % 4] for k in range(jet.ctx.order + 1)])
+    return Jet(jet.ctx, _cos(jet.ctx, jet.c))
 
 
 def jet_pow(jet, r):
     """jet ** r for real r; non-integer r requires a strictly positive value."""
-    if abs(r - round(r)) < 1e-12:
-        return _int_pow(jet, int(round(r)))
-    v = jet.value
-    if v <= 0.0:
-        raise DomainError(
-            f"non-integer power {r!r} of nonpositive value {v!r}")
-    derivs = [v ** r]
-    coef = 1.0
-    for k in range(1, jet.ctx.order + 1):
-        coef *= r - (k - 1)
-        derivs.append(coef * v ** (r - k))
-    return _compose(jet, derivs)
-
-
-_FUNCS = {
-    "sqrt": jet_sqrt,
-    "exp": jet_exp,
-    "ln": jet_ln,
-    "sin": jet_sin,
-    "cos": jet_cos,
-}
-
-_ARITH = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "neg": lambda a, b: -a,
-}
-
-
-def jet_func(name, jet, r=None):
-    """Dispatch by name: sqrt, exp, ln, sin, cos, or pow_real (with r)."""
-    if name == "pow_real":
-        if r is None:
-            raise ValueError("pow_real needs an exponent")
-        return jet_pow(jet, r)
-    try:
-        f = _FUNCS[name]
-    except KeyError:
-        raise ValueError(f"unknown jet function {name!r}") from None
-    return f(jet)
-
-
-def jet_arith(op, a, b=None):
-    """Dispatch by name: add, sub, mul, div (binary) or neg (unary)."""
-    try:
-        f = _ARITH[op]
-    except KeyError:
-        raise ValueError(f"unknown jet operation {op!r}") from None
-    if op != "neg" and b is None:
-        raise ValueError(f"{op} needs two operands")
-    return f(a, b)
+    var = jet.var if type(jet) is CoordinateJet else None
+    return Jet(jet.ctx, _power(jet.ctx, jet.c, r, var))

@@ -66,3 +66,4 @@ def test_scenario_registry_complete():
     assert len(results) == 10
     anchors = [r.anchor for r in results]
     assert len(set(anchors)) == 10
+    assert all(type(r.passed) is bool for r in results)

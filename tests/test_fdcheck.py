@@ -1,4 +1,5 @@
-"""The finite-difference stencil plan: one call per distinct point, same sums."""
+"""The finite-difference stencil plan: one batched call with every distinct
+point, same sums."""
 
 import math
 import struct
@@ -8,7 +9,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerlab.fdcheck import FD_STEPS, _stencil_1d, fd_partial, fd_partials
+from finslerlab.fdcheck import (
+    FD_STEPS,
+    _stencil_1d,
+    fd_partial,
+    fd_partials,
+    per_row,
+)
 from finslerlab.jets import get_context
 
 MONOMIALS = get_context(4, 4).monomials
@@ -65,14 +72,22 @@ coordinate = st.one_of(st.just(0.0), st.just(-0.0),
 def test_fd_partials_equals_fd_partial(point, monomials, step, vector):
     f = _vector if vector else _scalar
     planned = Recorder(f)
-    got = fd_partials(planned, point, monomials, step)
+    batches = []
+
+    def rows(points):
+        batches.append(points.shape)
+        return per_row(planned)(points)
+
+    got = fd_partials(rows, point, monomials, step)
     one_by_one = Recorder(f)
     want = [fd_partial(f, point, m, step) for m in monomials]
     reference = [_reference_partial(one_by_one, point, m, step)
                  for m in monomials]
     assert [_bits(v) for v in got] == [_bits(v) for v in want]
     assert [_bits(v) for v in got] == [_bits(v) for v in reference]
-    # exactly one call per distinct stencil point, in sorted order
+    # one batched call, with exactly one row per distinct stencil point,
+    # in sorted order
+    assert batches == [(len(planned.calls), 4)]
     distinct = {struct.pack("4d", *z) for z in one_by_one.calls}
     called = [struct.pack("4d", *z) for z in planned.calls]
     assert len(called) == len(set(called)) == len(distinct)
@@ -88,7 +103,7 @@ def test_fd_partials_shares_points_across_indices():
         monomials = [m for m in get_context(4, order).monomials
                      if 1 <= sum(m) <= order]
         planned = Recorder(_scalar)
-        fd_partials(planned, point, monomials)
+        fd_partials(per_row(planned), point, monomials)
         one_by_one = Recorder(_scalar)
         for m in monomials:
             _reference_partial(one_by_one, point, m)

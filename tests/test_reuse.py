@@ -15,8 +15,14 @@ from finslerlab.constructions import (
     PPowerSpec,
     ppower_metric,
 )
-from finslerlab.core import circle_directions, einstein_scalar, exact_key
+from finslerlab.core import (
+    circle_directions,
+    einstein_scalar,
+    exact_key,
+    riemann_curvature,
+)
 from finslerlab.errors import DomainError, FinslerError
+from finslerlab.exprlang import Tape
 from finslerlab.manifest import load_manifest
 from fdtools import funk_spec
 
@@ -48,19 +54,19 @@ def test_run_evaluates_each_einstein_scalar_once(monkeypatch):
 
 def test_direction_sweep_evaluates_coefficients_once(monkeypatch):
     calls = Counter()
-    original = constructions.eval_jet
+    original = Tape.jets
 
-    def counting(node, ctx, point):
-        calls[(id(node), ctx.num_vars, ctx.order)] += 1
-        return original(node, ctx, point)
+    def counting(tape, ctx, point):
+        calls[(id(tape), ctx.num_vars, ctx.order)] += 1
+        return original(tape, ctx, point)
 
-    monkeypatch.setattr(constructions, "eval_jet", counting)
+    monkeypatch.setattr(Tape, "jets", counting)
     metric = curved_metric()
     x = [0.2, -0.1]
     for y in circle_directions(16):
         einstein_scalar(metric, x, list(y))
-    # three a_ij (i <= j) and two b_i, in the one order-4 context
-    assert len(calls) == 5
+    # the a_ij (i <= j) tape and the b_i tape, in the one order-4 context
+    assert len(calls) == 2
     assert set(calls.values()) == {1}
 
 
@@ -125,6 +131,35 @@ def test_einstein_scalar_runs_the_tail_at_order_two(monkeypatch):
     assert abs(lam + 0.25) < 1e-9
     assert 0 < products[4] <= 9
     assert set(products) == {2, 4}
+
+
+def test_jet_solves_reuse_pivot_reciprocals(monkeypatch):
+    """A 4x4 jet solve divides by each of its 4 pivots once: with the
+    coefficient memo warm, a 4-D Funk Einstein scalar takes 5 reciprocals
+    (the solve's 4 and beta/alpha in F), not 11, and the same bits."""
+    metric = ppower_metric(funk_spec(4))
+    x = [0.1, -0.2, 0.15, 0.05]
+    y = [1.0, 0.3, -0.2, 0.5]
+    einstein_scalar(metric, x, [0.0, 1.0, 0.0, 0.0])
+    count = Counter()
+    original = jets._recip
+
+    def counting(ctx, c):
+        count[ctx.order] += 1
+        return original(ctx, c)
+
+    monkeypatch.setattr(jets, "_recip", counting)
+    monkeypatch.setattr(constructions, "_recip", counting)
+    lam = einstein_scalar(metric, x, y)
+    assert abs(lam + 0.25) < 1e-9
+    assert 0 < sum(count.values()) <= 5
+    cached = riemann_curvature(metric, x, y)
+
+    def uncached(jet):
+        return jets.Jet(jet.ctx, original(jet.ctx, jet.c))
+
+    monkeypatch.setattr(jets.Jet, "_reciprocal", uncached)
+    assert riemann_curvature(metric, x, y).tobytes() == cached.tobytes()
 
 
 def test_run_builds_tensor_data_once_per_point(monkeypatch):
