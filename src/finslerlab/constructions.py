@@ -30,11 +30,11 @@ from .exprlang import (
     BatchFailed,
     Binary,
     Number,
-    Tape,
     each,
     eval_jet,
     eval_scalar,
     parse,
+    shared_tape,
 )
 from .jets import (
     Jet,
@@ -98,13 +98,14 @@ class CoefficientMemo:
     a_ij(x) (for i <= j) and b_i(x) do not depend on the direction, yet
     every sample (x, y) needs them: as floats in ``scalar`` and ``domain``
     and as jets in the jet builder.  Each list is compiled on first use
-    into one ``exprlang.Tape`` and replayed once per key
-    ``(what, context size, order, x)``, with size and order 0 for floats;
-    the ``COEFFICIENT_MEMO_KEYS`` most recently used keys are kept.  x
-    enters the key as its exact bits, so no rounding can serve a
-    neighbouring point.  An evaluation that raises stores nothing, so a
-    DomainError is raised in the same order as without the memo.  A batch
-    of points (``batch``) is replayed without a key.
+    into one ``exprlang.Tape``, shared with every metric over the same
+    trees, and replayed once per key ``(what, context size, order, x)``,
+    with size and order 0 for floats; the ``COEFFICIENT_MEMO_KEYS`` most
+    recently used keys are kept.  x enters the key as its exact bits, so
+    no rounding can serve a neighbouring point.  An evaluation that raises
+    stores nothing, so a DomainError is raised in the same order as
+    without the memo.  A batch of points (``batch``, or ``jets`` at a
+    coordinate-major array) is replayed without a key.
     """
 
     def __init__(self, a_ast, b_ast):
@@ -119,10 +120,11 @@ class CoefficientMemo:
         return len(self._entries)
 
     def tape(self, what):
-        """The tape of the ``what`` ("a" or "b") list, compiled on first use."""
+        """The tape of the ``what`` ("a" or "b") list, shared with every
+        metric over the same trees (``exprlang.shared_tape``)."""
         tape = self._tapes.get(what)
         if tape is None:
-            tape = self._tapes[what] = Tape(self._exprs[what])
+            tape = self._tapes[what] = shared_tape(self._exprs[what])
         return tape
 
     def _recall(self, key, evaluate):
@@ -147,7 +149,10 @@ class CoefficientMemo:
 
     def jets(self, what, ctx, xvals):
         """Jet coefficient vectors of the ``what`` coefficients in ``ctx``
-        at ``xvals``."""
+        at ``xvals``, or (B, ncoef) arrays at the points of a
+        coordinate-major array (see ``Tape.jets``)."""
+        if getattr(xvals, "ndim", 1) == 2:
+            return self.tape(what).jets(ctx, xvals)
         return self._recall((what, ctx.num_vars, ctx.order, exact_key(xvals)),
                             lambda: self.tape(what).jets(ctx, xvals))
 
@@ -165,13 +170,14 @@ def ppower_metric(spec):
     ``CoefficientMemo``, exposed as the metric's ``coefficients``.
 
     F is assembled from alpha^2 = a_ij y^i y^j, beta = b_i y^i and
-    alpha (1 + beta/alpha)^p on raw jet coefficient vectors (the jet
-    builder) or floats, with the kernels and the operation order of the
-    Jet operators.  The scalar function also takes x and y as
-    coordinate-major (n, B) arrays of B points and then returns F at
-    each, with the bits of the one-point calls; where a point would
-    raise, the points are evaluated one by one, so the first of them
-    raises its own error.
+    alpha (1 + beta/alpha)^p on raw jet coefficient vectors or floats,
+    with the kernels and the operation order of the Jet operators.  The
+    jet builder and the metric's batched F (``FinslerMetric.batch_jet``)
+    share one assembly, over one point or, row by row, over a batch.  The
+    scalar function also takes x and y as coordinate-major (n, B) arrays
+    of B points and then returns F at each, with the bits of the
+    one-point calls; where a point would raise, the points are evaluated
+    one by one, so the first of them raises its own error.
     """
     n = spec.dim
     b_ast, p = spec.beta, spec.p
@@ -179,11 +185,10 @@ def ppower_metric(spec):
     memo = CoefficientMemo(spec.alpha, b_ast)
     pairs = memo.pairs
 
-    def builder(x_jets, y_jets):
-        ctx = x_jets[0].ctx
-        xvals = [j.value for j in x_jets]
-        # each y^i is a coordinate jet: a product by it is a shift product
-        ys = [(j.var, j.c[0]) for j in y_jets]
+    def f_coefficients(ctx, xvals, ys):
+        """F's coefficients in ``ctx`` at ``xvals``, where ys[i] = (var,
+        value) is the coordinate y^i: a product by it is a shift product.
+        xvals and each value are floats, or arrays over a batch."""
         alpha2 = None
         for (i, j), coef in zip(pairs, memo.jets("a", ctx, xvals)):
             term = _shift_product(
@@ -193,13 +198,21 @@ def ppower_metric(spec):
             alpha2 = term if alpha2 is None else alpha2 + term
         alpha = _sqrt(ctx, alpha2)
         if beta_zero:
-            return Jet(ctx, alpha)
+            return alpha
         beta = None
         for i, coef in enumerate(memo.jets("b", ctx, xvals)):
             term = _shift_product(ctx, coef, *ys[i])
             beta = term if beta is None else beta + term
         base = _cauchy(ctx, beta, _recip(ctx, alpha)) + _one(ctx)
-        return Jet(ctx, _cauchy(ctx, alpha, _power(ctx, base, p)))
+        return _cauchy(ctx, alpha, _power(ctx, base, p))
+
+    def builder(x_jets, y_jets):
+        ctx = x_jets[0].ctx
+        return Jet(ctx, f_coefficients(ctx, [j.value for j in x_jets],
+                                       [(j.var, j.c[0]) for j in y_jets]))
+
+    def batch_builder(ctx, x, y):
+        return f_coefficients(ctx, x, [(n + i, y[i]) for i in range(n)])
 
     def alpha2_value(a, y):
         alpha2 = 0.0
@@ -257,7 +270,8 @@ def ppower_metric(spec):
         except DomainError:
             return False
 
-    metric = FinslerMetric(n, builder, scalar, domain, name=f"ppower(p={p})")
+    metric = FinslerMetric(n, builder, scalar, domain, name=f"ppower(p={p})",
+                           batch_builder=batch_builder)
     metric.coefficients = memo
     return metric
 

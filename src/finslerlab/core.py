@@ -18,6 +18,10 @@ right-hand side as jets, the n-by-n jet solve for G^i and the Riemann read
 F^2 partials are gathered out of the order-4 jet of F^2 into order-2
 coefficients (``_TailTable``), with the same bits as differentiating the
 order-4 jet.
+
+``sprays`` evaluates the spray at a batch of samples: the jets of F and
+F^2 come from one pass over the batch, through the jet kernels' leading
+batch axis, and only the float tail runs sample by sample.
 """
 
 from __future__ import annotations
@@ -29,24 +33,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePlane, DomainError, SingularMetric
-from .jets import Jet, get_context, lift_variable
+from .errors import (
+    BatchFailed,
+    DegeneratePlane,
+    DomainError,
+    FinslerError,
+    SingularMetric,
+)
+from .jets import Jet, _cauchy, get_context, lift_variable
 from .linalg import invert, is_positive_definite, solve
 
 DENOMINATOR_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class TangentSample:
-    """A base point x and a nonzero tangent direction y."""
-
-    x: tuple
-    y: tuple
-
-    @staticmethod
-    def of(x, y):
-        return TangentSample(tuple(float(v) for v in x),
-                             tuple(float(v) for v in y))
 
 
 def exact_key(*vectors):
@@ -64,14 +61,20 @@ class FinslerMetric:
     ``jet_builder(x_jets, y_jets)`` receives coordinate jets (shared
     context) and returns the jet of F.  ``scalar_fn(x, y)`` is the plain
     float evaluation used by oracles and homogeneity checks.
-    ``domain_fn(x, y)`` must be true wherever F is admissible.
+    ``domain_fn(x, y)`` must be true wherever F is admissible.  The
+    optional ``batch_builder(ctx, x, y)`` is F over a batch: x and y are
+    coordinate-major (n, B) arrays, and it returns the (B, ncoef)
+    coefficients of F in ``ctx``, row b with the bits of the jet builder
+    at sample b, or raises where a sample would raise.
     """
 
-    def __init__(self, dim, jet_builder, scalar_fn, domain_fn=None, name=""):
+    def __init__(self, dim, jet_builder, scalar_fn, domain_fn=None, name="",
+                 batch_builder=None):
         self.dim = dim
         self._jet_builder = jet_builder
         self._scalar_fn = scalar_fn
         self._domain_fn = domain_fn
+        self._batch_builder = batch_builder
         self.name = name
 
     def value(self, x, y):
@@ -96,6 +99,15 @@ class FinslerMetric:
         x_jets = [lift_variable(ctx, i, x[i]) for i in range(n)]
         y_jets = [lift_variable(ctx, n + i, y[i]) for i in range(n)]
         return self._jet_builder(x_jets, y_jets)
+
+    def batch_jet(self, x, y, order):
+        """Coefficients of the jets of F at a batch of samples, one row
+        each, in the 2n-variable context; x and y are coordinate-major
+        (n, B) arrays.  Raises BatchFailed for a metric without a batched
+        F."""
+        if self._batch_builder is None:
+            raise BatchFailed
+        return self._batch_builder(get_context(2 * self.dim, order), x, y)
 
 
 class _PartialTable:
@@ -210,17 +222,59 @@ def fundamental_tensor(metric, x, y):
 def spray(metric, x, y):
     """Geodesic coefficients G^i as a float vector (2-homogeneous in y)."""
     metric.require_domain(x, y)
-    n = metric.dim
     f = metric.jet(x, y, 2)
     f2 = f * f
     g = _g_values(metric, f2, x, y)
     table = _partial_table(f2.ctx)
-    f2_xy = _read(f2.c, table.xy, f2.ctx).tolist()
-    f2_x = _read(f2.c, table.x, f2.ctx).tolist()
+    return _spray_tail(g, _read(f2.c, table.xy, f2.ctx).tolist(),
+                       _read(f2.c, table.x, f2.ctx).tolist(), y)
+
+
+def _spray_tail(g, f2_xy, f2_x, y):
+    """G^i from g and the F^2 partials [F^2]_{x^k y^l} and [F^2]_{x^l}."""
+    n = len(g)
     rhs = [sum(f2_xy[k][l] * y[k] for k in range(n)) - f2_x[l]
            for l in range(n)]
     cols = solve(g, [rhs])
     return np.array([0.25 * v for v in cols[0]])
+
+
+def sprays(metric, points):
+    """G^i at every row (x, y) of the (B, 2n) array ``points``, as a (B, n)
+    array; row b has the bits of ``spray(metric, row[:n], row[n:])``.
+
+    The order-2 jets of F and F^2 are built for the whole batch in one
+    pass (``metric.batch_jet`` and the batched kernels); the domain check,
+    the positive-definiteness test of g and the solve then run on each
+    row as in ``spray``.  A metric without a batched F, or a batch in
+    which some row fails, is evaluated row by row with ``spray``, so the
+    first failing row raises its own error.
+    """
+    n = metric.dim
+    points = np.asarray(points, dtype=float)
+    rows = points.tolist()
+    try:
+        return _batch_sprays(metric, points.T, rows)
+    except (BatchFailed, FinslerError):
+        return np.array([spray(metric, row[:n], row[n:]) for row in rows])
+
+
+def _batch_sprays(metric, z, rows):
+    n = metric.dim
+    ctx = get_context(2 * n, 2)
+    f = metric.batch_jet(z[:n], z[n:], 2)
+    f2 = _cauchy(ctx, f, f)
+    table = _partial_table(ctx)
+    g = (0.5 * _read(f2, table.yy, ctx)).tolist()
+    f2_xy = _read(f2, table.xy, ctx).tolist()
+    f2_x = _read(f2, table.x, ctx).tolist()
+    out = []
+    for row, g_row, xy_row, x_row in zip(rows, g, f2_xy, f2_x):
+        x, y = row[:n], row[n:]
+        if not (metric.in_domain(x, y) and is_positive_definite(g_row)):
+            raise BatchFailed
+        out.append(_spray_tail(g_row, xy_row, x_row, y))
+    return np.array(out)
 
 
 def _spray_jets(metric, x, y):
@@ -394,26 +448,3 @@ def einstein_check(metric, points, directions_per_point=32, tolerance=1e-7):
     verdict = bool(spreads) and all(s < tolerance for s in spreads)
     max_spread = max(spreads) if spreads else math.inf
     return EinsteinCheckResult(verdict, spreads, max_spread, skipped)
-
-
-@dataclass
-class CurvaturePoint:
-    """All engine quantities at one tangent sample."""
-
-    sample: TangentSample
-    g: np.ndarray
-    g_inv: np.ndarray
-    spray: np.ndarray
-    riemann: np.ndarray
-    ricci: float
-    einstein_scalar: float
-
-
-def curvature_point(metric, x, y):
-    g, g_inv = fundamental_tensor(metric, x, y)
-    gvec = spray(metric, x, y)
-    r = riemann_curvature(metric, x, y)
-    ric = float(np.trace(r))
-    f = metric.value(x, y)
-    lam = ric / ((metric.dim - 1) * f * f)
-    return CurvaturePoint(TangentSample.of(x, y), g, g_inv, gvec, r, ric, lam)

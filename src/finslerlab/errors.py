@@ -5,6 +5,15 @@ class FinslerError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class BatchFailed(Exception):
+    """Some point of a batch left the domain of an operation.
+
+    The batched evaluations (``exprlang.Tape.batch`` and ``Tape.jets``,
+    ``FinslerMetric.batch_jet``) raise it; the caller then evaluates the
+    batch point by point, so the first failing point raises its own error.
+    """
+
+
 class DegenerateValue(FinslerError):
     """A quantity that must stay away from zero fell below its floor
     (jet division, the spray denominators, the 2D curvature formula at v=0)."""

@@ -17,7 +17,8 @@ list of instructions, one per distinct subtree (hash-consing, Griewank and
 Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 6), in the
 order in which the walks first evaluate them.  The tape replays over
 floats, over a batch of points (one array per coordinate) and over raw
-jet coefficient vectors, with the float and jet operations of the walks,
+jet coefficient vectors, of one point or of a batch of points (one row
+each), with the float and jet operations of the walks,
 so every value, every error and its text come out as the walks give them.
 Subtrees without coordinates are folded by the walks themselves; a literal
 times a jet is then a scalar multiply plus 0.0, which has the bits of the
@@ -34,12 +35,14 @@ import math
 import operator
 import re
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     ArityError,
+    BatchFailed,
     DomainError,
     ExprSyntaxError,
     FinslerError,
@@ -55,6 +58,7 @@ from .jets import (
     _shift_product,
     _sin,
     _sqrt,
+    _value,
     constant,
     jet_cos,
     jet_exp,
@@ -453,14 +457,6 @@ _SCALAR_FUNCS = {"sqrt": _scalar_sqrt, "exp": math.exp, "ln": _scalar_ln,
 
 # -- tapes --------------------------------------------------------------
 
-class BatchFailed(Exception):
-    """A point of a batch left the domain of an operation.
-
-    Raised by :meth:`Tape.batch`; the caller evaluates the batch point by
-    point instead, so the first failing point raises its own error.
-    """
-
-
 class Tape:
     """A list of expressions compiled into one straight-line program.
 
@@ -478,7 +474,8 @@ class Tape:
 
     The same tape replays over floats (:meth:`floats`), over a batch of
     points (:meth:`batch`) and over jet coefficient vectors
-    (:meth:`jets`), each with the bits of the corresponding tree walk.
+    (:meth:`jets`), at one point or, with a leading batch axis, at a
+    batch of points, each with the bits of the corresponding tree walk.
     The replays return their values as the walks would, except that jets
     come as raw coefficient vectors; treat them as read-only, since a
     literal entry is shared by every replay.
@@ -489,6 +486,8 @@ class Tape:
         self.need = max((e.coordinate_count for e in self.exprs), default=0)
         self.coords, self.literals, self.code, self.outputs = _compile(
             self.exprs)
+        self.batches_jets = not any(entry[0] in _UNBATCHED
+                                    for entry in self.code)
         self._modes = {}
 
     def __len__(self):
@@ -531,15 +530,65 @@ class Tape:
 
     def jets(self, ctx, point):
         """Jet coefficient vectors of the expressions in ``ctx`` at
-        ``point``, as ``eval_jet(e, ctx, point).c``."""
+        ``point``, as ``eval_jet(e, ctx, point).c``.
+
+        A coordinate-major batch of points (a 2-D array, as for
+        :meth:`batch`) gives one (B, ncoef) array per expression, row b
+        with the bits at point b; literal entries are broadcast views.  A
+        batch raises :class:`BatchFailed` where some point would raise, and
+        for a tape with an operation the kernels do not batch (``exp``,
+        ``ln``, ``sin``, ``cos`` and powers with an evaluated exponent).
+        """
+        batched = getattr(point, "ndim", 1) == 2
         if self.need > len(point) or self.need > ctx.num_vars:
+            if batched:
+                raise BatchFailed
             return [eval_jet(e, ctx, point).c for e in self.exprs]
         program, literals = self._program(ctx, functools.partial(
             _lower_jets, ctx))
-        vals = [lift_variable(ctx, i, point[i]).c for i in self.coords]
+        if not batched:
+            vals = [lift_variable(ctx, i, point[i]).c for i in self.coords]
+            vals += literals
+            _run(program, vals)
+            return [vals[o] for o in self.outputs]
+        if not self.batches_jets:
+            raise BatchFailed
+        vals = [_coordinates(ctx, i, point[i]) for i in self.coords]
         vals += literals
-        _run(program, vals)
-        return [vals[o] for o in self.outputs]
+        try:
+            _run(program, vals)
+        except (FinslerError, ArithmeticError, ValueError):
+            raise BatchFailed from None
+        shape = (point.shape[1], ctx.ncoef)
+        return [np.broadcast_to(vals[o], shape) for o in self.outputs]
+
+
+# compiled tapes kept, most recently used last
+TAPE_CACHE_SIZE = 64
+_TAPES = OrderedDict()
+
+
+def shared_tape(exprs):
+    """The :class:`Tape` of ``exprs``, compiled once for every caller that
+    passes the same tree objects.
+
+    Trees are told apart by identity, not by value (``Number(0.0) ==
+    Number(-0.0)``, yet the two fold to different bits).  :func:`parse`
+    shares the tree of a source, so metrics built from the same source
+    lists share one tape and its lowered programs.  A kept tape holds its
+    trees, so no id is reused while its entry lives; the
+    ``TAPE_CACHE_SIZE`` most recently used tapes are kept.
+    """
+    exprs = tuple(exprs)
+    key = tuple(map(id, exprs))
+    tape = _TAPES.get(key)
+    if tape is None:
+        tape = _TAPES[key] = Tape(exprs)
+        if len(_TAPES) > TAPE_CACHE_SIZE:
+            _TAPES.popitem(last=False)
+    else:
+        _TAPES.move_to_end(key)
+    return tape
 
 
 def _literal_key(node):
@@ -759,9 +808,9 @@ def _jet_product(ctx, left, right):
         return lambda p, q: p * v + 0.0
     if right[0] == "x":
         j = right[1]
-        return lambda p, q: _shift_product(ctx, p, j, q[0])
+        return lambda p, q: _shift_product(ctx, p, j, _value(q))
     if kind == "x":
-        return lambda p, q: _shift_product(ctx, q, value, p[0])
+        return lambda p, q: _shift_product(ctx, q, value, _value(p))
     return functools.partial(_cauchy, ctx)
 
 
@@ -769,6 +818,18 @@ _RESULT = ("", None)
 
 _JET_FUNCS_RAW = {"sqrt": _sqrt, "exp": _exp, "ln": _ln, "sin": _sin,
                   "cos": _cos}
+
+# instructions whose kernels take one coefficient vector only
+_UNBATCHED = frozenset({"exp", "ln", "sin", "cos", "powe"})
+
+
+def _coordinates(ctx, var, values):
+    """Coefficients of the coordinate jet of ``var`` at each of ``values``,
+    one row per value."""
+    c = np.zeros((len(values), ctx.ncoef))
+    c[:, 0] = values
+    c[:, ctx.unit[var]] = 1.0
+    return c
 
 
 def _lower_jets(ctx, tape):

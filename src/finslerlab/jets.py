@@ -23,6 +23,15 @@ and the functions).  The Jet operators and ``jet_*`` functions wrap them,
 and compiled expression tapes (``exprlang.Tape``) and the p-power builder
 call them directly, without a Jet per operation.  A jet keeps its
 reciprocal once computed, so a jet solve divides by each pivot once.
+
+The arithmetic kernels (``_cauchy``, ``_shift_product``, ``_recip``,
+``_int_power``, ``_power``, ``_compose``, ``_sqrt``) also take a batch: a
+(B, ncoef) array with one coefficient vector per row (Taylor mode over a
+leading batch axis; Bettencourt, Johnson and Duvenaud 2019); one factor
+of a Cauchy product may stay one vector and is then broadcast.  Row b of
+a result has the bits of the kernel applied to row b alone.  A kernel
+that would raise for some row raises the error of the first such row.
+One vector keeps the plain indexing of the one-point path.
 """
 
 from __future__ import annotations
@@ -138,10 +147,38 @@ def get_context(num_vars, order):
     return ctx
 
 
+def _rows_bincount(index, terms, ncoef):
+    """``np.bincount(index, row, ncoef)`` for every row of ``terms``.
+
+    One bincount over the flattened batch, with each row's bins offset by
+    ``ncoef``: every bin sums the same terms, in the same order, from the
+    same +0.0, as the bincount of its own row.
+    """
+    rows = len(terms)
+    flat = index + ncoef * np.arange(rows)[:, None]
+    return np.bincount(flat.ravel(), terms.ravel(),
+                       rows * ncoef).reshape(rows, ncoef)
+
+
+def _value(c):
+    """The value coefficient of a coefficient vector, or of each row."""
+    return c[0] if c.ndim == 1 else c[:, 0]
+
+
+def _raise_first(kernel, ctx, c, bad, *args):
+    """Where ``bad`` holds for some row of the batch ``c``, run the
+    one-point ``kernel`` on the first such row, which raises its error."""
+    if bad.any():
+        kernel(ctx, c[bad.argmax()], *args)
+
+
 def _cauchy(ctx, a, b):
     """Truncated Cauchy product of two coefficient vectors of ``ctx``."""
-    prod = a[ctx._mul_i] * b[ctx._mul_j]
-    return np.bincount(ctx._mul_k, weights=prod, minlength=ctx.ncoef)
+    if a.ndim == 1 == b.ndim:
+        prod = a[ctx._mul_i] * b[ctx._mul_j]
+        return np.bincount(ctx._mul_k, weights=prod, minlength=ctx.ncoef)
+    prod = a[..., ctx._mul_i] * b[..., ctx._mul_j]
+    return _rows_bincount(ctx._mul_k, prod, ctx.ncoef)
 
 
 def _shift_product(ctx, a, var, value):
@@ -151,12 +188,17 @@ def _shift_product(ctx, a, var, value):
     coordinate: output m sums a[m - e_var] (times 1) and then
     a[m] * value, from +0.0, as the full product does.  On finite
     coefficients the pairs left out add only zeros, so the bits are the
-    Cauchy product's, -0.0 included.
+    Cauchy product's, -0.0 included.  For a batch ``a``, ``value`` is the
+    array of the coordinate's values, one per row.
     """
     source, target, shifted = ctx._shift[var]
-    terms = a[source]
-    terms[shifted:] *= value
-    return np.bincount(target, terms, len(a))
+    if a.ndim == 1:
+        terms = a[source]
+        terms[shifted:] *= value
+        return np.bincount(target, terms, len(a))
+    terms = a[:, source]
+    terms[:, shifted:] *= np.reshape(value, (-1, 1))
+    return _rows_bincount(target, terms, ctx.ncoef)
 
 
 def _product(a, b):
@@ -176,12 +218,18 @@ def _one(ctx):
 
 def _recip(ctx, c):
     """Coefficients of 1 / c."""
-    b0 = c[0]
-    if abs(b0) < ctx.div_floor:
-        raise DegenerateValue(
-            f"division by a jet with value {b0!r} below the floor")
-    u = c / b0
-    u[0] = 0.0
+    if c.ndim == 1:
+        b0 = c[0]
+        if abs(b0) < ctx.div_floor:
+            raise DegenerateValue(
+                f"division by a jet with value {b0!r} below the floor")
+        u = c / b0
+        u[0] = 0.0
+    else:
+        b0 = c[:, :1]
+        _raise_first(_recip, ctx, c, np.abs(b0[:, 0]) < ctx.div_floor)
+        u = c / b0
+        u[:, 0] = 0.0
     # 1/b = (1 - u + u^2 - ...) / b0, truncated; u has no constant term.
     # Step s fixes the degree-s coefficients, so ``order`` steps are
     # enough; the first, 1 - u * 1, needs no product.
@@ -203,7 +251,7 @@ def _int_power(ctx, c, k, var=None):
     if k < 0:
         return _recip(ctx, _int_power(ctx, c, -k, var)) + 0.0
     if k == 0:
-        return _one(ctx)
+        return np.broadcast_to(_one(ctx), c.shape).copy()
     result = None
     base = c
     while True:
@@ -215,44 +263,74 @@ def _int_power(ctx, c, k, var=None):
         if var is None:
             base = _cauchy(ctx, base, base)
         else:
-            base = _shift_product(ctx, base, var, base[0])
+            base = _shift_product(ctx, base, var, _value(base))
             var = None
 
 
 def _compose(ctx, c, derivs):
-    """Sum f^(k)(v)/k! * h^k for h = c - value, given derivs[k] = f^(k)(v)."""
+    """Sum f^(k)(v)/k! * h^k for h = c - value, given derivs[k] = f^(k)(v).
+
+    For a batch, each derivs[k] is the array of the rows' derivatives; a
+    row whose derivative is zero skips its term, as one vector does.
+    """
+    batched = c.ndim > 1
     h = c.copy()
-    h[0] = 0.0
-    out = np.zeros(ctx.ncoef)
-    out[0] = float(derivs[0])
+    out = np.zeros(c.shape)
+    if batched:
+        h[:, 0] = 0.0
+        out[:, 0] = derivs[0]
+    else:
+        h[0] = 0.0
+        out[0] = float(derivs[0])
     hpow = None
     fact = 1.0
     for k in range(1, ctx.order + 1):
         hpow = h if hpow is None else _cauchy(ctx, hpow, h)
         fact *= k
-        if derivs[k] != 0.0:
+        if batched:
+            nonzero = derivs[k] != 0.0
+            term = out + hpow * (derivs[k] / fact)[:, None]
+            out = term if nonzero.all() else np.where(nonzero[:, None],
+                                                      term, out)
+        elif derivs[k] != 0.0:
             out = out + hpow * float(derivs[k] / fact)
     return out
 
 
+def _power_derivatives(v, r, order):
+    """The derivatives of t ** r at t = v, orders 0..order."""
+    derivs = [v ** r]
+    coef = 1.0
+    for k in range(1, order + 1):
+        coef *= r - (k - 1)
+        derivs.append(coef * v ** (r - k))
+    return derivs
+
+
 def _power(ctx, c, r, var=None):
-    """c ** r for real r; non-integer r requires a strictly positive value."""
+    """c ** r for real r; non-integer r requires a strictly positive value.
+
+    In a batch, the derivatives are taken one numpy scalar value at a
+    time, as for one vector, since numpy's array power may round
+    differently.
+    """
     if abs(r - round(r)) < 1e-12:
         return _int_power(ctx, c, int(round(r)), var)
+    if c.ndim > 1:
+        _raise_first(_power, ctx, c, c[:, 0] <= 0.0, r)
+        return _compose(ctx, c, np.array(
+            [_power_derivatives(v, r, ctx.order) for v in c[:, 0]]).T)
     v = c[0]
     if v <= 0.0:
         raise DomainError(
             f"non-integer power {r!r} of nonpositive value {v!r}")
-    derivs = [v ** r]
-    coef = 1.0
-    for k in range(1, ctx.order + 1):
-        coef *= r - (k - 1)
-        derivs.append(coef * v ** (r - k))
-    return _compose(ctx, c, derivs)
+    return _compose(ctx, c, _power_derivatives(v, r, ctx.order))
 
 
 def _sqrt(ctx, c):
-    if c[0] <= 0.0:
+    if c.ndim > 1:
+        _raise_first(_sqrt, ctx, c, c[:, 0] <= 0.0)
+    elif c[0] <= 0.0:
         raise DomainError(f"sqrt of nonpositive value {c[0]!r}")
     return _power(ctx, c, 0.5)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ import pytest
 from finslerlab import (
     DegeneratePlane,
     DomainError,
+    FinslerError,
+    FinslerMetric,
     PPowerSpec,
     SingularMetric,
-    TangentSample,
-    curvature_point,
     einstein_check,
     einstein_scalar,
     flag_curvature,
@@ -21,9 +22,13 @@ from finslerlab import (
     riemann_data,
     riemann_metric,
     spray,
+    sprays,
     sqrt2d_family,
 )
+from finslerlab import core
 from finslerlab.core import sphere_directions
+from finslerlab.fdcheck import fd_partials
+from finslerlab.jets import get_context
 from fdtools import funk_spec
 
 IDENTITY = [["1", "0"], ["0", "1"]]
@@ -307,15 +312,6 @@ def test_sphere_directions_are_unit():
                                   sphere_directions(3, 8))
 
 
-def test_curvature_point_assembly(example_family):
-    metric = example_family.metric()
-    cp = curvature_point(metric, [0.6, 0.0], [1.0, 0.2])
-    assert isinstance(cp.sample, TangentSample)
-    assert cp.einstein_scalar == pytest.approx(-1.25, abs=1e-9)
-    assert cp.ricci == pytest.approx(np.trace(cp.riemann))
-    np.testing.assert_allclose(cp.g @ cp.g_inv, np.eye(2), atol=1e-10)
-
-
 def test_three_dimensional_engine():
     alpha = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     beta = ["0.1*x2", "0", "0.05*x1"]
@@ -365,6 +361,103 @@ def test_partial_table_reads_equal_extract_partial(n, order):
                 assert got[pos].tobytes() == np.float64(
                     want(jet, *pos)).tobytes(), (name, pos)
     assert _partial_table(ctx) is table
+
+
+def _soundness_stencils(metric, count, seed):
+    """The stencil batches the derivative-soundness spray oracle passes
+    to ``sprays`` at ``count`` samples drawn as that scenario draws them."""
+    rng = np.random.default_rng(seed)
+    n = metric.dim
+    monomials = [m for m in get_context(2 * n, 2).monomials
+                 if 1 <= sum(m) <= 2]
+    batches = []
+
+    def record(rows):
+        batches.append(rows)
+        return np.zeros((len(rows), n))
+
+    while len(batches) < count:
+        x = rng.uniform(-0.35, 0.35, size=n).tolist()
+        y = rng.uniform(0.45, 1.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+        if metric.in_domain(x, y.tolist()):
+            fd_partials(record, x + y.tolist(), monomials)
+    return batches
+
+
+def _spray_rows(metric, rows):
+    """The one-point loop that ``sprays`` replaces."""
+    n = metric.dim
+    return np.array([spray(metric, r[:n], r[n:]) for r in rows.tolist()])
+
+
+def _one_point_calls(monkeypatch):
+    calls = []
+    original = core.spray
+
+    def counting(metric, x, y):
+        calls.append(1)
+        return original(metric, x, y)
+
+    monkeypatch.setattr(core, "spray", counting)
+    return calls
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, -1.0, 3.0])
+def test_sprays_match_spray_on_soundness_stencils(p, monkeypatch):
+    metrics = [ppower_metric(PPowerSpec(CURVED, CURVED_BETA, p))]
+    if p == 0.5:
+        metrics += [sqrt2d_family(("-x2", "x1", "x1^2+x2^2")).metric(),
+                    riemann_metric(SPHERE)]
+    for k, metric in enumerate(metrics):
+        for rows in _soundness_stencils(metric, 3, int(10 * p) + 20 + 7 * k):
+            want = _spray_rows(metric, rows)
+            calls = _one_point_calls(monkeypatch)
+            got = sprays(metric, rows)
+            monkeypatch.undo()
+            assert not calls  # one batched pass, no one-point spray
+            _same_bits(got, want)
+
+
+def test_sprays_fall_back_to_spray_without_a_batched_f(monkeypatch):
+    family = sqrt2d_family(("-x2", "x1", "x1^2+x2^2")).metric()
+    unbatched = FinslerMetric(2, family._jet_builder, family.value,
+                              family._domain_fn)
+    # a coefficient the jet kernels do not batch
+    with_exp = ppower_metric(PPowerSpec(
+        [["exp(0.1*x1)", "0"], ["0", "1"]], CURVED_BETA, 2.0))
+    for metric in (unbatched, with_exp):
+        rows = _soundness_stencils(metric, 1, 3)[0]
+        want = _spray_rows(metric, rows)
+        calls = _one_point_calls(monkeypatch)
+        got = sprays(metric, rows)
+        monkeypatch.undo()
+        assert len(calls) == len(rows)
+        _same_bits(got, want)
+
+
+def test_sprays_raise_the_first_error_of_the_one_point_loop():
+    # with b = (0.8, 0) and p = 3, y = (1, 0) is in the domain but g is not
+    # positive definite there; y = 0 is outside the domain
+    metric = ppower_metric(PPowerSpec(IDENTITY, ["0.8", "0"], 3.0))
+    good = [[0.0, 0.1, 0.0, 1.0], [0.2, 0.0, -0.3, 1.0]]
+    singular = [0.0, 0.0, 1.0, 0.0]
+    outside = [0.1, 0.0, 0.0, 0.0]
+    for rows in ([*good, singular, outside], [good[0], outside, singular],
+                 [singular, *good]):
+        rows = np.array(rows)
+        with pytest.raises(FinslerError) as loop:
+            _spray_rows(metric, rows)
+        with pytest.raises(type(loop.value),
+                           match=re.escape(str(loop.value))):
+            sprays(metric, rows)
+    _same_bits(sprays(metric, np.array(good)),
+               _spray_rows(metric, np.array(good)))
 
 
 def test_domain_beyond_positivity_bound_surfaces_as_singular_metric():

@@ -1,16 +1,22 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerlab import DegenerateValue, DomainError
+from finslerlab import DegenerateValue, DomainError, FinslerError
 from finslerlab.jets import (
     CoordinateJet,
     Jet,
     JetContext,
     _cauchy,
+    _int_power,
+    _power,
+    _recip,
+    _shift_product,
+    _sqrt,
     constant,
     extract_partial,
     get_context,
@@ -334,3 +340,83 @@ def test_int_pow_and_reciprocal_match_the_loops(data, shape, k, head,
     x = lift_variable(ctx, 0, c[0])
     _same_bits((x ** k).c, _loop_int_pow(ctx, x.c, k))
     assert jet.c.tobytes() == c.tobytes()  # the operand is left as it was
+
+
+# -- a leading batch axis gives each row the bits of its own call --
+
+def _rows(ctx, batch, one_point):
+    """Each row of the batched result equals the one-point kernel's."""
+    assert batch.shape == (len(batch), ctx.ncoef)
+    for k, row in enumerate(batch):
+        _same_bits(row, one_point(k))
+
+
+def _coordinate_rows(ctx, var, values):
+    c = np.zeros((len(values), ctx.ncoef))
+    c[:, 0] = values
+    c[:, ctx.unit[var]] = 1.0
+    return c
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(),
+       shape=st.sampled_from([(4, 2), (4, 4), (8, 4)]),
+       rows=st.integers(1, 4),
+       k=st.integers(-3, 5),
+       r=st.sampled_from([0.5, 1.5, -0.5, -1.25, 2.0]))
+def test_batched_kernels_match_the_one_point_kernels(data, shape, rows, k, r):
+    ctx = get_context(*shape)
+    small = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.5, 0.5))
+    heads = data.draw(st.lists(st.floats(0.2, 2.0), min_size=rows,
+                               max_size=rows))
+    signs = data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=rows,
+                               max_size=rows))
+    # a: values away from every floor, b: any coefficients
+    a = np.array([_coefficients(data, ctx, small) for _ in range(rows)])
+    a[:, 0] = heads
+    signed = a * np.array(signs)[:, None]
+    b = np.array([_coefficients(data, ctx) for _ in range(rows)])
+    one = _coefficients(data, ctx)  # one vector against the batch
+    var = data.draw(st.integers(0, ctx.num_vars - 1))
+    values = np.array(data.draw(st.lists(COEFFICIENTS, min_size=rows,
+                                         max_size=rows)))
+    coords = _coordinate_rows(ctx, var, np.array(heads) * signs)
+    operands = [a, signed, b, one, values, coords]
+    before = [x.tobytes() for x in operands]
+
+    _rows(ctx, _cauchy(ctx, a, b), lambda i: _cauchy(ctx, a[i], b[i]))
+    _rows(ctx, _cauchy(ctx, one, b), lambda i: _cauchy(ctx, one, b[i]))
+    _rows(ctx, _cauchy(ctx, b, one), lambda i: _cauchy(ctx, b[i], one))
+    _rows(ctx, _shift_product(ctx, b, var, values),
+          lambda i: _shift_product(ctx, b[i], var, values[i]))
+    _rows(ctx, _shift_product(ctx, b, var, values[0]),
+          lambda i: _shift_product(ctx, b[i], var, values[0]))
+    _rows(ctx, _recip(ctx, signed), lambda i: _recip(ctx, signed[i]))
+    _rows(ctx, _int_power(ctx, signed, k),
+          lambda i: _int_power(ctx, signed[i], k))
+    _rows(ctx, _int_power(ctx, coords, k, var),
+          lambda i: _int_power(ctx, coords[i], k, var))
+    _rows(ctx, _power(ctx, a, r), lambda i: _power(ctx, a[i], r))
+    _rows(ctx, _sqrt(ctx, a), lambda i: _sqrt(ctx, a[i]))
+    assert [x.tobytes() for x in operands] == before  # left as they were
+
+
+def test_batched_kernels_raise_the_first_failing_row():
+    ctx = get_context(4, 2)
+    c = np.zeros((5, ctx.ncoef))
+    c[:, 0] = [1.0, -0.25, -0.5, 1e-20, 0.0]
+    c[:, 1] = 0.3
+    for kernel, args, bad in ((_sqrt, (), 1), (_power, (1.5,), 1),
+                              (_recip, (), 3)):
+        with pytest.raises(FinslerError) as one_point:
+            kernel(ctx, c[bad], *args)
+        with pytest.raises(type(one_point.value),
+                           match=re.escape(str(one_point.value))):
+            kernel(ctx, c, *args)
+    # a row whose derivative underflows to a zero skips its term, as one
+    # vector does: here inf * 0.0 would make it NaN
+    c = np.zeros((2, ctx.ncoef))
+    c[:, 0] = [1.0, 1e300]
+    c[:, 1] = [2.0, 1e200]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _rows(ctx, _power(ctx, c, 0.5), lambda i: _power(ctx, c[i], 0.5))

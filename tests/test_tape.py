@@ -127,6 +127,19 @@ def test_replays_match_the_tree_walks(exprs, points):
                         np.isfinite(c).all() for c in want):
                     _same(_outcome(lambda: tape.jets(ctx, x)), want)
         columns = np.array(points).T
+        # a coordinate-major batch replays each point's jets, or raises
+        # BatchFailed where a point raises or an operation is not batched
+        for shape in CONTEXTS:
+            ctx = get_context(*shape)
+            per_point = [_outcome(lambda: tape.jets(ctx, x)) for x in points]
+            try:
+                rows = tape.jets(ctx, columns)
+            except BatchFailed:
+                assert not tape.batches_jets or any(
+                    isinstance(want, tuple) for want in per_point)
+                continue
+            for k, want in enumerate(per_point):
+                _same([v[k] for v in rows], want)
         try:
             batch = tape.batch(columns)
         except BatchFailed:
@@ -211,9 +224,20 @@ def test_spray_cross_validation_parses_once_and_traces_alike(monkeypatch):
             super().__init__(source)
 
     monkeypatch.setattr(exprlang, "_Parser", Counting)
+    compiled = []
+
+    class CountingTape(Tape):
+        def __init__(self, exprs):
+            compiled.append(len(exprs))
+            super().__init__(exprs)
+
+    monkeypatch.setattr(exprlang, "Tape", CountingTape)
     parse.cache_clear()
     plain = scenarios.scenario_spray_cross_validation()
     assert parsed and max(parsed.values()) == 1
+    # the five metrics share one a_ij tape and one b_i tape
+    assert compiled == [3, 2]
+    monkeypatch.undo()
 
     before = _namespaces()
     tracer = Tracer()
@@ -226,6 +250,30 @@ def test_spray_cross_validation_parses_once_and_traces_alike(monkeypatch):
     assert traced.passed is plain.passed is True
     assert _details(traced) == _details(plain)
     assert tracer.summary()["core.spray"]["calls"] == 500
+
+
+def test_derivative_soundness_traces_alike_without_one_point_sprays():
+    plain = scenarios.scenario_derivative_soundness()
+    before = _namespaces()
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        traced = scenarios.scenario_derivative_soundness()
+    finally:
+        tracer.restore()
+    assert _namespaces() == before
+    assert traced.passed is plain.passed is True
+    assert _details(traced) == _details(plain)
+    # the spray oracle's stencils go through core.sprays in batches, never
+    # through the traced one-point spray (8,100 calls before batching)
+    assert "core.spray" not in tracer.summary()
+
+
+def test_shared_tapes_stay_bounded():
+    for k in range(exprlang.TAPE_CACHE_SIZE + 5):
+        tape = exprlang.shared_tape([parse(f"x1 + {k}")])
+        assert exprlang.shared_tape([parse(f"x1 + {k}")]) is tape
+    assert len(exprlang._TAPES) == exprlang.TAPE_CACHE_SIZE
 
 
 def _reference_f(spec, x, y, order):
