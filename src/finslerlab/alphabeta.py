@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateValue, DomainError, NotPositiveDefinite
-from .exprlang import eval_jet, parse
-from .jets import get_context
+from .exprlang import parse, shared_tape
+from .jets import Jet, get_context
 from .linalg import invert, is_positive_definite
 
 SPRAY_FLOOR = 1e-12
@@ -44,22 +44,26 @@ def matrix_jets(exprs, x, order=3):
     """Evaluate a symmetric expression matrix as jets at x.
 
     Only the upper triangle is evaluated; the matrix is mirrored, so the
-    result is symmetric by construction.
+    result is symmetric by construction.  The entries are replayed from
+    one shared tape (``exprlang.shared_tape``), with the bits and errors
+    of ``eval_jet``.
     """
     n = len(exprs)
     ctx = get_context(n, order)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    tape = shared_tape([_as_ast(exprs[i][j]) for i, j in pairs])
     jets = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            jets[i][j] = eval_jet(_as_ast(exprs[i][j]), ctx, x)
-            jets[j][i] = jets[i][j]
+    for (i, j), coeffs in zip(pairs, tape.jets(ctx, x)):
+        jets[i][j] = jets[j][i] = Jet(ctx, coeffs)
     return jets
 
 
 def covector_jets(exprs, x, order=3):
-    n = len(exprs)
-    ctx = get_context(n, order)
-    return [eval_jet(_as_ast(exprs[i]), ctx, x) for i in range(n)]
+    """Evaluate a covector of expressions as jets at x, from one shared
+    tape."""
+    ctx = get_context(len(exprs), order)
+    tape = shared_tape([_as_ast(e) for e in exprs])
+    return [Jet(ctx, coeffs) for coeffs in tape.jets(ctx, x)]
 
 
 @dataclass

@@ -24,7 +24,7 @@ from .alphabeta import (
     matrix_jets,
     riemann_data_from_jets,
 )
-from .core import FinslerMetric, circle_directions, exact_key, ricci
+from .core import FinslerMetric, circle_directions, exact_key, riccis
 from .errors import DegenerateValue, DomainError, NotEinstein
 from .exprlang import (
     BatchFailed,
@@ -33,6 +33,7 @@ from .exprlang import (
     each,
     eval_jet,
     eval_scalar,
+    kept_by_identity,
     parse,
     shared_tape,
 )
@@ -173,7 +174,9 @@ def ppower_metric(spec):
     alpha (1 + beta/alpha)^p on raw jet coefficient vectors or floats,
     with the kernels and the operation order of the Jet operators.  The
     jet builder and the metric's batched F (``FinslerMetric.batch_jet``)
-    share one assembly, over one point or, row by row, over a batch.  The
+    share one assembly, over one point or, row by row, over a batch; a
+    batch of directions at one point x shares the memoised coefficient
+    jets of x.  The
     scalar function also takes x and y as coordinate-major (n, B) arrays
     of B points and then returns F at each, with the bits of the
     one-point calls; where a point would raise, the points are evaluated
@@ -188,7 +191,9 @@ def ppower_metric(spec):
     def f_coefficients(ctx, xvals, ys):
         """F's coefficients in ``ctx`` at ``xvals``, where ys[i] = (var,
         value) is the coordinate y^i: a product by it is a shift product.
-        xvals and each value are floats, or arrays over a batch."""
+        xvals and each value are floats, or arrays over a batch; with
+        floats xvals and arrays of values, the batch is of directions at
+        one point."""
         alpha2 = None
         for (i, j), coef in zip(pairs, memo.jets("a", ctx, xvals)):
             term = _shift_product(
@@ -270,8 +275,24 @@ def ppower_metric(spec):
         except DomainError:
             return False
 
+    def batch_domain(x, y):
+        """``domain`` at the point x for each column of the (n, B) array
+        y, with the same float operations on whole rows."""
+        try:
+            alpha2 = alpha2_value(memo.values("a", x), y)
+            positive = alpha2 > 0.0
+            if beta_zero or not positive.any():
+                return positive
+            b = memo.values("b", x)
+        except DomainError:
+            return np.zeros(y.shape[1], dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = beta_value(b, y) / np.sqrt(alpha2)
+        return positive & (1.0 + slope > 1e-12)
+
     metric = FinslerMetric(n, builder, scalar, domain, name=f"ppower(p={p})",
-                           batch_builder=batch_builder)
+                           batch_builder=batch_builder,
+                           batch_domain=batch_domain)
     metric.coefficients = memo
     return metric
 
@@ -407,16 +428,33 @@ class Sqrt2dFamily:
         return ppower_metric(PPowerSpec(self.alpha, self.beta, 0.5))
 
 
+# square-root families whose alpha and beta trees are kept
+SQRT2D_TREES_KEPT = 64
+_SQRT2D_TREES = OrderedDict()
+
+
 def sqrt2d_family(spec):
     """Induced alpha and beta of the 2D square-root family.
 
     alpha^2 = B / ((1-B)^{3/2} (u^2+v^2)) |y|^2 and
     beta    = B / ((1-B)^{3/4} (u^2+v^2)) (u y^1 + v y^2),
     so the norm of beta with respect to alpha equals sqrt(B).
+
+    The alpha and beta trees are built once per (u, v, B), told apart by
+    the identity of their trees (``exprlang.kept_by_identity``), so the
+    metrics of one triple share their coefficient tapes.
     """
     if not isinstance(spec, Sqrt2dFamilySpec):
         spec = Sqrt2dFamilySpec(*spec)
-    u, v, B = spec.u, spec.v, spec.B
+    triple = (spec.u, spec.v, spec.B)
+    alpha, beta = kept_by_identity(_SQRT2D_TREES, triple,
+                                   lambda: _sqrt2d_trees(*triple),
+                                   SQRT2D_TREES_KEPT)
+    return Sqrt2dFamily(spec, [list(row) for row in alpha], list(beta))
+
+
+def _sqrt2d_trees(u, v, B):
+    """The alpha matrix and beta covector trees of the triple (u, v, B)."""
 
     def mul(a, b):
         return Binary("mul", a, b)
@@ -429,8 +467,7 @@ def sqrt2d_family(spec):
     conformal = Binary("div", B, mul(power(one_minus_b, 1.5), uu_vv))
     alpha = [[conformal, Number(0.0)], [Number(0.0), conformal]]
     form_coef = Binary("div", B, mul(power(one_minus_b, 0.75), uu_vv))
-    beta = [mul(form_coef, u), mul(form_coef, v)]
-    return Sqrt2dFamily(spec, alpha, beta)
+    return alpha, [mul(form_coef, u), mul(form_coef, v)]
 
 
 def sqrt2d_flag_curvature(spec, x):
@@ -734,11 +771,10 @@ def randers_einstein_residuals(alpha_spec, beta_spec, points, directions=8,
             np.abs(ric_rhs).max()))
 
         use_dirs = dirs if dirs is not None else circle_directions(directions)
-        for y in (use_dirs if n == 2 else _unit_dirs(n, directions)):
-            if not metric.in_domain(x, y):
-                continue
+        ys = [y for y in (use_dirs if n == 2 else _unit_dirs(n, directions))
+              if metric.in_domain(x, y)]
+        for y, ric_f in zip(ys, riccis(metric, x, ys).tolist()):
             f = metric.value(x, y)
-            ric_f = ricci(metric, x, y)
             want = (n - 1) * (sigma - c * c) * f * f
             res["einstein_relation"] = max(
                 res["einstein_relation"],
@@ -792,12 +828,11 @@ def square_einstein_residuals(alpha_spec, beta_spec, points, directions=8,
         res["c_gradient"] = max(res["c_gradient"], _tensor_residual(
             dc + 2.0 * c * c * ab.b, np.abs(dc).max()))
 
-        for y in _unit_dirs(n, directions):
-            if not metric.in_domain(x, y):
-                continue
+        ys = [y for y in _unit_dirs(n, directions) if metric.in_domain(x, y)]
+        for y, ric_f in zip(ys, riccis(metric, x, ys).tolist()):
             f = metric.value(x, y)
             res["ricci_flat"] = max(res["ricci_flat"],
-                                    abs(ricci(metric, x, y)) / max(1.0, f * f))
+                                    abs(ric_f) / max(1.0, f * f))
     report.scalars = {"c": c_values}
     report.residuals = res
     return report.finalize()

@@ -22,6 +22,21 @@ order-4 jet.
 ``sprays`` evaluates the spray at a batch of samples: the jets of F and
 F^2 come from one pass over the batch, through the jet kernels' leading
 batch axis, and only the float tail runs sample by sample.
+
+``riccis`` and ``einstein_scalars`` (``einstein_rows`` without the
+fallback) evaluate many directions y at one point x, each row with the
+bits of ``ricci`` and ``einstein_scalar``.  The order-4 F shares the
+memoised x-coefficient jets of x and is built in chunks of at most
+``CHUNK_PAIRS`` rows times product pairs: 16 rows in 2-D, 4 in 3-D, one
+at a time from 4-D on, where a batched order-4 product is no faster and
+costs memory.  The order-2 tail -- the gathers, the right-hand side, the
+jet solve with its pivot chosen per row (``linalg.solve_rows``), the
+Riemann read and the trace -- then runs once for all rows.  The domain
+test, F > 0 and the positivity test of g stay per row; a row that fails
+one, or that meets a pivot or division floor, is left to the one-point
+function, which raises its own error.  ``einstein_scalar`` and
+``riemann_curvature`` stay the one-point entries: a batch of one row is
+slower.
 """
 
 from __future__ import annotations
@@ -40,8 +55,8 @@ from .errors import (
     FinslerError,
     SingularMetric,
 )
-from .jets import Jet, _cauchy, get_context, lift_variable
-from .linalg import invert, is_positive_definite, solve
+from .jets import Jet, _cauchy, _shift_product, get_context, lift_variable
+from .linalg import invert, is_positive_definite, solve, solve_rows
 
 DENOMINATOR_FLOOR = 1e-12
 
@@ -62,19 +77,23 @@ class FinslerMetric:
     context) and returns the jet of F.  ``scalar_fn(x, y)`` is the plain
     float evaluation used by oracles and homogeneity checks.
     ``domain_fn(x, y)`` must be true wherever F is admissible.  The
-    optional ``batch_builder(ctx, x, y)`` is F over a batch: x and y are
-    coordinate-major (n, B) arrays, and it returns the (B, ncoef)
-    coefficients of F in ``ctx``, row b with the bits of the jet builder
-    at sample b, or raises where a sample would raise.
+    optional ``batch_builder(ctx, x, y)`` is F over a batch: y is a
+    coordinate-major (n, B) array, x is one too or one point shared by
+    every sample, and it returns the (B, ncoef) coefficients of F in
+    ``ctx``, row b with the bits of the jet builder at sample b, or
+    raises where a sample would raise.  The optional
+    ``batch_domain(x, y)`` is ``domain_fn`` at one point x for each
+    column of the (n, B) array y, as a bool array.
     """
 
     def __init__(self, dim, jet_builder, scalar_fn, domain_fn=None, name="",
-                 batch_builder=None):
+                 batch_builder=None, batch_domain=None):
         self.dim = dim
         self._jet_builder = jet_builder
         self._scalar_fn = scalar_fn
         self._domain_fn = domain_fn
         self._batch_builder = batch_builder
+        self._batch_domain = batch_domain
         self.name = name
 
     def value(self, x, y):
@@ -86,6 +105,15 @@ class FinslerMetric:
         if self._domain_fn is not None and not self._domain_fn(x, y):
             return False
         return True
+
+    def in_domain_rows(self, x, ys):
+        """``in_domain(x, y)`` for each row y of the (B, n) array ``ys``,
+        as a bool array."""
+        ys = np.asarray(ys, dtype=float).reshape(-1, self.dim)
+        if self._batch_domain is None:
+            return np.array([self.in_domain(x, y) for y in ys.tolist()],
+                            dtype=bool)
+        return (ys != 0.0).any(axis=1) & self._batch_domain(x, ys.T)
 
     def require_domain(self, x, y):
         if not self.in_domain(x, y):
@@ -102,9 +130,9 @@ class FinslerMetric:
 
     def batch_jet(self, x, y, order):
         """Coefficients of the jets of F at a batch of samples, one row
-        each, in the 2n-variable context; x and y are coordinate-major
-        (n, B) arrays.  Raises BatchFailed for a metric without a batched
-        F."""
+        each, in the 2n-variable context; y is a coordinate-major (n, B)
+        array and x one too, or one point for every sample.  Raises
+        BatchFailed for a metric without a batched F."""
         if self._batch_builder is None:
             raise BatchFailed
         return self._batch_builder(get_context(2 * self.dim, order), x, y)
@@ -188,9 +216,10 @@ def _tail_table(ctx):
 
 
 def _gather(coeffs, tensor):
-    """Order-2 coefficients of one ``_TailTable`` tensor of F^2."""
+    """Order-2 coefficients of one ``_TailTable`` tensor of F^2, for one
+    coefficient vector or each row of a batch."""
     idx, factor = tensor
-    return coeffs[idx] * factor
+    return coeffs.take(idx, axis=-1) * factor
 
 
 def _read(coeffs, idx, ctx):
@@ -198,7 +227,7 @@ def _read(coeffs, idx, ctx):
 
     Entry by entry this is ``extract_partial``: coefficient times factorial.
     """
-    return coeffs[..., idx] * ctx.factorial[idx]
+    return coeffs.take(idx, axis=-1) * ctx.factorial[idx]
 
 
 def _g_values(metric, f2, x, y):
@@ -309,25 +338,32 @@ def _spray_jets(metric, x, y):
 def riemann_curvature(metric, x, y):
     """R^i_k as an n-by-n float matrix (the trace is the Ricci curvature)."""
     metric.require_domain(x, y)
-    n = metric.dim
     g_jets, _ = _spray_jets(metric, x, y)
-    ctx = g_jets[0].ctx
-    table = _partial_table(ctx)
     coeffs = np.stack([gj.c for gj in g_jets])
-    g_val = coeffs[:, 0].tolist()
-    # gx[i][k] = dG^i/dx^k, gy[i][j] = dG^i/dy^j,
-    # gxy[i][j][k] = d2G^i/dx^j dy^k, gyy[i][j][k] = d2G^i/dy^j dy^k
-    gx, gy, gxy, gyy = (_read(coeffs, idx, ctx).tolist()
+    return _riemann_read(coeffs[None], np.array([y], dtype=float),
+                         g_jets[0].ctx)[0]
+
+
+def _riemann_read(coeffs, y, ctx):
+    """R^i_k at each row of a batch, from the (B, n, ncoef) coefficients
+    of the spray jets G^i in ``ctx`` and the (B, n) directions y:
+
+        R^i_k = 2 dG^i/dx^k - sum_j (y^j d2G^i/dx^j dy^k
+                - 2 G^j d2G^i/dy^j dy^k + dG^i/dy^j dG^j/dy^k),
+
+    the terms added in this order, j by j, for every row and entry.
+    """
+    table = _partial_table(ctx)
+    g_val = coeffs[..., 0]
+    # gx[b, i, k] = dG^i/dx^k, gy[b, i, j] = dG^i/dy^j,
+    # gxy[b, i, j, k] = d2G^i/dx^j dy^k, gyy[b, i, j, k] = d2G^i/dy^j dy^k
+    gx, gy, gxy, gyy = (_read(coeffs, idx, ctx)
                         for idx in (table.x, table.y, table.xy, table.yy))
-    r = np.zeros((n, n))
-    for i in range(n):
-        for k in range(n):
-            acc = 2.0 * gx[i][k]
-            for j in range(n):
-                acc -= y[j] * gxy[i][j][k]
-                acc += 2.0 * g_val[j] * gyy[i][j][k]
-                acc -= gy[i][j] * gy[j][k]
-            r[i, k] = acc
+    r = 2.0 * gx
+    for j in range(coeffs.shape[1]):
+        r = r - y[:, j, None, None] * gxy[:, :, j]
+        r = r + (2.0 * g_val[:, j])[:, None, None] * gyy[:, :, j]
+        r = r - gy[:, :, j, None] * gy[:, None, j]
     return r
 
 
@@ -342,6 +378,152 @@ def einstein_scalar(metric, x, y):
     if not f > 0.0:
         raise DomainError(f"F = {f!r} is not positive at this sample")
     return ricci(metric, x, y) / ((metric.dim - 1) * f * f)
+
+
+# rows times order-4 product pairs per Cauchy product of a batched F^2:
+# 16 rows in 2-D (495 pairs), 4 in 3-D (1,820) and one from 4-D (4,845) on
+CHUNK_PAIRS = 8192
+
+
+def _f2_rows(metric, x, ys):
+    """Order-4 coefficients of F^2 at (x, y) for each row y of ``ys``.
+
+    Returns ``(f2, ok)``; ok[b] is false where building F raised.  Rows go
+    through the metric's batched F in chunks of ``CHUNK_PAIRS`` over the
+    context's product pairs, which shares the x-coefficient jets of the
+    one point x; where a chunk holds one row, or the batch raises, F is
+    built row by row with ``metric.jet``.
+    """
+    ctx = get_context(2 * metric.dim, 4)
+    chunk = max(1, CHUNK_PAIRS // len(ctx._mul_i))
+    f2 = np.zeros((len(ys), ctx.ncoef))
+    ok = np.ones(len(ys), dtype=bool)
+    for start in range(0, len(ys), chunk):
+        part = ys[start:start + chunk]
+        if len(part) > 1:
+            try:
+                f = metric.batch_jet(x, part.T, 4)
+                f2[start:start + len(part)] = _cauchy(ctx, f, f)
+                continue
+            except (BatchFailed, FinslerError):
+                pass
+        for b, y in enumerate(part.tolist(), start):
+            try:
+                f = metric.jet(x, y, 4)
+            except FinslerError:
+                ok[b] = False
+                continue
+            f2[b] = (f * f).c
+    return f2, ok
+
+
+def _ricci_rows(metric, x, ys):
+    """Ricci curvatures at (x, y) for each row y of the (B, n) array ``ys``.
+
+    Returns ``(ric, ok)``: ric[b] has the bits of ``ricci(metric, x, y)``
+    wherever ok[b] is true.  ok[b] is false where that call would raise --
+    outside the domain, F not built, g not positive definite, a pivot or
+    division floor in the jet solve -- and where a value is not finite;
+    such rows are left to ``ricci``.  The domain test and the positivity
+    test of g run per row; the tail runs once for every row.
+    """
+    n = metric.dim
+    ric = np.zeros(len(ys))
+    ok = metric.in_domain_rows(x, ys)
+    rows = np.flatnonzero(ok)
+    if not len(rows):
+        return ric, ok
+    y = ys[rows]
+    table = _tail_table(get_context(2 * n, 4))
+    low = table.low
+    # rows that overflow are left to ``ricci``, which warns for them
+    with np.errstate(all="ignore"):
+        f2, built = _f2_rows(metric, x, y)
+        g = 0.5 * _gather(f2, table.g)
+        built &= [bool(b) and is_positive_definite(m)
+                  for b, m in zip(built, g[..., 0].tolist())]
+        # rhs[l] = -[F^2]_{x^l} + sum_k [F^2]_{x^k y^l} y^k, k in order
+        f2_xy = _gather(f2, table.xy)
+        rhs = -_gather(f2, table.x)
+        for k in range(n):
+            rhs = rhs + _shift_product(low, f2_xy[:, :, k], n + k, y[:, k:k + 1])
+        sol, solved = solve_rows(low, g, rhs)
+        built &= solved
+        r = _riemann_read(0.25 * sol, y, low)
+        # np.trace adds the diagonal in order
+        trace = r[:, 0, 0]
+        for i in range(1, n):
+            trace = trace + r[:, i, i]
+        built &= np.isfinite(trace)
+    ric[rows] = trace
+    ok[rows] = built
+    return ric, ok
+
+
+def riccis(metric, x, ys):
+    """Ricci curvature at x in each direction y of the (B, n) array ``ys``,
+    row b with the bits of ``ricci(metric, x, ys[b])``.
+
+    A row the batch does not take is evaluated by ``ricci``, in row
+    order, so the first failing row raises its own error.
+    """
+    ys = np.asarray(ys, dtype=float).reshape(-1, metric.dim)
+    ric, ok = np.zeros(len(ys)), np.zeros(len(ys), dtype=bool)
+    if len(ys) > 1:  # one row is faster through the one-point path
+        try:
+            ric, ok = _ricci_rows(metric, x, ys)
+        except FinslerError:  # from a domain test: take the rows one by one
+            pass
+    for b in np.flatnonzero(~ok):
+        ric[b] = ricci(metric, x, list(ys[b]))
+    return ric
+
+
+def einstein_rows(metric, x, ys):
+    """Einstein scalars at x in each direction y of the (B, n) array
+    ``ys``, without fallback: ``(lam, ok)``, lam[b] with the bits of
+    ``einstein_scalar(metric, x, ys[b])`` wherever ok[b] is true.  Rows
+    with ok[b] false -- F not positive, or any row ``_ricci_rows`` does
+    not take -- are the caller's to evaluate with ``einstein_scalar``,
+    which raises their own errors.
+    """
+    ys = np.asarray(ys, dtype=float).reshape(-1, metric.dim)
+    lam = np.zeros(len(ys))
+    ok = np.zeros(len(ys), dtype=bool)
+    if len(ys) < 2:  # one row is faster through the one-point path
+        return lam, ok
+    f = np.zeros(len(ys))
+    for b, y in enumerate(ys.tolist()):
+        try:
+            f[b] = metric.value(x, y)
+        except (FinslerError, ArithmeticError):
+            continue
+        ok[b] = f[b] > 0.0
+    rows = np.flatnonzero(ok)
+    try:
+        ric, took = _ricci_rows(metric, x, ys[rows])
+    except FinslerError:  # from a domain test: leave every row
+        ok[:] = False
+        return lam, ok
+    with np.errstate(all="ignore"):
+        den = (metric.dim - 1) * f[rows] * f[rows]
+        lam[rows] = ric / den
+    ok[rows] = took & (den != 0.0)
+    return lam, ok
+
+
+def einstein_scalars(metric, x, ys):
+    """Einstein scalar at x in each direction y of the (B, n) array
+    ``ys``, row b with the bits of ``einstein_scalar(metric, x, ys[b])``.
+
+    A row the batch does not take is evaluated by ``einstein_scalar``, in
+    row order, so the first failing row raises its own error.
+    """
+    ys = np.asarray(ys, dtype=float).reshape(-1, metric.dim)
+    lam, ok = einstein_rows(metric, x, ys)
+    for b in np.flatnonzero(~ok):
+        lam[b] = einstein_scalar(metric, x, list(ys[b]))
+    return lam
 
 
 def reversibility_residual(metric, x, y):
@@ -436,11 +618,8 @@ def einstein_check(metric, points, directions_per_point=32, tolerance=1e-7):
     spreads = []
     skipped = []
     for x in points:
-        values = []
-        for d in dirs:
-            if not metric.in_domain(x, d):
-                continue
-            values.append(einstein_scalar(metric, x, d))
+        values = einstein_scalars(
+            metric, x, [d for d in dirs if metric.in_domain(x, d)]).tolist()
         if len(values) < 2:
             skipped.append(tuple(x))
             continue

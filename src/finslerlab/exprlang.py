@@ -575,20 +575,31 @@ def shared_tape(exprs):
     Trees are told apart by identity, not by value (``Number(0.0) ==
     Number(-0.0)``, yet the two fold to different bits).  :func:`parse`
     shares the tree of a source, so metrics built from the same source
-    lists share one tape and its lowered programs.  A kept tape holds its
-    trees, so no id is reused while its entry lives; the
-    ``TAPE_CACHE_SIZE`` most recently used tapes are kept.
+    lists share one tape and its lowered programs.  The
+    ``TAPE_CACHE_SIZE`` most recently used tapes are kept
+    (:func:`kept_by_identity`).
     """
     exprs = tuple(exprs)
-    key = tuple(map(id, exprs))
-    tape = _TAPES.get(key)
-    if tape is None:
-        tape = _TAPES[key] = Tape(exprs)
-        if len(_TAPES) > TAPE_CACHE_SIZE:
-            _TAPES.popitem(last=False)
+    return kept_by_identity(_TAPES, exprs, lambda: Tape(exprs),
+                            TAPE_CACHE_SIZE)
+
+
+def kept_by_identity(cache, trees, build, size):
+    """``build()``, kept in the OrderedDict ``cache`` under the identity
+    of the objects ``trees``.
+
+    Each entry holds its trees, so no id is reused while the entry lives;
+    the ``size`` most recently used entries are kept.
+    """
+    key = tuple(map(id, trees))
+    entry = cache.get(key)
+    if entry is None:
+        entry = cache[key] = (tuple(trees), build())
+        if len(cache) > size:
+            cache.popitem(last=False)
     else:
-        _TAPES.move_to_end(key)
-    return tape
+        cache.move_to_end(key)
+    return entry[1]
 
 
 def _literal_key(node):

@@ -148,16 +148,19 @@ def get_context(num_vars, order):
 
 
 def _rows_bincount(index, terms, ncoef):
-    """``np.bincount(index, row, ncoef)`` for every row of ``terms``.
+    """``np.bincount(index, row, ncoef)`` for every row of ``terms``, whose
+    leading axes may be any batch shape.
 
     One bincount over the flattened batch, with each row's bins offset by
     ``ncoef``: every bin sums the same terms, in the same order, from the
     same +0.0, as the bincount of its own row.
     """
+    lead = terms.shape[:-1]
+    terms = terms.reshape(-1, terms.shape[-1])
     rows = len(terms)
     flat = index + ncoef * np.arange(rows)[:, None]
     return np.bincount(flat.ravel(), terms.ravel(),
-                       rows * ncoef).reshape(rows, ncoef)
+                       rows * ncoef).reshape(*lead, ncoef)
 
 
 def _value(c):
@@ -177,7 +180,7 @@ def _cauchy(ctx, a, b):
     if a.ndim == 1 == b.ndim:
         prod = a[ctx._mul_i] * b[ctx._mul_j]
         return np.bincount(ctx._mul_k, weights=prod, minlength=ctx.ncoef)
-    prod = a[..., ctx._mul_i] * b[..., ctx._mul_j]
+    prod = a.take(ctx._mul_i, axis=-1) * b.take(ctx._mul_j, axis=-1)
     return _rows_bincount(ctx._mul_k, prod, ctx.ncoef)
 
 
@@ -188,16 +191,24 @@ def _shift_product(ctx, a, var, value):
     coordinate: output m sums a[m - e_var] (times 1) and then
     a[m] * value, from +0.0, as the full product does.  On finite
     coefficients the pairs left out add only zeros, so the bits are the
-    Cauchy product's, -0.0 included.  For a batch ``a``, ``value`` is the
-    array of the coordinate's values, one per row.
+    Cauchy product's, -0.0 included.  ``value`` may be an array of the
+    coordinate's values, one per row of a batch ``a`` (shaped like its
+    leading axes); with one vector ``a`` it makes a batch, row b the
+    product by the coordinate at value[b].
     """
     source, target, shifted = ctx._shift[var]
-    if a.ndim == 1:
+    batched = isinstance(value, np.ndarray)
+    if a.ndim == 1 and not batched:
         terms = a[source]
         terms[shifted:] *= value
         return np.bincount(target, terms, len(a))
-    terms = a[:, source]
-    terms[:, shifted:] *= np.reshape(value, (-1, 1))
+    terms = a.take(source, axis=-1)
+    if batched:
+        if a.ndim == 1:
+            terms = np.repeat(terms[None], len(value), axis=0)
+        terms[..., shifted:] *= value[..., None]
+    else:
+        terms[..., shifted:] *= value
     return _rows_bincount(target, terms, ctx.ncoef)
 
 

@@ -4,12 +4,16 @@ One generic implementation serves two element types: plain floats and jets
 (anything supporting + - * / and neg).  Pivots are compared by a magnitude
 functional -- abs for floats, abs of the value coefficient for jets -- and a
 pivot falling below ``floor`` times its row scale raises SingularMetric.
+``solve_rows`` runs the jet case for a batch of systems at once, on raw
+coefficient arrays, each row with the bits of ``solve``.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import SingularMetric
-from .jets import Jet
+from .jets import Jet, _cauchy, _one, _recip
 
 PIVOT_FLOOR = 1e-12
 
@@ -63,6 +67,71 @@ def solve(matrix, rhs_columns, floor=PIVOT_FLOOR):
             x[i] = acc / a[i][i]
         solutions.append(x)
     return solutions
+
+
+def solve_rows(ctx, matrix, rhs, floor=PIVOT_FLOOR):
+    """:func:`solve` of jet systems, one per batch row, on raw coefficients.
+
+    ``matrix`` is a (B, n, n, ncoef) and ``rhs`` a (B, n, ncoef) array of
+    coefficient vectors of ``ctx``.  Returns ``(x, ok)``: x[b] holds the
+    coefficients of ``solve(A_b, [rhs_b])[0]`` with its bits wherever
+    ok[b] is true.  ok[b] is false where that solve would raise (a zero
+    row, a pivot below ``floor`` times its row scale, or a pivot value
+    below the context's division floor) and where a value is not finite;
+    x[b] is then meaningless.  Every step runs the kernels of the jet
+    operators on the same operands, in the same order, for all rows at
+    once; the pivot is chosen per row, the first largest scaled magnitude
+    as ``max`` chooses it.
+    """
+    a = np.array(matrix, dtype=float)
+    col = np.array(rhs, dtype=float)
+    batch, n = a.shape[:2]
+    every = np.arange(batch)
+    with np.errstate(all="ignore"):
+        ok = (np.isfinite(a).all(axis=(1, 2, 3))
+              & np.isfinite(col).all(axis=(1, 2)))
+        scales = np.abs(a[..., 0]).max(axis=2)
+        ok &= scales.min(axis=1) != 0.0
+        perm = np.tile(np.arange(n), (batch, 1))
+        one = _one(ctx)
+        inverses = []
+        for k in range(n):
+            magnitude = np.abs(a[:, k:, k, 0])
+            ratio = magnitude / np.take_along_axis(scales, perm[:, k:], axis=1)
+            ok &= ~np.isnan(ratio).any(axis=1)
+            best = ratio.argmax(axis=1)
+            pivot_row = k + best
+            ok &= ~(magnitude[every, best]
+                    < floor * scales[every, perm[every, pivot_row]])
+            order = np.tile(np.arange(n), (batch, 1))
+            order[every, pivot_row] = k
+            order[:, k] = pivot_row
+            a = a[every[:, None], order]
+            col = col[every[:, None], order]
+            perm = np.take_along_axis(perm, order, axis=1)
+            pivot = a[:, k, k]
+            small = np.abs(pivot[:, 0]) < ctx.div_floor
+            ok &= ~small
+            inverses.append(_recip(ctx, np.where(small[:, None], one, pivot)))
+            if k + 1 == n:
+                break
+            # factor = a[r][k] / pivot, then a[r][c] -= factor * a[k][c]
+            # and col[r] -= factor * col[k], for every r > k at once
+            factor = _cauchy(ctx, a[:, k + 1:, k], inverses[k][:, None])
+            for r in range(k + 1, n):  # by rows, to keep temporaries small
+                a[:, r, k + 1:] -= _cauchy(ctx, factor[:, r - k - 1, None],
+                                           a[:, k, k + 1:])
+            col[:, k + 1:] -= _cauchy(ctx, factor, col[:, None, k])
+        x = np.empty_like(col)
+        for i in range(n - 1, -1, -1):
+            acc = col[:, i]
+            if i + 1 < n:
+                terms = _cauchy(ctx, a[:, i, i + 1:], x[:, i + 1:])
+                for term in np.moveaxis(terms, 1, 0):
+                    acc = acc - term
+            x[:, i] = _cauchy(ctx, acc, inverses[i])
+        ok &= np.isfinite(x).all(axis=(1, 2))
+    return x, ok
 
 
 def invert(matrix, floor=PIVOT_FLOOR):

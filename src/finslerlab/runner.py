@@ -3,10 +3,11 @@
 Per-sample domain failures are recorded as skipped rows with a reason and
 never abort the run; the singular sets of these metric families are dense
 enough that aborting would make random sampling useless.  Each Einstein
-scalar of a run is evaluated once, into an ``EinsteinTable``, and the
-alphabeta tensor data of each point once, into a ``TensorTable``; the
-sample rows and every check read both.  Samples and checks are evaluated
-in manifest order, so output is deterministic.
+scalar of a run is evaluated once, into an ``EinsteinTable`` that takes a
+point's directions in one batch, and the alphabeta tensor data of each
+point once, into a ``TensorTable``; the sample rows and every check read
+both.  Samples and checks are evaluated in manifest order, so output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -39,11 +40,13 @@ from .constructions import (
     sqrt2d_structure_report,
 )
 from .core import (
+    einstein_rows,
     einstein_scalar,
     exact_key,
     flag_curvature,
     spray,
     sphere_directions,
+    sprays,
 )
 from .errors import FinslerError
 from .report import manifest_hash
@@ -150,11 +153,21 @@ class TensorTable(_RunTable):
 
 class EinsteinTable(_RunTable):
     """The Einstein scalars of one run: the value at (x, y), or the
-    FinslerError its evaluation raised."""
+    FinslerError its evaluation raised, over the run's directions.
 
-    def __init__(self, metric):
+    ``directions(x)`` lists the admissible directions at x and
+    ``reversible(x)`` those whose reverse is admissible too, each worked
+    out once per point.  The first call of either evaluates its rows (the
+    directions, or their reverses) in one batch, ``core.einstein_rows``;
+    a lookup that no batch filled, and a row a batch leaves, goes through
+    ``einstein_scalar`` one point at a time.
+    """
+
+    def __init__(self, metric, dirs):
         super().__init__()
         self.metric = metric
+        self.dirs = dirs
+        self._sweeps = {}
 
     def __call__(self, x, y):
         return self._recall(
@@ -165,8 +178,43 @@ class EinsteinTable(_RunTable):
         """|lambda(x, y) - lambda(x, -y)|; both rays must be admissible."""
         return abs(self(x, y) - self(x, [-v for v in y]))
 
+    def directions(self, x):
+        """The run's directions y with (x, y) admissible, in order."""
+        return self._sweep(x, reverse=False)
 
-def _sample_row(manifest, metric, lam, tensors, dirs, x):
+    def reversible(self, x):
+        """The admissible directions at x whose reverse is admissible."""
+        return self._sweep(x, reverse=True)
+
+    def _sweep(self, x, reverse):
+        key = (exact_key(x), reverse)
+        ys = self._sweeps.get(key)
+        if ys is None:
+            ys = self.directions(x) if reverse else list(self.dirs)
+            rows = [-y for y in ys] if reverse else ys
+            if rows:
+                taken = self.metric.in_domain_rows(x, rows).tolist()
+                rows = [y for y, ok in zip(rows, taken) if ok]
+                ys = [y for y, ok in zip(ys, taken) if ok]
+            self._sweeps[key] = ys
+            self._fill(x, rows)
+        return ys
+
+    def _fill(self, x, ys):
+        """Evaluate the directions ``ys`` at x not yet in the table, in
+        one batch."""
+        rows = {}
+        for y in ys:
+            rows.setdefault(exact_key(x, y), y)
+        for key in self._results.keys() & rows.keys():
+            del rows[key]
+        lam, ok = einstein_rows(self.metric, x, list(rows.values()))
+        for key, value, took in zip(rows, lam.tolist(), ok.tolist()):
+            if took:
+                self._results[key] = value
+
+
+def _sample_row(manifest, metric, lam, tensors, x):
     row = {"x": [float(v) for v in x]}
     try:
         _, ab = tensors(x)
@@ -177,13 +225,12 @@ def _sample_row(manifest, metric, lam, tensors, dirs, x):
         return row
     values = []
     rev = None
-    for y in dirs:
-        if not metric.in_domain(x, y):
-            continue
+    for y in lam.directions(x):
         try:
             values.append(lam(x, y))
         except FinslerError:
             continue
+        # the reversal of the first direction is a lone lookup
         if rev is None and metric.in_domain(x, [-v for v in y]):
             try:
                 rev = lam.reversal(x, y)
@@ -229,7 +276,7 @@ def _check_result(name, residuals, tolerances, notes=None, skipped=None):
     }
 
 
-def run_check(name, manifest, metric, points, dirs, lam, tensors):
+def run_check(name, manifest, metric, points, lam, tensors):
     """One check block; ``lam`` and ``tensors`` are the run's EinsteinTable
     and TensorTable.  A check that evaluated no sample reports an infinite
     residual, so it cannot pass."""
@@ -242,12 +289,11 @@ def run_check(name, manifest, metric, points, dirs, lam, tensors):
         spreads = []
         for x in points:
             values = []
-            for y in dirs:
-                if metric.in_domain(x, y):
-                    try:
-                        values.append(lam(x, y))
-                    except FinslerError as exc:
-                        skipped.append(f"x={x}: {exc}")
+            for y in lam.directions(x):
+                try:
+                    values.append(lam(x, y))
+                except FinslerError as exc:
+                    skipped.append(f"x={x}: {exc}")
             if len(values) >= 2:
                 spreads.append(float(max(values) - min(values)))
             else:
@@ -262,10 +308,7 @@ def run_check(name, manifest, metric, points, dirs, lam, tensors):
         worst = math.inf
         values = []
         for x in points:
-            for y in dirs:
-                if not (metric.in_domain(x, y)
-                        and metric.in_domain(x, [-v for v in y])):
-                    continue
+            for y in lam.reversible(x):
                 try:
                     values.append(lam.reversal(x, y))
                 except FinslerError as exc:
@@ -282,14 +325,13 @@ def run_check(name, manifest, metric, points, dirs, lam, tensors):
         for x in points:
             y0 = None
             lam0 = None
-            for y in dirs:
-                if metric.in_domain(x, y):
-                    try:
-                        lam0 = lam(x, y)
-                        y0 = list(y)
-                        break
-                    except FinslerError:
-                        continue
+            for y in lam.directions(x):
+                try:
+                    lam0 = lam(x, y)
+                    y0 = list(y)
+                    break
+                except FinslerError:
+                    continue
             if lam0 is None:
                 skipped.append(f"x={x}: no admissible direction")
                 continue
@@ -349,12 +391,19 @@ def run_check(name, manifest, metric, points, dirs, lam, tensors):
             except FinslerError as exc:
                 skipped.append(f"x={x}: {exc}")
                 continue
-            for y in dirs:
-                if not metric.in_domain(x, y):
-                    continue
+            ys = lam.directions(x)
+            try:
+                generic = sprays(metric, [list(x) + list(y) for y in ys]) \
+                    if ys else []
+            except FinslerError:
+                # some row raises: take the rows one at a time, so each
+                # skip names the error its own row raises first
+                generic = [None] * len(ys)
+            for y, g_generic in zip(ys, generic):
                 try:
                     g_struct = structural_spray(rd, ab, p, y)
-                    g_generic = spray(metric, x, list(y))
+                    if g_generic is None:
+                        g_generic = spray(metric, x, list(y))
                 except FinslerError as exc:
                     skipped.append(f"x={x}: {exc}")
                     continue
@@ -395,7 +444,7 @@ def run_check(name, manifest, metric, points, dirs, lam, tensors):
                 k_alpha = sqrt2d_K_from_lambda(
                     manifest.alpha_spec, manifest.beta_spec, x,
                     precheck_tol=max(tol, 1e-6))
-                y0 = next((y for y in dirs if metric.in_domain(x, y)), None)
+                y0 = next(iter(lam.directions(x)), None)
                 if y0 is None:
                     skipped.append(f"x={x}: no admissible direction")
                     continue
@@ -481,15 +530,15 @@ def run(manifest, include_timings=False):
     points = collect_points(manifest)
     dirs = sphere_directions(manifest.dimension,
                              manifest.samples.direction_count)
-    lam = EinsteinTable(metric)
+    lam = EinsteinTable(metric, dirs)
     tensors = TensorTable(manifest)
-    sample_rows = [_sample_row(manifest, metric, lam, tensors, dirs, x)
+    sample_rows = [_sample_row(manifest, metric, lam, tensors, x)
                    for x in points]
     checks = []
     timings = {}
     for name in manifest.checks:
         t0 = time.perf_counter()
-        checks.append(run_check(name, manifest, metric, points, dirs, lam,
+        checks.append(run_check(name, manifest, metric, points, lam,
                                 tensors))
         timings[name] = time.perf_counter() - t0
     verdict = all(c["verdict"] for c in checks)

@@ -357,3 +357,19 @@ def test_ricci_flat_parallel_check():
     bad2, cov2, _ = ricci_flat_parallel_check(IDENTITY, ["0.3*x2", "0"],
                                               [[0.0, 1.0]])
     assert not bad2 and cov2 > 0.1
+
+
+def test_families_of_one_triple_share_their_trees_and_tapes():
+    from finslerlab import constructions
+
+    first = sqrt2d_family(("-x2", "x1", "x1^2+x2^2"))
+    again = sqrt2d_family(Sqrt2dFamilySpec("-x2", "x1", "x1^2+x2^2"))
+    assert again.alpha[0][0] is first.alpha[0][0]
+    assert again.beta[1] is first.beta[1]
+    assert again.metric().coefficients.tape("a") is \
+        first.metric().coefficients.tape("a")
+    other = sqrt2d_family(("1", "0", "0.5"))
+    assert other.alpha[0][0] is not first.alpha[0][0]
+    for k in range(constructions.SQRT2D_TREES_KEPT + 3):
+        sqrt2d_family(("1", "0", f"0.{k + 1}"))
+    assert len(constructions._SQRT2D_TREES) == constructions.SQRT2D_TREES_KEPT

@@ -1,8 +1,11 @@
+import functools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslerlab import (
     DegeneratePlane,
@@ -13,11 +16,13 @@ from finslerlab import (
     SingularMetric,
     einstein_check,
     einstein_scalar,
+    einstein_scalars,
     flag_curvature,
     fundamental_tensor,
     ppower_metric,
     reversibility_residual,
     ricci,
+    riccis,
     riemann_curvature,
     riemann_data,
     riemann_metric,
@@ -26,7 +31,7 @@ from finslerlab import (
     sqrt2d_family,
 )
 from finslerlab import core
-from finslerlab.core import sphere_directions
+from finslerlab.core import einstein_rows, sphere_directions
 from finslerlab.fdcheck import fd_partials
 from finslerlab.jets import get_context
 from fdtools import funk_spec
@@ -552,3 +557,154 @@ def test_order2_tail_matches_the_order4_path(spec, x, directions):
                                   np.signbit(g_high.c[:ncoef]))
         r = riemann_curvature(metric, x, y)
         assert r.tobytes() == _riemann_from(want, y).tobytes()
+
+
+# -- Ricci curvatures and Einstein scalars of many directions at one x --
+
+@functools.cache
+def _direction_metric(n, p):
+    """A curved p-power metric: CURVED in 2-D, the Funk-ball data from
+    3-D on (Einstein at p = 1 only)."""
+    if n == 2:
+        return ppower_metric(PPowerSpec(CURVED, CURVED_BETA, p))
+    funk = funk_spec(n)
+    return ppower_metric(PPowerSpec(funk.alpha, funk.beta, p))
+
+
+def _one_point(fn, metric, x, ys):
+    """The loop the batched call replaces: values, or the first error."""
+    try:
+        return np.array([fn(metric, x, list(y)) for y in ys])
+    except FinslerError as exc:
+        return exc
+
+
+def _same_outcome(batched, want):
+    if isinstance(want, FinslerError):
+        with pytest.raises(type(want), match=re.escape(str(want))):
+            batched()
+    else:
+        assert batched().tobytes() == want.tobytes()  # NaN and -0.0 too
+
+
+def _rows_taken(metric, x, ys):
+    """einstein_rows takes exactly the rows whose one-point call returns a
+    finite value, each with its bits; the rest are left to that call."""
+    lam, ok = einstein_rows(metric, x, ys)
+    for b, y in enumerate(ys):
+        want = _one_point(einstein_scalar, metric, x, [y])
+        finite = not isinstance(want, FinslerError) and np.isfinite(want[0])
+        assert ok[b] == finite, (b, y)
+        if ok[b]:
+            _same_bits(lam[b:b + 1], want)
+
+
+# zeros of both signs, and directions on the axes, are drawn often
+DIRECTION_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-1.0, 1.0).filter(lambda v: abs(v) >= 1e-3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.sampled_from([2, 3, 4]),
+       p=st.sampled_from([0.5, 1.0, 2.0, -1.0, 3.0]))
+def test_batched_curvature_matches_the_one_point_calls(data, n, p):
+    """Row b of a batch has the bits of the one-point call at ys[b]; a
+    batch with a failing row raises what the one-point loop raises first
+    (directions of zero length, and for p = 3 and -1 directions where g
+    is not positive definite, fail)."""
+    metric = _direction_metric(n, p)
+    x = data.draw(st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n))
+    rows = data.draw(st.integers(2, 5 if n == 4 else 12))
+    ys = np.array(data.draw(st.lists(
+        st.lists(DIRECTION_ENTRY, min_size=n, max_size=n),
+        min_size=rows, max_size=rows)))
+    assert metric.in_domain_rows(x, ys).tolist() == [
+        metric.in_domain(x, list(y)) for y in ys]
+    _same_outcome(lambda: einstein_scalars(metric, x, ys),
+                  _one_point(einstein_scalar, metric, x, ys))
+    _same_outcome(lambda: riccis(metric, x, ys),
+                  _one_point(ricci, metric, x, ys))
+    _rows_taken(metric, x, ys)
+
+
+def test_batched_curvature_keeps_signed_zeros():
+    """A flat Randers metric has zero curvature; the batch gives each row
+    the zero, and its sign, of the one-point call."""
+    metric = flat_randers(0.3, -0.2)
+    ys = np.concatenate([sphere_directions(2, 16), -sphere_directions(2, 16)])
+    for fn, batched in ((ricci, riccis), (einstein_scalar, einstein_scalars)):
+        want = _one_point(fn, metric, [0.1, 0.2], ys)
+        assert not want.any()
+        _same_bits(batched(metric, [0.1, 0.2], ys), want)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the tiny row
+def test_batched_curvature_leaves_failing_rows_to_the_one_point_call():
+    # with b = (0.8, 0) and p = 3, y = (1, 0) is in the domain but g is not
+    # positive definite there; y = 0 is outside the domain
+    metric = ppower_metric(PPowerSpec(IDENTITY, ["0.8", "0"], 3.0))
+    x = [0.1, 0.0]
+    good = [[0.1, 1.0], [-0.3, 1.0], [0.2, -1.0]]
+    singular = [1.0, 0.0]
+    outside = [0.0, 0.0]
+    tiny = [0.0, 5e-103]  # the jets overflow: the one-point call gives NaN
+    for ys in ([*good, singular, outside], [good[0], outside, singular],
+               [singular, *good], [*good, tiny]):
+        ys = np.array(ys)
+        for fn, batched in ((ricci, riccis),
+                            (einstein_scalar, einstein_scalars)):
+            want = _one_point(fn, metric, x, ys)
+            assert isinstance(want, FinslerError) or not np.isfinite(want[-1])
+            _same_outcome(lambda: batched(metric, x, ys), want)
+        _rows_taken(metric, x, ys)
+    _same_bits(einstein_scalars(metric, x, good),
+               _one_point(einstein_scalar, metric, x, good))
+
+
+@pytest.mark.parametrize("n,rows,chunks", [(2, 40, [16, 16, 8]),
+                                           (3, 10, [4, 4, 2]),
+                                           (4, 6, [])])
+def test_batched_f_is_built_in_bounded_chunks(n, rows, chunks, monkeypatch):
+    """The order-4 F of a direction batch is built in chunks of at most
+    CHUNK_PAIRS rows times product pairs; in 4-D that is one row, so F is
+    built row by row with ``metric.jet`` and only the tail is batched."""
+    metric = _direction_metric(n, 1.0)
+    x = [0.1, -0.2, 0.15, 0.05][:n]
+    ys = sphere_directions(n, rows)
+    want = _one_point(einstein_scalar, metric, x, ys)
+    built = []
+    one_point = []
+    batch_jet, jet = metric.batch_jet, metric.jet
+
+    def counting_batch(x, y, order):
+        built.append(y.shape[1])
+        return batch_jet(x, y, order)
+
+    def counting_jet(x, y, order):
+        one_point.append(order)
+        return jet(x, y, order)
+
+    monkeypatch.setattr(metric, "batch_jet", counting_batch)
+    monkeypatch.setattr(metric, "jet", counting_jet)
+    lam, ok = einstein_rows(metric, x, ys)
+    assert ok.all()
+    _same_bits(lam, want)
+    assert built == chunks
+    assert one_point == ([] if chunks else [4] * rows)
+    pairs = len(get_context(2 * n, 4)._mul_i)
+    assert max(chunks, default=1) * pairs <= core.CHUNK_PAIRS
+
+
+def test_einstein_check_takes_each_point_in_one_batch(monkeypatch):
+    metric = _direction_metric(2, 0.5)
+    points = [[0.2, -0.1], [-0.3, 0.25]]
+    want = [_one_point(einstein_scalar, metric, x,
+                       [d for d in sphere_directions(2, 12)
+                        if metric.in_domain(x, d)]) for x in points]
+    calls = []
+    monkeypatch.setattr(core, "einstein_scalar",
+                        lambda *args: calls.append(args))
+    result = einstein_check(metric, points, directions_per_point=12)
+    assert not calls
+    assert result.spreads == [float(w.max() - w.min()) for w in want]

@@ -391,6 +391,17 @@ def test_batched_kernels_match_the_one_point_kernels(data, shape, rows, k, r):
           lambda i: _shift_product(ctx, b[i], var, values[i]))
     _rows(ctx, _shift_product(ctx, b, var, values[0]),
           lambda i: _shift_product(ctx, b[i], var, values[0]))
+    # one vector times the coordinate at each of the values: a batch
+    _rows(ctx, _shift_product(ctx, one, var, values),
+          lambda i: _shift_product(ctx, one, var, values[i]))
+    # any leading batch shape: here (rows, 2), one value per row
+    pairs = np.stack([b, a], axis=1)
+    for j, got in enumerate(np.moveaxis(_cauchy(ctx, pairs, one), 1, 0)):
+        _rows(ctx, got, lambda i: _cauchy(ctx, pairs[i, j], one))
+    shifted = _shift_product(ctx, pairs, var, values[:, None])
+    for j, got in enumerate(np.moveaxis(shifted, 1, 0)):
+        _rows(ctx, got, lambda i: _shift_product(ctx, pairs[i, j], var,
+                                                 values[i]))
     _rows(ctx, _recip(ctx, signed), lambda i: _recip(ctx, signed[i]))
     _rows(ctx, _int_power(ctx, signed, k),
           lambda i: _int_power(ctx, signed[i], k))

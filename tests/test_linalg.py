@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from finslerlab import SingularMetric
-from finslerlab.jets import extract_partial, get_context, lift_variable
-from finslerlab.linalg import det, invert, is_positive_definite, solve
+from finslerlab import FinslerError, SingularMetric
+from finslerlab.jets import Jet, extract_partial, get_context, lift_variable
+from finslerlab.linalg import (
+    det,
+    invert,
+    is_positive_definite,
+    solve,
+    solve_rows,
+)
 
 
 def test_invert_matches_numpy():
@@ -53,3 +59,42 @@ def test_positive_definite():
     assert not is_positive_definite([[1.0, 2.0], [2.0, 1.0]])
     assert not is_positive_definite([[-1.0, 0.0], [0.0, -2.0]])
     assert not is_positive_definite([[0.0, 0.0], [0.0, 0.0]])
+
+
+def _jet_solve(ctx, matrix, rhs):
+    """The one-point jet solve of one row: coefficients, or the error."""
+    a = [[Jet(ctx, matrix[i, j].copy()) for j in range(len(rhs))]
+         for i in range(len(rhs))]
+    try:
+        cols = solve(a, [[Jet(ctx, r.copy()) for r in rhs]])
+    except FinslerError as exc:
+        return exc
+    return np.array([x.c for x in cols[0]])
+
+
+@pytest.mark.parametrize("n,order", [(2, 2), (3, 2), (4, 2), (3, 3)])
+def test_solve_rows_match_the_jet_solve_row_by_row(n, order):
+    """Rows pivot differently (the value matrices are random, some nearly
+    lower triangular), and rows that hit the zero-row test, the pivot
+    floor or the division floor are flagged, not raised."""
+    ctx = get_context(2 * n, order)
+    rng = np.random.default_rng(10 * n + order)
+    rows = 24
+    a = rng.uniform(-1.0, 1.0, size=(rows, n, n, ctx.ncoef))
+    a[::3, :, :, 1:] *= 1e-3
+    a[1::4, 0, :, 0] *= 1e-6   # the first pivot is taken from a later row
+    a[5, 1] = 0.0               # a zero row
+    a[6, :, :, 0] = 1.0         # equal rows: a pivot below the floor
+    a[7, :, :, 0] = np.diag([1e-15] * n)  # pivots below the division floor
+    rhs = rng.uniform(-1.0, 1.0, size=(rows, n, ctx.ncoef))
+    rhs[2, 0] = -0.0
+    before = (a.tobytes(), rhs.tobytes())
+    x, ok = solve_rows(ctx, a, rhs)
+    assert (a.tobytes(), rhs.tobytes()) == before
+    for b in range(rows):
+        want = _jet_solve(ctx, a[b], rhs[b])
+        assert ok[b] == (not isinstance(want, FinslerError)), b
+        if ok[b]:
+            assert np.array_equal(x[b], want)
+            assert np.array_equal(np.signbit(x[b]), np.signbit(want))
+    assert not ok[5:8].any() and ok.sum() == rows - 3

@@ -36,13 +36,24 @@ def curved_metric():
 
 
 def test_run_evaluates_each_einstein_scalar_once(monkeypatch):
+    """Each (x, y) is evaluated once: by the batched entry, or, for a
+    lookup no sweep filled and for a row the batch leaves, by the
+    one-point entry."""
     calls = Counter()
-    original = runner.einstein_scalar
+    one_point = Counter()
+    batched, original = runner.einstein_rows, runner.einstein_scalar
+
+    def counting_rows(metric, x, ys):
+        lam, ok = batched(metric, x, ys)
+        calls.update(exact_key(x, y) for y, took in zip(ys, ok) if took)
+        return lam, ok
 
     def counting(metric, x, y):
         calls[exact_key(x, y)] += 1
+        one_point[exact_key(x)] += 1
         return original(metric, x, y)
 
+    monkeypatch.setattr(runner, "einstein_rows", counting_rows)
     monkeypatch.setattr(runner, "einstein_scalar", counting)
     report = runner.run(load_manifest("manifests/rotational_family.json"))
     assert report["verdict"]
@@ -50,6 +61,9 @@ def test_run_evaluates_each_einstein_scalar_once(monkeypatch):
     # every direction and its reverse at every point that has samples
     dirs = report["manifest"]["samples"]["direction_count"]
     assert len(calls) <= 2 * dirs * len(report["samples"])
+    # one point at a time: each sample row's reversal probe, nothing else
+    assert set(one_point.values()) == {1}
+    assert len(one_point) == len(report["samples"])
 
 
 def test_direction_sweep_evaluates_coefficients_once(monkeypatch):
@@ -110,6 +124,7 @@ def test_domain_errors_keep_text_and_order(alpha, point, message):
         with pytest.raises(DomainError, match=re.escape(message)):
             metric.value(point, [1.0, 0.5])
         assert not metric.in_domain(point, [1.0, 0.5])
+        assert not metric.in_domain_rows(point, [[1.0, 0.5], [0.2, 1.0]]).any()
 
 
 def test_einstein_scalar_runs_the_tail_at_order_two(monkeypatch):

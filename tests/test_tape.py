@@ -2,6 +2,7 @@
 scenarios that run on them keep their results under the benchmark tracer."""
 
 import math
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -267,6 +268,37 @@ def test_derivative_soundness_traces_alike_without_one_point_sprays():
     # the spray oracle's stencils go through core.sprays in batches, never
     # through the traced one-point spray (8,100 calls before batching)
     assert "core.spray" not in tracer.summary()
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_alphabeta_jets_replay_the_walks(order):
+    from finslerlab.alphabeta import covector_jets, matrix_jets
+
+    alpha = [["1 + 0.3*x1^2 + 0.1*x2^2", "0.12*x1*x2"],
+             ["0.12*x1*x2", "-0.0 + 1/(1 - x1^2)"]]
+    beta = ["0.2*x2 + 0.05*x1^2", "x1"]  # a bare coordinate too
+    x = [0.3, -0.4]
+    ctx = get_context(2, order)
+    got = matrix_jets(alpha, x, order)
+    for i in range(2):
+        for j in range(2):
+            _same(got[i][j].c, eval_jet(parse(alpha[min(i, j)][max(i, j)]),
+                                        ctx, x).c)
+    assert got[0][1] is got[1][0]
+    for jet, source in zip(covector_jets(beta, x, order), beta):
+        _same(jet.c, eval_jet(parse(source), ctx, x).c)
+    # the first entry whose walk raises raises first, with its text
+    bad = [["1", "sqrt(x1)"], ["sqrt(x1)", "ln(x2)"]]
+    for point, first in (([-0.5, -0.1], "sqrt"), ([0.5, -0.1], "ln")):
+        with pytest.raises(DomainError) as walk:
+            for source in ("1", "sqrt(x1)", "ln(x2)"):
+                eval_jet(parse(source), ctx, point)
+        assert str(walk.value).startswith(first)
+        for replay in (lambda: matrix_jets(bad, point, order),
+                       lambda: covector_jets(bad[1], point, order)):
+            with pytest.raises(DomainError,
+                               match=re.escape(str(walk.value))):
+                replay()
 
 
 def test_shared_tapes_stay_bounded():
