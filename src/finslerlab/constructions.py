@@ -24,7 +24,13 @@ from .alphabeta import (
     matrix_jets,
     riemann_data_from_jets,
 )
-from .core import FinslerMetric, circle_directions, exact_key, riccis
+from .core import (
+    FinslerMetric,
+    circle_directions,
+    exact_key,
+    riccis,
+    sphere_directions,
+)
 from .errors import DegenerateValue, DomainError, NotEinstein
 from .exprlang import (
     BatchFailed,
@@ -177,10 +183,12 @@ def ppower_metric(spec):
     share one assembly, over one point or, row by row, over a batch; a
     batch of directions at one point x shares the memoised coefficient
     jets of x.  The
-    scalar function also takes x and y as coordinate-major (n, B) arrays
-    of B points and then returns F at each, with the bits of the
-    one-point calls; where a point would raise, the points are evaluated
-    one by one, so the first of them raises its own error.
+    scalar function also takes y as a coordinate-major (n, B) array of B
+    directions, with x one point or coordinate-major as well, and then
+    returns F at each sample, with the bits of the one-point calls; where
+    a sample would raise, the samples are evaluated one by one, so the
+    first of them raises its own error.  The batched domain test takes
+    the same arrays.
     """
     n = spec.dim
     b_ast, p = spec.beta, spec.p
@@ -219,6 +227,13 @@ def ppower_metric(spec):
     def batch_builder(ctx, x, y):
         return f_coefficients(ctx, x, [(n + i, y[i]) for i in range(n)])
 
+    def coefficient_values(what, x):
+        """Float coefficients at the point x, or arrays of them over the
+        points of a coordinate-major x."""
+        if getattr(x, "ndim", 1) == 2:
+            return memo.batch(what, x)
+        return memo.values(what, x)
+
     def alpha2_value(a, y):
         alpha2 = 0.0
         for (i, j), coef in zip(pairs, a):
@@ -236,8 +251,8 @@ def ppower_metric(spec):
             try:
                 return batch_scalar(x, y)
             except (BatchFailed, ArithmeticError):
-                return np.array([scalar(x[:, k], y[:, k])
-                                 for k in range(y.shape[1])])
+                xs = x.T if getattr(x, "ndim", 1) == 2 else [x] * y.shape[1]
+                return np.array([scalar(xk, yk) for xk, yk in zip(xs, y.T)])
         alpha2 = alpha2_value(memo.values("a", x), y)
         if alpha2 <= 0.0:
             raise DomainError("alpha^2 is not positive")
@@ -250,13 +265,13 @@ def ppower_metric(spec):
         return alpha * (1.0 + s) ** p
 
     def batch_scalar(x, y):
-        alpha2 = alpha2_value(memo.batch("a", x), y)
+        alpha2 = alpha2_value(coefficient_values("a", x), y)
         if np.any(alpha2 <= 0.0):
             raise BatchFailed
         alpha = np.sqrt(alpha2)
         if beta_zero:
             return alpha
-        base = 1.0 + beta_value(memo.batch("b", x), y) / alpha
+        base = 1.0 + beta_value(coefficient_values("b", x), y) / alpha
         if np.any(base <= 0.0):
             raise BatchFailed
         return alpha * each(lambda v: v ** p, base)
@@ -276,16 +291,21 @@ def ppower_metric(spec):
             return False
 
     def batch_domain(x, y):
-        """``domain`` at the point x for each column of the (n, B) array
-        y, with the same float operations on whole rows."""
+        """``domain`` for each column of the (n, B) array y, at the point
+        x or at the same column of a coordinate-major x, with the same
+        float operations on whole rows; point by point where the
+        coefficients of a batch of points raise."""
         try:
-            alpha2 = alpha2_value(memo.values("a", x), y)
+            alpha2 = alpha2_value(coefficient_values("a", x), y)
             positive = alpha2 > 0.0
             if beta_zero or not positive.any():
                 return positive
-            b = memo.values("b", x)
+            b = coefficient_values("b", x)
         except DomainError:
             return np.zeros(y.shape[1], dtype=bool)
+        except BatchFailed:
+            return np.array([domain(xk, yk) for xk, yk
+                             in zip(x.T.tolist(), y.T.tolist())], dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = beta_value(b, y) / np.sqrt(alpha2)
         return positive & (1.0 + slope > 1e-12)
@@ -771,7 +791,8 @@ def randers_einstein_residuals(alpha_spec, beta_spec, points, directions=8,
             np.abs(ric_rhs).max()))
 
         use_dirs = dirs if dirs is not None else circle_directions(directions)
-        ys = [y for y in (use_dirs if n == 2 else _unit_dirs(n, directions))
+        ys = [y for y in (use_dirs if n == 2
+                          else sphere_directions(n, directions))
               if metric.in_domain(x, y)]
         for y, ric_f in zip(ys, riccis(metric, x, ys).tolist()):
             f = metric.value(x, y)
@@ -782,11 +803,6 @@ def randers_einstein_residuals(alpha_spec, beta_spec, points, directions=8,
     report.scalars = {"c": c_values, "sigma": sigma_values}
     report.residuals = res
     return report.finalize()
-
-
-def _unit_dirs(n, count):
-    from .core import sphere_directions
-    return sphere_directions(n, count)
 
 
 def square_einstein_residuals(alpha_spec, beta_spec, points, directions=8,
@@ -828,7 +844,8 @@ def square_einstein_residuals(alpha_spec, beta_spec, points, directions=8,
         res["c_gradient"] = max(res["c_gradient"], _tensor_residual(
             dc + 2.0 * c * c * ab.b, np.abs(dc).max()))
 
-        ys = [y for y in _unit_dirs(n, directions) if metric.in_domain(x, y)]
+        ys = [y for y in sphere_directions(n, directions)
+              if metric.in_domain(x, y)]
         for y, ric_f in zip(ys, riccis(metric, x, ys).tolist()):
             f = metric.value(x, y)
             res["ricci_flat"] = max(res["ricci_flat"],

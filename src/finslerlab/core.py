@@ -19,24 +19,23 @@ F^2 partials are gathered out of the order-4 jet of F^2 into order-2
 coefficients (``_TailTable``), with the same bits as differentiating the
 order-4 jet.
 
-``sprays`` evaluates the spray at a batch of samples: the jets of F and
-F^2 come from one pass over the batch, through the jet kernels' leading
-batch axis, and only the float tail runs sample by sample.
-
-``riccis`` and ``einstein_scalars`` (``einstein_rows`` without the
-fallback) evaluate many directions y at one point x, each row with the
-bits of ``ricci`` and ``einstein_scalar``.  The order-4 F shares the
-memoised x-coefficient jets of x and is built in chunks of at most
-``CHUNK_PAIRS`` rows times product pairs: 16 rows in 2-D, 4 in 3-D, one
-at a time from 4-D on, where a batched order-4 product is no faster and
-costs memory.  The order-2 tail -- the gathers, the right-hand side, the
-jet solve with its pivot chosen per row (``linalg.solve_rows``), the
-Riemann read and the trace -- then runs once for all rows.  The domain
-test, F > 0 and the positivity test of g stay per row; a row that fails
-one, or that meets a pivot or division floor, is left to the one-point
-function, which raises its own error.  ``einstein_scalar`` and
-``riemann_curvature`` stay the one-point entries: a batch of one row is
-slower.
+``sprays``, ``riccis`` and ``einstein_scalars`` (``einstein_rows``
+without the fallback) evaluate a batch of samples, each row with the bits
+of ``spray``, ``ricci`` and ``einstein_scalar``: many directions y at one
+point x, or one point x per row.  The jets of F and F^2 come from one pass
+over the batch, through the jet kernels' leading batch axis; the order-4
+F is built in chunks of at most ``CHUNK_PAIRS`` rows times product pairs
+(16 rows in 2-D, 4 in 3-D, one at a time from 4-D on, where a batched
+order-4 product is no faster and costs memory), and at one x it shares
+the memoised x-coefficient jets of x.  The tails then run once for all
+rows, on whole arrays: the domain test (``FinslerMetric.in_domain_rows``),
+F (``FinslerMetric.value_rows``), the positivity test of g
+(``linalg.positive_definite_rows``), the float or jet solve with its pivot
+chosen per row (``linalg.solve_rows``), the Riemann read and the trace.
+A row that fails one of them, or meets a pivot or division floor, is left
+to the one-point function, which raises its own error.  ``spray``,
+``ricci`` and ``einstein_scalar`` stay the one-point entries: a batch of
+one row costs several times their float tail.
 """
 
 from __future__ import annotations
@@ -56,7 +55,13 @@ from .errors import (
     SingularMetric,
 )
 from .jets import Jet, _cauchy, _shift_product, get_context, lift_variable
-from .linalg import invert, is_positive_definite, solve, solve_rows
+from .linalg import (
+    invert,
+    is_positive_definite,
+    positive_definite_rows,
+    solve,
+    solve_rows,
+)
 
 DENOMINATOR_FLOOR = 1e-12
 
@@ -81,9 +86,11 @@ class FinslerMetric:
     coordinate-major (n, B) array, x is one too or one point shared by
     every sample, and it returns the (B, ncoef) coefficients of F in
     ``ctx``, row b with the bits of the jet builder at sample b, or
-    raises where a sample would raise.  The optional
-    ``batch_domain(x, y)`` is ``domain_fn`` at one point x for each
-    column of the (n, B) array y, as a bool array.
+    raises where a sample would raise.  A metric with a batch builder
+    takes such x and y in ``scalar_fn`` too, and returns F at each
+    sample.  The optional ``batch_domain(x, y)`` is ``domain_fn`` at each
+    column of the (n, B) array y, with x one point or coordinate-major as
+    well, as a bool array.
     """
 
     def __init__(self, dim, jet_builder, scalar_fn, domain_fn=None, name="",
@@ -108,12 +115,35 @@ class FinslerMetric:
 
     def in_domain_rows(self, x, ys):
         """``in_domain(x, y)`` for each row y of the (B, n) array ``ys``,
-        as a bool array."""
+        as a bool array; x is one point, or a (B, n) array with the
+        point of each row."""
         ys = np.asarray(ys, dtype=float).reshape(-1, self.dim)
         if self._batch_domain is None:
-            return np.array([self.in_domain(x, y) for y in ys.tolist()],
-                            dtype=bool)
-        return (ys != 0.0).any(axis=1) & self._batch_domain(x, ys.T)
+            return np.array([self.in_domain(_point(x, b), y)
+                             for b, y in enumerate(ys.tolist())], dtype=bool)
+        return (ys != 0.0).any(axis=1) & self._batch_domain(_major(x), ys.T)
+
+    def value_rows(self, x, ys):
+        """F at (x, y) for each row y of the (B, n) array ``ys``, x as
+        for ``in_domain_rows``: ``(f, ok)``, f[b] with the bits of
+        ``value`` wherever ok[b] is true, and ok[b] false where that call
+        raises.  A metric with a batched F takes every row in one call."""
+        ys = np.asarray(ys, dtype=float).reshape(-1, self.dim)
+        if self._batch_builder is not None:
+            try:
+                f = self._scalar_fn(_major(x), ys.T)
+                return np.asarray(f, dtype=float), np.ones(len(ys), bool)
+            except (FinslerError, ArithmeticError):
+                pass
+        f = np.zeros(len(ys))
+        ok = np.zeros(len(ys), dtype=bool)
+        for b, y in enumerate(ys.tolist()):
+            try:
+                f[b] = self.value(_point(x, b), y)
+            except (FinslerError, ArithmeticError):
+                continue
+            ok[b] = True
+        return f, ok
 
     def require_domain(self, x, y):
         if not self.in_domain(x, y):
@@ -136,6 +166,30 @@ class FinslerMetric:
         if self._batch_builder is None:
             raise BatchFailed
         return self._batch_builder(get_context(2 * self.dim, order), x, y)
+
+
+def _take(x, rows):
+    """The points of ``rows``: x itself where it is one point shared by
+    every row, else those rows of the (B, n) array x."""
+    return x if np.ndim(x) == 1 else x[rows]
+
+
+def _point(x, b):
+    """The point of row b: x itself where it is one point, else the
+    list of row b of the (B, n) array x."""
+    return x if np.ndim(x) == 1 else list(x[b])
+
+
+def _major(x):
+    """x as the batched F and domain take it: one point as it is, a
+    (B, n) array of points coordinate-major."""
+    return x if np.ndim(x) == 1 else np.asarray(x, dtype=float).T
+
+
+def _rows_of(x):
+    """x as the batched entries take it: one point as it is, a nested
+    list of points as a (B, n) float array."""
+    return x if np.ndim(x) == 1 else np.asarray(x, dtype=float)
 
 
 class _PartialTable:
@@ -273,37 +327,47 @@ def sprays(metric, points):
     array; row b has the bits of ``spray(metric, row[:n], row[n:])``.
 
     The order-2 jets of F and F^2 are built for the whole batch in one
-    pass (``metric.batch_jet`` and the batched kernels); the domain check,
-    the positive-definiteness test of g and the solve then run on each
-    row as in ``spray``.  A metric without a batched F, or a batch in
-    which some row fails, is evaluated row by row with ``spray``, so the
-    first failing row raises its own error.
+    pass (``metric.batch_jet`` and the batched kernels), and the float
+    tail runs on whole arrays: the domain test, the positivity test of g
+    (``linalg.positive_definite_rows``) and the solve
+    (``linalg.solve_rows``).  A row that fails one of them, every row of
+    a metric without a batched F, and every row of a batch whose F
+    raises, is evaluated by ``spray``, in row order, so the first
+    failing row raises its own error.
     """
     n = metric.dim
-    points = np.asarray(points, dtype=float)
-    rows = points.tolist()
+    points = np.asarray(points, dtype=float).reshape(-1, 2 * n)
     try:
-        return _batch_sprays(metric, points.T, rows)
-    except (BatchFailed, FinslerError):
-        return np.array([spray(metric, row[:n], row[n:]) for row in rows])
+        out, ok = _spray_rows(metric, points)
+    except (BatchFailed, FinslerError, ArithmeticError):
+        out, ok = np.zeros((len(points), n)), np.zeros(len(points), bool)
+    for b in np.flatnonzero(~ok):
+        row = points[b].tolist()
+        out[b] = spray(metric, row[:n], row[n:])
+    return out
 
 
-def _batch_sprays(metric, z, rows):
+def _spray_rows(metric, points):
+    """G^i at each row of ``points`` without fallback: ``(out, ok)``, row
+    b of out with the bits of ``spray`` wherever ok[b] is true."""
     n = metric.dim
     ctx = get_context(2 * n, 2)
-    f = metric.batch_jet(z[:n], z[n:], 2)
-    f2 = _cauchy(ctx, f, f)
+    x, y = points[:, :n], points[:, n:]
+    f = metric.batch_jet(x.T, y.T, 2)
+    ok = metric.in_domain_rows(x, y)
     table = _partial_table(ctx)
-    g = (0.5 * _read(f2, table.yy, ctx)).tolist()
-    f2_xy = _read(f2, table.xy, ctx).tolist()
-    f2_x = _read(f2, table.x, ctx).tolist()
-    out = []
-    for row, g_row, xy_row, x_row in zip(rows, g, f2_xy, f2_x):
-        x, y = row[:n], row[n:]
-        if not (metric.in_domain(x, y) and is_positive_definite(g_row)):
-            raise BatchFailed
-        out.append(_spray_tail(g_row, xy_row, x_row, y))
-    return np.array(out)
+    with np.errstate(all="ignore"):
+        f2 = _cauchy(ctx, f, f)
+        g = 0.5 * _read(f2, table.yy, ctx)
+        ok &= positive_definite_rows(g)
+        # rhs[l] = sum_k [F^2]_{x^k y^l} y^k - [F^2]_{x^l}, summed from 0
+        # as ``sum`` sums
+        f2_xy = _read(f2, table.xy, ctx)
+        rhs = np.zeros((len(points), n))
+        for k in range(n):
+            rhs = rhs + f2_xy[:, k] * y[:, k, None]
+        sol, solved = solve_rows(None, g, rhs - _read(f2, table.x, ctx))
+        return 0.25 * sol, ok & solved
 
 
 def _spray_jets(metric, x, y):
@@ -386,30 +450,32 @@ CHUNK_PAIRS = 8192
 
 
 def _f2_rows(metric, x, ys):
-    """Order-4 coefficients of F^2 at (x, y) for each row y of ``ys``.
+    """Order-4 coefficients of F^2 at (x, y) for each row y of ``ys``, x
+    one point or the (B, n) array of each row's point.
 
     Returns ``(f2, ok)``; ok[b] is false where building F raised.  Rows go
     through the metric's batched F in chunks of ``CHUNK_PAIRS`` over the
-    context's product pairs, which shares the x-coefficient jets of the
-    one point x; where a chunk holds one row, or the batch raises, F is
-    built row by row with ``metric.jet``.
+    context's product pairs; one point x shares its memoised
+    x-coefficient jets over the chunk.  Where a chunk holds one row, or
+    the batch raises, F is built row by row with ``metric.jet``.
     """
     ctx = get_context(2 * metric.dim, 4)
     chunk = max(1, CHUNK_PAIRS // len(ctx._mul_i))
     f2 = np.zeros((len(ys), ctx.ncoef))
     ok = np.ones(len(ys), dtype=bool)
     for start in range(0, len(ys), chunk):
-        part = ys[start:start + chunk]
-        if len(part) > 1:
+        part = slice(start, start + chunk)
+        y = ys[part]
+        if len(y) > 1:
             try:
-                f = metric.batch_jet(x, part.T, 4)
-                f2[start:start + len(part)] = _cauchy(ctx, f, f)
+                f = metric.batch_jet(_major(_take(x, part)), y.T, 4)
+                f2[part] = _cauchy(ctx, f, f)
                 continue
             except (BatchFailed, FinslerError):
                 pass
-        for b, y in enumerate(part.tolist(), start):
+        for b, y_row in enumerate(y.tolist(), start):
             try:
-                f = metric.jet(x, y, 4)
+                f = metric.jet(_point(x, b), y_row, 4)
             except FinslerError:
                 ok[b] = False
                 continue
@@ -417,112 +483,108 @@ def _f2_rows(metric, x, ys):
     return f2, ok
 
 
-def _ricci_rows(metric, x, ys):
-    """Ricci curvatures at (x, y) for each row y of the (B, n) array ``ys``.
+def _ricci_tail(metric, x, ys):
+    """Ricci curvatures at (x, y) for each row y of the (B, n) array
+    ``ys``, all in the domain; x is one point or the (B, n) array of each
+    row's point.
 
-    Returns ``(ric, ok)``: ric[b] has the bits of ``ricci(metric, x, y)``
+    Returns ``(ric, ok)``: ric[b] has the bits of ``ricci`` at row b
     wherever ok[b] is true.  ok[b] is false where that call would raise --
-    outside the domain, F not built, g not positive definite, a pivot or
-    division floor in the jet solve -- and where a value is not finite;
-    such rows are left to ``ricci``.  The domain test and the positivity
-    test of g run per row; the tail runs once for every row.
+    F not built, g not positive definite, a pivot or division floor in
+    the jet solve -- and where a value is not finite; such rows are left
+    to ``ricci``.  The tail runs once for every row.
     """
     n = metric.dim
-    ric = np.zeros(len(ys))
-    ok = metric.in_domain_rows(x, ys)
-    rows = np.flatnonzero(ok)
-    if not len(rows):
-        return ric, ok
-    y = ys[rows]
     table = _tail_table(get_context(2 * n, 4))
     low = table.low
     # rows that overflow are left to ``ricci``, which warns for them
     with np.errstate(all="ignore"):
-        f2, built = _f2_rows(metric, x, y)
+        f2, ok = _f2_rows(metric, x, ys)
         g = 0.5 * _gather(f2, table.g)
-        built &= [bool(b) and is_positive_definite(m)
-                  for b, m in zip(built, g[..., 0].tolist())]
+        ok &= positive_definite_rows(g[..., 0])
         # rhs[l] = -[F^2]_{x^l} + sum_k [F^2]_{x^k y^l} y^k, k in order
         f2_xy = _gather(f2, table.xy)
         rhs = -_gather(f2, table.x)
         for k in range(n):
-            rhs = rhs + _shift_product(low, f2_xy[:, :, k], n + k, y[:, k:k + 1])
+            rhs = rhs + _shift_product(low, f2_xy[:, :, k], n + k,
+                                       ys[:, k:k + 1])
         sol, solved = solve_rows(low, g, rhs)
-        built &= solved
-        r = _riemann_read(0.25 * sol, y, low)
+        ok &= solved
+        r = _riemann_read(0.25 * sol, ys, low)
         # np.trace adds the diagonal in order
         trace = r[:, 0, 0]
         for i in range(1, n):
             trace = trace + r[:, i, i]
-        built &= np.isfinite(trace)
-    ric[rows] = trace
-    ok[rows] = built
-    return ric, ok
+        ok &= np.isfinite(trace)
+    return trace, ok
 
 
 def riccis(metric, x, ys):
-    """Ricci curvature at x in each direction y of the (B, n) array ``ys``,
-    row b with the bits of ``ricci(metric, x, ys[b])``.
+    """Ricci curvature at (x, y) for each direction y of the (B, n) array
+    ``ys``, row b with the bits of ``ricci(metric, x, ys[b])``; x is one
+    point, or a (B, n) array with the point of each row.
 
     A row the batch does not take is evaluated by ``ricci``, in row
     order, so the first failing row raises its own error.
     """
     ys = np.asarray(ys, dtype=float).reshape(-1, metric.dim)
+    x = _rows_of(x)
     ric, ok = np.zeros(len(ys)), np.zeros(len(ys), dtype=bool)
     if len(ys) > 1:  # one row is faster through the one-point path
         try:
-            ric, ok = _ricci_rows(metric, x, ys)
-        except FinslerError:  # from a domain test: take the rows one by one
-            pass
+            ok = metric.in_domain_rows(x, ys)
+            rows = np.flatnonzero(ok)
+            ric[rows], ok[rows] = _ricci_tail(metric, _take(x, rows), ys[rows])
+        except (FinslerError, ArithmeticError):  # take the rows one by one
+            ok[:] = False
     for b in np.flatnonzero(~ok):
-        ric[b] = ricci(metric, x, list(ys[b]))
+        ric[b] = ricci(metric, _point(x, b), list(ys[b]))
     return ric
 
 
 def einstein_rows(metric, x, ys):
-    """Einstein scalars at x in each direction y of the (B, n) array
-    ``ys``, without fallback: ``(lam, ok)``, lam[b] with the bits of
-    ``einstein_scalar(metric, x, ys[b])`` wherever ok[b] is true.  Rows
-    with ok[b] false -- F not positive, or any row ``_ricci_rows`` does
-    not take -- are the caller's to evaluate with ``einstein_scalar``,
-    which raises their own errors.
+    """Einstein scalars at (x, y) for each direction y of the (B, n) array
+    ``ys``, x as for ``riccis``, without fallback: ``(lam, ok)``, lam[b]
+    with the bits of ``einstein_scalar(metric, x, ys[b])`` wherever ok[b]
+    is true.  Rows with ok[b] false -- outside the domain, F not
+    positive, or any row ``_ricci_tail`` does not take -- are the
+    caller's to evaluate with ``einstein_scalar``, which raises their own
+    errors.  F comes from one ``metric.value_rows`` call.
     """
     ys = np.asarray(ys, dtype=float).reshape(-1, metric.dim)
+    x = _rows_of(x)
     lam = np.zeros(len(ys))
-    ok = np.zeros(len(ys), dtype=bool)
     if len(ys) < 2:  # one row is faster through the one-point path
-        return lam, ok
-    f = np.zeros(len(ys))
-    for b, y in enumerate(ys.tolist()):
-        try:
-            f[b] = metric.value(x, y)
-        except (FinslerError, ArithmeticError):
-            continue
-        ok[b] = f[b] > 0.0
-    rows = np.flatnonzero(ok)
+        return lam, np.zeros(len(ys), dtype=bool)
     try:
-        ric, took = _ricci_rows(metric, x, ys[rows])
-    except FinslerError:  # from a domain test: leave every row
-        ok[:] = False
-        return lam, ok
+        rows = np.flatnonzero(metric.in_domain_rows(x, ys))
+        f, valued = metric.value_rows(_take(x, rows), ys[rows])
+        valued &= f > 0.0
+        rows, f = rows[valued], f[valued]
+        ric, took = _ricci_tail(metric, _take(x, rows), ys[rows])
+    except (FinslerError, ArithmeticError):  # leave every row
+        return lam, np.zeros(len(ys), dtype=bool)
+    ok = np.zeros(len(ys), dtype=bool)
     with np.errstate(all="ignore"):
-        den = (metric.dim - 1) * f[rows] * f[rows]
+        den = (metric.dim - 1) * f * f
         lam[rows] = ric / den
     ok[rows] = took & (den != 0.0)
     return lam, ok
 
 
 def einstein_scalars(metric, x, ys):
-    """Einstein scalar at x in each direction y of the (B, n) array
-    ``ys``, row b with the bits of ``einstein_scalar(metric, x, ys[b])``.
+    """Einstein scalar at (x, y) for each direction y of the (B, n) array
+    ``ys``, x as for ``riccis``, row b with the bits of
+    ``einstein_scalar(metric, x, ys[b])``.
 
     A row the batch does not take is evaluated by ``einstein_scalar``, in
     row order, so the first failing row raises its own error.
     """
     ys = np.asarray(ys, dtype=float).reshape(-1, metric.dim)
+    x = _rows_of(x)
     lam, ok = einstein_rows(metric, x, ys)
     for b in np.flatnonzero(~ok):
-        lam[b] = einstein_scalar(metric, x, list(ys[b]))
+        lam[b] = einstein_scalar(metric, _point(x, b), list(ys[b]))
     return lam
 
 
@@ -600,6 +662,25 @@ def sphere_directions(dim, count):
     return dirs
 
 
+def worst(values):
+    """The largest of the residuals ``values``, folded from 0.0 -- or inf
+    where any of them is NaN, so a NaN fails a check wherever it sits,
+    and inf where there is none, so a check that evaluated nothing
+    cannot pass."""
+    values = list(values)
+    if not values or any(v != v for v in values):
+        return math.inf
+    return max(0.0, *values)
+
+
+def spread(values):
+    """max - min of a nonempty list of values, or inf where any of them is
+    NaN, as for ``worst``."""
+    if any(v != v for v in values):
+        return math.inf
+    return max(values) - min(values)
+
+
 @dataclass
 class EinsteinCheckResult:
     verdict: bool
@@ -623,7 +704,7 @@ def einstein_check(metric, points, directions_per_point=32, tolerance=1e-7):
         if len(values) < 2:
             skipped.append(tuple(x))
             continue
-        spreads.append(max(values) - min(values))
-    verdict = bool(spreads) and all(s < tolerance for s in spreads)
-    max_spread = max(spreads) if spreads else math.inf
-    return EinsteinCheckResult(verdict, spreads, max_spread, skipped)
+        spreads.append(spread(values))
+    max_spread = worst(spreads)
+    return EinsteinCheckResult(max_spread < tolerance, spreads, max_spread,
+                               skipped)

@@ -4,8 +4,9 @@ One generic implementation serves two element types: plain floats and jets
 (anything supporting + - * / and neg).  Pivots are compared by a magnitude
 functional -- abs for floats, abs of the value coefficient for jets -- and a
 pivot falling below ``floor`` times its row scale raises SingularMetric.
-``solve_rows`` runs the jet case for a batch of systems at once, on raw
-coefficient arrays, each row with the bits of ``solve``.
+``solve_rows`` runs either case for a batch of systems at once, on raw
+arrays, and ``positive_definite_rows`` the Sylvester test for a batch of
+matrices, each row with the bits or the verdict of the one-point call.
 """
 
 from __future__ import annotations
@@ -70,21 +71,41 @@ def solve(matrix, rhs_columns, floor=PIVOT_FLOOR):
 
 
 def solve_rows(ctx, matrix, rhs, floor=PIVOT_FLOOR):
-    """:func:`solve` of jet systems, one per batch row, on raw coefficients.
+    """:func:`solve` of one system per batch row, on raw arrays.
 
-    ``matrix`` is a (B, n, n, ncoef) and ``rhs`` a (B, n, ncoef) array of
-    coefficient vectors of ``ctx``.  Returns ``(x, ok)``: x[b] holds the
-    coefficients of ``solve(A_b, [rhs_b])[0]`` with its bits wherever
-    ok[b] is true.  ok[b] is false where that solve would raise (a zero
-    row, a pivot below ``floor`` times its row scale, or a pivot value
-    below the context's division floor) and where a value is not finite;
-    x[b] is then meaningless.  Every step runs the kernels of the jet
-    operators on the same operands, in the same order, for all rows at
-    once; the pivot is chosen per row, the first largest scaled magnitude
-    as ``max`` chooses it.
+    Float systems come as a (B, n, n) ``matrix`` and a (B, n) ``rhs`` with
+    ``ctx`` None; jet systems as (B, n, n, ncoef) and (B, n, ncoef)
+    arrays of coefficient vectors of ``ctx``.  Returns ``(x, ok)``: x[b]
+    holds ``solve(A_b, [rhs_b])[0]`` (its coefficients, for jets) with
+    its bits wherever ok[b] is true.  ok[b] is false where that solve
+    would raise (a zero row, a pivot below ``floor`` times its row scale,
+    a jet pivot value below the context's division floor, a float pivot
+    of zero) and where a value is not finite; x[b] is then meaningless.
+
+    Every step runs the operations of ``solve`` on the same operands, in
+    the same order, for all rows at once: a float is taken as a jet with
+    its value coefficient only, multiplied by a float product and divided
+    by a float ``/``, and a jet is multiplied and divided by the kernels
+    of the jet operators.  The pivot is chosen per row, the first largest
+    scaled magnitude as ``max`` chooses it.
     """
     a = np.array(matrix, dtype=float)
     col = np.array(rhs, dtype=float)
+    if ctx is None:
+        a, col = a[..., None], col[..., None]
+        mul, divide, div_floor = np.multiply, np.divide, 0.0
+        one = np.ones(1)
+
+        def divisor(pivot):  # a float row is divided by its pivot
+            return pivot
+    else:
+        def mul(p, q):
+            return _cauchy(ctx, p, q)
+
+        def divisor(pivot):  # a jet row is multiplied by its reciprocal
+            return _recip(ctx, pivot)
+
+        divide, div_floor, one = mul, ctx.div_floor, _one(ctx)
     batch, n = a.shape[:2]
     every = np.arange(batch)
     with np.errstate(all="ignore"):
@@ -93,8 +114,7 @@ def solve_rows(ctx, matrix, rhs, floor=PIVOT_FLOOR):
         scales = np.abs(a[..., 0]).max(axis=2)
         ok &= scales.min(axis=1) != 0.0
         perm = np.tile(np.arange(n), (batch, 1))
-        one = _one(ctx)
-        inverses = []
+        divisors = []
         for k in range(n):
             magnitude = np.abs(a[:, k:, k, 0])
             ratio = magnitude / np.take_along_axis(scales, perm[:, k:], axis=1)
@@ -110,28 +130,29 @@ def solve_rows(ctx, matrix, rhs, floor=PIVOT_FLOOR):
             col = col[every[:, None], order]
             perm = np.take_along_axis(perm, order, axis=1)
             pivot = a[:, k, k]
-            small = np.abs(pivot[:, 0]) < ctx.div_floor
+            # a float pivot of zero, which would raise, gives a non-finite x
+            small = np.abs(pivot[:, 0]) < div_floor
             ok &= ~small
-            inverses.append(_recip(ctx, np.where(small[:, None], one, pivot)))
+            divisors.append(divisor(np.where(small[:, None], one, pivot)))
             if k + 1 == n:
                 break
             # factor = a[r][k] / pivot, then a[r][c] -= factor * a[k][c]
             # and col[r] -= factor * col[k], for every r > k at once
-            factor = _cauchy(ctx, a[:, k + 1:, k], inverses[k][:, None])
+            factor = divide(a[:, k + 1:, k], divisors[k][:, None])
             for r in range(k + 1, n):  # by rows, to keep temporaries small
-                a[:, r, k + 1:] -= _cauchy(ctx, factor[:, r - k - 1, None],
-                                           a[:, k, k + 1:])
-            col[:, k + 1:] -= _cauchy(ctx, factor, col[:, None, k])
+                a[:, r, k + 1:] -= mul(factor[:, r - k - 1, None],
+                                       a[:, k, k + 1:])
+            col[:, k + 1:] -= mul(factor, col[:, None, k])
         x = np.empty_like(col)
         for i in range(n - 1, -1, -1):
             acc = col[:, i]
             if i + 1 < n:
-                terms = _cauchy(ctx, a[:, i, i + 1:], x[:, i + 1:])
+                terms = mul(a[:, i, i + 1:], x[:, i + 1:])
                 for term in np.moveaxis(terms, 1, 0):
                     acc = acc - term
-            x[:, i] = _cauchy(ctx, acc, inverses[i])
+            x[:, i] = divide(acc, divisors[i])
         ok &= np.isfinite(x).all(axis=(1, 2))
-    return x, ok
+    return (x[..., 0] if ctx is None else x), ok
 
 
 def invert(matrix, floor=PIVOT_FLOOR):
@@ -176,3 +197,68 @@ def is_positive_definite(matrix, floor=PIVOT_FLOOR):
         if det(minor) <= (floor * scale) ** k:
             return False
     return True
+
+
+def _det_rows(a):
+    """:func:`det` of each matrix of the (B, k, k) float array ``a``, all
+    rows at once, with ``det``'s pivots, zero test, divides and products.
+
+    Where a NaN meets the pivot search, ``argmax`` takes it as the pivot
+    while ``max`` passes it over; the determinant is then NaN, as it is
+    wherever the product itself is NaN, and such a row is ``det``'s own.
+    """
+    a = a.copy()
+    batch, k = a.shape[:2]
+    every = np.arange(batch)
+    sign = np.ones(batch)
+    result = np.ones(batch)
+    zero = np.zeros(batch, dtype=bool)
+    for j in range(k):
+        pivot_row = j + np.abs(a[:, j:, j]).argmax(axis=1)
+        order = np.tile(np.arange(k), (batch, 1))
+        order[every, pivot_row] = j
+        order[:, j] = pivot_row
+        a = a[every[:, None], order]
+        sign = np.where(pivot_row != j, -sign, sign)
+        pivot = a[:, j, j]
+        zero |= pivot == 0.0  # det returns 0.0 here
+        result = result * pivot
+        factor = a[:, j + 1:, j] / pivot[:, None]
+        a[:, j + 1:, j + 1:] -= factor[:, :, None] * a[:, None, j, j + 1:]
+    return np.where(zero, 0.0, sign * result)
+
+
+def positive_definite_rows(matrices, floor=PIVOT_FLOOR):
+    """:func:`is_positive_definite` of each matrix of the (B, n, n) float
+    array ``matrices``, as a bool array of its verdicts.
+
+    Each leading minor's determinant is ``det``'s own elimination, run on
+    every minor of every row at once (``_det_rows``), and it is compared
+    with the limit ``(floor * scale) ** k`` taken by Python's power, as
+    the one-point test takes it.  The minor of order k is padded to n by n
+    with the identity: its zero entries keep the padded rows out of the
+    pivot search, and their pivots of 1.0 leave the product unchanged, so
+    the padded determinant has the minor's bits.  A row with a value that
+    is not finite, whose limit overflows, or with a determinant of NaN is
+    tested by ``is_positive_definite`` itself.
+    """
+    m = np.array(matrices, dtype=float)
+    batch, n = m.shape[:2]
+    with np.errstate(all="ignore"):
+        scale = np.abs(m).max(axis=(1, 2))
+        apart = ~np.isfinite(m).all(axis=(1, 2))
+        limits = np.zeros((batch, n))
+        for b, t in enumerate((floor * scale).tolist()):
+            try:
+                limits[b] = [t ** k for k in range(1, n + 1)]
+            except OverflowError:
+                apart[b] = True
+        minors = np.tile(np.eye(n), (batch, n, 1, 1))
+        for k in range(1, n + 1):
+            minors[:, k - 1, :k, :k] = m[:, :k, :k]
+        d = _det_rows(minors.reshape(-1, n, n)).reshape(batch, n)
+        apart |= np.isnan(d).any(axis=1)
+        positive = (scale != 0.0) & ~(d <= limits).any(axis=1)
+    for b in np.flatnonzero(apart):
+        positive[b] = is_positive_definite(m[b].tolist(), floor)
+    return positive

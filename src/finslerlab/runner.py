@@ -46,7 +46,9 @@ from .core import (
     flag_curvature,
     spray,
     sphere_directions,
+    spread,
     sprays,
+    worst,
 )
 from .errors import FinslerError
 from .report import manifest_hash
@@ -238,7 +240,7 @@ def _sample_row(manifest, metric, lam, tensors, x):
                 rev = None
     if values:
         row["lambda_mean"] = float(np.mean(values))
-        row["lambda_spread"] = float(max(values) - min(values))
+        row["lambda_spread"] = float(spread(values))
         row["directions_used"] = len(values)
     else:
         row["lambda_mean"] = None
@@ -254,12 +256,6 @@ def _sample_row(manifest, metric, lam, tensors, x):
     else:
         row["closed_form_curvature"] = None
     return row
-
-
-def _worst(values):
-    """The largest residual, folded from 0.0 so a NaN is passed over; inf
-    when nothing was evaluated, so an empty check cannot pass."""
-    return max(0.0, *values) if values else math.inf
 
 
 def _check_result(name, residuals, tolerances, notes=None, skipped=None):
@@ -285,7 +281,6 @@ def run_check(name, manifest, metric, points, lam, tensors):
 
     if name == "einstein":
         tol = tol_map["einstein_spread"]
-        worst = math.inf
         spreads = []
         for x in points:
             values = []
@@ -295,17 +290,14 @@ def run_check(name, manifest, metric, points, lam, tensors):
                 except FinslerError as exc:
                     skipped.append(f"x={x}: {exc}")
             if len(values) >= 2:
-                spreads.append(float(max(values) - min(values)))
+                spreads.append(float(spread(values)))
             else:
                 skipped.append(f"x={x}: fewer than two admissible directions")
-        if spreads:
-            worst = max(spreads)
-        return _check_result(name, {"max_spread": worst},
+        return _check_result(name, {"max_spread": worst(spreads)},
                              {"max_spread": tol}, skipped=skipped)
 
     if name == "reversibility":
         tol = tol_map["reversibility"]
-        worst = math.inf
         values = []
         for x in points:
             for y in lam.reversible(x):
@@ -313,9 +305,7 @@ def run_check(name, manifest, metric, points, lam, tensors):
                     values.append(lam.reversal(x, y))
                 except FinslerError as exc:
                     skipped.append(f"x={x}: {exc}")
-        if values:
-            worst = max(values)
-        return _check_result(name, {"max_residual": worst},
+        return _check_result(name, {"max_residual": worst(values)},
                              {"max_residual": tol}, skipped=skipped)
 
     if name == "flag_curvature":
@@ -349,7 +339,7 @@ def run_check(name, manifest, metric, points, lam, tensors):
                     values.append(abs(k_flag - lam0) / scale)
                 except FinslerError as exc:
                     skipped.append(f"x={x}: {exc}")
-        return _check_result(name, {"max_residual": _worst(values)},
+        return _check_result(name, {"max_residual": worst(values)},
                              {"max_residual": tol}, notes=notes,
                              skipped=skipped)
 
@@ -359,7 +349,7 @@ def run_check(name, manifest, metric, points, lam, tensors):
         for x in points:
             res = manifest.family.pde_residuals(x)
             values += [abs(v) for v in res.values()]
-        return _check_result(name, {"max_residual": _worst(values)},
+        return _check_result(name, {"max_residual": worst(values)},
                              {"max_residual": tol})
 
     if name == "ricci_identities":
@@ -373,8 +363,8 @@ def run_check(name, manifest, metric, points, lam, tensors):
                 rows.append(res)
             except FinslerError as exc:
                 skipped.append(f"x={x}: {exc}")
-        worst = [_worst(col) for col in zip(*rows)] if rows else [math.inf] * 4
-        residuals = {f"identity_{i + 1}": w for i, w in enumerate(worst)}
+        worsts = [worst(col) for col in zip(*rows)] if rows else [math.inf] * 4
+        residuals = {f"identity_{i + 1}": w for i, w in enumerate(worsts)}
         return _check_result(name, residuals,
                              {k: tol for k in residuals},
                              notes=[f"curvature_term_sign={sign}"],
@@ -383,7 +373,6 @@ def run_check(name, manifest, metric, points, lam, tensors):
     if name == "structural_vs_generic":
         tol = tol_map["structural_vs_generic"]
         p = manifest.ppower.p
-        worst = math.inf
         values = []
         for x in points:
             try:
@@ -410,9 +399,7 @@ def run_check(name, manifest, metric, points, lam, tensors):
                 scale = max(1.0, float(np.abs(g_generic).max()))
                 values.append(
                     float(np.abs(g_struct - g_generic).max()) / scale)
-        if values:
-            worst = max(values)
-        return _check_result(name, {"max_residual": worst},
+        return _check_result(name, {"max_residual": worst(values)},
                              {"max_residual": tol}, skipped=skipped)
 
     if name == "randers_conditions":
@@ -433,14 +420,14 @@ def run_check(name, manifest, metric, points, lam, tensors):
 
     if name == "sqrt2d_conditions":
         tol = tol_map["sqrt2d_conditions"]
-        worst = {}
+        structure = {}
         agreements = []
         for x in points:
             try:
                 rep = sqrt2d_structure_report(
                     manifest.alpha_spec, manifest.beta_spec, x, tolerance=tol)
                 for key, value in rep.residuals.items():
-                    worst[key] = max(worst.get(key, 0.0), value)
+                    structure.setdefault(key, []).append(value)
                 k_alpha = sqrt2d_K_from_lambda(
                     manifest.alpha_spec, manifest.beta_spec, x,
                     precheck_tol=max(tol, 1e-6))
@@ -452,8 +439,9 @@ def run_check(name, manifest, metric, points, lam, tensors):
                 agreements.append(abs(k_alpha - lam0) / max(1.0, abs(lam0)))
             except FinslerError as exc:
                 skipped.append(f"x={x}: {exc}")
-        residuals = dict(worst) if worst else {"r00_equation": math.inf}
-        residuals["curvature_agreement"] = _worst(agreements)
+        residuals = ({key: worst(v) for key, v in structure.items()}
+                     if structure else {"r00_equation": math.inf})
+        residuals["curvature_agreement"] = worst(agreements)
         return _check_result(name, residuals, {k: tol for k in residuals},
                              skipped=skipped)
 
@@ -505,8 +493,8 @@ def run_check(name, manifest, metric, points, lam, tensors):
                 skipped.append(f"x={x}: {exc}")
         return _check_result(
             name,
-            {"killing_residual": _worst(r_values),
-             "norm_identity": _worst(norm_values)},
+            {"killing_residual": worst(r_values),
+             "norm_identity": worst(norm_values)},
             {"killing_residual": tol, "norm_identity": norm_tol},
             skipped=skipped)
 

@@ -40,13 +40,14 @@ from .constructions import (
     square_einstein_residuals,
 )
 from .core import (
+    _read,
     _spray_jets,
     einstein_check,
-    einstein_scalar,
+    einstein_scalars,
     reversibility_residual,
-    ricci,
-    spray,
+    riccis,
     sprays,
+    worst,
 )
 from .errors import FinslerError
 from .exprlang import eval_scalar
@@ -133,11 +134,10 @@ def scenario_rotational_family_curvature():
     points = rotational_points(10)
     check = einstein_check(metric, points, directions_per_point=32,
                            tolerance=1e-7)
-    worst_closed = 0.0
-    for x in points:
-        b = fam.b_squared(x)
-        lam = einstein_scalar(metric, x, [0.6, 0.8])
-        worst_closed = max(worst_closed, abs(lam - (-1.0 / math.sqrt(1.0 - b))))
+    bs = [fam.b_squared(x) for x in points]
+    lams = einstein_scalars(metric, points, [[0.6, 0.8]] * len(points))
+    worst_closed = worst(abs(lam - (-1.0 / math.sqrt(1.0 - b)))
+                         for b, lam in zip(bs, lams.tolist()))
     elapsed = time.perf_counter() - start
     passed = (check.verdict and worst_closed < 1e-7 and elapsed < 10.0)
     details = [
@@ -154,7 +154,7 @@ def scenario_rotational_family_curvature():
 def scenario_family_curvature_consistency():
     """Three independent curvature computations agree on family instances."""
     start = time.perf_counter()
-    worst = 0.0
+    gaps = []
     rows = 0
     for spec, points in ((ROTATIONAL_TRIPLE, rotational_points(20)),
                          (SECOND_TRIPLE, second_triple_points(8))):
@@ -168,19 +168,20 @@ def scenario_family_curvature_consistency():
                     "pairwise agreement of the three curvature formulas",
                     False, [f"triple violates its constraints at {x}"],
                     time.perf_counter() - start)
+        k_engines = einstein_scalars(metric, points,
+                                     [[0.6, 0.8]] * len(points))
+        for x, k_engine in zip(points, k_engines.tolist()):
             k_formula = sqrt2d_flag_curvature(spec, x)
             k_alpha = sqrt2d_K_from_lambda(fam.alpha, fam.beta, x)
-            k_engine = einstein_scalar(metric, x, [0.6, 0.8])
-            worst = max(worst,
-                        abs(k_formula - k_alpha),
-                        abs(k_formula - k_engine),
-                        abs(k_alpha - k_engine))
+            gaps += [abs(k_formula - k_alpha), abs(k_formula - k_engine),
+                     abs(k_alpha - k_engine)]
             rows += 1
     elapsed = time.perf_counter() - start
-    passed = worst < 1e-6 and elapsed < 10.0
+    disagreement = worst(gaps)
+    passed = disagreement < 1e-6 and elapsed < 10.0
     details = [
         f"{rows} points across two scalar triples",
-        f"max pairwise disagreement of the three curvature values: {worst:.3e} (< 1e-6)",
+        f"max pairwise disagreement of the three curvature values: {disagreement:.3e} (< 1e-6)",
         f"runtime: {elapsed:.2f}s (< 10s)",
     ]
     return ScenarioResult("family-curvature-consistency",
@@ -193,27 +194,25 @@ def scenario_spray_cross_validation():
     start = time.perf_counter()
     rng = np.random.default_rng(42)
     exponents = (1.0, 2.0, -1.0, 0.5, 3.0)
-    worst = {p: 0.0 for p in exponents}
+    differences = {}
     for p in exponents:
         metric = ppower_metric(PPowerSpec(CURVED_ALPHA, CURVED_BETA, p))
-        done = 0
-        while done < 100:
-            x = rng.uniform(-0.5, 0.5, size=2).tolist()
-            y = rng.uniform(-1.0, 1.0, size=2).tolist()
-            if not metric.in_domain(x, y):
-                continue
+        samples = _draw_samples(metric, 100, lambda: (
+            rng.uniform(-0.5, 0.5, size=2).tolist(),
+            rng.uniform(-1.0, 1.0, size=2).tolist()))
+        generic = sprays(metric, [x + y for x, y in samples])
+        values = []
+        for (x, y), g_generic in zip(samples, generic):
             rd = riemann_data_from_jets(matrix_jets(CURVED_ALPHA, x), x)
             ab = ab_tensors_from_jets(rd, covector_jets(CURVED_BETA, x))
             g_struct = structural_spray(rd, ab, p, y)
-            g_generic = spray(metric, x, y)
             scale = max(1.0, float(np.abs(g_generic).max()))
-            worst[p] = max(worst[p],
-                           float(np.abs(g_struct - g_generic).max()) / scale)
-            done += 1
+            values.append(float(np.abs(g_struct - g_generic).max()) / scale)
+        differences[p] = worst(values)
     elapsed = time.perf_counter() - start
-    passed = all(v < 1e-9 for v in worst.values()) and elapsed < 30.0
+    passed = all(v < 1e-9 for v in differences.values()) and elapsed < 30.0
     details = [f"p={p}: max relative spray difference {v:.3e} (< 1e-9)"
-               for p, v in worst.items()]
+               for p, v in differences.items()]
     details.append(f"runtime: {elapsed:.2f}s (< 30s)")
     return ScenarioResult("spray-cross-validation",
                           "structural vs generic geodesic coefficients",
@@ -225,35 +224,20 @@ def scenario_randers_ricci_formula():
     start = time.perf_counter()
     rng = np.random.default_rng(7)
     metric = ppower_metric(PPowerSpec(IDENTITY_2D, FLAT_RANDERS_BETA, 1.0))
-    worst_flat = 0.0
-    done = 0
-    while done < 50:
-        x = rng.uniform(-0.6, 0.6, size=2).tolist()
-        y = rng.uniform(-1.0, 1.0, size=2).tolist()
-        if not metric.in_domain(x, y):
-            continue
-        rd = riemann_data_from_jets(matrix_jets(IDENTITY_2D, x), x)
-        ab = ab_tensors_from_jets(rd, covector_jets(FLAT_RANDERS_BETA, x))
-        closed = randers_ricci(rd, ab, y)
-        generic = ricci(metric, x, y)
-        worst_flat = max(worst_flat,
-                         abs(closed - generic) / max(1.0, abs(generic)))
-        done += 1
+    samples = _draw_samples(metric, 50, lambda: (
+        rng.uniform(-0.6, 0.6, size=2).tolist(),
+        rng.uniform(-1.0, 1.0, size=2).tolist()))
+    worst_flat = worst(_randers_ricci_gaps(metric, IDENTITY_2D,
+                                           FLAT_RANDERS_BETA, samples))
     funk = ppower_metric(PPowerSpec(FUNK_ALPHA, FUNK_BETA, 1.0))
-    worst_funk = 0.0
-    worst_lambda = 0.0
-    for k in range(10):
-        angle = 0.7 * k
-        x = [0.45 * math.cos(angle), 0.45 * math.sin(angle)]
-        y = [math.cos(2.1 * k + 0.4), math.sin(2.1 * k + 0.4)]
-        rd = riemann_data_from_jets(matrix_jets(FUNK_ALPHA, x), x)
-        ab = ab_tensors_from_jets(rd, covector_jets(FUNK_BETA, x))
-        closed = randers_ricci(rd, ab, y)
-        generic = ricci(funk, x, y)
-        worst_funk = max(worst_funk,
-                         abs(closed - generic) / max(1.0, abs(generic)))
-        worst_lambda = max(worst_lambda,
-                           abs(einstein_scalar(funk, x, y) + 0.25))
+    samples = [([0.45 * math.cos(0.7 * k), 0.45 * math.sin(0.7 * k)],
+                [math.cos(2.1 * k + 0.4), math.sin(2.1 * k + 0.4)])
+               for k in range(10)]
+    worst_funk = worst(_randers_ricci_gaps(funk, FUNK_ALPHA, FUNK_BETA,
+                                           samples))
+    lams = einstein_scalars(funk, [x for x, _ in samples],
+                            [y for _, y in samples])
+    worst_lambda = worst(abs(lam + 0.25) for lam in lams.tolist())
     elapsed = time.perf_counter() - start
     passed = worst_flat < 1e-7 and worst_funk < 1e-7 and worst_lambda < 1e-6
     details = [
@@ -264,6 +248,19 @@ def scenario_randers_ricci_formula():
     return ScenarioResult("randers-ricci-formula",
                           "closed-form Randers Ricci vs the generic engine",
                           passed, details, elapsed)
+
+
+def _randers_ricci_gaps(metric, alpha, beta, samples):
+    """|closed-form Randers Ricci - engine Ricci| / max(1, |engine Ricci|)
+    at each sample (x, y); the engine's values come from one batch."""
+    generic = riccis(metric, [x for x, _ in samples], [y for _, y in samples])
+    gaps = []
+    for (x, y), ric in zip(samples, generic.tolist()):
+        rd = riemann_data_from_jets(matrix_jets(alpha, x), x)
+        ab = ab_tensors_from_jets(rd, covector_jets(beta, x))
+        closed = randers_ricci(rd, ab, y)
+        gaps.append(abs(closed - ric) / max(1.0, abs(ric)))
+    return gaps
 
 
 def random_polynomial_instance(rng):
@@ -375,27 +372,43 @@ def scenario_positivity_criterion():
                           passed, details, elapsed)
 
 
+def _draw_samples(metric, count, draw, reversible=False):
+    """``count`` samples (x, y) from repeated ``draw()`` calls, keeping
+    those in the domain of ``metric`` -- with -y in it too where
+    ``reversible`` -- in the order drawn."""
+    samples = []
+    while len(samples) < count:
+        x, y = draw()
+        if metric.in_domain(x, y) and (
+                not reversible or metric.in_domain(x, [-v for v in y])):
+            samples.append((x, y))
+    return samples
+
+
 def scenario_flat_parallel_family():
     """Flat metric with a parallel 1-form is Ricci-flat and reversible."""
     start = time.perf_counter()
     rng = np.random.default_rng(99)
     beta = ["0.28", "-0.12"]
-    worst_ric = 0.0
-    worst_rev = 0.0
+    ric_values = []
+    rev_values = []
     rfp, max_cov, max_ric_alpha = ricci_flat_parallel_check(
         IDENTITY_2D, beta, [[0.1, 0.2], [-0.3, 0.4]])
     for p in (-1.0, 3.0, 2.0, 1.0, 0.5):
         metric = ppower_metric(PPowerSpec(IDENTITY_2D, beta, p))
-        done = 0
-        while done < 50:
-            x = rng.uniform(-0.8, 0.8, size=2).tolist()
-            y = rng.uniform(-1.0, 1.0, size=2).tolist()
-            if not (metric.in_domain(x, y)
-                    and metric.in_domain(x, [-v for v in y])):
-                continue
-            worst_ric = max(worst_ric, abs(ricci(metric, x, y)))
-            worst_rev = max(worst_rev, reversibility_residual(metric, x, y))
-            done += 1
+        samples = _draw_samples(metric, 50, lambda: (
+            rng.uniform(-0.8, 0.8, size=2).tolist(),
+            rng.uniform(-1.0, 1.0, size=2).tolist()), reversible=True)
+        xs = np.array([x for x, _ in samples])
+        ys = np.array([y for _, y in samples])
+        ric_values += np.abs(riccis(metric, xs, ys)).tolist()
+        # lambda at y and at -y in one batch: |lambda(y) - lambda(-y)| is
+        # the reversibility residual
+        lams = einstein_scalars(metric, np.concatenate([xs, xs]),
+                                np.concatenate([ys, -ys]))
+        rev_values += np.abs(lams[:len(ys)] - lams[len(ys):]).tolist()
+    worst_ric = worst(ric_values)
+    worst_rev = worst(rev_values)
     elapsed = time.perf_counter() - start
     passed = rfp and worst_ric < 1e-9 and worst_rev < 1e-9
     details = [
@@ -465,11 +478,15 @@ def scenario_derivative_soundness():
     metric = ppower_metric(PPowerSpec(CURVED_ALPHA, CURVED_BETA, 0.5))
     n = metric.dim
     ctx = get_context(2 * n, 4)
-    worst_f2 = 0.0
-    worst_spray = 0.0
-    spray_monomials = [m for m in get_context(2 * n, 2).monomials
-                       if 1 <= sum(m) <= 2]
+    low = get_context(2 * n, 2)
+    f2_errors = []
+    spray_errors = []
+    spray_monomials = [m for m in low.monomials if 1 <= sum(m) <= 2]
     f2_monomials = [m for m in ctx.monomials if 1 <= sum(m) <= 4]
+    # where each partial sits in a coefficient vector: one gather reads
+    # them all, with the bits of Jet.partial
+    spray_index = np.array([low.index[m] for m in spray_monomials])
+    f2_index = np.array([ctx.index[m] for m in f2_monomials])
 
     def f2_rows(points):
         # one batched evaluation of F for the whole stencil; each square
@@ -488,9 +505,8 @@ def scenario_derivative_soundness():
         f2_jet = f_jet * f_jet
         point = list(x) + list(y)
         wants = fd_partials(f2_rows, point, f2_monomials)
-        for mono, want in zip(f2_monomials, wants):
-            got = f2_jet.partial(mono)
-            worst_f2 = max(worst_f2, rel_err(got, want))
+        gots = _read(f2_jet.c, f2_index, ctx).tolist()
+        f2_errors += [rel_err(got, want) for got, want in zip(gots, wants)]
         done += 1
 
     done = 0
@@ -505,11 +521,13 @@ def scenario_derivative_soundness():
         # one batched spray evaluation of the stencil serves every component
         wants = fd_partials(lambda rows: sprays(metric, rows), point,
                             spray_monomials)
-        for i in range(n):
-            for mono, want in zip(spray_monomials, wants):
-                got = g_jets[i].partial(mono)
-                worst_spray = max(worst_spray, rel_err(got, want[i]))
+        gots = _read(np.stack([g.c for g in g_jets]), spray_index, low)
+        for i, got_i in enumerate(gots.tolist()):
+            spray_errors += [rel_err(got, want[i])
+                             for got, want in zip(got_i, wants)]
         done += 1
+    worst_f2 = worst(f2_errors)
+    worst_spray = worst(spray_errors)
     elapsed = time.perf_counter() - start
     passed = bool(worst_f2 < 1e-5 and worst_spray < 1e-5)
     details = [

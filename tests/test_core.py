@@ -629,14 +629,18 @@ def test_batched_curvature_matches_the_one_point_calls(data, n, p):
 
 
 def test_batched_curvature_keeps_signed_zeros():
-    """A flat Randers metric has zero curvature; the batch gives each row
-    the zero, and its sign, of the one-point call."""
+    """A flat Randers metric has zero spray and zero curvature; the batch
+    gives each row the zeros, and their signs, of the one-point call."""
     metric = flat_randers(0.3, -0.2)
     ys = np.concatenate([sphere_directions(2, 16), -sphere_directions(2, 16)])
     for fn, batched in ((ricci, riccis), (einstein_scalar, einstein_scalars)):
         want = _one_point(fn, metric, [0.1, 0.2], ys)
         assert not want.any()
         _same_bits(batched(metric, [0.1, 0.2], ys), want)
+    rows = np.array([[0.1, 0.2, *y] for y in ys])
+    want = _spray_rows(metric, rows)
+    assert not want.any()
+    _same_bits(sprays(metric, rows), want)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the tiny row
@@ -708,3 +712,102 @@ def test_einstein_check_takes_each_point_in_one_batch(monkeypatch):
     result = einstein_check(metric, points, directions_per_point=12)
     assert not calls
     assert result.spreads == [float(w.max() - w.min()) for w in want]
+
+
+# -- the batched entries with one point x per row --
+
+def _one_point_rows(fn, metric, xs, ys):
+    """The loop over (x, y) rows that a batch with one x per row replaces:
+    values, or the first error."""
+    try:
+        return np.array([fn(metric, list(x), list(y)) for x, y in zip(xs, ys)])
+    except FinslerError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batched_curvature_takes_one_point_per_row(n):
+    """With a (B, n) array x, row b of riccis and einstein_scalars has the
+    bits of the one-point call at (x[b], y[b]), signs of zeros included;
+    a nested list of points gives the same rows."""
+    rng = np.random.default_rng(40 + n)
+    rows = 6 if n == 4 else 20
+    xs = rng.uniform(-0.3, 0.3, size=(rows, n))
+    ys = sphere_directions(n, rows)
+    ys[0] = 0.0
+    ys[0, -1] = -1.0  # an axis direction, with zeros of both signs
+    ys[1] = -ys[0]
+    cases = [(_direction_metric(n, p), xs) for p in (0.5, 1.0, 2.0)]
+    if n == 2:  # zero curvature: the zero of each row keeps its sign
+        cases.append((flat_randers(0.3, -0.2), xs))
+    for metric, points in cases:
+        for fn, batched in ((ricci, riccis),
+                            (einstein_scalar, einstein_scalars)):
+            want = _one_point_rows(fn, metric, points, ys)
+            _same_bits(batched(metric, points, ys), want)
+            _same_bits(batched(metric, points.tolist(), ys.tolist()), want)
+        lam, ok = einstein_rows(metric, points, ys)
+        assert ok.all()
+        _same_bits(lam, _one_point_rows(einstein_scalar, metric, points, ys))
+
+
+def test_batched_curvature_with_a_point_per_row_raises_the_first_error():
+    # with b = (0.8, 0) and p = 3, y = (1, 0) is in the domain but g is not
+    # positive definite there; y = 0 is outside the domain
+    metric = ppower_metric(PPowerSpec(IDENTITY, ["0.8", "0"], 3.0))
+    good = [([0.1, 0.0], [0.1, 1.0]), ([-0.2, 0.3], [-0.3, 1.0]),
+            ([0.0, -0.4], [0.2, -1.0])]
+    singular = ([0.3, 0.1], [1.0, 0.0])
+    outside = ([-0.1, 0.2], [0.0, 0.0])
+    for samples in ([*good, singular, outside], [good[0], outside, singular],
+                    [singular, *good]):
+        xs = np.array([x for x, _ in samples])
+        ys = np.array([y for _, y in samples])
+        for fn, batched in ((ricci, riccis),
+                            (einstein_scalar, einstein_scalars)):
+            want = _one_point_rows(fn, metric, xs, ys)
+            assert isinstance(want, FinslerError)
+            with pytest.raises(type(want), match=re.escape(str(want))):
+                batched(metric, xs, ys)
+        lam, ok = einstein_rows(metric, xs, ys)
+        assert ok.tolist() == [(x, y) in good for x, y in samples]
+
+
+def test_domain_rows_take_one_point_per_row():
+    """in_domain_rows with one point per row is in_domain row by row, also
+    where a coefficient cannot be evaluated at some point (sqrt(x1) at
+    x1 < 0), so the batch of points falls back to one point at a time."""
+    metric = ppower_metric(PPowerSpec([["1 + sqrt(x1)", "0"], ["0", "1"]],
+                                      ["0.3*x2", "0"], 2.0))
+    rng = np.random.default_rng(5)
+    for xs in (rng.uniform(0.1, 0.5, size=(6, 2)),
+               rng.uniform(-0.5, 0.5, size=(6, 2))):
+        ys = rng.uniform(-1.0, 1.0, size=(6, 2))
+        ys[0] = 0.0
+        want = [metric.in_domain(list(x), list(y)) for x, y in zip(xs, ys)]
+        assert metric.in_domain_rows(xs, ys).tolist() == want
+        assert want[1:].count(True) >= 1
+
+
+def test_sprays_keep_the_float_tail_off_the_one_point_entries(monkeypatch):
+    """On derivative-soundness stencils the positivity test of g and the
+    solve for G^i run on whole arrays: neither one-point entry is
+    reached, and every row keeps the bits of ``spray``."""
+    from finslerlab import linalg
+
+    metric = _direction_metric(2, 0.5)
+    stencils = _soundness_stencils(metric, 3, 17)
+    wants = [_spray_rows(metric, rows) for rows in stencils]
+    calls = []
+    for module in (core, linalg):
+        for name in ("solve", "is_positive_definite"):
+            original = getattr(module, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+    for rows, want in zip(stencils, wants):
+        _same_bits(sprays(metric, rows), want)
+    assert not calls

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslerlab import FinslerError, SingularMetric
 from finslerlab.jets import Jet, extract_partial, get_context, lift_variable
 from finslerlab.linalg import (
+    PIVOT_FLOOR,
+    _det_rows,
     det,
     invert,
     is_positive_definite,
+    positive_definite_rows,
     solve,
     solve_rows,
 )
@@ -98,3 +103,97 @@ def test_solve_rows_match_the_jet_solve_row_by_row(n, order):
             assert np.array_equal(x[b], want)
             assert np.array_equal(np.signbit(x[b]), np.signbit(want))
     assert not ok[5:8].any() and ok.sum() == rows - 3
+
+
+# entries that meet the floors and the pivot search's ties: exact small
+# integers, zeros of both signs, the pivot floor itself, huge and tiny
+# magnitudes and non-finite values
+ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, PIVOT_FLOOR,
+                     -PIVOT_FLOOR, 1e-300, 1e200, np.nan, np.inf, -np.inf]),
+    st.integers(-3, 3).map(float),
+    st.floats(-10.0, 10.0))
+
+
+@st.composite
+def matrix_rows(draw):
+    """(B, n, n) matrices: Gram matrices, which are positive definite,
+    nearly singular ones at the floor, and free entries."""
+    n = draw(st.integers(2, 5))
+    rows = draw(st.integers(1, 6))
+    out = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["gram", "floor", "free", "zero"]))
+        if kind == "zero":
+            m = np.zeros((n, n))
+        elif kind == "free":
+            m = np.array(draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
+                                       min_size=n, max_size=n)))
+        else:
+            v = np.array(draw(st.lists(
+                st.lists(st.integers(-2, 2).map(float), min_size=n,
+                         max_size=n), min_size=n, max_size=n)))
+            m = v @ v.T
+            if kind == "floor":
+                k = draw(st.integers(0, n - 1))
+                m[k, k] = draw(st.sampled_from(
+                    [PIVOT_FLOOR, -PIVOT_FLOOR, 0.0, PIVOT_FLOOR ** 2]))
+        out.append(m)
+    return np.array(out)
+
+
+def test_positive_definite_rows_fail_on_the_limit():
+    """A leading minor whose determinant equals its limit
+    (floor * scale) ** k is not positive, as in is_positive_definite."""
+    t = PIVOT_FLOOR
+    rows = np.array([[[t, 0.0], [0.0, 1.0]],
+                     [[1.0, 0.0], [0.0, t ** 2]],
+                     [[1.0, 0.0], [0.0, np.nextafter(t ** 2, 1.0)]]])
+    want = [is_positive_definite(m.tolist()) for m in rows]
+    assert want == [False, False, True]
+    assert positive_definite_rows(rows).tolist() == want
+
+
+def _one_point_solve(matrix, rhs):
+    try:
+        return np.array(solve(matrix.tolist(), [rhs.tolist()])[0])
+    except (FinslerError, ZeroDivisionError) as exc:
+        return exc
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=matrix_rows(), data=st.data())
+def test_float_rows_match_the_one_point_calls(a, data):
+    """_det_rows gives det's bits on every row with finite entries, where
+    it gives no NaN; positive_definite_rows gives is_positive_definite's
+    verdict on every row; and solve_rows(None, ...) the bits of the float
+    solve wherever it takes a row: it takes every row with finite entries
+    whose solve returns a finite solution, and flags the rest."""
+    rhs = np.array(data.draw(st.lists(
+        st.lists(ENTRY, min_size=a.shape[1], max_size=a.shape[1]),
+        min_size=len(a), max_size=len(a))))
+    for k in range(1, a.shape[1] + 1):
+        with np.errstate(all="ignore"):
+            d = _det_rows(a[:, :k, :k])
+        for b in range(len(a)):
+            if np.isfinite(a[b]).all() and not np.isnan(d[b]):
+                assert d[b].tobytes() == np.float64(
+                    det(a[b, :k, :k].tolist())).tobytes()
+    try:
+        want = [is_positive_definite(m.tolist()) for m in a]
+    except OverflowError:  # the floor's power overflows: raised as well
+        with pytest.raises(OverflowError):
+            positive_definite_rows(a)
+    else:
+        assert positive_definite_rows(a).tolist() == want
+    before = (a.tobytes(), rhs.tobytes())
+    x, ok = solve_rows(None, a, rhs)
+    assert (a.tobytes(), rhs.tobytes()) == before
+    for b in range(len(a)):
+        want = _one_point_solve(a[b], rhs[b])
+        taken = (not isinstance(want, Exception)
+                 and np.isfinite(want).all()
+                 and np.isfinite(a[b]).all() and np.isfinite(rhs[b]).all())
+        assert ok[b] == taken, b
+        if ok[b]:
+            assert x[b].tobytes() == want.tobytes()  # -0.0 too

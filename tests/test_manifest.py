@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from finslerlab import ManifestError, load_manifest, run, runner, validate_manifest
@@ -300,3 +301,44 @@ def test_timings_flag(tmp_path):
     without = run(manifest)
     assert "timings" in with_timings
     assert "timings" not in without
+
+
+NAN_LISTS = [[math.nan, 0.1, 0.1], [0.1, math.nan, 0.1], [0.1, 0.1, math.nan]]
+
+
+@pytest.mark.parametrize("values", NAN_LISTS, ids=["first", "middle", "last"])
+def test_a_nan_fails_wherever_it_sits(values, monkeypatch):
+    """A NaN residual or Einstein scalar reads inf, and fails its check,
+    at the first, a middle and the last position."""
+    from finslerlab import core
+
+    assert core.worst(values) == math.inf
+    assert core.spread(values) == math.inf
+    assert core.worst([0.1, 0.2]) == 0.2 and core.worst([]) == math.inf
+    assert core.spread([-0.3, 0.1]) == 0.1 - (-0.3)
+
+    class Table:
+        """Einstein scalars, and reversal residuals, given by position."""
+
+        def directions(self, x):
+            return list(range(len(values)))
+
+        reversible = directions
+
+        def __call__(self, x, y):
+            return values[y]
+
+        reversal = __call__
+
+    manifest = validate_manifest(ppower_doc())
+    for name in ("einstein", "reversibility"):
+        check = runner.run_check(name, manifest, None, [[0.1, 0.2]],
+                                 Table(), None)
+        assert not check["verdict"], name
+        assert all(math.isinf(v) for v in check["residuals"].values())
+
+    monkeypatch.setattr(core, "einstein_scalars",
+                        lambda metric, x, ys: np.array(values))
+    result = core.einstein_check(runner.build_metric(manifest), [[0.1, 0.2]],
+                                 directions_per_point=3)
+    assert not result.verdict and result.max_spread == math.inf

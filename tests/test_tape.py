@@ -250,7 +250,9 @@ def test_spray_cross_validation_parses_once_and_traces_alike(monkeypatch):
     assert _namespaces() == before
     assert traced.passed is plain.passed is True
     assert _details(traced) == _details(plain)
-    assert tracer.summary()["core.spray"]["calls"] == 500
+    # the 500 samples go through core.sprays, one batch per exponent, and
+    # never through the traced one-point spray
+    assert "core.spray" not in tracer.summary()
 
 
 def test_derivative_soundness_traces_alike_without_one_point_sprays():
