@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateValue, DomainError, NotPositiveDefinite
 from .exprlang import parse, shared_tape
-from .jets import Jet, get_context
+from .jets import Jet, get_context, partial_table, read_partials
 from .linalg import invert, is_positive_definite
 
 SPRAY_FLOOR = 1e-12
@@ -111,27 +111,25 @@ def riemann_data(alpha_spec, x, order=3):
     return riemann_data_from_jets(matrix_jets(alpha_spec, x, order), x)
 
 
+def _partials(coeffs, ctx):
+    """Values, first and second raw partials of the jets whose coefficient
+    vectors are the last axis of ``coeffs``: ``value[...]``, ``d[v, ...]``
+    = d_v and ``dd[v, w, ...]`` = d_v d_w, the trailing axes those of the
+    jets.  Each is one gather through the context's
+    ``jets.partial_table``, with the bits of ``Jet.partial``, and laid out
+    in memory as an array built entry by entry."""
+    table = partial_table(ctx)
+    d = np.moveaxis(read_partials(coeffs, table.unit, ctx), -1, 0)
+    dd = np.moveaxis(read_partials(coeffs, table.pair, ctx), (-2, -1), (0, 1))
+    return tuple(np.ascontiguousarray(t) for t in (coeffs[..., 0], d, dd))
+
+
 def riemann_data_from_jets(a_jets, x):
     n = len(a_jets)
-
-    def unit(v):
-        e = [0] * n
-        e[v] = 1
-        return tuple(e)
-
-    def pair(v, w):
-        e = [0] * n
-        e[v] += 1
-        e[w] += 1
-        return tuple(e)
-
-    a = np.array([[a_jets[i][j].value for j in range(n)] for i in range(n)])
+    a, da, dda = _partials(np.array([[j.c for j in row] for row in a_jets]),
+                           a_jets[0][0].ctx)
     if not is_positive_definite(a.tolist()):
         raise NotPositiveDefinite(f"a_ij not positive definite at x={list(x)!r}")
-    da = np.array([[[a_jets[i][j].partial(unit(k)) for j in range(n)]
-                    for i in range(n)] for k in range(n)])
-    dda = np.array([[[[a_jets[i][j].partial(pair(l, k)) for j in range(n)]
-                      for i in range(n)] for k in range(n)] for l in range(n)])
     a_inv = np.array(invert(a.tolist()))
 
     gamma = np.zeros((n, n, n))
@@ -274,29 +272,16 @@ class AbTensors:
 
 
 def ab_tensors(alpha_spec, beta_spec, x, order=3):
+    """The tensor data ``(rd, ab)`` of (alpha, beta) at x, from jets of
+    ``order``: the one builder of a point's ``RiemannData`` and
+    ``AbTensors`` (``ab.rd`` is ``rd``)."""
     rd = riemann_data(alpha_spec, x, order)
-    return ab_tensors_from_jets(rd, covector_jets(beta_spec, x, order))
+    return rd, ab_tensors_from_jets(rd, covector_jets(beta_spec, x, order))
 
 
 def ab_tensors_from_jets(rd, b_jets):
     n = rd.dim
-
-    def unit(v):
-        e = [0] * n
-        e[v] = 1
-        return tuple(e)
-
-    def pair(v, w):
-        e = [0] * n
-        e[v] += 1
-        e[w] += 1
-        return tuple(e)
-
-    b = np.array([bj.value for bj in b_jets])
-    db = np.array([[b_jets[i].partial(unit(j)) for i in range(n)]
-                   for j in range(n)])
-    ddb = np.array([[[b_jets[i].partial(pair(k, j)) for i in range(n)]
-                     for j in range(n)] for k in range(n)])
+    b, db, ddb = _partials(np.array([j.c for j in b_jets]), b_jets[0].ctx)
     b_up = rd.a_inv @ b
     b2 = float(b_up @ b)
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .alphabeta import (
     AbTensors,
+    ab_tensors,
     ab_tensors_from_jets,
     covector_jets,
     matrix_jets,
@@ -30,8 +31,9 @@ from .core import (
     exact_key,
     riccis,
     sphere_directions,
+    worst,
 )
-from .errors import DegenerateValue, DomainError, NotEinstein
+from .errors import DegenerateValue, DomainError, FinslerError, NotEinstein
 from .exprlang import (
     BatchFailed,
     Binary,
@@ -317,10 +319,6 @@ def ppower_metric(spec):
     return metric
 
 
-def _is_int(p):
-    return abs(p - round(p)) < 1e-12
-
-
 def riemann_metric(alpha_exprs):
     """Purely Riemannian metric F = alpha as a FinslerMetric."""
     n = len(alpha_exprs)
@@ -490,6 +488,24 @@ def _sqrt2d_trees(u, v, B):
     return alpha, [mul(form_coef, u), mul(form_coef, v)]
 
 
+def _triple_at(spec, x, formula):
+    """u, v, B, B_1 and B_11 + B_22 of the triple at x.  Raises DomainError
+    outside 0 < B < 1, and DegenerateValue where |v| is below the floor,
+    since the ``formula`` divides by v."""
+    if not isinstance(spec, Sqrt2dFamilySpec):
+        spec = Sqrt2dFamilySpec(*spec)
+    u = eval_scalar(spec.u, x)
+    v = eval_scalar(spec.v, x)
+    bj = eval_jet(spec.B, get_context(2, 2), x)
+    b_val = bj.value
+    if not 0.0 < b_val < 1.0:
+        raise DomainError(f"B = {b_val!r} outside (0, 1) at x={list(x)!r}")
+    if abs(v) < V_FLOOR:
+        raise DegenerateValue(f"the {formula} formula divides by v")
+    return (u, v, b_val, bj.partial((1, 0)),
+            bj.partial((2, 0)) + bj.partial((0, 2)))
+
+
 def sqrt2d_flag_curvature(spec, x):
     """Curvature of the family from second derivatives of B.
 
@@ -499,19 +515,7 @@ def sqrt2d_flag_curvature(spec, x):
     The formula divides by v; |v| below the floor raises DegenerateValue
     (fall back to the generic engine there).
     """
-    if not isinstance(spec, Sqrt2dFamilySpec):
-        spec = Sqrt2dFamilySpec(*spec)
-    ctx = get_context(2, 2)
-    u = eval_scalar(spec.u, x)
-    v = eval_scalar(spec.v, x)
-    bj = eval_jet(spec.B, ctx, x)
-    b_val = bj.value
-    if not 0.0 < b_val < 1.0:
-        raise DomainError(f"B = {b_val!r} outside (0, 1) at x={list(x)!r}")
-    if abs(v) < V_FLOOR:
-        raise DegenerateValue("the curvature formula divides by v")
-    b1 = bj.partial((1, 0))
-    lap = bj.partial((2, 0)) + bj.partial((0, 2))
+    u, v, b_val, b1, lap = _triple_at(spec, x, "curvature")
     uv = u * u + v * v
     root = math.sqrt(1.0 - b_val)
     return (-(uv * root / (2.0 * b_val ** 2)) * lap
@@ -527,19 +531,7 @@ def sqrt2d_base_curvature(spec, x):
 
     Valid where the triple satisfies its constraints; divides by v.
     """
-    if not isinstance(spec, Sqrt2dFamilySpec):
-        spec = Sqrt2dFamilySpec(*spec)
-    ctx = get_context(2, 2)
-    u = eval_scalar(spec.u, x)
-    v = eval_scalar(spec.v, x)
-    bj = eval_jet(spec.B, ctx, x)
-    b_val = bj.value
-    if not 0.0 < b_val < 1.0:
-        raise DomainError(f"B = {b_val!r} outside (0, 1) at x={list(x)!r}")
-    if abs(v) < V_FLOOR:
-        raise DegenerateValue("the base-curvature formula divides by v")
-    b1 = bj.partial((1, 0))
-    lap = bj.partial((2, 0)) + bj.partial((0, 2))
+    u, v, b_val, b1, lap = _triple_at(spec, x, "base-curvature")
     uv = u * u + v * v
     root = math.sqrt(1.0 - b_val)
     return (-uv / (4.0 * b_val ** 2)
@@ -548,44 +540,69 @@ def sqrt2d_base_curvature(spec, x):
                / (b_val * v * v * root)))
 
 
-def _tensors_at(alpha_spec, beta_spec, x, order=3):
-    rd = riemann_data_from_jets(matrix_jets(parse_matrix(alpha_spec), x, order), x)
-    ab = ab_tensors_from_jets(rd, covector_jets(parse_covector(beta_spec), x, order))
-    return rd, ab
+def fold_points(points, tensors, at, keys):
+    """Fold the residual dicts ``at(x, rd, ab)``, with ``(rd, ab) =
+    tensors(x)``, over the points; one raising a FinslerError is skipped
+    as ``x={x}: {exc}``.  A row may hold entries besides ``keys``, and may
+    leave out a key it could not evaluate, with the reason under
+    ``"skipped"``.  Returns ``(residuals, rows, skipped)``: each key's
+    ``core.worst`` over the rows holding it (inf for a NaN, and for a key
+    no point evaluated), the rows, and the skip texts in point order."""
+    rows, skipped = [], []
+    for x in points:
+        try:
+            row = at(x, *tensors(x))
+        except FinslerError as exc:
+            skipped.append(f"x={x}: {exc}")
+            continue
+        rows.append(row)
+        if "skipped" in row:
+            skipped.append(f"x={x}: {row['skipped']}")
+    residuals = {k: worst([row[k] for row in rows if k in row]) for k in keys}
+    return residuals, rows, skipped
 
 
-def sqrt2d_einstein_residual(alpha_spec, beta_spec, x, directions=16):
-    """Residual of the square-root structure equation r_00 = 6 beta s_0 / (b^2-4).
+def _fold_specs(alpha_spec, beta_spec, points, at, keys):
+    """``fold_points`` of ``at(rd, ab)`` over tensor data built anew from
+    fixed specs."""
+    return fold_points(points, lambda x: ab_tensors(alpha_spec, beta_spec, x),
+                       lambda x, rd, ab: at(rd, ab), keys)
 
-    Maximum over evenly spaced unit directions, normalized by the scale of
-    the two sides.
-    """
-    rd, ab = _tensors_at(alpha_spec, beta_spec, x)
+
+def _equation_residual(sides):
+    """max |lhs - rhs| over the (lhs, rhs) pairs of an equation, relative to
+    max(1, |lhs|, |rhs|); inf where a difference is NaN."""
+    return (worst([abs(lhs - rhs) for lhs, rhs in sides])
+            / max(1.0, *(abs(v) for pair in sides for v in pair)))
+
+
+def sqrt2d_einstein_residual(rd, ab, directions=16):
+    """Residual of the square-root structure equation r_00 = 6 beta s_0 /
+    (b^2-4) from the tensor data ``(rd, ab)`` of one point: the maximum over
+    evenly spaced unit directions, normalized by the scale of the sides."""
     if rd.dim != 2:
         raise ValueError("this structure equation is two-dimensional")
     if abs(ab.b2 - 4.0) < 1e-9:
         raise DegenerateValue("b^2 = 4 degenerates the structure equation")
-    worst = 0.0
-    scale = 1.0
-    for y in circle_directions(directions):
-        lhs = ab.r00(y)
-        rhs = 6.0 * ab.beta(y) * ab.s0(y) / (ab.b2 - 4.0)
-        worst = max(worst, abs(lhs - rhs))
-        scale = max(scale, abs(lhs), abs(rhs))
-    return worst / scale
+    return _equation_residual([
+        (ab.r00(y), 6.0 * ab.beta(y) * ab.s0(y) / (ab.b2 - 4.0))
+        for y in circle_directions(directions)])
 
 
-def sqrt2d_structure_report(alpha_spec, beta_spec, x, directions=16,
-                            tolerance=1e-6):
+SQRT2D_KEYS = ("r00_equation", "t00_equation", "s0_squared_equation",
+               "divergence_equation", "covariant_s_equation")
+
+
+def sqrt2d_structure_report(rd, ab, directions=16, tolerance=1e-6):
     """Residuals of the full 2D square-root Einstein structure system.
 
     Beyond the closedness-type equation r_00 = 6 beta s_0 / (b^2 - 4), an
     Einstein instance satisfies four more identities tying t_00, s_0^2,
     s^k_{0|k} and s_{0|0} to the scalars theta(x) (recovered from
     s_m s^m = 4 theta b^2 (b^2-4)) and lambda(x), the sectional curvature
-    of the base metric.  All five are reported as normalized residuals.
+    of the base metric.  All five are reported as normalized residuals
+    (``SQRT2D_KEYS``), from the tensor data ``(rd, ab)`` of one point.
     """
-    rd, ab = _tensors_at(alpha_spec, beta_spec, x)
     if rd.dim != 2:
         raise ValueError("these structure equations are two-dimensional")
     b2 = ab.b2
@@ -594,72 +611,48 @@ def sqrt2d_structure_report(alpha_spec, beta_spec, x, directions=16,
     lam = rd.sectional_curvature()
     smsm = ab.s_m_s_up_m()
     theta = smsm / (4.0 * b2 * (b2 - 4.0))
-    report = EinsteinConditionReport("sqrt2d_structure", tolerance=tolerance)
-    report.scalars = {"theta": theta, "lambda": lam}
-    res = {k: 0.0 for k in ("r00_equation", "t00_equation",
-                            "s0_squared_equation", "divergence_equation",
-                            "covariant_s_equation")}
-    scales = dict(res)
     sk_form = ab.sk_form()
+    sides = []  # per direction, the (lhs, rhs) of each equation
     for y in circle_directions(directions):
         alpha2 = rd.alpha(y) ** 2
         beta = ab.beta(y)
         s0 = ab.s0(y)
-
-        lhs, rhs = ab.r00(y), 6.0 * beta * s0 / (b2 - 4.0)
-        res["r00_equation"] = max(res["r00_equation"], abs(lhs - rhs))
-        scales["r00_equation"] = max(scales["r00_equation"], abs(lhs), abs(rhs))
-
-        lhs = ab.t00(y)
-        rhs = 4.0 * theta * (4.0 * alpha2 - beta * beta) - s0 * s0 / (b2 - 4.0)
-        res["t00_equation"] = max(res["t00_equation"], abs(lhs - rhs))
-        scales["t00_equation"] = max(scales["t00_equation"], abs(lhs), abs(rhs))
-
-        lhs = s0 * s0
-        rhs = 4.0 * (b2 - 4.0) * theta * (b2 * alpha2 - beta * beta)
-        res["s0_squared_equation"] = max(res["s0_squared_equation"],
-                                         abs(lhs - rhs))
-        scales["s0_squared_equation"] = max(scales["s0_squared_equation"],
-                                            abs(lhs), abs(rhs))
-
-        lhs = float(sk_form @ y)
-        rhs = (-(32.0 * (b2 * b2 + 7.0 * b2 - 26.0) * theta
-                 + (b2 - 4.0) ** 2 * lam)
-               / (2.0 * (2.0 + b2) * (b2 - 4.0)) * beta
-               + ab.bk_s0k(y) / (b2 - 4.0))
-        res["divergence_equation"] = max(res["divergence_equation"],
-                                         abs(lhs - rhs))
-        scales["divergence_equation"] = max(scales["divergence_equation"],
-                                            abs(lhs), abs(rhs))
-
-        lhs = ab.s00_cov(y)
-        rhs = (2.0 * ((5.0 * b2 ** 3 + 12.0 * b2 * b2 - 60.0 * b2 + 16.0)
-                      * alpha2
-                      - 6.0 * (b2 * b2 + 2.0 * b2 - 12.0) * beta * beta)
-               * smsm / (b2 * (2.0 + b2) * (b2 - 4.0) ** 2)
-               + lam * (b2 - 4.0) * (b2 * alpha2 - beta * beta)
-               / (2.0 * (2.0 + b2)))
-        res["covariant_s_equation"] = max(res["covariant_s_equation"],
-                                          abs(lhs - rhs))
-        scales["covariant_s_equation"] = max(scales["covariant_s_equation"],
-                                             abs(lhs), abs(rhs))
-    report.residuals = {k: v / max(1.0, scales[k]) for k, v in res.items()}
-    return report.finalize()
+        sides.append((
+            (ab.r00(y), 6.0 * beta * s0 / (b2 - 4.0)),
+            (ab.t00(y), 4.0 * theta * (4.0 * alpha2 - beta * beta)
+             - s0 * s0 / (b2 - 4.0)),
+            (s0 * s0, 4.0 * (b2 - 4.0) * theta * (b2 * alpha2 - beta * beta)),
+            (float(sk_form @ y),
+             -(32.0 * (b2 * b2 + 7.0 * b2 - 26.0) * theta
+               + (b2 - 4.0) ** 2 * lam)
+             / (2.0 * (2.0 + b2) * (b2 - 4.0)) * beta
+             + ab.bk_s0k(y) / (b2 - 4.0)),
+            (ab.s00_cov(y),
+             2.0 * ((5.0 * b2 ** 3 + 12.0 * b2 * b2 - 60.0 * b2 + 16.0)
+                    * alpha2
+                    - 6.0 * (b2 * b2 + 2.0 * b2 - 12.0) * beta * beta)
+             * smsm / (b2 * (2.0 + b2) * (b2 - 4.0) ** 2)
+             + lam * (b2 - 4.0) * (b2 * alpha2 - beta * beta)
+             / (2.0 * (2.0 + b2)))))
+    return EinsteinConditionReport(
+        "sqrt2d_structure", {"theta": theta, "lambda": lam},
+        {k: _equation_residual(column)
+         for k, column in zip(SQRT2D_KEYS, zip(*sides))}, tolerance)
 
 
-def sqrt2d_K_from_lambda(alpha_spec, beta_spec, x, precheck_tol=1e-6):
+def sqrt2d_K_from_lambda(rd, ab, precheck_tol=1e-6):
     """Curvature of an Einstein 2D square-root instance from alpha data.
 
     K = (2 / (2 + b^2)) (lambda - 8 s_m s^m / (b^2 (b^2 - 4)))
 
-    with lambda the sectional curvature of alpha.  Raises NotEinstein when
-    the structure-equation residual exceeds ``precheck_tol``.
+    with lambda the sectional curvature of alpha, from the tensor data
+    ``(rd, ab)`` of one point.  Raises NotEinstein when the
+    structure-equation residual exceeds ``precheck_tol``.
     """
-    residual = sqrt2d_einstein_residual(alpha_spec, beta_spec, x)
+    residual = sqrt2d_einstein_residual(rd, ab)
     if residual > precheck_tol:
         raise NotEinstein(
             f"structure-equation residual {residual:.3e} exceeds {precheck_tol}")
-    rd, ab = _tensors_at(alpha_spec, beta_spec, x)
     b2 = ab.b2
     if b2 < 1e-9 or abs(b2 - 4.0) < 1e-9:
         raise DegenerateValue("formula needs b^2 away from 0 and 4")
@@ -676,8 +669,12 @@ class KillingDeformationResult:
     ab_tilde: AbTensors
 
 
-def beta_tilde_jets(alpha_spec, beta_spec, x, order=3):
-    """Jets of the rescaled 1-form (1 - b^2)^{-3/4} b_i at x."""
+def killing_deformation(alpha_spec, beta_spec, x, order=3):
+    """Rescale beta by (1-b^2)^{-3/4} and measure how Killing the result is.
+
+    For instances satisfying the square-root structure equation the
+    rescaled form has r~_ij = 0 and squared norm b^2 / (1-b^2)^{3/2}.
+    """
     a_jets = matrix_jets(parse_matrix(alpha_spec), x, order)
     b_jets = covector_jets(parse_covector(beta_spec), x, order)
     a_inv_jets = invert(a_jets)
@@ -687,29 +684,15 @@ def beta_tilde_jets(alpha_spec, beta_spec, x, order=3):
         for j in range(n):
             term = a_inv_jets[i][j] * b_jets[i] * b_jets[j]
             b2_jet = term if b2_jet is None else b2_jet + term
-    if b2_jet.value >= 1.0:
-        raise DomainError(f"b^2 = {b2_jet.value!r} >= 1 at x={list(x)!r}")
+    b2 = b2_jet.value
+    if b2 >= 1.0:
+        raise DomainError(f"b^2 = {b2!r} >= 1 at x={list(x)!r}")
     scale = jet_pow(1.0 - b2_jet, -0.75)
-    return a_jets, [scale * bj for bj in b_jets], b2_jet.value
-
-
-def killing_deformation(alpha_spec, beta_spec, x, order=3):
-    """Rescale beta by (1-b^2)^{-3/4} and measure how Killing the result is.
-
-    For instances satisfying the square-root structure equation the
-    rescaled form has r~_ij = 0 and squared norm b^2 / (1-b^2)^{3/2}.
-    """
-    a_jets, bt_jets, b2 = beta_tilde_jets(alpha_spec, beta_spec, x, order)
     rd = riemann_data_from_jets(a_jets, x)
-    ab_t = ab_tensors_from_jets(rd, bt_jets)
-    expected = b2 / (1.0 - b2) ** 1.5
+    ab_t = ab_tensors_from_jets(rd, [scale * bj for bj in b_jets])
     return KillingDeformationResult(
-        tuple(float(v) for v in x),
-        float(np.abs(ab_t.r).max()),
-        ab_t.b2,
-        expected,
-        ab_t,
-    )
+        tuple(float(v) for v in x), float(np.abs(ab_t.r).max()), ab_t.b2,
+        b2 / (1.0 - b2) ** 1.5, ab_t)
 
 
 @dataclass
@@ -717,19 +700,36 @@ class EinsteinConditionReport:
     """Residuals of one family of Einstein structure equations."""
 
     condition_id: str
-    scalars: dict = field(default_factory=dict)
-    residuals: dict = field(default_factory=dict)
+    scalars: dict
+    residuals: dict
     tolerance: float = 1e-6
-    verdict: bool = False
-    notes: list = field(default_factory=list)
+    skipped: list = field(default_factory=list)
 
-    def finalize(self):
-        self.verdict = all(v < self.tolerance for v in self.residuals.values())
-        return self
+    @property
+    def verdict(self):
+        return all(v < self.tolerance for v in self.residuals.values())
+
+
+def _condition_report(condition_id, folded, tolerance, scalars):
+    """The report of a ``fold_points`` result, with the per-point values
+    of the row entries ``scalars``."""
+    residuals, rows, skipped = folded
+    return EinsteinConditionReport(
+        condition_id, {k: [row[k] for row in rows] for k in scalars},
+        residuals, tolerance, skipped)
 
 
 def _tensor_residual(delta, *scales):
     return float(np.abs(delta).max() / max(1.0, *(abs(s) for s in scales)))
+
+
+def _ricci_rows(metric, x, directions):
+    """(F, Ric) of ``metric`` at x along each admissible one of
+    ``directions`` sphere directions."""
+    ys = [y for y in sphere_directions(len(x), directions)
+          if metric.in_domain(x, y)]
+    return [(metric.value(x, y), ric)
+            for y, ric in zip(ys, riccis(metric, x, ys).tolist())]
 
 
 def _randers_scalars(rd, ab):
@@ -744,123 +744,131 @@ def _randers_scalars(rd, ab):
     return c, dc, sigma
 
 
+RANDERS_KEYS = ("closedness", "divergence", "ricci_alpha", "einstein_relation")
+
+
+def randers_residuals(rd, ab, metric, directions=8):
+    """Residuals of the Randers structure equations (``RANDERS_KEYS``) from
+    the tensor data ``(rd, ab)`` of one point, with the scalars c and sigma.
+
+    c(x) is recovered from the trace of the closedness equation (using
+    b^j s_j = 0) and sigma(x) from the b-contraction of the divergence
+    equation; the residuals are those of each equation and of the final
+    Einstein relation Ric = (n-1)(sigma - c^2) F^2, with Ric and F those of
+    ``metric``, the Randers metric alpha + beta.  Raises DegenerateValue
+    where b^2 ~ 0.
+    """
+    n = rd.dim
+    if ab.b2 < 1e-9:
+        raise DegenerateValue("b^2 ~ 0")
+    c, dc, sigma = _randers_scalars(rd, ab)
+    row = {"c": c, "sigma": sigma}
+
+    bs = np.outer(ab.b, ab.svec)
+    closed = ab.r + bs + bs.T - 2.0 * c * (rd.a - np.outer(ab.b, ab.b))
+    row["closedness"] = _tensor_residual(
+        closed, np.abs(ab.r).max(), abs(2 * c) * np.abs(rd.a).max())
+
+    div = (ab.sk_form()
+           - 0.5 * (n - 1) * (2.0 * sigma * ab.b + 2.0 * ab.tvec
+                              + 4.0 * c * ab.svec + dc))
+    row["divergence"] = _tensor_residual(
+        div, np.abs(ab.sk_form()).max(), abs(sigma), np.abs(dc).max())
+
+    sym_cov_s = 0.5 * (ab.cov_svec + ab.cov_svec.T)
+    dcb = 0.5 * (np.outer(dc, ab.b) + np.outer(ab.b, dc))
+    ric_rhs = (2.0 * ab.t + ab.tr_t * rd.a
+               + (n - 1) * (sigma * (rd.a + np.outer(ab.b, ab.b))
+                            - 4.0 * c * c * rd.a - sym_cov_s
+                            - np.outer(ab.svec, ab.svec) - dcb))
+    row["ricci_alpha"] = _tensor_residual(
+        rd.ricci_alpha - ric_rhs, np.abs(rd.ricci_alpha).max(),
+        np.abs(ric_rhs).max())
+
+    relation = []
+    for f, ric_f in _ricci_rows(metric, rd.x, directions):
+        want = (n - 1) * (sigma - c * c) * f * f
+        relation.append(abs(ric_f - want) / max(1.0, abs(ric_f), abs(want)))
+    row["einstein_relation"] = worst(relation)
+    return row
+
+
 def randers_einstein_residuals(alpha_spec, beta_spec, points, directions=8,
                                tolerance=1e-6):
-    """Residuals of the Randers structure equations at the given points.
-
-    The scalar c(x) is recovered from the trace of the closedness equation
-    (using b^j s_j = 0) and sigma(x) from the b-contraction of the
-    divergence equation; the report carries the residual of each equation
-    and of the final Einstein relation Ric = (n-1)(sigma - c^2) F^2.
-    """
+    """``randers_residuals`` folded over the points (``fold_points``), with
+    c and sigma at each evaluated point as the report's scalars."""
     metric = ppower_metric(PPowerSpec(alpha_spec, beta_spec, 1.0))
-    report = EinsteinConditionReport("randers", tolerance=tolerance)
-    res = {"closedness": 0.0, "divergence": 0.0, "ricci_alpha": 0.0,
-           "einstein_relation": 0.0}
-    c_values, sigma_values = [], []
-    dirs = circle_directions(directions) if metric.dim == 2 else None
-    for x in points:
-        rd, ab = _tensors_at(alpha_spec, beta_spec, x)
-        n = rd.dim
-        if ab.b2 < 1e-9:
-            report.notes.append(f"skipped x={list(x)!r}: b^2 ~ 0")
-            continue
-        c, dc, sigma = _randers_scalars(rd, ab)
-        c_values.append(c)
-        sigma_values.append(sigma)
+    return _condition_report("randers", _fold_specs(
+        alpha_spec, beta_spec, points,
+        lambda rd, ab: randers_residuals(rd, ab, metric, directions),
+        RANDERS_KEYS), tolerance, ("c", "sigma"))
 
-        bs = np.outer(ab.b, ab.svec)
-        closed = ab.r + bs + bs.T - 2.0 * c * (rd.a - np.outer(ab.b, ab.b))
-        res["closedness"] = max(res["closedness"], _tensor_residual(
-            closed, np.abs(ab.r).max(), abs(2 * c) * np.abs(rd.a).max()))
 
-        div = (ab.sk_form()
-               - 0.5 * (n - 1) * (2.0 * sigma * ab.b + 2.0 * ab.tvec
-                                  + 4.0 * c * ab.svec + dc))
-        res["divergence"] = max(res["divergence"], _tensor_residual(
-            div, np.abs(ab.sk_form()).max(), abs(sigma), np.abs(dc).max()))
+SQUARE_KEYS = ("covariant_derivative", "ricci_alpha", "c_gradient",
+               "ricci_flat")
 
-        sym_cov_s = 0.5 * (ab.cov_svec + ab.cov_svec.T)
-        dcb = 0.5 * (np.outer(dc, ab.b) + np.outer(ab.b, dc))
-        ric_rhs = (2.0 * ab.t + ab.tr_t * rd.a
-                   + (n - 1) * (sigma * (rd.a + np.outer(ab.b, ab.b))
-                                - 4.0 * c * c * rd.a - sym_cov_s
-                                - np.outer(ab.svec, ab.svec) - dcb))
-        res["ricci_alpha"] = max(res["ricci_alpha"], _tensor_residual(
-            rd.ricci_alpha - ric_rhs, np.abs(rd.ricci_alpha).max(),
-            np.abs(ric_rhs).max()))
 
-        use_dirs = dirs if dirs is not None else circle_directions(directions)
-        ys = [y for y in (use_dirs if n == 2
-                          else sphere_directions(n, directions))
-              if metric.in_domain(x, y)]
-        for y, ric_f in zip(ys, riccis(metric, x, ys).tolist()):
-            f = metric.value(x, y)
-            want = (n - 1) * (sigma - c * c) * f * f
-            res["einstein_relation"] = max(
-                res["einstein_relation"],
-                abs(ric_f - want) / max(1.0, abs(ric_f), abs(want)))
-    report.scalars = {"c": c_values, "sigma": sigma_values}
-    report.residuals = res
-    return report.finalize()
+def square_residuals(rd, ab, metric, directions=8):
+    """Residuals of the square-metric structure equations (``SQUARE_KEYS``)
+    from the tensor data ``(rd, ab)`` of one point, with the scalar c.
+
+    c(x) comes from the trace of the covariant-derivative equation
+    b_{i|j} = c [(1+2b^2) a_ij - 3 b_i b_j]; the residuals are those of
+    that equation, of the curvature equation, of the gradient equation
+    c_i = -2 c^2 b_i, and the Ricci curvature of ``metric``, the square
+    metric itself (instances that satisfy all equations are Ricci-flat).
+    """
+    n = rd.dim
+    denom = n * (1.0 + 2.0 * ab.b2) - 3.0 * ab.b2
+    c = ab.tr_r / denom
+    dc = (ab.rkk_grad() / denom
+          - ab.tr_r * (2.0 * n - 3.0) * ab.db2() / denom ** 2)
+    row = {"c": c}
+
+    want_cov = c * ((1.0 + 2.0 * ab.b2) * rd.a - 3.0 * np.outer(ab.b, ab.b))
+    row["covariant_derivative"] = _tensor_residual(
+        ab.cov_b - want_cov, np.abs(ab.cov_b).max(), np.abs(want_cov).max())
+
+    coef = 2.0 * (2.0 * n - 5.0) * ab.b2 + 5.0 * (n - 1.0)
+    want_ric = -c * c * (coef * rd.a - 6.0 * (n - 2.0) * np.outer(ab.b, ab.b))
+    row["ricci_alpha"] = _tensor_residual(
+        rd.ricci_alpha - want_ric, np.abs(rd.ricci_alpha).max(),
+        np.abs(want_ric).max())
+
+    row["c_gradient"] = _tensor_residual(dc + 2.0 * c * c * ab.b,
+                                         np.abs(dc).max())
+    row["ricci_flat"] = worst([abs(ric_f) / max(1.0, f * f) for f, ric_f
+                               in _ricci_rows(metric, rd.x, directions)])
+    return row
 
 
 def square_einstein_residuals(alpha_spec, beta_spec, points, directions=8,
                               tolerance=1e-6):
-    """Residuals of the square-metric structure equations (exponent 2).
-
-    c(x) comes from the trace of the covariant-derivative equation
-    b_{i|j} = c [(1+2b^2) a_ij - 3 b_i b_j]; the report also carries the
-    residuals of the curvature equation, of the gradient equation
-    c_i = -2 c^2 b_i, and the Ricci curvature of F itself (instances that
-    satisfy all equations are Ricci-flat).
-    """
+    """``square_residuals`` folded over the points (``fold_points``), with
+    c at each evaluated point as the report's scalars."""
     metric = ppower_metric(PPowerSpec(alpha_spec, beta_spec, 2.0))
-    report = EinsteinConditionReport("square", tolerance=tolerance)
-    res = {"covariant_derivative": 0.0, "ricci_alpha": 0.0,
-           "c_gradient": 0.0, "ricci_flat": 0.0}
-    c_values = []
-    for x in points:
-        rd, ab = _tensors_at(alpha_spec, beta_spec, x)
-        n = rd.dim
-        denom = n * (1.0 + 2.0 * ab.b2) - 3.0 * ab.b2
-        c = ab.tr_r / denom
-        dc = (ab.rkk_grad() / denom
-              - ab.tr_r * (2.0 * n - 3.0) * ab.db2() / denom ** 2)
-        c_values.append(c)
+    return _condition_report("square", _fold_specs(
+        alpha_spec, beta_spec, points,
+        lambda rd, ab: square_residuals(rd, ab, metric, directions),
+        SQUARE_KEYS), tolerance, ("c",))
 
-        want_cov = c * ((1.0 + 2.0 * ab.b2) * rd.a - 3.0 * np.outer(ab.b, ab.b))
-        res["covariant_derivative"] = max(
-            res["covariant_derivative"], _tensor_residual(
-                ab.cov_b - want_cov, np.abs(ab.cov_b).max(),
-                np.abs(want_cov).max()))
 
-        coef = 2.0 * (2.0 * n - 5.0) * ab.b2 + 5.0 * (n - 1.0)
-        want_ric = -c * c * (coef * rd.a - 6.0 * (n - 2.0) * np.outer(ab.b, ab.b))
-        res["ricci_alpha"] = max(res["ricci_alpha"], _tensor_residual(
-            rd.ricci_alpha - want_ric, np.abs(rd.ricci_alpha).max(),
-            np.abs(want_ric).max()))
+RICCI_FLAT_PARALLEL_KEYS = ("max_covariant_derivative", "max_ricci_alpha")
 
-        res["c_gradient"] = max(res["c_gradient"], _tensor_residual(
-            dc + 2.0 * c * c * ab.b, np.abs(dc).max()))
 
-        ys = [y for y in sphere_directions(n, directions)
-              if metric.in_domain(x, y)]
-        for y, ric_f in zip(ys, riccis(metric, x, ys).tolist()):
-            f = metric.value(x, y)
-            res["ricci_flat"] = max(res["ricci_flat"],
-                                    abs(ric_f) / max(1.0, f * f))
-    report.scalars = {"c": c_values}
-    report.residuals = res
-    return report.finalize()
+def ricci_flat_parallel_residuals(rd, ab):
+    """max |b_{i|j}| and max |Ric_ij of alpha| at the point of the tensor
+    data ``(rd, ab)`` (``RICCI_FLAT_PARALLEL_KEYS``)."""
+    return {"max_covariant_derivative": float(np.abs(ab.cov_b).max()),
+            "max_ricci_alpha": float(np.abs(rd.ricci_alpha).max())}
 
 
 def ricci_flat_parallel_check(alpha_spec, beta_spec, points, tolerance=1e-9):
-    """True iff alpha is Ricci-flat and beta is parallel over the points."""
-    max_cov = 0.0
-    max_ric = 0.0
-    for x in points:
-        rd, ab = _tensors_at(alpha_spec, beta_spec, x)
-        max_cov = max(max_cov, float(np.abs(ab.cov_b).max()))
-        max_ric = max(max_ric, float(np.abs(rd.ricci_alpha).max()))
+    """``(verdict, max_cov, max_ric)``: the verdict is true iff alpha is
+    Ricci-flat and beta is parallel at every point, and some point was
+    evaluated (``fold_points``)."""
+    residuals, _, _ = _fold_specs(alpha_spec, beta_spec, points,
+                                  ricci_flat_parallel_residuals,
+                                  RICCI_FLAT_PARALLEL_KEYS)
+    max_cov, max_ric = residuals.values()
     return max_cov < tolerance and max_ric < tolerance, max_cov, max_ric

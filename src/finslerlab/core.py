@@ -54,7 +54,15 @@ from .errors import (
     FinslerError,
     SingularMetric,
 )
-from .jets import Jet, _cauchy, _shift_product, get_context, lift_variable
+from .jets import (
+    Jet,
+    _cauchy,
+    _shift_product,
+    get_context,
+    lift_variable,
+    partial_table,
+    read_partials,
+)
 from .linalg import (
     invert,
     is_positive_definite,
@@ -193,30 +201,20 @@ def _rows_of(x):
 
 
 class _PartialTable:
-    """Where the partials core reads sit in one 2n-variable jet context.
+    """The partials core reads in one 2n-variable context: the unit and
+    pair indices of ``jets.partial_table`` split over x^1..x^n and
+    y^1..y^n.
 
-    Each attribute is an index array into the coefficient vector: unit
-    monomials ``x[k]`` and ``y[j]``, and second-order pairs ``xy[k][l]``
-    (x^k y^l) and ``yy[i][j]`` (y^i y^j).  :func:`_read` turns one of them
-    into raw partials with a single gather.
+    ``x[k]`` and ``y[j]`` index unit monomials, ``xy[k][l]`` the pair
+    x^k y^l and ``yy[i][j]`` the pair y^i y^j; ``read_partials`` turns
+    one of them into raw partials with a single gather.
     """
 
     def __init__(self, ctx):
         n = ctx.num_vars // 2
-        units = np.array(ctx.unit, dtype=np.intp)
-
-        def pair(a, b):
-            mono = [0] * ctx.num_vars
-            mono[a] += 1
-            mono[b] += 1
-            return ctx.index[tuple(mono)]
-
-        self.x = units[:n]
-        self.y = units[n:]
-        self.xy = np.array([[pair(k, n + l) for l in range(n)]
-                            for k in range(n)], dtype=np.intp)
-        self.yy = np.array([[pair(n + i, n + j) for j in range(n)]
-                            for i in range(n)], dtype=np.intp)
+        table = partial_table(ctx)
+        self.x, self.y = table.unit[:n], table.unit[n:]
+        self.xy, self.yy = table.pair[:n, n:], table.pair[n:, n:]
 
 
 @functools.cache
@@ -276,16 +274,9 @@ def _gather(coeffs, tensor):
     return coeffs.take(idx, axis=-1) * factor
 
 
-def _read(coeffs, idx, ctx):
-    """Raw partials at monomial indices ``idx`` of the last axis of ``coeffs``.
-
-    Entry by entry this is ``extract_partial``: coefficient times factorial.
-    """
-    return coeffs.take(idx, axis=-1) * ctx.factorial[idx]
-
-
 def _g_values(metric, f2, x, y):
-    g = (0.5 * _read(f2.c, _partial_table(f2.ctx).yy, f2.ctx)).tolist()
+    table = _partial_table(f2.ctx)
+    g = (0.5 * read_partials(f2.c, table.yy, f2.ctx)).tolist()
     if not is_positive_definite(g):
         raise SingularMetric(
             f"fundamental tensor not positive definite at x={list(x)!r}, "
@@ -309,8 +300,8 @@ def spray(metric, x, y):
     f2 = f * f
     g = _g_values(metric, f2, x, y)
     table = _partial_table(f2.ctx)
-    return _spray_tail(g, _read(f2.c, table.xy, f2.ctx).tolist(),
-                       _read(f2.c, table.x, f2.ctx).tolist(), y)
+    return _spray_tail(g, read_partials(f2.c, table.xy, f2.ctx).tolist(),
+                       read_partials(f2.c, table.x, f2.ctx).tolist(), y)
 
 
 def _spray_tail(g, f2_xy, f2_x, y):
@@ -337,6 +328,8 @@ def sprays(metric, points):
     """
     n = metric.dim
     points = np.asarray(points, dtype=float).reshape(-1, 2 * n)
+    if not len(points):
+        return np.zeros((0, n))
     try:
         out, ok = _spray_rows(metric, points)
     except (BatchFailed, FinslerError, ArithmeticError):
@@ -358,15 +351,16 @@ def _spray_rows(metric, points):
     table = _partial_table(ctx)
     with np.errstate(all="ignore"):
         f2 = _cauchy(ctx, f, f)
-        g = 0.5 * _read(f2, table.yy, ctx)
+        g = 0.5 * read_partials(f2, table.yy, ctx)
         ok &= positive_definite_rows(g)
         # rhs[l] = sum_k [F^2]_{x^k y^l} y^k - [F^2]_{x^l}, summed from 0
         # as ``sum`` sums
-        f2_xy = _read(f2, table.xy, ctx)
+        f2_xy = read_partials(f2, table.xy, ctx)
         rhs = np.zeros((len(points), n))
         for k in range(n):
             rhs = rhs + f2_xy[:, k] * y[:, k, None]
-        sol, solved = solve_rows(None, g, rhs - _read(f2, table.x, ctx))
+        rhs = rhs - read_partials(f2, table.x, ctx)
+        sol, solved = solve_rows(None, g, rhs)
         return 0.25 * sol, ok & solved
 
 
@@ -421,7 +415,7 @@ def _riemann_read(coeffs, y, ctx):
     g_val = coeffs[..., 0]
     # gx[b, i, k] = dG^i/dx^k, gy[b, i, j] = dG^i/dy^j,
     # gxy[b, i, j, k] = d2G^i/dx^j dy^k, gyy[b, i, j, k] = d2G^i/dy^j dy^k
-    gx, gy, gxy, gyy = (_read(coeffs, idx, ctx)
+    gx, gy, gxy, gyy = (read_partials(coeffs, idx, ctx)
                         for idx in (table.x, table.y, table.xy, table.yy))
     r = 2.0 * gx
     for j in range(coeffs.shape[1]):

@@ -36,6 +36,7 @@ One vector keeps the plain indexing of the one-point path.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -540,6 +541,43 @@ def extract_partial(jet, multi_index):
             f"multi-index degree {sum(mono)} exceeds jet order {jet.ctx.order}")
     i = jet.ctx.index[mono]
     return jet.c[i] * jet.ctx.factorial[i]
+
+
+class PartialTable:
+    """Where the first and second partials sit in one jet context.
+
+    ``unit[v]`` indexes the monomial of z^v and ``pair[v][w]`` that of
+    z^v z^w (order 2 and up), as index arrays into a coefficient vector;
+    :func:`read_partials` turns one of them into raw partials with a
+    single gather.
+    """
+
+    def __init__(self, ctx):
+        m = ctx.num_vars
+        self.unit = np.array(ctx.unit, dtype=np.intp)
+
+        def pair(v, w):
+            mono = [0] * m
+            mono[v] += 1
+            mono[w] += 1
+            return ctx.index[tuple(mono)]
+
+        self.pair = np.array([[pair(v, w) for w in range(m)]
+                              for v in range(m)], dtype=np.intp)
+
+
+@functools.cache
+def partial_table(ctx):
+    """The context's :class:`PartialTable`, built on first use."""
+    return PartialTable(ctx)
+
+
+def read_partials(coeffs, idx, ctx):
+    """Raw partials at monomial indices ``idx`` of the last axis of ``coeffs``.
+
+    Entry by entry this is ``extract_partial``: coefficient times factorial.
+    """
+    return coeffs.take(idx, axis=-1) * ctx.factorial[idx]
 
 
 def _int_pow(jet, k):

@@ -1,13 +1,20 @@
 """Execute a validated manifest: sample points, run checks, build the report.
 
-Per-sample domain failures are recorded as skipped rows with a reason and
-never abort the run; the singular sets of these metric families are dense
-enough that aborting would make random sampling useless.  Each Einstein
-scalar of a run is evaluated once, into an ``EinsteinTable`` that takes a
-point's directions in one batch, and the alphabeta tensor data of each
-point once, into a ``TensorTable``; the sample rows and every check read
-both.  Samples and checks are evaluated in manifest order, so output is
-deterministic.
+Per-sample failures are recorded as skipped rows with a reason and never
+abort the run; the singular sets of these metric families are dense
+enough that aborting would make random sampling useless.  A check that
+evaluated no sample reports an infinite residual, and a NaN residual
+reads inf (``core.worst``), so neither can pass.
+
+Each Einstein scalar of a run is evaluated once, into an
+``EinsteinTable`` that takes a point's directions in one batch, and the
+alphabeta tensor data of each point once, into a ``TensorTable`` that
+calls the one builder ``alphabeta.ab_tensors``; the sample rows and every
+check read both.  A check is a small function registered in ``CHECKS``
+under its manifest name, and ``run_check`` looks it up.  The checks over
+the tensor data of a point share one point loop,
+``constructions.fold_points``.  Samples and checks are evaluated in
+manifest order, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -18,26 +25,29 @@ import numpy as np
 
 from . import __version__
 from .alphabeta import (
-    ab_tensors_from_jets,
-    covector_jets,
+    ab_tensors,
     curvature_term_sign,
-    matrix_jets,
     ricci_identity_residuals,
-    riemann_data_from_jets,
     structural_spray,
 )
 from .constructions import (
+    RANDERS_KEYS,
+    RICCI_FLAT_PARALLEL_KEYS,
+    SQRT2D_KEYS,
+    SQUARE_KEYS,
+    PPowerSpec,
+    fold_points,
     killing_deformation,
     positivity_check,
     positivity_sample,
-    randers_einstein_residuals,
-    ricci_flat_parallel_check,
-    riemann_metric,
     ppower_metric,
-    square_einstein_residuals,
+    randers_residuals,
+    ricci_flat_parallel_residuals,
+    riemann_metric,
     sqrt2d_K_from_lambda,
     sqrt2d_flag_curvature,
     sqrt2d_structure_report,
+    square_residuals,
 )
 from .core import (
     einstein_rows,
@@ -51,6 +61,7 @@ from .core import (
     worst,
 )
 from .errors import FinslerError
+from .exprlang import eval_scalar
 from .report import manifest_hash
 
 
@@ -61,25 +72,16 @@ def _point_admissible(manifest, x, margin):
             b = fam.b_squared(x)  # raises when outside (0, 1)
             if not margin < b < 1.0 - margin:
                 return False
-            from .exprlang import eval_scalar
             u = eval_scalar(fam.spec.u, x)
             v = eval_scalar(fam.spec.v, x)
-            if abs(v) < margin or u * u + v * v < margin * margin:
-                return False
-        else:
-            jets = matrix_jets(manifest.alpha_spec, x, order=2)
-            rd = riemann_data_from_jets(jets, x)
-            ab = ab_tensors_from_jets(
-                rd, covector_jets(manifest.beta_spec, x, order=2))
-            if abs(ab.b2 - 4.0) < margin:
-                return False
-            if manifest.kind == "ppower" and ab.b2 > 0:
-                if not positivity_check(manifest.ppower.p, ab.b2):
-                    return False
-        return True
-    except FinslerError:
-        return False
-    except ValueError:
+            return abs(v) >= margin and u * u + v * v >= margin * margin
+        _, ab = ab_tensors(manifest.alpha_spec, manifest.beta_spec, x,
+                           order=2)
+        if abs(ab.b2 - 4.0) < margin:
+            return False
+        return not (manifest.kind == "ppower" and ab.b2 > 0
+                    and not positivity_check(manifest.ppower.p, ab.b2))
+    except (FinslerError, ValueError):
         return False
 
 
@@ -110,12 +112,6 @@ def build_metric(manifest):
     return ppower_metric(manifest.ppower)
 
 
-def _tensors(manifest, x):
-    rd = riemann_data_from_jets(matrix_jets(manifest.alpha_spec, x, 3), x)
-    ab = ab_tensors_from_jets(rd, covector_jets(manifest.beta_spec, x, 3))
-    return rd, ab
-
-
 class _RunTable:
     """Results of one run, each evaluated once.
 
@@ -142,15 +138,16 @@ class _RunTable:
 
 
 class TensorTable(_RunTable):
-    """The alphabeta tensor data of one run: ``(rd, ab)`` at each point x,
-    or the FinslerError building it raised."""
+    """The alphabeta tensor data of one run: ``(rd, ab)`` at each point x
+    (``alphabeta.ab_tensors``), or the FinslerError building it raised."""
 
     def __init__(self, manifest):
         super().__init__()
         self.manifest = manifest
 
     def __call__(self, x):
-        return self._recall(exact_key(x), lambda: _tensors(self.manifest, x))
+        return self._recall(exact_key(x), lambda: ab_tensors(
+            self.manifest.alpha_spec, self.manifest.beta_spec, x))
 
 
 class EinsteinTable(_RunTable):
@@ -247,266 +244,258 @@ def _sample_row(manifest, metric, lam, tensors, x):
         row["lambda_spread"] = None
         row["skipped"] = "no admissible directions"
     row["reversibility_residual"] = rev
+    row["closed_form_curvature"] = None
     if manifest.kind == "sqrt2d_family":
         try:
             row["closed_form_curvature"] = sqrt2d_flag_curvature(
                 manifest.family.spec, x)
         except FinslerError:
-            row["closed_form_curvature"] = None
-    else:
-        row["closed_form_curvature"] = None
+            pass
     return row
 
 
-def _check_result(name, residuals, tolerances, notes=None, skipped=None):
-    """Assemble one check block; the verdict is a pure function of
-    residuals and tolerances so reports are auditable on their own."""
-    verdict = all(residuals[k] < tolerances[k] for k in residuals)
+def _block(residuals, tol, notes=None, skipped=None):
+    """A check block but for its name; ``tol`` is one tolerance for every
+    residual or a dict of them.  The verdict is a pure function of
+    residuals and tolerances, so reports are auditable on their own."""
+    tolerances = tol if isinstance(tol, dict) else {k: tol for k in residuals}
     return {
-        "name": name,
         "residuals": residuals,
         "tolerances": tolerances,
-        "verdict": bool(verdict),
+        "verdict": all(residuals[k] < tolerances[k] for k in residuals),
         "notes": notes or [],
         "skipped": skipped or [],
     }
 
 
+def _per_point(points, tensors, at, keys, tol, notes=None):
+    """The block of ``at`` folded over the points by ``fold_points``."""
+    residuals, _, skipped = fold_points(points, tensors, at, keys)
+    return _block(residuals, tol, notes, skipped)
+
+
+# check name -> fn(manifest, metric, points, lam, tensors) -> block
+CHECKS = {}
+
+
+def _check(name):
+    def register(fn):
+        CHECKS[name] = fn
+        return fn
+    return register
+
+
 def run_check(name, manifest, metric, points, lam, tensors):
     """One check block; ``lam`` and ``tensors`` are the run's EinsteinTable
-    and TensorTable.  A check that evaluated no sample reports an infinite
-    residual, so it cannot pass."""
-    tol_map = manifest.tolerances
-    skipped = []
+    and TensorTable."""
+    check = CHECKS.get(name)
+    if check is None:
+        raise ValueError(f"unknown check {name!r}")
+    return {"name": name, **check(manifest, metric, points, lam, tensors)}
 
-    if name == "einstein":
-        tol = tol_map["einstein_spread"]
-        spreads = []
-        for x in points:
-            values = []
-            for y in lam.directions(x):
-                try:
-                    values.append(lam(x, y))
-                except FinslerError as exc:
-                    skipped.append(f"x={x}: {exc}")
-            if len(values) >= 2:
-                spreads.append(float(spread(values)))
-            else:
-                skipped.append(f"x={x}: fewer than two admissible directions")
-        return _check_result(name, {"max_spread": worst(spreads)},
-                             {"max_spread": tol}, skipped=skipped)
 
-    if name == "reversibility":
-        tol = tol_map["reversibility"]
+@_check("einstein")
+def _einstein(manifest, metric, points, lam, tensors):
+    spreads, skipped = [], []
+    for x in points:
         values = []
-        for x in points:
-            for y in lam.reversible(x):
-                try:
-                    values.append(lam.reversal(x, y))
-                except FinslerError as exc:
-                    skipped.append(f"x={x}: {exc}")
-        return _check_result(name, {"max_residual": worst(values)},
-                             {"max_residual": tol}, skipped=skipped)
-
-    if name == "flag_curvature":
-        tol = tol_map["flag_consistency"]
-        values = []
-        notes = []
-        for x in points:
-            y0 = None
-            lam0 = None
-            for y in lam.directions(x):
-                try:
-                    lam0 = lam(x, y)
-                    y0 = list(y)
-                    break
-                except FinslerError:
-                    continue
-            if lam0 is None:
-                skipped.append(f"x={x}: no admissible direction")
-                continue
-            scale = max(1.0, abs(lam0))
-            if manifest.kind == "sqrt2d_family":
-                try:
-                    k_formula = sqrt2d_flag_curvature(manifest.family.spec, x)
-                    values.append(abs(k_formula - lam0) / scale)
-                except FinslerError as exc:
-                    notes.append(f"x={x}: closed form unavailable ({exc})")
-            if metric.dim == 2:
-                u = [-y0[1], y0[0]]
-                try:
-                    k_flag = flag_curvature(metric, x, y0, u)
-                    values.append(abs(k_flag - lam0) / scale)
-                except FinslerError as exc:
-                    skipped.append(f"x={x}: {exc}")
-        return _check_result(name, {"max_residual": worst(values)},
-                             {"max_residual": tol}, notes=notes,
-                             skipped=skipped)
-
-    if name == "pde_residuals":
-        tol = tol_map["pde_residuals"]
-        values = []
-        for x in points:
-            res = manifest.family.pde_residuals(x)
-            values += [abs(v) for v in res.values()]
-        return _check_result(name, {"max_residual": worst(values)},
-                             {"max_residual": tol})
-
-    if name == "ricci_identities":
-        tol = tol_map["ricci_identities"]
-        rows = []
-        sign = curvature_term_sign()
-        for x in points:
+        for y in lam.directions(x):
             try:
-                rd, ab = tensors(x)
-                res, _ = ricci_identity_residuals(rd, ab, sign)
-                rows.append(res)
+                values.append(lam(x, y))
             except FinslerError as exc:
                 skipped.append(f"x={x}: {exc}")
-        worsts = [worst(col) for col in zip(*rows)] if rows else [math.inf] * 4
-        residuals = {f"identity_{i + 1}": w for i, w in enumerate(worsts)}
-        return _check_result(name, residuals,
-                             {k: tol for k in residuals},
-                             notes=[f"curvature_term_sign={sign}"],
-                             skipped=skipped)
+        if len(values) >= 2:
+            spreads.append(float(spread(values)))
+        else:
+            skipped.append(f"x={x}: fewer than two admissible directions")
+    return _block({"max_spread": worst(spreads)},
+                  manifest.tolerance("einstein_spread"), skipped=skipped)
 
-    if name == "structural_vs_generic":
-        tol = tol_map["structural_vs_generic"]
-        p = manifest.ppower.p
-        values = []
-        for x in points:
+
+@_check("reversibility")
+def _reversibility(manifest, metric, points, lam, tensors):
+    values, skipped = [], []
+    for x in points:
+        for y in lam.reversible(x):
             try:
-                rd, ab = tensors(x)
+                values.append(lam.reversal(x, y))
             except FinslerError as exc:
                 skipped.append(f"x={x}: {exc}")
-                continue
-            ys = lam.directions(x)
+    return _block({"max_residual": worst(values)},
+                  manifest.tolerance("reversibility"), skipped=skipped)
+
+
+@_check("flag_curvature")
+def _flag_curvature(manifest, metric, points, lam, tensors):
+    values, notes, skipped = [], [], []
+    for x in points:
+        y0 = lam0 = None
+        for y in lam.directions(x):  # the first that evaluates
             try:
-                generic = sprays(metric, [list(x) + list(y) for y in ys]) \
-                    if ys else []
+                lam0, y0 = lam(x, y), list(y)
+                break
             except FinslerError:
-                # some row raises: take the rows one at a time, so each
-                # skip names the error its own row raises first
-                generic = [None] * len(ys)
-            for y, g_generic in zip(ys, generic):
-                try:
-                    g_struct = structural_spray(rd, ab, p, y)
-                    if g_generic is None:
-                        g_generic = spray(metric, x, list(y))
-                except FinslerError as exc:
-                    skipped.append(f"x={x}: {exc}")
-                    continue
-                scale = max(1.0, float(np.abs(g_generic).max()))
-                values.append(
-                    float(np.abs(g_struct - g_generic).max()) / scale)
-        return _check_result(name, {"max_residual": worst(values)},
-                             {"max_residual": tol}, skipped=skipped)
-
-    if name == "randers_conditions":
-        tol = tol_map["randers_conditions"]
-        rep = randers_einstein_residuals(manifest.alpha_spec,
-                                         manifest.beta_spec, points,
-                                         tolerance=tol)
-        return _check_result(name, rep.residuals,
-                             {k: tol for k in rep.residuals}, notes=rep.notes)
-
-    if name == "square_conditions":
-        tol = tol_map["square_conditions"]
-        rep = square_einstein_residuals(manifest.alpha_spec,
-                                        manifest.beta_spec, points,
-                                        tolerance=tol)
-        return _check_result(name, rep.residuals,
-                             {k: tol for k in rep.residuals}, notes=rep.notes)
-
-    if name == "sqrt2d_conditions":
-        tol = tol_map["sqrt2d_conditions"]
-        structure = {}
-        agreements = []
-        for x in points:
+                continue
+        if lam0 is None:
+            skipped.append(f"x={x}: no admissible direction")
+            continue
+        scale = max(1.0, abs(lam0))
+        if manifest.kind == "sqrt2d_family":
             try:
-                rep = sqrt2d_structure_report(
-                    manifest.alpha_spec, manifest.beta_spec, x, tolerance=tol)
-                for key, value in rep.residuals.items():
-                    structure.setdefault(key, []).append(value)
-                k_alpha = sqrt2d_K_from_lambda(
-                    manifest.alpha_spec, manifest.beta_spec, x,
-                    precheck_tol=max(tol, 1e-6))
-                y0 = next(iter(lam.directions(x)), None)
-                if y0 is None:
-                    skipped.append(f"x={x}: no admissible direction")
-                    continue
-                lam0 = lam(x, y0)
-                agreements.append(abs(k_alpha - lam0) / max(1.0, abs(lam0)))
+                k_formula = sqrt2d_flag_curvature(manifest.family.spec, x)
+                values.append(abs(k_formula - lam0) / scale)
+            except FinslerError as exc:
+                notes.append(f"x={x}: closed form unavailable ({exc})")
+        if metric.dim == 2:
+            u = [-y0[1], y0[0]]
+            try:
+                k_flag = flag_curvature(metric, x, y0, u)
+                values.append(abs(k_flag - lam0) / scale)
             except FinslerError as exc:
                 skipped.append(f"x={x}: {exc}")
-        residuals = ({key: worst(v) for key, v in structure.items()}
-                     if structure else {"r00_equation": math.inf})
-        residuals["curvature_agreement"] = worst(agreements)
-        return _check_result(name, residuals, {k: tol for k in residuals},
-                             skipped=skipped)
+    return _block({"max_residual": worst(values)},
+                  manifest.tolerance("flag_consistency"), notes, skipped)
 
-    if name == "positivity":
-        disagreements = 0.0
-        inadmissible = 0.0
-        evaluated = 0
-        notes = []
-        p = manifest.ppower.p
-        for x in points:
+
+@_check("pde_residuals")
+def _pde_residuals(manifest, metric, points, lam, tensors):
+    values = []
+    for x in points:
+        values += [abs(v) for v in manifest.family.pde_residuals(x).values()]
+    return _block({"max_residual": worst(values)},
+                  manifest.tolerance("pde_residuals"))
+
+
+@_check("structural_vs_generic")
+def _structural_vs_generic(manifest, metric, points, lam, tensors):
+    p = manifest.ppower.p
+    values, skipped = [], []
+    for x in points:
+        try:
+            rd, ab = tensors(x)
+        except FinslerError as exc:
+            skipped.append(f"x={x}: {exc}")
+            continue
+        ys = lam.directions(x)
+        try:
+            generic = sprays(metric, [list(x) + list(y) for y in ys])
+        except FinslerError:
+            # some row raises: take the rows one at a time, so each skip
+            # names the error its own row raises first
+            generic = [None] * len(ys)
+        for y, g_generic in zip(ys, generic):
             try:
-                _, ab = tensors(x)
+                g_struct = structural_spray(rd, ab, p, y)
+                if g_generic is None:
+                    g_generic = spray(metric, x, list(y))
             except FinslerError as exc:
                 skipped.append(f"x={x}: {exc}")
                 continue
-            evaluated += 1
-            closed = positivity_check(p, ab.b2)
-            sampled, margin = positivity_sample(p, ab.b2, 101)
-            if closed != sampled:
-                disagreements += 1.0
-                notes.append(
-                    f"x={x}: closed form {closed} vs sampled {sampled} "
-                    f"(b^2={ab.b2:.6f}, worst margin {margin:.3e})")
-            if not closed:
-                inadmissible += 1.0
-                notes.append(f"x={x}: metric not positive definite "
-                             f"(b^2={ab.b2:.6f})")
-        residuals = {"disagreements": disagreements,
-                     "inadmissible_points": inadmissible}
-        if not evaluated:
-            residuals = {k: math.inf for k in residuals}
-        return _check_result(name, residuals,
-                             {k: 0.5 for k in residuals},
-                             notes=notes, skipped=skipped)
+            scale = max(1.0, float(np.abs(g_generic).max()))
+            values.append(float(np.abs(g_struct - g_generic).max()) / scale)
+    return _block({"max_residual": worst(values)},
+                  manifest.tolerance("structural_vs_generic"), skipped=skipped)
 
-    if name == "killing_deformation":
-        tol = tol_map["killing_deformation"]
-        norm_tol = tol_map["killing_norm_identity"]
-        r_values = []
-        norm_values = []
-        for x in points:
-            try:
-                kd = killing_deformation(manifest.alpha_spec,
-                                         manifest.beta_spec, x)
-                r_values.append(kd.r_residual)
-                norm_values.append(
-                    abs(kd.btilde_norm_sq - kd.expected_norm_sq))
-            except FinslerError as exc:
-                skipped.append(f"x={x}: {exc}")
-        return _check_result(
-            name,
-            {"killing_residual": worst(r_values),
-             "norm_identity": worst(norm_values)},
-            {"killing_residual": tol, "norm_identity": norm_tol},
-            skipped=skipped)
 
-    if name == "ricci_flat_parallel":
-        tol = tol_map["ricci_flat_parallel"]
-        _, max_cov, max_ric = ricci_flat_parallel_check(
-            manifest.alpha_spec, manifest.beta_spec, points, tolerance=tol)
-        residuals = {"max_covariant_derivative": max_cov,
-                     "max_ricci_alpha": max_ric}
-        return _check_result(name, residuals, {k: tol for k in residuals})
+@_check("ricci_identities")
+def _ricci_identities(manifest, metric, points, lam, tensors):
+    sign = curvature_term_sign()
+    keys = [f"identity_{i + 1}" for i in range(4)]
 
-    raise ValueError(f"unknown check {name!r}")
+    def residuals_at(x, rd, ab):
+        return dict(zip(keys, ricci_identity_residuals(rd, ab, sign)[0]))
+
+    return _per_point(points, tensors, residuals_at, keys,
+                      manifest.tolerance("ricci_identities"),
+                      notes=[f"curvature_term_sign={sign}"])
+
+
+@_check("randers_conditions")
+def _randers_conditions(manifest, metric, points, lam, tensors):
+    randers = ppower_metric(PPowerSpec(manifest.alpha_spec,
+                                       manifest.beta_spec, 1.0))
+    return _per_point(points, tensors,
+                      lambda x, rd, ab: randers_residuals(rd, ab, randers),
+                      RANDERS_KEYS, manifest.tolerance("randers_conditions"))
+
+
+@_check("square_conditions")
+def _square_conditions(manifest, metric, points, lam, tensors):
+    square = ppower_metric(PPowerSpec(manifest.alpha_spec,
+                                      manifest.beta_spec, 2.0))
+    return _per_point(points, tensors,
+                      lambda x, rd, ab: square_residuals(rd, ab, square),
+                      SQUARE_KEYS, manifest.tolerance("square_conditions"))
+
+
+@_check("sqrt2d_conditions")
+def _sqrt2d_conditions(manifest, metric, points, lam, tensors):
+    tol = manifest.tolerance("sqrt2d_conditions")
+
+    def at(x, rd, ab):
+        row = sqrt2d_structure_report(rd, ab, tolerance=tol).residuals
+        # alpha-data curvature against lambda at the first direction;
+        # where it cannot be had, the structure residuals of x still count
+        try:
+            k_alpha = sqrt2d_K_from_lambda(rd, ab, precheck_tol=max(tol, 1e-6))
+            y0 = next(iter(lam.directions(x)), None)
+            if y0 is None:
+                row["skipped"] = "no admissible direction"
+            else:
+                lam0 = lam(x, y0)
+                row["curvature_agreement"] = (abs(k_alpha - lam0)
+                                              / max(1.0, abs(lam0)))
+        except FinslerError as exc:
+            row["skipped"] = str(exc)
+        return row
+
+    return _per_point(points, tensors, at,
+                      SQRT2D_KEYS + ("curvature_agreement",), tol)
+
+
+@_check("positivity")
+def _positivity(manifest, metric, points, lam, tensors):
+    p = manifest.ppower.p
+    notes = []
+
+    def at(x, rd, ab):
+        closed = positivity_check(p, ab.b2)
+        sampled, margin = positivity_sample(p, ab.b2, 101)
+        if closed != sampled:
+            notes.append(f"x={x}: closed form {closed} vs sampled {sampled} "
+                         f"(b^2={ab.b2:.6f}, worst margin {margin:.3e})")
+        if not closed:
+            notes.append(f"x={x}: metric not positive definite "
+                         f"(b^2={ab.b2:.6f})")
+        return {"disagreements": float(closed != sampled),
+                "inadmissible_points": float(not closed)}
+
+    _, rows, skipped = fold_points(points, tensors, at, ())
+    # counts, not worst residuals
+    residuals = {k: float(sum(row[k] for row in rows)) if rows else math.inf
+                 for k in ("disagreements", "inadmissible_points")}
+    return _block(residuals, 0.5, notes, skipped)
+
+
+@_check("killing_deformation")
+def _killing_deformation(manifest, metric, points, lam, tensors):
+    def at(x, rd, ab):
+        kd = killing_deformation(manifest.alpha_spec, manifest.beta_spec, x)
+        return {"killing_residual": kd.r_residual,
+                "norm_identity": abs(kd.btilde_norm_sq - kd.expected_norm_sq)}
+
+    return _per_point(
+        points, tensors, at, ("killing_residual", "norm_identity"),
+        {"killing_residual": manifest.tolerance("killing_deformation"),
+         "norm_identity": manifest.tolerance("killing_norm_identity")})
+
+
+@_check("ricci_flat_parallel")
+def _ricci_flat_parallel(manifest, metric, points, lam, tensors):
+    return _per_point(points, tensors,
+                      lambda x, rd, ab: ricci_flat_parallel_residuals(rd, ab),
+                      RICCI_FLAT_PARALLEL_KEYS,
+                      manifest.tolerance("ricci_flat_parallel"))
 
 
 def run(manifest, include_timings=False):

@@ -15,13 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alphabeta import (
-    ab_tensors_from_jets,
-    covector_jets,
+    ab_tensors,
     curvature_term_sign,
-    matrix_jets,
     randers_ricci,
     ricci_identity_residuals,
-    riemann_data_from_jets,
     structural_spray,
 )
 from .constructions import (
@@ -40,7 +37,6 @@ from .constructions import (
     square_einstein_residuals,
 )
 from .core import (
-    _read,
     _spray_jets,
     einstein_check,
     einstein_scalars,
@@ -52,7 +48,7 @@ from .core import (
 from .errors import FinslerError
 from .exprlang import eval_scalar
 from .fdcheck import fd_partials, rel_err
-from .jets import get_context
+from .jets import get_context, read_partials
 
 
 @dataclass
@@ -172,7 +168,7 @@ def scenario_family_curvature_consistency():
                                      [[0.6, 0.8]] * len(points))
         for x, k_engine in zip(points, k_engines.tolist()):
             k_formula = sqrt2d_flag_curvature(spec, x)
-            k_alpha = sqrt2d_K_from_lambda(fam.alpha, fam.beta, x)
+            k_alpha = sqrt2d_K_from_lambda(*ab_tensors(fam.alpha, fam.beta, x))
             gaps += [abs(k_formula - k_alpha), abs(k_formula - k_engine),
                      abs(k_alpha - k_engine)]
             rows += 1
@@ -203,8 +199,7 @@ def scenario_spray_cross_validation():
         generic = sprays(metric, [x + y for x, y in samples])
         values = []
         for (x, y), g_generic in zip(samples, generic):
-            rd = riemann_data_from_jets(matrix_jets(CURVED_ALPHA, x), x)
-            ab = ab_tensors_from_jets(rd, covector_jets(CURVED_BETA, x))
+            rd, ab = ab_tensors(CURVED_ALPHA, CURVED_BETA, x)
             g_struct = structural_spray(rd, ab, p, y)
             scale = max(1.0, float(np.abs(g_generic).max()))
             values.append(float(np.abs(g_struct - g_generic).max()) / scale)
@@ -256,8 +251,7 @@ def _randers_ricci_gaps(metric, alpha, beta, samples):
     generic = riccis(metric, [x for x, _ in samples], [y for _, y in samples])
     gaps = []
     for (x, y), ric in zip(samples, generic.tolist()):
-        rd = riemann_data_from_jets(matrix_jets(alpha, x), x)
-        ab = ab_tensors_from_jets(rd, covector_jets(beta, x))
+        rd, ab = ab_tensors(alpha, beta, x)
         closed = randers_ricci(rd, ab, y)
         gaps.append(abs(closed - ric) / max(1.0, abs(ric)))
     return gaps
@@ -280,27 +274,28 @@ def scenario_covariant_identity_suite():
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
     sign = curvature_term_sign()
-    worst = 0.0
+    residuals = []
     flipped_max = 0.0
     instances = 0
     while instances < 20:
         alpha, beta = random_polynomial_instance(rng)
         x = rng.uniform(-0.4, 0.4, size=2).tolist()
         try:
-            rd = riemann_data_from_jets(matrix_jets(alpha, x), x)
-            ab = ab_tensors_from_jets(rd, covector_jets(beta, x))
+            rd, ab = ab_tensors(alpha, beta, x)
         except FinslerError:
             continue
-        res, _ = ricci_identity_residuals(rd, ab, sign)
-        worst = max(worst, *res)
+        residuals += ricci_identity_residuals(rd, ab, sign)[0]
+        # flipped_max must exceed its bound, and worst() would read a NaN
+        # as inf and pass it: it keeps the bare max
         res_flipped, _ = ricci_identity_residuals(rd, ab, -sign)
         flipped_max = max(flipped_max, *res_flipped)
         instances += 1
     elapsed = time.perf_counter() - start
-    passed = worst < 1e-7 and flipped_max > 1e-4
+    max_residual = worst(residuals)
+    passed = max_residual < 1e-7 and flipped_max > 1e-4
     details = [
         f"calibrated curvature term sign: {sign:+d}",
-        f"20 instances: max identity residual {worst:.3e} (< 1e-7)",
+        f"20 instances: max identity residual {max_residual:.3e} (< 1e-7)",
         f"flipped sign: max residual {flipped_max:.3e} (> 1e-4, sensitivity)",
     ]
     return ScenarioResult("covariant-identity-suite",
@@ -453,13 +448,12 @@ def scenario_killing_rescale():
     """Rescaled 1-form of the rotational family is a Killing form."""
     start = time.perf_counter()
     fam = sqrt2d_family(ROTATIONAL_TRIPLE)
-    worst_r = 0.0
-    worst_norm = 0.0
+    r_values, norm_values = [], []
     for x in rotational_points(10):
         kd = killing_deformation(fam.alpha, fam.beta, x)
-        worst_r = max(worst_r, kd.r_residual)
-        worst_norm = max(worst_norm,
-                         abs(kd.btilde_norm_sq - kd.expected_norm_sq))
+        r_values.append(kd.r_residual)
+        norm_values.append(abs(kd.btilde_norm_sq - kd.expected_norm_sq))
+    worst_r, worst_norm = worst(r_values), worst(norm_values)
     elapsed = time.perf_counter() - start
     passed = bool(worst_r < 1e-7 and worst_norm < 1e-9)
     details = [
@@ -505,7 +499,7 @@ def scenario_derivative_soundness():
         f2_jet = f_jet * f_jet
         point = list(x) + list(y)
         wants = fd_partials(f2_rows, point, f2_monomials)
-        gots = _read(f2_jet.c, f2_index, ctx).tolist()
+        gots = read_partials(f2_jet.c, f2_index, ctx).tolist()
         f2_errors += [rel_err(got, want) for got, want in zip(gots, wants)]
         done += 1
 
@@ -521,7 +515,7 @@ def scenario_derivative_soundness():
         # one batched spray evaluation of the stencil serves every component
         wants = fd_partials(lambda rows: sprays(metric, rows), point,
                             spray_monomials)
-        gots = _read(np.stack([g.c for g in g_jets]), spray_index, low)
+        gots = read_partials(np.stack([g.c for g in g_jets]), spray_index, low)
         for i, got_i in enumerate(gots.tolist()):
             spray_errors += [rel_err(got, want[i])
                              for got, want in zip(got_i, wants)]

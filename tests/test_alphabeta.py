@@ -101,7 +101,7 @@ def test_first_bianchi_identity():
 
 
 def test_ab_tensors_hand_example():
-    ab = ab_tensors(IDENTITY, ["0.3*x2", "0"], [0.0, 1.0])
+    _, ab = ab_tensors(IDENTITY, ["0.3*x2", "0"], [0.0, 1.0])
     assert ab.r[0, 1] == pytest.approx(0.15)
     assert ab.s[0, 1] == pytest.approx(0.15)
     np.testing.assert_allclose(ab.svec, [0.0, 0.045], atol=1e-15)
@@ -110,7 +110,7 @@ def test_ab_tensors_hand_example():
 
 
 def test_parallel_form_vanishing_tensors():
-    ab = ab_tensors(IDENTITY, ["0.28", "-0.12"], [0.2, 0.3])
+    _, ab = ab_tensors(IDENTITY, ["0.28", "-0.12"], [0.2, 0.3])
     for field in (ab.r, ab.s, ab.q, ab.t, ab.cov_b):
         assert np.abs(field).max() == 0.0
 
@@ -319,3 +319,44 @@ def test_three_dimensional_randers_ricci_matches_engine():
         generic = ricci(metric, x, y)
         assert abs(closed - generic) / max(1.0, abs(generic)) < 1e-7
         done += 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tensor_reads_equal_the_entry_by_entry_partials(n):
+    """The gathered values, first and second partials of a_ij and b_i are
+    the arrays that reading each entry with Jet.partial gives, bit for bit
+    and in the same memory layout."""
+    from finslerlab.jets import Jet
+
+    ctx = get_context(n, 3)
+    rng = np.random.default_rng(n)
+    sym = rng.uniform(-0.1, 0.1, size=(n, n, ctx.ncoef))
+    sym = sym + sym.transpose(1, 0, 2)
+    sym[:, :, 0] += 2.0 * np.eye(n)  # positive definite a_ij
+    a_jets = [[Jet(ctx, sym[i, j]) for j in range(n)] for i in range(n)]
+    b_jets = [Jet(ctx, c) for c in rng.uniform(-0.3, 0.3, size=(n, ctx.ncoef))]
+
+    def mono(*variables):
+        e = [0] * n
+        for v in variables:
+            e[v] += 1
+        return tuple(e)
+
+    rd = riemann_data_from_jets(a_jets, [0.0] * n)
+    ab = ab_tensors_from_jets(rd, b_jets)
+    idx = range(n)
+    wants = [
+        (rd.a, [[a_jets[i][j].value for j in idx] for i in idx]),
+        (rd.da, [[[a_jets[i][j].partial(mono(k)) for j in idx] for i in idx]
+                 for k in idx]),
+        (rd.dda, [[[[a_jets[i][j].partial(mono(l, k)) for j in idx]
+                    for i in idx] for k in idx] for l in idx]),
+        (ab.b, [bj.value for bj in b_jets]),
+        (ab.db, [[b_jets[i].partial(mono(j)) for i in idx] for j in idx]),
+        (ab.ddb, [[[b_jets[i].partial(mono(k, j)) for i in idx] for j in idx]
+                  for k in idx]),
+    ]
+    for got, want in wants:
+        want = np.array(want)
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

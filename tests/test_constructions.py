@@ -10,6 +10,7 @@ from finslerlab import (
     PPowerSpec,
     SingularMetric,
     Sqrt2dFamilySpec,
+    ab_tensors,
     einstein_scalar,
     fundamental_tensor,
     killing_deformation,
@@ -172,9 +173,8 @@ def test_family_values(example_family):
 
 
 def test_family_norm_equals_b_field(example_family):
-    from finslerlab.alphabeta import ab_tensors
     for x in ([0.5, 0.2], [-0.3, 0.4]):
-        ab = ab_tensors(example_family.alpha, example_family.beta, x)
+        _, ab = ab_tensors(example_family.alpha, example_family.beta, x)
         assert ab.b2 == pytest.approx(example_family.b_squared(x), rel=1e-12)
 
 
@@ -191,8 +191,7 @@ def test_constant_triple():
     fam = sqrt2d_family(Sqrt2dFamilySpec("1", "0", "0.5"))
     res = fam.pde_residuals([0.3, 0.4])
     assert max(abs(v) for v in res.values()) == 0.0
-    from finslerlab.alphabeta import ab_tensors
-    ab = ab_tensors(fam.alpha, fam.beta, [0.3, 0.4])
+    _, ab = ab_tensors(fam.alpha, fam.beta, [0.3, 0.4])
     assert np.abs(ab.s).max() < 1e-14  # constant B: the form is closed
 
 
@@ -215,13 +214,14 @@ def test_flag_curvature_matches_engine(example_family):
 
 def test_structure_equation_residuals(example_family):
     for x in ([0.5, 0.2], [0.3, -0.4]):
-        assert sqrt2d_einstein_residual(example_family.alpha,
-                                        example_family.beta, x) < 1e-8
+        assert sqrt2d_einstein_residual(*ab_tensors(
+            example_family.alpha, example_family.beta, x)) < 1e-8
     # parallel form: both sides vanish
-    assert sqrt2d_einstein_residual(IDENTITY, ["0.3", "0"], [0.1, 0.2]) == 0.0
+    assert sqrt2d_einstein_residual(
+        *ab_tensors(IDENTITY, ["0.3", "0"], [0.1, 0.2])) == 0.0
     # generic non-Einstein instance
-    assert sqrt2d_einstein_residual(IDENTITY, ["0.3*x2", "0"],
-                                    [0.0, 1.0]) > 1e-3
+    assert sqrt2d_einstein_residual(
+        *ab_tensors(IDENTITY, ["0.3*x2", "0"], [0.0, 1.0])) > 1e-3
 
 
 def test_base_curvature_formula_matches_tensor_path(example_family):
@@ -239,8 +239,8 @@ def test_base_curvature_formula_matches_tensor_path(example_family):
 def test_full_structure_system_on_family(example_family):
     from finslerlab import sqrt2d_structure_report
     for x in ([0.6, 0.0], [0.5, 0.2], [0.3, -0.4], [-0.45, 0.3]):
-        rep = sqrt2d_structure_report(example_family.alpha,
-                                      example_family.beta, x)
+        rep = sqrt2d_structure_report(*ab_tensors(
+            example_family.alpha, example_family.beta, x))
         assert rep.verdict, rep.residuals
         assert max(rep.residuals.values()) < 1e-8
         b = example_family.b_squared(x)
@@ -252,30 +252,35 @@ def test_full_structure_system_on_family(example_family):
 
 def test_full_structure_system_rejects_non_einstein():
     from finslerlab import sqrt2d_structure_report
-    rep = sqrt2d_structure_report(IDENTITY, ["0.3*x2", "0"], [0.0, 1.0])
+    rep = sqrt2d_structure_report(
+        *ab_tensors(IDENTITY, ["0.3*x2", "0"], [0.0, 1.0]))
     assert not rep.verdict
     assert rep.residuals["r00_equation"] > 1e-3
 
 
 def test_curvature_from_alpha_data(example_family):
-    assert sqrt2d_K_from_lambda(example_family.alpha, example_family.beta,
-                                [0.6, 0.0]) == pytest.approx(-1.25, abs=1e-9)
+    assert sqrt2d_K_from_lambda(*ab_tensors(
+        example_family.alpha, example_family.beta, [0.6, 0.0])) == \
+        pytest.approx(-1.25, abs=1e-9)
     metric = example_family.metric()
     for x in ([0.5, 0.2], [-0.3, 0.4]):
-        k = sqrt2d_K_from_lambda(example_family.alpha, example_family.beta, x)
+        k = sqrt2d_K_from_lambda(
+            *ab_tensors(example_family.alpha, example_family.beta, x))
         lam = einstein_scalar(metric, x, [0.6, 0.8])
         assert k == pytest.approx(lam, abs=1e-6)
 
 
 def test_curvature_from_alpha_data_flat_parallel():
     fam = sqrt2d_family(Sqrt2dFamilySpec("1", "0", "0.5"))
-    assert sqrt2d_K_from_lambda(fam.alpha, fam.beta, [0.2, 0.3]) == \
+    assert sqrt2d_K_from_lambda(*ab_tensors(fam.alpha, fam.beta,
+                                            [0.2, 0.3])) == \
         pytest.approx(0.0, abs=1e-12)
 
 
 def test_curvature_from_alpha_data_rejects_non_einstein():
     with pytest.raises(NotEinstein):
-        sqrt2d_K_from_lambda(IDENTITY, ["0.3*x2", "0"], [0.0, 1.0])
+        sqrt2d_K_from_lambda(
+            *ab_tensors(IDENTITY, ["0.3*x2", "0"], [0.0, 1.0]))
 
 
 def test_killing_deformation_family(example_family):

@@ -334,8 +334,14 @@ def test_three_dimensional_engine():
 @pytest.mark.parametrize("order", [2, 4])
 def test_partial_table_reads_equal_extract_partial(n, order):
     """Each index-table gather equals extract_partial bit for bit."""
-    from finslerlab.core import _partial_table, _read
-    from finslerlab.jets import Jet, extract_partial, get_context
+    from finslerlab.core import _partial_table
+    from finslerlab.jets import (
+        Jet,
+        extract_partial,
+        get_context,
+        partial_table,
+        read_partials,
+    )
 
     ctx = get_context(2 * n, order)
     table = _partial_table(ctx)
@@ -355,17 +361,22 @@ def test_partial_table_reads_equal_extract_partial(n, order):
         "y": lambda j, k: extract_partial(j, mono(n + k)),
         "xy": lambda j, k, l: extract_partial(j, mono(k, n + l)),
         "yy": lambda j, k, l: extract_partial(j, mono(n + k, n + l)),
+        "unit": lambda j, v: extract_partial(j, mono(v)),
+        "pair": lambda j, v, w: extract_partial(j, mono(v, w)),
     }
     for name, want in wants.items():
-        idx = getattr(table, name)
-        per_jet = _read(stacked, idx, ctx)
+        idx = getattr(partial_table(ctx) if name in ("unit", "pair")
+                      else table, name)
+        per_jet = read_partials(stacked, idx, ctx)
         for i, jet in enumerate(jets):
-            got = _read(jet.c, idx, ctx)
+            got = read_partials(jet.c, idx, ctx)
             assert got.tobytes() == per_jet[i].tobytes()
             for pos in np.ndindex(idx.shape):
                 assert got[pos].tobytes() == np.float64(
                     want(jet, *pos)).tobytes(), (name, pos)
     assert _partial_table(ctx) is table
+    # core's table is a view of the one jets table of the context
+    assert table.yy.base is partial_table(ctx).pair
 
 
 def _soundness_stencils(metric, count, seed):
@@ -463,6 +474,18 @@ def test_sprays_raise_the_first_error_of_the_one_point_loop():
             sprays(metric, rows)
     _same_bits(sprays(metric, np.array(good)),
                _spray_rows(metric, np.array(good)))
+
+
+def test_empty_batches_give_empty_arrays():
+    """No rows give no rows: (0, n) sprays, as riccis and einstein_scalars
+    give (0,) arrays."""
+    metric = ppower_metric(PPowerSpec(CURVED, CURVED_BETA, 0.5))
+    for rows in (np.zeros((0, 4)), []):
+        got = sprays(metric, rows)
+        assert got.shape == (0, 2) and got.dtype == float
+    x = [0.1, 0.2]
+    assert riccis(metric, x, np.zeros((0, 2))).shape == (0,)
+    assert einstein_scalars(metric, x, []).shape == (0,)
 
 
 def test_domain_beyond_positivity_bound_surfaces_as_singular_metric():

@@ -89,6 +89,11 @@ def test_unknown_and_inapplicable_checks():
     with pytest.raises(ManifestError) as info:
         validate_manifest(doc)
     assert info.value.pointer == "/checks/0"
+    # every check a manifest may name is registered, and no other
+    from finslerlab.manifest import ALL_CHECKS
+    assert sorted(runner.CHECKS) == ALL_CHECKS
+    with pytest.raises(ValueError, match="unknown check 'made_up'"):
+        runner.run_check("made_up", None, None, [], None, None)
 
 
 def test_seed_required_for_random_points():
@@ -245,6 +250,59 @@ def test_check_without_samples_fails():
         assert not check["verdict"], check["name"]
         assert all(math.isinf(v) for v in check["residuals"].values())
         assert len(check["skipped"]) == 1
+
+
+def test_a_bad_point_is_skipped_by_every_structure_check():
+    """A point where a_ij is not positive definite becomes a skipped row
+    of each check that reads its tensor data, not an error of the run."""
+    with open(f"{MANIFEST_DIR}/funk_ball.json") as fh:
+        doc = json.load(fh)
+    doc["samples"]["points"].append([0.9, 0.9])
+    report = run(validate_manifest(doc))
+    text = "x=[0.9, 0.9]: a_ij not positive definite at x=[0.9, 0.9]"
+    by_name = {c["name"]: c for c in report["checks"]}
+    for name in ("randers_conditions", "structural_vs_generic",
+                 "ricci_identities", "positivity"):
+        assert text in by_name[name]["skipped"], name
+        assert by_name[name]["verdict"], name
+    assert report["samples"][3]["b_squared"] is None
+
+
+def test_structure_checks_without_an_evaluated_point_fail():
+    """randers_conditions, square_conditions and ricci_flat_parallel read
+    inf, and fail, where no point was evaluated."""
+    doc = ppower_doc(checks=["randers_conditions"])
+    doc["metric"]["b"] = ["0", "0"]  # b^2 ~ 0 at every point
+    doc["samples"]["points"] = [[0.1, 0.2], [0.3, -0.1]]
+    check = run(validate_manifest(doc))["checks"][0]
+    assert not check["verdict"]
+    assert all(math.isinf(v) for v in check["residuals"].values())
+    assert check["skipped"] == ["x=[0.1, 0.2]: b^2 ~ 0",
+                                "x=[0.3, -0.1]: b^2 ~ 0"]
+    doc = ppower_doc(checks=["square_conditions", "ricci_flat_parallel"])
+    doc["metric"]["a"] = [["1/x1", "0"], ["0", "1"]]
+    doc["samples"]["points"] = [[0.0, 0.2]]  # a_11 is singular at x1 = 0
+    for check in run(validate_manifest(doc))["checks"]:
+        assert not check["verdict"], check["name"]
+        assert all(math.isinf(v) for v in check["residuals"].values())
+        assert len(check["skipped"]) == 1
+
+
+def test_sqrt2d_conditions_keep_structure_residuals_without_agreement():
+    """Where the alpha-data curvature cannot be had (the structure
+    precheck fails), the point's structure residuals still count and the
+    reason is a skipped row."""
+    doc = rotational_doc()
+    doc["metric"]["B"] = "x1^2+x2^2+0.05*x1"  # u B_1 + v B_2 != 0
+    doc["samples"]["points"] = [[0.45, 0.3], [-0.3, 0.55]]
+    doc["checks"] = ["sqrt2d_conditions"]
+    check = run(validate_manifest(doc))["checks"][0]
+    assert not check["verdict"]
+    residuals = check["residuals"]
+    assert 1e-6 < residuals["r00_equation"] < math.inf
+    assert math.isinf(residuals["curvature_agreement"])
+    assert len(check["skipped"]) == 2
+    assert all("structure-equation residual" in s for s in check["skipped"])
 
 
 def test_cli_run_exit_codes(tmp_path, capsys):

@@ -4,12 +4,13 @@ curvature tail in the order-2 context."""
 
 import math
 import re
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
-from finslerlab import constructions, jets, runner
+from finslerlab import alphabeta, constructions, jets, runner
 from finslerlab.constructions import (
     COEFFICIENT_MEMO_KEYS,
     PPowerSpec,
@@ -177,34 +178,65 @@ def test_jet_solves_reuse_pivot_reciprocals(monkeypatch):
     assert riemann_curvature(metric, x, y).tobytes() == cached.tobytes()
 
 
-def test_run_builds_tensor_data_once_per_point(monkeypatch):
+def count_calls(monkeypatch, fn, key):
+    """Count the calls of ``fn`` by ``key(*args)``, wherever a finslerlab
+    module holds it; calls whose key is None are not counted."""
     calls = Counter()
-    original = runner._tensors
 
-    def counting(manifest, x):
-        calls[exact_key(x)] += 1
-        return original(manifest, x)
+    def counting(*args, **kwargs):
+        k = key(*args, **kwargs)
+        if k is not None:
+            calls[k] += 1
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(runner, "_tensors", counting)
-    report = runner.run(load_manifest("manifests/funk_ball.json"))
-    assert report["verdict"]
-    # the sample rows, structural_vs_generic, ricci_identities and
-    # positivity all read each point
-    assert {"structural_vs_generic", "ricci_identities", "positivity"} <= {
-        c["name"] for c in report["checks"]}
-    assert len(calls) == len(report["samples"])
-    assert set(calls.values()) == {1}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "finslerlab":
+            for attribute, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attribute, counting)
+    return calls
+
+
+def test_run_builds_tensor_data_once_per_point(monkeypatch):
+    """Every order-3 (rd, ab) build of a run, by any check, goes through
+    alphabeta.ab_tensors, once per point, over the three bundled
+    manifests.  alpha's Levi-Civita data is built once more per point only
+    by the Killing rescaling, which rebuilds it from its own jets."""
+    alphabeta.curvature_term_sign()  # calibrated once per process
+    builds = count_calls(
+        monkeypatch, alphabeta.ab_tensors,
+        lambda alpha, beta, x, order=3: exact_key(x) if order == 3 else None)
+    levi_civita = count_calls(
+        monkeypatch, alphabeta.riemann_data_from_jets,
+        lambda a_jets, x: exact_key(x) if a_jets[0][0].ctx.order == 3
+        else None)
+    checks = set()
+    for name in ("funk_ball", "non_einstein_control", "rotational_family"):
+        builds.clear()
+        levi_civita.clear()
+        report = runner.run(load_manifest(f"manifests/{name}.json"))
+        names = {c["name"] for c in report["checks"]}
+        checks |= names
+        points = {exact_key(s["x"]) for s in report["samples"]}
+        assert set(builds) == points and set(builds.values()) == {1}, name
+        rebuilt = 2 if "killing_deformation" in names else 1
+        assert set(levi_civita) == points, name
+        assert set(levi_civita.values()) == {rebuilt}, name
+    assert checks >= {
+        "randers_conditions", "square_conditions", "sqrt2d_conditions",
+        "ricci_flat_parallel", "ricci_identities", "structural_vs_generic",
+        "positivity", "killing_deformation"}
 
 
 def test_tensor_table_raises_the_stored_error_again(monkeypatch):
     calls = Counter()
-    original = runner._tensors
+    original = runner.ab_tensors
 
-    def counting(manifest, x):
+    def counting(alpha_spec, beta_spec, x, order=3):
         calls[exact_key(x)] += 1
-        return original(manifest, x)
+        return original(alpha_spec, beta_spec, x, order)
 
-    monkeypatch.setattr(runner, "_tensors", counting)
+    monkeypatch.setattr(runner, "ab_tensors", counting)
     spec = SimpleNamespace(alpha_spec=[["x1", "0"], ["0", "x1"]],
                            beta_spec=["0", "0"])
     table = runner.TensorTable(spec)
