@@ -8,6 +8,18 @@ independent computation path: everything is assembled from explicit index
 formulas over coordinate jets of a_ij(x) and b_i(x), never from the generic
 engine, so agreement between the two paths is a real cross-check.
 
+The tensor data of many points is built in one batched pass
+(:func:`ab_tensor_rows`, and :func:`ab_tensor_rows_from_jets` for jets of
+points with specs of their own).  The one-point entries
+(:func:`ab_tensors`, :func:`riemann_data_from_jets`,
+:func:`ab_tensors_from_jets`) are its batches of one.  Every field of a
+row has the bits of evaluating its point alone: a sum over an index is
+taken term by term in index order, with only the free indices and the
+batch as whole arrays; a matrix product is a stacked ``@`` and a
+contraction an einsum with a batch index, since BLAS and einsum may sum
+in another order than a loop; and a point that fails holds the error its
+one-point call raises.
+
 Curvature conventions.  With
 
     R^i_jkl = d_k Gamma^i_jl - d_l Gamma^i_jk
@@ -28,10 +40,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateValue, DomainError, NotPositiveDefinite
+from .errors import (
+    BatchFailed,
+    DegenerateValue,
+    DomainError,
+    FinslerError,
+    NotPositiveDefinite,
+    coords,
+)
 from .exprlang import parse, shared_tape
 from .jets import Jet, get_context, partial_table, read_partials
-from .linalg import invert, is_positive_definite
+from .linalg import (
+    invert,
+    is_positive_definite,
+    positive_definite_rows,
+    solve_rows,
+)
 
 SPRAY_FLOOR = 1e-12
 
@@ -112,63 +136,138 @@ def riemann_data(alpha_spec, x, order=3):
 
 
 def _partials(coeffs, ctx):
-    """Values, first and second raw partials of the jets whose coefficient
-    vectors are the last axis of ``coeffs``: ``value[...]``, ``d[v, ...]``
-    = d_v and ``dd[v, w, ...]`` = d_v d_w, the trailing axes those of the
-    jets.  Each is one gather through the context's
-    ``jets.partial_table``, with the bits of ``Jet.partial``, and laid out
-    in memory as an array built entry by entry."""
+    """Values, first and second raw partials of a batch of jets whose
+    coefficient vectors are the last axis of ``coeffs``, the first axis
+    the batch: ``value[b, ...]``, ``d[b, v, ...]`` = d_v and
+    ``dd[b, v, w, ...]`` = d_v d_w, the trailing axes those of the jets.
+    Each is one gather through the context's ``jets.partial_table``, with
+    the bits of ``Jet.partial``, and laid out in memory as an array built
+    entry by entry."""
     table = partial_table(ctx)
-    d = np.moveaxis(read_partials(coeffs, table.unit, ctx), -1, 0)
-    dd = np.moveaxis(read_partials(coeffs, table.pair, ctx), (-2, -1), (0, 1))
+    d = np.moveaxis(read_partials(coeffs, table.unit, ctx), -1, 1)
+    dd = np.moveaxis(read_partials(coeffs, table.pair, ctx), (-2, -1), (1, 2))
     return tuple(np.ascontiguousarray(t) for t in (coeffs[..., 0], d, dd))
 
 
-def riemann_data_from_jets(a_jets, x):
-    n = len(a_jets)
-    a, da, dda = _partials(np.array([[j.c for j in row] for row in a_jets]),
-                           a_jets[0][0].ctx)
-    if not is_positive_definite(a.tolist()):
-        raise NotPositiveDefinite(f"a_ij not positive definite at x={list(x)!r}")
-    a_inv = np.array(invert(a.tolist()))
+def _dots(u, v):
+    """``u @ v`` of the vectors along the last axes of u and v, at every
+    index of the other axes (broadcast), as one stacked ``@`` of a row by
+    a column.  Each has the bits of the 1-D ``@`` of the same two views:
+    BLAS sums a strided vector in another order than a contiguous one, so
+    the callers pass each vector with the strides of the one-point
+    formula's slice."""
+    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
 
-    gamma = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = 0.0
-                for l in range(n):
-                    acc += a_inv[i, l] * (da[j, l, k] + da[k, j, l] - da[l, j, k])
-                gamma[i, j, k] = 0.5 * acc
 
-    da_inv = -np.einsum("ip,mpq,ql->mil", a_inv, da, a_inv)
-    dgamma = np.zeros((n, n, n, n))
+# below this many points the one-point Sylvester test and inverse
+# (``linalg.is_positive_definite``, ``linalg.invert``) are faster than
+# their batched forms, whose verdicts and bits they share
+ONE_BY_ONE = 8
+
+
+def _inverse_rows(a, points):
+    """a^ij of each matrix of the (B, n, n) array ``a``, with the bits of
+    ``linalg.invert``, and the FinslerError of each row, by row, where
+    a_ij is not positive definite at its point or cannot be inverted.
+
+    The batched inverse solves each unit column as its own system
+    (``linalg.solve_rows``), with the bits of that column of ``invert``;
+    a row it does not take is inverted by ``invert``, which raises its
+    own error.
+    """
+    batch, n = a.shape[:2]
+    errors = {}
+    if batch < ONE_BY_ONE:
+        a_inv = np.zeros_like(a)
+        positive = [is_positive_definite(m) for m in a.tolist()]
+        inverted = np.zeros(batch, dtype=bool)
+    else:
+        with np.errstate(all="ignore"):
+            positive = positive_definite_rows(a)
+            cols, solved = solve_rows(None, np.repeat(a, n, axis=0),
+                                      np.tile(np.eye(n), (batch, 1)))
+        a_inv = np.ascontiguousarray(
+            cols.reshape(batch, n, n).transpose(0, 2, 1))
+        inverted = solved.reshape(batch, n).all(axis=1)
+    for b, x in enumerate(points):
+        if not positive[b]:
+            errors[b] = NotPositiveDefinite(
+                f"a_ij not positive definite at x={coords(x)!r}")
+        elif not inverted[b]:
+            try:
+                a_inv[b] = invert(a[b].tolist())
+            except FinslerError as exc:
+                errors[b] = exc
+    return a_inv, errors
+
+
+def _levi_civita(a, a_inv, da, dda):
+    """Christoffel symbols, their partials and the curvature of a batch of
+    metrics, from a_ij, a^ij and the partials of a_ij, each with a leading
+    batch axis: ``(gamma, dgamma, riemann4, riemann_low, ricci_alpha)``.
+
+    A sum over an index is taken term by term in index order, with the
+    free indices and the batch as whole arrays, so every entry has the
+    bits of adding its terms one at a time.
+    """
+    n = a.shape[1]
+    # c[b, l, j, k] = d_j a_lk + d_k a_jl - d_l a_jk
+    c = da.transpose(0, 2, 1, 3) + da.transpose(0, 3, 2, 1) - da
+    acc = 0.0
+    for l in range(n):
+        acc = acc + a_inv[:, :, l, None, None] * c[:, None, l]
+    gamma = 0.5 * acc  # gamma[b, i, j, k] = Gamma^i_jk
+
+    da_inv = -np.einsum("bip,bmpq,bql->bmil", a_inv, da, a_inv)
+    # dc[b, m, l, j, k] = d_m c[b, l, j, k]
+    dc = dda.transpose(0, 1, 3, 2, 4) + dda.transpose(0, 1, 4, 3, 2) - dda
+    acc = 0.0
+    for l in range(n):
+        acc = acc + da_inv[:, :, :, l, None, None] * c[:, None, None, l]
+        acc = acc + a_inv[:, None, :, l, None, None] * dc[:, :, None, l]
+    dgamma = 0.5 * acc  # dgamma[b, m, i, j, k] = d_m Gamma^i_jk
+
+    # riemann4[b, i, j, k, l] = d_k Gamma^i_jl - d_l Gamma^i_jk
+    #     + sum_m (Gamma^i_km Gamma^m_jl - Gamma^i_lm Gamma^m_jk)
+    acc = dgamma.transpose(0, 2, 3, 1, 4) - dgamma.transpose(0, 2, 3, 4, 1)
     for m in range(n):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    acc = 0.0
-                    for l in range(n):
-                        acc += da_inv[m, i, l] * (
-                            da[j, l, k] + da[k, j, l] - da[l, j, k])
-                        acc += a_inv[i, l] * (
-                            dda[m, j, l, k] + dda[m, k, j, l] - dda[m, l, j, k])
-                    dgamma[m, i, j, k] = 0.5 * acc
+        acc = acc + gamma[:, :, None, :, None, m] * gamma[:, None, m, :, None]
+        acc = acc - gamma[:, :, None, None, :, m] * gamma[:, None, m, :, :, None]
+    riemann4 = acc
+    riemann_low = np.einsum("bim,bmjkl->bijkl", a, riemann4)
+    ricci_alpha = np.einsum("bkikj->bij", riemann4)
+    return gamma, dgamma, riemann4, riemann_low, ricci_alpha
 
-    riemann4 = np.zeros((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    acc = dgamma[k, i, j, l] - dgamma[l, i, j, k]
-                    for m in range(n):
-                        acc += gamma[i, k, m] * gamma[m, j, l]
-                        acc -= gamma[i, l, m] * gamma[m, j, k]
-                    riemann4[i, j, k, l] = acc
-    riemann_low = np.einsum("im,mjkl->ijkl", a, riemann4)
-    ricci_alpha = np.einsum("kikj->ij", riemann4)
-    return RiemannData(tuple(float(v) for v in x), a, a_inv, da, dda,
-                       gamma, dgamma, riemann4, riemann_low, ricci_alpha)
+
+def _riemann_rows(coeffs, ctx, points):
+    """The RiemannData at each point of ``points`` from the (B, n, n,
+    ncoef) coefficients of the jets of a_ij in ``ctx``, one row per
+    point, in one batched pass; a row where a_ij is not positive definite
+    or cannot be inverted holds the FinslerError saying so."""
+    if not len(points):
+        return []
+    a, da, dda = _partials(coeffs, ctx)
+    a_inv, errors = _inverse_rows(a, points)
+    with np.errstate(all="ignore"):
+        fields = _levi_civita(a, a_inv, da, dda)
+    return [errors[b] if b in errors else
+            RiemannData(tuple(coords(x)), a[b], a_inv[b], da[b], dda[b],
+                        *(f[b] for f in fields))
+            for b, x in enumerate(points)]
+
+
+def _raised(row):
+    """``row``, or the FinslerError it holds, raised."""
+    if isinstance(row, FinslerError):
+        raise row
+    return row
+
+
+def riemann_data_from_jets(a_jets, x):
+    """The RiemannData of a_ij at x from its jets: a batch of one of the
+    tensor builder (``ab_tensor_rows``)."""
+    coeffs = np.array([[j.c for j in row] for row in a_jets])
+    return _raised(_riemann_rows(coeffs[None], a_jets[0][0].ctx, [x])[0])
 
 
 @dataclass
@@ -273,72 +372,169 @@ class AbTensors:
 
 def ab_tensors(alpha_spec, beta_spec, x, order=3):
     """The tensor data ``(rd, ab)`` of (alpha, beta) at x, from jets of
-    ``order``: the one builder of a point's ``RiemannData`` and
-    ``AbTensors`` (``ab.rd`` is ``rd``)."""
+    ``order`` (``ab.rd`` is ``rd``): a batch of one of the tensor builder
+    (``ab_tensor_rows``)."""
     rd = riemann_data(alpha_spec, x, order)
     return rd, ab_tensors_from_jets(rd, covector_jets(beta_spec, x, order))
 
 
 def ab_tensors_from_jets(rd, b_jets):
-    n = rd.dim
-    b, db, ddb = _partials(np.array([j.c for j in b_jets]), b_jets[0].ctx)
-    b_up = rd.a_inv @ b
-    b2 = float(b_up @ b)
+    """The AbTensors of b_i's jets over the Levi-Civita data ``rd``: a
+    batch of one of the tensor builder (``ab_tensor_rows``)."""
+    coeffs = np.array([j.c for j in b_jets])
+    return _ab_rows([rd], coeffs[None], b_jets[0].ctx)[0]
 
-    cov_b = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            cov_b[i, j] = db[j, i] - float(rd.gamma[:, i, j] @ b)
-    r = 0.5 * (cov_b + cov_b.T)
-    s = 0.5 * (cov_b - cov_b.T)
-    r_up = rd.a_inv @ r
-    s_up = rd.a_inv @ s
-    q = r @ s_up
-    t = s @ s_up
-    rvec = b_up @ r
-    svec = b_up @ s
-    qvec = b_up @ q
-    tvec = b_up @ t
-    tr_r = float(np.trace(r_up))
-    tr_t = float(np.einsum("ki,ik->", rd.a_inv, t))
 
-    # partial derivatives of r_ij and s_ij
-    ds = np.zeros((n, n, n))   # ds[k,i,j] = d_k s_ij
-    dr = np.zeros((n, n, n))
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                ds[k, i, j] = 0.5 * (ddb[k, j, i] - ddb[k, i, j])
-                dr[k, i, j] = (0.5 * (ddb[k, j, i] + ddb[k, i, j])
-                               - float(rd.dgamma[k, :, i, j] @ b)
-                               - float(rd.gamma[:, i, j] @ db[k]))
+def _ab_rows(rds, coeffs, ctx):
+    """The AbTensors over each RiemannData of ``rds``, from the (B, n,
+    ncoef) coefficients of the jets of b_i in ``ctx``, in one batched
+    pass.
 
-    cov_s = np.zeros((n, n, n))  # s_{ij|k}
-    cov_r = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                corr_s = corr_r = 0.0
-                for m in range(n):
-                    corr_s += rd.gamma[m, i, k] * s[m, j] + rd.gamma[m, j, k] * s[i, m]
-                    corr_r += rd.gamma[m, i, k] * r[m, j] + rd.gamma[m, j, k] * r[i, m]
-                cov_s[i, j, k] = ds[k, i, j] - corr_s
-                cov_r[i, j, k] = dr[k, i, j] - corr_r
+    A sum over an index is taken term by term in index order, a matrix
+    product is a stacked ``@`` and a contraction a batched einsum, each
+    as the formula of one point names it, so every field has the bits of
+    evaluating that point alone.
+    """
+    if not rds:
+        return []
+    a_inv, gamma, dgamma = (np.stack([getattr(rd, name) for rd in rds])
+                            for name in ("a_inv", "gamma", "dgamma"))
+    b, db, ddb = _partials(coeffs, ctx)
+    n = b.shape[1]
+    with np.errstate(all="ignore"):
+        b_up = (a_inv @ b[..., None])[..., 0]
+        b2 = _dots(b_up, b)
+        # gamma_ij[p, i, j, :] = Gamma^._ij at point p, the one-point
+        # slice gamma[:, i, j]
+        gamma_ij = gamma.transpose(0, 2, 3, 1)
+        # cov_b[p, i, j] = b_{i|j} = d_j b_i - Gamma^m_ij b_m
+        cov_b = np.ascontiguousarray(
+            db.transpose(0, 2, 1) - _dots(gamma_ij, b[:, None, None]))
+        r = 0.5 * (cov_b + cov_b.transpose(0, 2, 1))
+        s = 0.5 * (cov_b - cov_b.transpose(0, 2, 1))
+        r_up = a_inv @ r
+        s_up = a_inv @ s
+        q = r @ s_up
+        t = s @ s_up
+        rvec, svec, qvec, tvec = ((b_up[:, None] @ m)[:, 0]
+                                  for m in (r, s, q, t))
+        tr_r = np.trace(r_up, axis1=1, axis2=2)
+        tr_t = np.einsum("bki,bik->b", a_inv, t)
 
-    # s_{j|k} and r_{j|k} via the product rule with (b^i)_{|k} = a^{im} b_{m|k}
-    bup_cov = rd.a_inv @ cov_b  # (b^i)_{|k}
-    cov_svec = np.zeros((n, n))
-    cov_rvec = np.zeros((n, n))
-    for j in range(n):
-        for k in range(n):
-            cov_svec[j, k] = (float(bup_cov[:, k] @ s[:, j])
-                              + float(b_up @ cov_s[:, j, k]))
-            cov_rvec[j, k] = (float(bup_cov[:, k] @ r[:, j])
-                              + float(b_up @ cov_r[:, j, k]))
+        # partial derivatives ds[p, k, i, j] = d_k s_ij and d_k r_ij
+        ddb_t = ddb.transpose(0, 1, 3, 2)
+        ds = 0.5 * (ddb_t - ddb)
+        dr = (0.5 * (ddb_t + ddb)
+              - _dots(dgamma.transpose(0, 1, 3, 4, 2), b[:, None, None, None])
+              - _dots(gamma_ij[:, None], db[:, :, None, None]))
 
-    return AbTensors(rd, b, db, ddb, b_up, b2, cov_b, r, s, r_up, s_up, q, t,
-                     rvec, svec, qvec, tvec, tr_r, tr_t, cov_r, cov_s,
-                     cov_rvec, cov_svec)
+        # cov_s[p, i, j, k] = s_{ij|k} = d_k s_ij
+        #     - sum_m (Gamma^m_ik s_mj + Gamma^m_jk s_im), likewise r
+        corr_s = corr_r = 0.0
+        for m in range(n):
+            g_ik = gamma[:, m, :, None, :]
+            g_jk = gamma[:, m, None, :, :]
+            corr_s = corr_s + (g_ik * s[:, m, None, :, None]
+                               + g_jk * s[:, :, m, None, None])
+            corr_r = corr_r + (g_ik * r[:, m, None, :, None]
+                               + g_jk * r[:, :, m, None, None])
+        cov_s = np.ascontiguousarray(ds.transpose(0, 2, 3, 1) - corr_s)
+        cov_r = np.ascontiguousarray(dr.transpose(0, 2, 3, 1) - corr_r)
+
+        # s_{j|k} and r_{j|k} via the product rule with (b^i)_{|k} =
+        # a^{im} b_{m|k}: bup_cov[:, k] . s[:, j] + b^i s_{ij|k}
+        bup_cov_k = (a_inv @ cov_b).transpose(0, 2, 1)[:, None]
+        b_up_ = b_up[:, None, None]
+        cov_svec = (_dots(bup_cov_k, s.transpose(0, 2, 1)[:, :, None])
+                    + _dots(b_up_, cov_s.transpose(0, 2, 3, 1)))
+        cov_rvec = (_dots(bup_cov_k, r.transpose(0, 2, 1)[:, :, None])
+                    + _dots(b_up_, cov_r.transpose(0, 2, 3, 1)))
+
+    return [AbTensors(rd, b[k], db[k], ddb[k], b_up[k], float(b2[k]),
+                      cov_b[k], r[k], s[k], r_up[k], s_up[k], q[k], t[k],
+                      rvec[k], svec[k], qvec[k], tvec[k], float(tr_r[k]),
+                      float(tr_t[k]), cov_r[k], cov_s[k], cov_rvec[k],
+                      cov_svec[k])
+            for k, rd in enumerate(rds)]
+
+
+def _tensor_rows(a, b, ctx, points, a_errors=None, b_errors=None):
+    """(rd, ab) at each point from the (B, n, n, ncoef) and (B, n, ncoef)
+    coefficients of the jets of a_ij and b_i, one row per point.
+
+    ``a_errors`` and ``b_errors`` map a row to the FinslerError that its
+    jets of a_ij or of b_i raised.  A row that fails holds the first error
+    ``ab_tensors`` meets there: a_ij's jets, its Levi-Civita data, then
+    b_i's jets.
+    """
+    rows = _riemann_rows(a, ctx, points)
+    rows = [(a_errors or {}).get(k, row) for k, row in enumerate(rows)]
+    for k, exc in (b_errors or {}).items():
+        if isinstance(rows[k], RiemannData):
+            rows[k] = exc
+    good = [k for k, rd in enumerate(rows) if isinstance(rd, RiemannData)]
+    for k, ab in zip(good, _ab_rows([rows[k] for k in good], b[good], ctx)):
+        rows[k] = (rows[k], ab)
+    return rows
+
+
+def ab_tensor_rows(alpha_spec, beta_spec, points, order=3):
+    """The tensor data ``(rd, ab)`` of (alpha, beta) at each of
+    ``points``, in one batched pass: row k has the bits of
+    ``ab_tensors(alpha_spec, beta_spec, points[k], order)`` in every
+    field, or, where that call raises a FinslerError, holds the error it
+    raises.
+
+    The jets of a_ij and b_i come from one batched replay of their tapes
+    (point by point where the batch fails), and the Levi-Civita data and
+    the tensor bundle are computed for all points at once.
+    """
+    points = [coords(x) for x in points]
+    if not points:
+        return []
+    n = len(alpha_spec)
+    ctx = get_context(n, order)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    upper, a_errors = _jet_rows(
+        [_as_ast(alpha_spec[i][j]) for i, j in pairs], ctx, points)
+    b, b_errors = _jet_rows([_as_ast(e) for e in beta_spec], ctx, points)
+    a = np.empty((len(points), n, n, ctx.ncoef))
+    for (i, j), column in zip(pairs, np.moveaxis(upper, 1, 0)):
+        a[:, i, j] = a[:, j, i] = column
+    return _tensor_rows(a, b, ctx, points, a_errors, b_errors)
+
+
+def ab_tensor_rows_from_jets(a_jets, b_jets, points):
+    """``ab_tensors_from_jets(riemann_data_from_jets(a_jets[k],
+    points[k]), b_jets[k])`` for each k, as ``(rd, ab)`` or the
+    FinslerError it raises, in one batched pass; the jets of each row may
+    come from their own specs, in one context."""
+    if not len(points):
+        return []
+    ctx = a_jets[0][0][0].ctx
+    a = np.array([[[j.c for j in row] for row in m] for m in a_jets])
+    b = np.array([[j.c for j in v] for v in b_jets])
+    return _tensor_rows(a, b, ctx, [coords(x) for x in points])
+
+
+def _jet_rows(exprs, ctx, points):
+    """The jet coefficients of ``exprs`` in ``ctx`` at each point, as a
+    (B, len(exprs), ncoef) array, from one batched replay of their shared
+    tape -- point by point where the batch fails -- and the FinslerError
+    of each point whose replay raises, by row."""
+    tape = shared_tape(exprs)
+    try:
+        return np.stack(tape.jets(ctx, np.array(points).T), axis=1), {}
+    except BatchFailed:
+        pass
+    out = np.zeros((len(points), len(exprs), ctx.ncoef))
+    errors = {}
+    for k, x in enumerate(points):
+        try:
+            out[k] = tape.jets(ctx, x)
+        except FinslerError as exc:
+            errors[k] = exc
+    return out, errors
 
 
 def structural_spray(rd, ab, p, y):

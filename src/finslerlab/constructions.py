@@ -33,7 +33,13 @@ from .core import (
     sphere_directions,
     worst,
 )
-from .errors import DegenerateValue, DomainError, FinslerError, NotEinstein
+from .errors import (
+    DegenerateValue,
+    DomainError,
+    FinslerError,
+    NotEinstein,
+    coords,
+)
 from .exprlang import (
     BatchFailed,
     Binary,
@@ -439,7 +445,7 @@ class Sqrt2dFamily:
     def b_squared(self, x):
         value = eval_scalar(self.spec.B, x)
         if not 0.0 < value < 1.0:
-            raise DomainError(f"B = {value!r} outside (0, 1) at x={list(x)!r}")
+            raise DomainError(f"B = {value!r} outside (0, 1) at x={coords(x)!r}")
         return value
 
     def metric(self):
@@ -499,7 +505,7 @@ def _triple_at(spec, x, formula):
     bj = eval_jet(spec.B, get_context(2, 2), x)
     b_val = bj.value
     if not 0.0 < b_val < 1.0:
-        raise DomainError(f"B = {b_val!r} outside (0, 1) at x={list(x)!r}")
+        raise DomainError(f"B = {b_val!r} outside (0, 1) at x={coords(x)!r}")
     if abs(v) < V_FLOOR:
         raise DegenerateValue(f"the {formula} formula divides by v")
     return (u, v, b_val, bj.partial((1, 0)),
@@ -686,7 +692,7 @@ def killing_deformation(alpha_spec, beta_spec, x, order=3):
             b2_jet = term if b2_jet is None else b2_jet + term
     b2 = b2_jet.value
     if b2 >= 1.0:
-        raise DomainError(f"b^2 = {b2!r} >= 1 at x={list(x)!r}")
+        raise DomainError(f"b^2 = {b2!r} >= 1 at x={coords(x)!r}")
     scale = jet_pow(1.0 - b2_jet, -0.75)
     rd = riemann_data_from_jets(a_jets, x)
     ab_t = ab_tensors_from_jets(rd, [scale * bj for bj in b_jets])

@@ -53,6 +53,7 @@ from .errors import (
     DomainError,
     FinslerError,
     SingularMetric,
+    coords,
 )
 from .jets import (
     Jet,
@@ -156,7 +157,8 @@ class FinslerMetric:
     def require_domain(self, x, y):
         if not self.in_domain(x, y):
             raise DomainError(
-                f"sample x={list(x)!r}, y={list(y)!r} outside the metric domain")
+                f"sample x={coords(x)!r}, y={coords(y)!r} outside the metric "
+                "domain")
 
     def jet(self, x, y, order):
         """Jet of F in the 2n-variable context (x first, then y)."""
@@ -279,8 +281,8 @@ def _g_values(metric, f2, x, y):
     g = (0.5 * read_partials(f2.c, table.yy, f2.ctx)).tolist()
     if not is_positive_definite(g):
         raise SingularMetric(
-            f"fundamental tensor not positive definite at x={list(x)!r}, "
-            f"y={list(y)!r}")
+            f"fundamental tensor not positive definite at x={coords(x)!r}, "
+            f"y={coords(y)!r}")
     return g
 
 
@@ -377,8 +379,8 @@ def _spray_jets(metric, x, y):
     g = 0.5 * _gather(f2.c, table.g)
     if not is_positive_definite(g[:, :, 0].tolist()):
         raise SingularMetric(
-            f"fundamental tensor not positive definite at x={list(x)!r}, "
-            f"y={list(y)!r}")
+            f"fundamental tensor not positive definite at x={coords(x)!r}, "
+            f"y={coords(y)!r}")
     g_jets = [[Jet(low, g[i, j]) for j in range(n)] for i in range(n)]
     f2_xy = _gather(f2.c, table.xy)
     f2_x = _gather(f2.c, table.x)
@@ -477,21 +479,22 @@ def _f2_rows(metric, x, ys):
     return f2, ok
 
 
-def _ricci_tail(metric, x, ys):
-    """Ricci curvatures at (x, y) for each row y of the (B, n) array
-    ``ys``, all in the domain; x is one point or the (B, n) array of each
-    row's point.
+def _spray_jet_rows(metric, x, ys):
+    """The spray jets G^i in the order-2 context at (x, y) for each row y
+    of the (B, n) array ``ys``, all in the domain; x is one point or the
+    (B, n) array of each row's point.
 
-    Returns ``(ric, ok)``: ric[b] has the bits of ``ricci`` at row b
+    Returns ``(coeffs, ok)``: coeffs[b] is the (n, ncoef) array of the
+    coefficients of G^1..G^n, with the bits of ``_spray_jets`` at row b
     wherever ok[b] is true.  ok[b] is false where that call would raise --
     F not built, g not positive definite, a pivot or division floor in
-    the jet solve -- and where a value is not finite; such rows are left
-    to ``ricci``.  The tail runs once for every row.
+    the jet solve -- and where a value is not finite.  The tail runs once
+    for every row.
     """
     n = metric.dim
     table = _tail_table(get_context(2 * n, 4))
     low = table.low
-    # rows that overflow are left to ``ricci``, which warns for them
+    # rows that overflow are left to the one-point call, which warns
     with np.errstate(all="ignore"):
         f2, ok = _f2_rows(metric, x, ys)
         g = 0.5 * _gather(f2, table.g)
@@ -503,8 +506,25 @@ def _ricci_tail(metric, x, ys):
             rhs = rhs + _shift_product(low, f2_xy[:, :, k], n + k,
                                        ys[:, k:k + 1])
         sol, solved = solve_rows(low, g, rhs)
-        ok &= solved
-        r = _riemann_read(0.25 * sol, ys, low)
+        return 0.25 * sol, ok & solved
+
+
+def _ricci_tail(metric, x, ys):
+    """Ricci curvatures at (x, y) for each row y of the (B, n) array
+    ``ys``, all in the domain; x is one point or the (B, n) array of each
+    row's point.
+
+    Returns ``(ric, ok)``: ric[b] has the bits of ``ricci`` at row b
+    wherever ok[b] is true.  ok[b] is false where that call would raise
+    (see ``_spray_jet_rows``) and where a value is not finite; such rows
+    are left to ``ricci``.  The tail runs once for every row.
+    """
+    n = metric.dim
+    low = get_context(2 * n, 2)
+    g, ok = _spray_jet_rows(metric, x, ys)
+    # rows that overflow are left to ``ricci``, which warns for them
+    with np.errstate(all="ignore"):
+        r = _riemann_read(g, ys, low)
         # np.trace adds the diagonal in order
         trace = r[:, 0, 0]
         for i in range(1, n):

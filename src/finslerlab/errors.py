@@ -1,6 +1,13 @@
 """Exception hierarchy shared by all finslerlab modules."""
 
 
+def coords(values):
+    """The coordinates ``values`` as a list of Python floats: the form in
+    which error texts print a point or a direction, whether it came as a
+    list or as a numpy row."""
+    return [float(v) for v in values]
+
+
 class FinslerError(Exception):
     """Base class for all errors raised by this package."""
 

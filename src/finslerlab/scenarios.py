@@ -15,8 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alphabeta import (
-    ab_tensors,
+    ab_tensor_rows,
+    ab_tensor_rows_from_jets,
+    covector_jets,
     curvature_term_sign,
+    matrix_jets,
     randers_ricci,
     ricci_identity_residuals,
     structural_spray,
@@ -37,6 +40,8 @@ from .constructions import (
     square_einstein_residuals,
 )
 from .core import (
+    _f2_rows,
+    _spray_jet_rows,
     _spray_jets,
     einstein_check,
     einstein_scalars,
@@ -122,6 +127,17 @@ def _fail_lines(details, passed):
     return details if passed else details + ["FAILED"]
 
 
+def _tensors(alpha, beta, points):
+    """The tensor data (rd, ab) at each point, from one batched build
+    (``ab_tensor_rows``); the first point that fails raises its own
+    error."""
+    rows = ab_tensor_rows(alpha, beta, points)
+    for row in rows:
+        if isinstance(row, FinslerError):
+            raise row
+    return rows
+
+
 def scenario_rotational_family_curvature():
     """Engine Einstein scalar of the rotational family vs its closed form."""
     start = time.perf_counter()
@@ -166,9 +182,10 @@ def scenario_family_curvature_consistency():
                     time.perf_counter() - start)
         k_engines = einstein_scalars(metric, points,
                                      [[0.6, 0.8]] * len(points))
-        for x, k_engine in zip(points, k_engines.tolist()):
+        tensors = _tensors(fam.alpha, fam.beta, points)
+        for x, k_engine, (rd, ab) in zip(points, k_engines.tolist(), tensors):
             k_formula = sqrt2d_flag_curvature(spec, x)
-            k_alpha = sqrt2d_K_from_lambda(*ab_tensors(fam.alpha, fam.beta, x))
+            k_alpha = sqrt2d_K_from_lambda(rd, ab)
             gaps += [abs(k_formula - k_alpha), abs(k_formula - k_engine),
                      abs(k_alpha - k_engine)]
             rows += 1
@@ -197,9 +214,9 @@ def scenario_spray_cross_validation():
             rng.uniform(-0.5, 0.5, size=2).tolist(),
             rng.uniform(-1.0, 1.0, size=2).tolist()))
         generic = sprays(metric, [x + y for x, y in samples])
+        tensors = _tensors(CURVED_ALPHA, CURVED_BETA, [x for x, _ in samples])
         values = []
-        for (x, y), g_generic in zip(samples, generic):
-            rd, ab = ab_tensors(CURVED_ALPHA, CURVED_BETA, x)
+        for (_, y), g_generic, (rd, ab) in zip(samples, generic, tensors):
             g_struct = structural_spray(rd, ab, p, y)
             scale = max(1.0, float(np.abs(g_generic).max()))
             values.append(float(np.abs(g_struct - g_generic).max()) / scale)
@@ -247,11 +264,13 @@ def scenario_randers_ricci_formula():
 
 def _randers_ricci_gaps(metric, alpha, beta, samples):
     """|closed-form Randers Ricci - engine Ricci| / max(1, |engine Ricci|)
-    at each sample (x, y); the engine's values come from one batch."""
-    generic = riccis(metric, [x for x, _ in samples], [y for _, y in samples])
+    at each sample (x, y); the engine's values and the tensor data each
+    come from one batch."""
+    points = [x for x, _ in samples]
+    generic = riccis(metric, points, [y for _, y in samples])
+    tensors = _tensors(alpha, beta, points)
     gaps = []
-    for (x, y), ric in zip(samples, generic.tolist()):
-        rd, ab = ab_tensors(alpha, beta, x)
+    for (_, y), ric, (rd, ab) in zip(samples, generic.tolist(), tensors):
         closed = randers_ricci(rd, ab, y)
         gaps.append(abs(closed - ric) / max(1.0, abs(ric)))
     return gaps
@@ -278,18 +297,26 @@ def scenario_covariant_identity_suite():
     flipped_max = 0.0
     instances = 0
     while instances < 20:
-        alpha, beta = random_polynomial_instance(rng)
-        x = rng.uniform(-0.4, 0.4, size=2).tolist()
-        try:
-            rd, ab = ab_tensors(alpha, beta, x)
-        except FinslerError:
-            continue
-        residuals += ricci_identity_residuals(rd, ab, sign)[0]
-        # flipped_max must exceed its bound, and worst() would read a NaN
-        # as inf and pass it: it keeps the bare max
-        res_flipped, _ = ricci_identity_residuals(rd, ab, -sign)
-        flipped_max = max(flipped_max, *res_flipped)
-        instances += 1
+        # draw as many instances as are missing, as drawing one at a time
+        # would, and build their tensor data in one batch; an instance
+        # whose a_ij fails is skipped (polynomial jets cannot raise)
+        drawn = []
+        for _ in range(20 - instances):
+            alpha, beta = random_polynomial_instance(rng)
+            drawn.append((alpha, beta, rng.uniform(-0.4, 0.4, size=2).tolist()))
+        rows = ab_tensor_rows_from_jets(
+            [matrix_jets(alpha, x) for alpha, _, x in drawn],
+            [covector_jets(beta, x) for _, beta, x in drawn],
+            [x for _, _, x in drawn])
+        for row in rows:
+            if isinstance(row, FinslerError):
+                continue
+            residuals += ricci_identity_residuals(*row, sign)[0]
+            # flipped_max must exceed its bound, and worst() would read a
+            # NaN as inf and pass it: it keeps the bare max
+            res_flipped, _ = ricci_identity_residuals(*row, -sign)
+            flipped_max = max(flipped_max, *res_flipped)
+            instances += 1
     elapsed = time.perf_counter() - start
     max_residual = worst(residuals)
     passed = max_residual < 1e-7 and flipped_max > 1e-4
@@ -473,8 +500,6 @@ def scenario_derivative_soundness():
     n = metric.dim
     ctx = get_context(2 * n, 4)
     low = get_context(2 * n, 2)
-    f2_errors = []
-    spray_errors = []
     spray_monomials = [m for m in low.monomials if 1 <= sum(m) <= 2]
     f2_monomials = [m for m in ctx.monomials if 1 <= sum(m) <= 4]
     # where each partial sits in a coefficient vector: one gather reads
@@ -483,43 +508,46 @@ def scenario_derivative_soundness():
     f2_index = np.array([ctx.index[m] for m in f2_monomials])
 
     def f2_rows(points):
-        # one batched evaluation of F for the whole stencil; each square
-        # is the float power the one-point evaluation took
+        # one batched evaluation of F for a chunk of stencil rows; each
+        # square is the float power the one-point evaluation took
         z = np.ascontiguousarray(points.T)
         return [f ** 2 for f in metric.value(z[:n], z[n:]).tolist()]
 
-    done = 0
-    while done < 100:
-        x = rng.uniform(-0.4, 0.4, size=2).tolist()
-        y = rng.uniform(0.4, 1.0, size=2) * rng.choice([-1.0, 1.0], size=2)
-        y = y.tolist()
-        if not metric.in_domain(x, y):
-            continue
-        f_jet = metric.jet(x, y, 4)
-        f2_jet = f_jet * f_jet
-        point = list(x) + list(y)
-        wants = fd_partials(f2_rows, point, f2_monomials)
-        gots = read_partials(f2_jet.c, f2_index, ctx).tolist()
-        f2_errors += [rel_err(got, want) for got, want in zip(gots, wants)]
-        done += 1
+    def draw(x_half, y_low):
+        def sample():
+            x = rng.uniform(-x_half, x_half, size=2).tolist()
+            y = rng.uniform(y_low, 1.0, size=2) * rng.choice([-1.0, 1.0],
+                                                             size=2)
+            return x, y.tolist()
+        return sample
 
-    done = 0
-    while done < 100:
-        x = rng.uniform(-0.35, 0.35, size=2).tolist()
-        y = rng.uniform(0.45, 1.0, size=2) * rng.choice([-1.0, 1.0], size=2)
-        y = y.tolist()
-        if not metric.in_domain(x, y):
-            continue
-        g_jets, _ = _spray_jets(metric, x, y)
-        point = list(x) + list(y)
-        # one batched spray evaluation of the stencil serves every component
-        wants = fd_partials(lambda rows: sprays(metric, rows), point,
-                            spray_monomials)
-        gots = read_partials(np.stack([g.c for g in g_jets]), spray_index, low)
-        for i, got_i in enumerate(gots.tolist()):
-            spray_errors += [rel_err(got, want[i])
-                             for got, want in zip(got_i, wants)]
-        done += 1
+    # both sample sets are drawn first, in the order the checks use them
+    f2_samples = _draw_samples(metric, 100, draw(0.4, 0.4))
+    spray_samples = _draw_samples(metric, 100, draw(0.35, 0.45))
+
+    # the jets of F^2 at every sample in one batched pass; a sample the
+    # batch does not take raises its own error
+    xs, ys = (np.array(v) for v in zip(*f2_samples))
+    f2, ok = _f2_rows(metric, xs, ys)
+    for b in np.flatnonzero(~ok):
+        f = metric.jet(xs[b].tolist(), ys[b].tolist(), 4)
+        f2[b] = (f * f).c
+    wants = fd_partials(f2_rows, np.hstack([xs, ys]), f2_monomials)
+    gots = read_partials(f2, f2_index, ctx)
+    f2_errors = rel_err(gots, wants).ravel().tolist()
+
+    # the spray jets likewise; the finite differences difference one
+    # batched spray evaluation per chunk of stencil rows
+    xs, ys = (np.array(v) for v in zip(*spray_samples))
+    g, ok = _spray_jet_rows(metric, xs, ys)
+    for b in np.flatnonzero(~ok):
+        g_jets, _ = _spray_jets(metric, xs[b].tolist(), ys[b].tolist())
+        g[b] = np.stack([gi.c for gi in g_jets])
+    wants = fd_partials(lambda rows: sprays(metric, rows),
+                        np.hstack([xs, ys]), spray_monomials)
+    # gots[b, i, m] and wants[b, m, i]: partial m of G^i at sample b
+    gots = read_partials(g, spray_index, low)
+    spray_errors = rel_err(gots, wants.transpose(0, 2, 1)).ravel().tolist()
     worst_f2 = worst(f2_errors)
     worst_spray = worst(spray_errors)
     elapsed = time.perf_counter() - start

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finslerlab import (
@@ -396,7 +396,7 @@ def _soundness_stencils(metric, count, seed):
         x = rng.uniform(-0.35, 0.35, size=n).tolist()
         y = rng.uniform(0.45, 1.0, size=n) * rng.choice([-1.0, 1.0], size=n)
         if metric.in_domain(x, y.tolist()):
-            fd_partials(record, x + y.tolist(), monomials)
+            fd_partials(record, [x + y.tolist()], monomials)
     return batches
 
 
@@ -834,3 +834,62 @@ def test_sprays_keep_the_float_tail_off_the_one_point_entries(monkeypatch):
     for rows, want in zip(stencils, wants):
         _same_bits(sprays(metric, rows), want)
     assert not calls
+
+
+@functools.lru_cache(maxsize=None)
+def _curved_metric(p):
+    return ppower_metric(PPowerSpec(CURVED, CURVED_BETA, p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([0.5, 1.0, 2.0, -1.0, 3.0]),
+       k=st.integers(-40, 40),
+       x=st.lists(st.floats(-0.4, 0.4), min_size=2, max_size=2),
+       size=st.lists(st.floats(0.1, 1.0), min_size=2, max_size=2),
+       signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=2, max_size=2))
+@example(p=0.5, k=-5, x=[0.1596666840924873, -0.11646717599415407],
+         size=[0.38166199714679894, 0.99999], signs=[-1.0, 1.0])
+def test_sprays_and_einstein_scalars_are_homogeneous(p, k, x, size, signs):
+    """Scaling y by 2^k scales G^i by 4^k and keeps the Einstein scalar,
+    to one or two units in the last place, and the batched entries keep
+    the bits of the one-point entries at both scales.
+
+    Exact bits are not kept in general: the jet of a power takes
+    v ** (r - j) from the C library's pow, which is not exactly
+    scale-invariant; at p = 0.5, x = (0.1596666840924873,
+    -0.11646717599415407), y = (-0.38166199714679894, 0.99999) and
+    k = -5 the spray differs from 4^k times its value at y in the last
+    bit."""
+    metric = _curved_metric(p)
+    y = [s * v for s, v in zip(signs, size)]
+    scaled = [2.0 ** k * v for v in y]
+    try:
+        g = spray(metric, x, y)
+        lam = einstein_scalar(metric, x, y)
+    except FinslerError:
+        return  # outside the domain, or g not positive definite
+    g_scaled = spray(metric, x, scaled)
+    lam_scaled = einstein_scalar(metric, x, scaled)
+    assert np.abs(g_scaled / 4.0 ** k - g).max() <= 1e-14 * np.abs(g).max()
+    assert abs(lam_scaled - lam) <= 1e-14 * max(1.0, abs(lam))
+    _same_bits(sprays(metric, [x + y, x + scaled]), np.array([g, g_scaled]))
+    lams, ok = einstein_rows(metric, x, np.array([y, scaled]))
+    assert ok.all()
+    _same_bits(lams, np.array([lam, lam_scaled]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_spray_jet_rows_equal_the_one_point_spray_jets(n):
+    """The batched spray jets, with one point x per row, have the bits of
+    ``_spray_jets`` row by row; ``_ricci_tail`` reads its Ricci
+    curvatures from them."""
+    metric = _direction_metric(n, 0.5 if n == 2 else 1.0)
+    rng = np.random.default_rng(40 + n)
+    xs = rng.uniform(-0.3, 0.3, size=(12, n))
+    ys = rng.uniform(0.4, 1.0, size=(12, n)) * rng.choice([-1.0, 1.0],
+                                                          size=(12, n))
+    got, ok = core._spray_jet_rows(metric, xs, ys)
+    assert ok.all()
+    for b in range(len(xs)):
+        g_jets, _ = core._spray_jets(metric, xs[b].tolist(), ys[b].tolist())
+        _same_bits(got[b], np.stack([g.c for g in g_jets]))

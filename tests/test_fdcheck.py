@@ -1,14 +1,16 @@
-"""The finite-difference stencil plan: one batched call with every distinct
-point, same sums."""
+"""The finite-difference stencil plan: batched calls with every distinct
+stencil point of many points, same sums as one point at a time."""
 
 import math
 import struct
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finslerlab import fdcheck
 from finslerlab.fdcheck import (
     FD_STEPS,
     _stencil_1d,
@@ -78,7 +80,7 @@ def test_fd_partials_equals_fd_partial(point, monomials, step, vector):
         batches.append(points.shape)
         return per_row(planned)(points)
 
-    got = fd_partials(rows, point, monomials, step)
+    got = fd_partials(rows, [point], monomials, step)[0]
     one_by_one = Recorder(f)
     want = [fd_partial(f, point, m, step) for m in monomials]
     reference = [_reference_partial(one_by_one, point, m, step)
@@ -103,7 +105,7 @@ def test_fd_partials_shares_points_across_indices():
         monomials = [m for m in get_context(4, order).monomials
                      if 1 <= sum(m) <= order]
         planned = Recorder(_scalar)
-        fd_partials(per_row(planned), point, monomials)
+        fd_partials(per_row(planned), [point], monomials)
         one_by_one = Recorder(_scalar)
         for m in monomials:
             _reference_partial(one_by_one, point, m)
@@ -116,3 +118,68 @@ def test_fd_partial_order_zero_reads_the_point():
     value = fd_partial(lambda z: calls.append(z) or z[0], [-0.0, 1.0], (0, 0))
     assert calls == [[-0.0, 1.0]]
     assert math.copysign(1.0, value) == -1.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(points=st.lists(st.lists(coordinate, min_size=4, max_size=4),
+                       min_size=1, max_size=6),
+       monomials=st.lists(st.sampled_from(MONOMIALS), min_size=1, max_size=12),
+       step=st.sampled_from([None, 1e-3]),
+       vector=st.booleans(),
+       chunk=st.sampled_from([1, 7, 64, fdcheck.ROW_CHUNK]))
+def test_fd_partials_of_many_points_equal_one_point_calls(
+        points, monomials, step, vector, chunk):
+    """Every point's partials have the bits of differencing it alone, and
+    no call of f takes more than ``ROW_CHUNK`` rows."""
+    f = _vector if vector else _scalar
+    sizes = []
+
+    def rows(z):
+        sizes.append(len(z))
+        return per_row(f)(z)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fdcheck, "ROW_CHUNK", chunk)
+        got = fd_partials(rows, points, monomials, step)
+    assert got.shape[:2] == (len(points), len(monomials))
+    assert max(sizes) <= chunk and all(sizes)
+    for p, point in enumerate(points):
+        want = fd_partials(per_row(f), [point], monomials, step)[0]
+        assert _bits(got[p]) == _bits(want)
+
+
+@pytest.mark.parametrize("chunk", [fdcheck.ROW_CHUNK, 4096])
+def test_fd_partials_of_many_points_call_f_row_by_row_in_order(chunk):
+    """The rows of all points go to f point after point, each point's
+    distinct rows sorted, in chunks of at most ``ROW_CHUNK``, whether a
+    chunk holds one point's stencil or several (here the same point
+    twice, whose rows must not be shared)."""
+    points = [[0.1, -0.2, 0.5, 0.7], [-0.0, 0.3, 0.0, -0.4],
+              [0.1, -0.2, 0.5, 0.7]]
+    monomials = [m for m in MONOMIALS if sum(m) <= 3]
+    planned = Recorder(_scalar)
+    sizes = []
+
+    def rows(z):
+        sizes.append(len(z))
+        return per_row(planned)(z)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fdcheck, "ROW_CHUNK", chunk)
+        fd_partials(rows, points, monomials)
+    one_by_one = []
+    for point in points:
+        calls = Recorder(_scalar)
+        fd_partials(per_row(calls), [point], monomials)
+        one_by_one += calls.calls
+    assert planned.calls == one_by_one
+    assert all(0 < size <= chunk for size in sizes)
+    assert (len(sizes) == 1) == (chunk == 4096)
+
+
+def test_fd_partials_of_no_points_or_no_indices_are_empty():
+    def never(z):
+        raise AssertionError("f called")
+
+    assert fd_partials(never, [], MONOMIALS[:3]).shape == (0, 3)
+    assert fd_partials(never, [[0.1, 0.2]], []).shape == (1, 0)

@@ -268,6 +268,17 @@ def test_a_bad_point_is_skipped_by_every_structure_check():
     assert report["samples"][3]["b_squared"] is None
 
 
+def test_skip_texts_print_coordinates_as_floats():
+    """Skip and error texts print a point or direction read from a numpy
+    row as Python floats, as they print one given as a list."""
+    with open(f"{MANIFEST_DIR}/funk_ball.json") as fh:
+        doc = json.load(fh)
+    doc["samples"]["points"].append([0.9, 0.9])
+    text = json_dumps(run(validate_manifest(doc)))
+    assert "fundamental tensor not positive definite at x=[0.9, 0.9], y=[" in text
+    assert "np.float64" not in text
+
+
 def test_structure_checks_without_an_evaluated_point_fail():
     """randers_conditions, square_conditions and ricci_flat_parallel read
     inf, and fail, where no point was evaluated."""
