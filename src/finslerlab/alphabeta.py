@@ -50,12 +50,7 @@ from .errors import (
 )
 from .exprlang import parse, shared_tape
 from .jets import Jet, get_context, partial_table, read_partials
-from .linalg import (
-    invert,
-    is_positive_definite,
-    positive_definite_rows,
-    solve_rows,
-)
+from .linalg import invert, is_positive_definite
 
 SPRAY_FLOOR = 1e-12
 
@@ -64,30 +59,45 @@ def _as_ast(expr):
     return parse(expr) if isinstance(expr, str) else expr
 
 
-def matrix_jets(exprs, x, order=3):
-    """Evaluate a symmetric expression matrix as jets at x.
+def _matrix_entries(exprs, ctx, point, entry=None):
+    """``entry`` of the jet coefficients in ``ctx`` of each entry of a
+    symmetric expression matrix at ``point``, one point or a
+    coordinate-major batch (as for ``Tape.jets``), as an n x n list of
+    lists; without ``entry``, the coefficients themselves.
 
     Only the upper triangle is evaluated; the matrix is mirrored, so the
-    result is symmetric by construction.  The entries are replayed from
-    one shared tape (``exprlang.shared_tape``), with the bits and errors
-    of ``eval_jet``.
+    result is symmetric by construction, entry [j][i] the object of
+    [i][j].  The entries are replayed from one shared tape
+    (``exprlang.shared_tape``), with the bits and errors of ``eval_jet``.
     """
     n = len(exprs)
-    ctx = get_context(n, order)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     tape = shared_tape([_as_ast(exprs[i][j]) for i, j in pairs])
-    jets = [[None] * n for _ in range(n)]
-    for (i, j), coeffs in zip(pairs, tape.jets(ctx, x)):
-        jets[i][j] = jets[j][i] = Jet(ctx, coeffs)
-    return jets
+    entries = [[None] * n for _ in range(n)]
+    for (i, j), c in zip(pairs, tape.jets(ctx, point)):
+        entries[i][j] = entries[j][i] = c if entry is None else entry(c)
+    return entries
+
+
+def _covector_coeffs(exprs, ctx, point):
+    """The jet coefficients in ``ctx`` of a covector of expressions at
+    ``point`` (one point or a coordinate-major batch), from one shared
+    tape."""
+    return shared_tape([_as_ast(e) for e in exprs]).jets(ctx, point)
+
+
+def matrix_jets(exprs, x, order=3):
+    """Evaluate a symmetric expression matrix as jets at x (see
+    ``_matrix_entries``)."""
+    ctx = get_context(len(exprs), order)
+    return _matrix_entries(exprs, ctx, x, lambda c: Jet(ctx, c))
 
 
 def covector_jets(exprs, x, order=3):
     """Evaluate a covector of expressions as jets at x, from one shared
     tape."""
     ctx = get_context(len(exprs), order)
-    tape = shared_tape([_as_ast(e) for e in exprs])
-    return [Jet(ctx, coeffs) for coeffs in tape.jets(ctx, x)]
+    return [Jet(ctx, c) for c in _covector_coeffs(exprs, ctx, x)]
 
 
 @dataclass
@@ -159,45 +169,32 @@ def _dots(u, v):
     return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
 
 
-# below this many points the one-point Sylvester test and inverse
-# (``linalg.is_positive_definite``, ``linalg.invert``) are faster than
-# their batched forms, whose verdicts and bits they share
-ONE_BY_ONE = 8
-
-
 def _inverse_rows(a, points):
-    """a^ij of each matrix of the (B, n, n) array ``a``, with the bits of
-    ``linalg.invert``, and the FinslerError of each row, by row, where
-    a_ij is not positive definite at its point or cannot be inverted.
+    """a^ij of each matrix of the (B, n, n) array ``a``, and the
+    FinslerError of each row, by row, where a_ij is not positive definite
+    at its point or cannot be inverted.
 
-    The batched inverse solves each unit column as its own system
-    (``linalg.solve_rows``), with the bits of that column of ``invert``;
-    a row it does not take is inverted by ``invert``, which raises its
-    own error.
+    The Sylvester test and the inverse run one matrix at a time
+    (``linalg.is_positive_definite``, ``linalg.invert``).  Their batched
+    forms (``linalg.positive_definite_rows``, ``linalg.solve_rows``) give
+    the same verdicts and bits, but cost about 0.27 ms a call at any size
+    in 2-D, and overtake this loop only from about 10 matrices: 0.20 ms
+    against 0.28 at 8, 1.2 against 0.36 at 50, 3.0 against 0.52 at 100
+    (2 vCPUs, numpy 2.4.6).  Over a verify-paper pass (batches of 1 to
+    100 points) they saved about 11 ms of 0.59 s, within the spread of
+    the passes, and they are several times slower for one 4x4 matrix.
     """
-    batch, n = a.shape[:2]
+    a_inv = np.zeros_like(a)
     errors = {}
-    if batch < ONE_BY_ONE:
-        a_inv = np.zeros_like(a)
-        positive = [is_positive_definite(m) for m in a.tolist()]
-        inverted = np.zeros(batch, dtype=bool)
-    else:
-        with np.errstate(all="ignore"):
-            positive = positive_definite_rows(a)
-            cols, solved = solve_rows(None, np.repeat(a, n, axis=0),
-                                      np.tile(np.eye(n), (batch, 1)))
-        a_inv = np.ascontiguousarray(
-            cols.reshape(batch, n, n).transpose(0, 2, 1))
-        inverted = solved.reshape(batch, n).all(axis=1)
-    for b, x in enumerate(points):
-        if not positive[b]:
+    for b, (m, x) in enumerate(zip(a.tolist(), points)):
+        if not is_positive_definite(m):
             errors[b] = NotPositiveDefinite(
                 f"a_ij not positive definite at x={coords(x)!r}")
-        elif not inverted[b]:
-            try:
-                a_inv[b] = invert(a[b].tolist())
-            except FinslerError as exc:
-                errors[b] = exc
+            continue
+        try:
+            a_inv[b] = invert(m)
+        except FinslerError as exc:
+            errors[b] = exc
     return a_inv, errors
 
 
@@ -494,13 +491,10 @@ def ab_tensor_rows(alpha_spec, beta_spec, points, order=3):
         return []
     n = len(alpha_spec)
     ctx = get_context(n, order)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    upper, a_errors = _jet_rows(
-        [_as_ast(alpha_spec[i][j]) for i, j in pairs], ctx, points)
-    b, b_errors = _jet_rows([_as_ast(e) for e in beta_spec], ctx, points)
-    a = np.empty((len(points), n, n, ctx.ncoef))
-    for (i, j), column in zip(pairs, np.moveaxis(upper, 1, 0)):
-        a[:, i, j] = a[:, j, i] = column
+    a, a_errors = _jet_rows(lambda p: _matrix_entries(alpha_spec, ctx, p),
+                            points, (n, n, ctx.ncoef))
+    b, b_errors = _jet_rows(lambda p: _covector_coeffs(beta_spec, ctx, p),
+                            points, (n, ctx.ncoef))
     return _tensor_rows(a, b, ctx, points, a_errors, b_errors)
 
 
@@ -517,21 +511,22 @@ def ab_tensor_rows_from_jets(a_jets, b_jets, points):
     return _tensor_rows(a, b, ctx, [coords(x) for x in points])
 
 
-def _jet_rows(exprs, ctx, points):
-    """The jet coefficients of ``exprs`` in ``ctx`` at each point, as a
-    (B, len(exprs), ncoef) array, from one batched replay of their shared
-    tape -- point by point where the batch fails -- and the FinslerError
-    of each point whose replay raises, by row."""
-    tape = shared_tape(exprs)
+def _jet_rows(coeffs_at, points, shape):
+    """``coeffs_at(point)``, jet coefficients of the given ``shape`` at
+    one point or a coordinate-major batch, at each of ``points`` as one
+    array with the batch first: from one call on the whole batch, point
+    by point where the batch fails.  Returns the array and the
+    FinslerError of each point whose call raises, by row."""
     try:
-        return np.stack(tape.jets(ctx, np.array(points).T), axis=1), {}
+        batch = np.array(coeffs_at(np.array(points).T))
+        return np.ascontiguousarray(np.moveaxis(batch, -2, 0)), {}
     except BatchFailed:
         pass
-    out = np.zeros((len(points), len(exprs), ctx.ncoef))
+    out = np.zeros((len(points),) + shape)
     errors = {}
     for k, x in enumerate(points):
         try:
-            out[k] = tape.jets(ctx, x)
+            out[k] = coeffs_at(x)
         except FinslerError as exc:
             errors[k] = exc
     return out, errors

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alphabeta import (
+    _raised,
     ab_tensor_rows,
     ab_tensor_rows_from_jets,
     covector_jets,
@@ -131,11 +132,7 @@ def _tensors(alpha, beta, points):
     """The tensor data (rd, ab) at each point, from one batched build
     (``ab_tensor_rows``); the first point that fails raises its own
     error."""
-    rows = ab_tensor_rows(alpha, beta, points)
-    for row in rows:
-        if isinstance(row, FinslerError):
-            raise row
-    return rows
+    return [_raised(row) for row in ab_tensor_rows(alpha, beta, points)]
 
 
 def scenario_rotational_family_curvature():
@@ -525,13 +522,13 @@ def scenario_derivative_soundness():
     f2_samples = _draw_samples(metric, 100, draw(0.4, 0.4))
     spray_samples = _draw_samples(metric, 100, draw(0.35, 0.45))
 
-    # the jets of F^2 at every sample in one batched pass; a sample the
-    # batch does not take raises its own error
+    # the jets of F^2 at every sample in one batched pass; ``_f2_rows``
+    # built F of a row it marks with metric.jet, which raised there, so
+    # the call here raises that sample's own error
     xs, ys = (np.array(v) for v in zip(*f2_samples))
     f2, ok = _f2_rows(metric, xs, ys)
     for b in np.flatnonzero(~ok):
-        f = metric.jet(xs[b].tolist(), ys[b].tolist(), 4)
-        f2[b] = (f * f).c
+        metric.jet(xs[b].tolist(), ys[b].tolist(), 4)
     wants = fd_partials(f2_rows, np.hstack([xs, ys]), f2_monomials)
     gots = read_partials(f2, f2_index, ctx)
     f2_errors = rel_err(gots, wants).ravel().tolist()

@@ -11,7 +11,6 @@ import dataclasses
 import struct
 
 import numpy as np
-import pytest
 from fdtools import funk_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -231,12 +230,9 @@ def test_batched_rows_equal_the_entry_by_entry_formulas(instance):
     alpha, beta, points = instance
     rows = ab_tensor_rows(alpha, beta, points)
     assert len(rows) == len(points)
-    # the batched positivity test and inverse, at any batch size
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(alphabeta, "ONE_BY_ONE", 1)
-        from_jets = ab_tensor_rows_from_jets(
-            [matrix_jets(alpha, x) for x in points],
-            [covector_jets(beta, x) for x in points], points)
+    from_jets = ab_tensor_rows_from_jets(
+        [matrix_jets(alpha, x) for x in points],
+        [covector_jets(beta, x) for x in points], points)
     for x, row, jet_row in zip(points, rows, from_jets):
         want = _reference(alpha, beta, x)
         assert_same_row(row, want)
@@ -257,13 +253,9 @@ def test_a_failing_point_holds_its_own_one_point_error():
     beta = ["0.1*x2", "sqrt(x2 + 1)"]
     points = [[0.25, 0.0], [0.25, 0.5], [-0.5, 0.0], [0.36, -2.0],
               [0.04, -0.4], [0.25, -3.0]]
-    # jets point by point and in one replay; the positivity test and the
-    # inverse one by one and batched
-    for batch, one_by_one in ((points, 1), (points[:2], 1),
-                              (points, 8), (points[1:2], 8)):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(alphabeta, "ONE_BY_ONE", one_by_one)
-            rows = ab_tensor_rows(alpha, beta, batch)
+    # jets point by point, and in one replay
+    for batch in (points, points[:2], points[1:2]):
+        rows = ab_tensor_rows(alpha, beta, batch)
         for x, row in zip(batch, rows):
             want = _reference(alpha, beta, x)
             assert_same_row(row, want)
