@@ -44,7 +44,6 @@ from .exprlang import (
     BatchFailed,
     Binary,
     Number,
-    each,
     eval_jet,
     eval_scalar,
     kept_by_identity,
@@ -282,7 +281,9 @@ def ppower_metric(spec):
         base = 1.0 + beta_value(coefficient_values("b", x), y) / alpha
         if np.any(base <= 0.0):
             raise BatchFailed
-        return alpha * each(lambda v: v ** p, base)
+        # the bits of a numpy scalar's ** (see jets._power_derivatives),
+        # which the samples taken one by one use, inf on overflow included
+        return alpha * np.float_power(base, p)
 
     def domain(x, y):
         # alpha > 0 and 1 + beta/alpha > 0; convexity failures beyond the

@@ -764,7 +764,9 @@ def _lower_floats(tape):
 
 def each(fn, *columns):
     """``fn`` applied point by point to Python floats, so every result has
-    the bits of the scalar call; a column may be a float."""
+    the bits of the scalar call; a column may be a float.  The batched
+    replay takes exp, ln, sin and cos this way, since numpy's
+    transcendental functions may round differently from ``math``'s."""
     args = [c.tolist() if isinstance(c, np.ndarray) else itertools.repeat(c)
             for c in columns]
     return np.array(list(map(fn, *args)), dtype=float)
@@ -785,16 +787,54 @@ def _batch_sqrt(p, q):
     return np.sqrt(p)
 
 
+def _batch_power(p, q):
+    """p ** q over arrays with the bits of Python's ``**``.
+
+    ``np.float_power``'s float64 loop calls the C library's pow, the
+    function behind Python's float power, and has no SIMD dispatch;
+    ``np.power`` may go through SIMD routines (SVML) that round
+    differently.  Where Python raises ``OverflowError``, an infinite
+    result from a finite base and exponent, this fails.
+    """
+    out = np.float_power(p, q)
+    _check(np.isinf(out) & np.isfinite(p) & np.isfinite(q))
+    return out
+
+
+def _batch_const_pow(r):
+    """The batch form of ``_scalar_const_pow(r)``, with its domain rules."""
+    if abs(r - round(r)) < 1e-12:
+        k = float(round(r))
+
+        def integer(p, q):
+            if k < 0:
+                _check(np.abs(p) < 1e-300)
+            return _batch_power(p, k)
+        return integer
+
+    return lambda p, q: _batch_pow(p, r)
+
+
+def _batch_pow(p, q):
+    _check(p <= 0.0)
+    return _batch_power(p, q)
+
+
 def _lower_batch(tape):
-    """Float instructions over arrays: the IEEE operations (neg, +, -, *,
-    / and sqrt, whose numpy results are the correctly rounded ones) on
-    whole arrays, every other operation point by point, since numpy's
-    power and transcendental functions may round differently."""
+    """Float instructions over whole arrays, each with the bits of the
+    float replay: the IEEE operations (neg, +, -, *, / and sqrt, whose
+    numpy results are the correctly rounded ones) and the powers
+    (:func:`_batch_power`) with numpy, exp, ln, sin and cos point by
+    point (:func:`each`)."""
     def instruction(op, a, b, kinds):
         if op == "div":
             return _batch_div
         if op == "sqrt":
             return _batch_sqrt
+        if op == "powc":
+            return _batch_const_pow(b)
+        if op == "powe":
+            return _batch_pow
         fn = _float_instruction(op, a, b, kinds)
         if op in ("neg", "add", "sub", "mul"):
             return fn

@@ -310,7 +310,18 @@ def _compose(ctx, c, derivs):
 
 
 def _power_derivatives(v, r, order):
-    """The derivatives of t ** r at t = v, orders 0..order."""
+    """The derivatives of t ** r at t = v, orders 0..order: a list for a
+    value v, and an (order + 1, B) array for an array of B values.
+
+    A value's powers are its own ``**``; an array's are one
+    ``np.float_power`` call, whose float64 loop calls the C library's pow,
+    as a numpy scalar's ``**`` does, so each entry has the bits of its
+    value's.  ``np.power`` may go through SIMD routines (SVML) that round
+    differently.
+    """
+    if isinstance(v, np.ndarray):
+        exponents, factors = _power_factors(r, order)
+        return np.float_power(v, exponents) * factors
     derivs = [v ** r]
     coef = 1.0
     for k in range(1, order + 1):
@@ -319,19 +330,28 @@ def _power_derivatives(v, r, order):
     return derivs
 
 
+@functools.lru_cache(maxsize=64)
+def _power_factors(r, order):
+    """The columns of exponents r - k and of factors r (r - 1) ... (r - k
+    + 1), k = 0..order, rounded as in :func:`_power_derivatives`'s loop
+    (the factor 1.0 of k = 0 changes no bit)."""
+    factors = [1.0]
+    for k in range(1, order + 1):
+        factors.append(factors[-1] * (r - (k - 1)))
+    return (r - np.arange(order + 1.0))[:, None], np.array(factors)[:, None]
+
+
 def _power(ctx, c, r, var=None):
     """c ** r for real r; non-integer r requires a strictly positive value.
 
-    In a batch, the derivatives are taken one numpy scalar value at a
-    time, as for one vector, since numpy's array power may round
-    differently.
+    A batch takes the derivatives of all its values at once
+    (:func:`_power_derivatives`).
     """
     if abs(r - round(r)) < 1e-12:
         return _int_power(ctx, c, int(round(r)), var)
     if c.ndim > 1:
         _raise_first(_power, ctx, c, c[:, 0] <= 0.0, r)
-        return _compose(ctx, c, np.array(
-            [_power_derivatives(v, r, ctx.order) for v in c[:, 0]]).T)
+        return _compose(ctx, c, _power_derivatives(c[:, 0], r, ctx.order))
     v = c[0]
     if v <= 0.0:
         raise DomainError(

@@ -234,25 +234,25 @@ def positive_definite_rows(matrices, floor=PIVOT_FLOOR):
 
     Each leading minor's determinant is ``det``'s own elimination, run on
     every minor of every row at once (``_det_rows``), and it is compared
-    with the limit ``(floor * scale) ** k`` taken by Python's power, as
-    the one-point test takes it.  The minor of order k is padded to n by n
+    with the limit ``(floor * scale) ** k`` from ``np.float_power``, whose
+    float64 loop calls the C library's pow, the function behind the
+    one-point test's ``**`` (``np.power`` may go through SIMD routines
+    that round differently).  The minor of order k is padded to n by n
     with the identity: its zero entries keep the padded rows out of the
     pivot search, and their pivots of 1.0 leave the product unchanged, so
     the padded determinant has the minor's bits.  A row with a value that
-    is not finite, whose limit overflows, or with a determinant of NaN is
-    tested by ``is_positive_definite`` itself.
+    is not finite, with an infinite limit (where the one-point ``**``
+    raises ``OverflowError``), or with a determinant of NaN is tested by
+    ``is_positive_definite`` itself.
     """
     m = np.array(matrices, dtype=float)
     batch, n = m.shape[:2]
     with np.errstate(all="ignore"):
         scale = np.abs(m).max(axis=(1, 2))
         apart = ~np.isfinite(m).all(axis=(1, 2))
-        limits = np.zeros((batch, n))
-        for b, t in enumerate((floor * scale).tolist()):
-            try:
-                limits[b] = [t ** k for k in range(1, n + 1)]
-            except OverflowError:
-                apart[b] = True
+        limits = np.float_power((floor * scale)[:, None],
+                                np.arange(1.0, n + 1))
+        apart |= np.isinf(limits).any(axis=1)
         minors = np.tile(np.eye(n), (batch, n, 1, 1))
         for k in range(1, n + 1):
             minors[:, k - 1, :k, :k] = m[:, :k, :k]

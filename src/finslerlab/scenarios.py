@@ -506,9 +506,15 @@ def scenario_derivative_soundness():
 
     def f2_rows(points):
         # one batched evaluation of F for a chunk of stencil rows; each
-        # square is the float power the one-point evaluation took
+        # square has the bits of Python's ** (np.float_power calls the C
+        # library's pow), and where a finite value overflows, Python's **
+        # raises its OverflowError
         z = np.ascontiguousarray(points.T)
-        return [f ** 2 for f in metric.value(z[:n], z[n:]).tolist()]
+        f = metric.value(z[:n], z[n:])
+        f2 = np.float_power(f, 2.0)
+        if np.isinf(f2).any():
+            return [v ** 2 for v in f.tolist()]
+        return f2
 
     def draw(x_half, y_low):
         def sample():

@@ -378,3 +378,20 @@ def test_families_of_one_triple_share_their_trees_and_tapes():
     for k in range(constructions.SQRT2D_TREES_KEPT + 3):
         sqrt2d_family(("1", "0", f"0.{k + 1}"))
     assert len(constructions._SQRT2D_TREES) == constructions.SQRT2D_TREES_KEPT
+
+
+def test_batched_value_overflows_as_the_samples_one_by_one():
+    """The batched F takes (1 + beta/alpha) ** p on whole arrays with the
+    bits of the per-sample F at the rows of y, whose numpy-scalar power
+    gives inf where it overflows (at p = 2000, along (1, 0))."""
+    metric = ppower_metric(PPowerSpec([["1", "0"], ["0", "1"]],
+                                      ["0.5", "0"], 2000.0))
+    x = [0.1, 0.2]
+    ys = np.array([[-1.0, 0.0], [0.0, 1.0], [-0.6, 0.8], [1.0, 0.0]])
+    with np.errstate(over="ignore"):
+        want = [np.float64(metric.value(x, y)).tobytes() for y in ys]
+        got = metric.value(x, ys.T)
+        f, ok = metric.value_rows(x, ys)
+    assert np.isinf(got[3])
+    assert [np.float64(v).tobytes() for v in got] == want
+    assert [np.float64(v).tobytes() for v in f] == want and ok.all()

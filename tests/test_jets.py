@@ -431,3 +431,44 @@ def test_batched_kernels_raise_the_first_failing_row():
     c[:, 1] = [2.0, 1e200]
     with np.errstate(over="ignore", invalid="ignore"):
         _rows(ctx, _power(ctx, c, 0.5), lambda i: _power(ctx, c[i], 0.5))
+
+
+# -- np.float_power has the bits of Python's and numpy-scalar ** --
+
+SUBNORMALS = [5e-324, -5e-324, 2.2250738585072014e-308 / 3.0]
+INTEGER_EXPONENTS = st.integers(-4, 4)
+REAL_EXPONENTS = st.builds(lambda r, k: r - k,
+                           st.sampled_from([0.5, -0.5, 1.5, -1.5, 3.0]),
+                           st.integers(0, 4))
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from([0.0, -0.0] + SUBNORMALS),
+                                 st.floats(-1e300, 1e300)),
+                       min_size=1, max_size=20),
+       r=st.one_of(INTEGER_EXPONENTS, REAL_EXPONENTS))
+def test_float_power_has_the_bits_of_scalar_power(values, r):
+    """The batched powers (``jets._power_derivatives``, the batched tape,
+    the p-power F, ``positive_definite_rows``) take ``np.float_power`` on
+    whole arrays for the bits of ``**`` on one value; a numpy build that
+    routed it through SIMD routines would fail here."""
+    if r != int(r):
+        values = [abs(v) for v in values]  # else the power is complex
+    with np.errstate(over="ignore", divide="ignore"):
+        got = np.float_power(np.array(values), r)
+        scalar = [np.float64(v) ** r for v in values]
+    for v, g, s in zip(values, got, scalar):
+        assert _bits(g) == _bits(s)
+        try:
+            want = v ** r
+        except OverflowError:
+            assert math.isinf(g)
+            continue
+        except ZeroDivisionError:
+            assert v == 0.0 and r < 0  # the domain rules stop this case
+            continue
+        assert _bits(g) == _bits(want)

@@ -154,6 +154,24 @@ def test_positive_definite_rows_fail_on_the_limit():
     assert positive_definite_rows(rows).tolist() == want
 
 
+def test_positive_definite_rows_with_an_overflowing_limit():
+    """At scale 1e90 in 4-D the limit (floor * scale) ** 4 overflows.  A
+    row whose second minor fails first is not positive, as in
+    is_positive_definite; one that reaches the fourth minor raises the
+    OverflowError of the one-point power; the rows beside it keep their
+    verdicts."""
+    big = np.diag([1e90, -1.0, 1.0, 1.0])
+    rows = np.array([np.eye(4), big, np.diag([1.0, 1.0, -1.0, 1.0])])
+    want = [is_positive_definite(m.tolist()) for m in rows]
+    assert want == [True, False, False]
+    assert positive_definite_rows(rows).tolist() == want
+    huge = np.diag([1e90] * 4)
+    with pytest.raises(OverflowError):
+        is_positive_definite(huge.tolist())
+    with pytest.raises(OverflowError):
+        positive_definite_rows(np.array([np.eye(4), huge]))
+
+
 def _one_point_solve(matrix, rhs):
     try:
         return np.array(solve(matrix.tolist(), [rhs.tolist()])[0])

@@ -108,6 +108,13 @@ def _same(got, want):
 @example(exprs=[parse("2*(-x1)"), parse("x2*-3"), parse("-x1/(-4)")],
          points=[[0.5, -0.0]])
 @example(exprs=[parse("x1/3"), parse("(x1 + x2)/1.5")], points=[[5.0, 0.25]])
+# powers that raise at one point of the batch: an overflow, zeros of either
+# sign to a negative power, a negative value to a real power and an
+# evaluated power that overflows
+@example(exprs=[parse("x1^-2")], points=[[0.5, 1.0], [1e-160, 1.0]])
+@example(exprs=[parse("x2 + x1^-1")], points=[[0.0, 1.0], [-0.0, 2.0]])
+@example(exprs=[parse("x1^0.5")], points=[[4.0, 0.0], [-1.0, 0.0]])
+@example(exprs=[parse("pow(x1, x2)")], points=[[2.0, 0.5], [10.0, 400.0]])
 @settings(max_examples=40, deadline=None)
 @given(exprs=shared_lists(),
        points=st.lists(st.lists(COORDINATE, min_size=2, max_size=2),
@@ -148,6 +155,30 @@ def test_replays_match_the_tree_walks(exprs, points):
             return
     for k, want in enumerate(floats):
         _same([np.broadcast_to(v, len(points))[k] for v in batch], want)
+
+
+@pytest.mark.parametrize("source, bad, error", [
+    ("x1^-2", 1e-160, OverflowError),
+    ("x1^-1", 0.0, DomainError),
+    ("x1^-1", -0.0, DomainError),
+    ("x1^-1", 1e-301, DomainError),  # below the zero floor, yet finite
+    ("x1^0.5", -1.0, DomainError),
+    ("pow(x2, x1)", 400.0, OverflowError),
+    ("pow(x1, x2)", -1.0, DomainError),
+])
+def test_batched_powers_fail_where_a_point_raises(source, bad, error):
+    tape = Tape([parse(source)])
+    points = [[0.5, 10.0], [bad, 10.0], [2.0, 10.0]]
+    want = _outcome(lambda: eval_scalar(parse(source), points[1]))
+    assert want[0] is error
+    assert _outcome(lambda: tape.floats(points[1])) == want
+    with np.errstate(over="ignore", divide="ignore"):
+        with pytest.raises(BatchFailed):
+            tape.batch(np.array(points).T)
+        # the points around it replay as a batch with their own bits
+        got = tape.batch(np.array([points[0], points[2]]).T)[0]
+    assert got.tobytes() == np.array([tape.floats(points[0])[0],
+                                      tape.floats(points[2])[0]]).tobytes()
 
 
 def test_errors_keep_text_and_order():
