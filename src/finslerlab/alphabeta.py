@@ -67,8 +67,9 @@ def _matrix_entries(exprs, ctx, point, entry=None):
 
     Only the upper triangle is evaluated; the matrix is mirrored, so the
     result is symmetric by construction, entry [j][i] the object of
-    [i][j].  The entries are replayed from one shared tape
-    (``exprlang.shared_tape``), with the bits and errors of ``eval_jet``.
+    [i][j].  The upper triangle, row by row, is one shared tape
+    (``exprlang.shared_tape``), so an entry shared by several places is
+    evaluated once, and the first entry that raises raises first.
     """
     n = len(exprs)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]

@@ -21,7 +21,7 @@ import argparse
 import sys
 
 from .errors import FinslerError, ManifestError
-from .exprlang import eval_jet, parse
+from .exprlang import parse, shared_tape
 from .jets import get_context
 from .manifest import load_manifest, validate_manifest
 from .report import json_dumps, write_csv, write_report
@@ -130,17 +130,15 @@ def cmd_eval(args):
     try:
         ast = parse(args.expr)
         ctx = get_context(max(len(coords), 1), args.order)
-        jet = eval_jet(ast, ctx, coords)
-    except FinslerError as exc:
+        c = shared_tape((ast,)).jets(ctx, coords)[0]
+    except (FinslerError, ValueError) as exc:  # ValueError: bad order or point
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"value: {float(jet.value):.17g}")
-    for mono in ctx.monomials:
-        if sum(mono) == 0:
-            continue
+    print(f"value: {float(c[0]):.17g}")
+    for k, mono in enumerate(ctx.monomials[1:], start=1):
         label = " ".join(f"d{i + 1}^{e}" if e > 1 else f"d{i + 1}"
                          for i, e in enumerate(mono) if e)
-        print(f"{label}: {float(jet.partial(mono)):.17g}")
+        print(f"{label}: {float(c[k] * ctx.factorial[k]):.17g}")
     return 0
 
 

@@ -44,8 +44,6 @@ from .exprlang import (
     BatchFailed,
     Binary,
     Number,
-    eval_jet,
-    eval_scalar,
     kept_by_identity,
     parse,
     shared_tape,
@@ -431,9 +429,8 @@ class Sqrt2dFamily:
     def pde_residuals(self, x):
         """Residuals of u_1 - v_2, u_2 + v_1, u B_1 + v B_2 at x."""
         ctx = get_context(2, 2)
-        uj = eval_jet(self.spec.u, ctx, x)
-        vj = eval_jet(self.spec.v, ctx, x)
-        bj = eval_jet(self.spec.B, ctx, x)
+        uj, vj, bj = (Jet(ctx, c) for c in shared_tape(
+            (self.spec.u, self.spec.v, self.spec.B)).jets(ctx, x))
         u1, u2 = uj.partial((1, 0)), uj.partial((0, 1))
         v1, v2 = vj.partial((1, 0)), vj.partial((0, 1))
         b1, b2 = bj.partial((1, 0)), bj.partial((0, 1))
@@ -444,7 +441,7 @@ class Sqrt2dFamily:
         }
 
     def b_squared(self, x):
-        value = eval_scalar(self.spec.B, x)
+        value = shared_tape((self.spec.B,)).floats(x)[0]
         if not 0.0 < value < 1.0:
             raise DomainError(f"B = {value!r} outside (0, 1) at x={coords(x)!r}")
         return value
@@ -501,9 +498,9 @@ def _triple_at(spec, x, formula):
     since the ``formula`` divides by v."""
     if not isinstance(spec, Sqrt2dFamilySpec):
         spec = Sqrt2dFamilySpec(*spec)
-    u = eval_scalar(spec.u, x)
-    v = eval_scalar(spec.v, x)
-    bj = eval_jet(spec.B, get_context(2, 2), x)
+    u, v = shared_tape((spec.u, spec.v)).floats(x)
+    ctx = get_context(2, 2)
+    bj = Jet(ctx, shared_tape((spec.B,)).jets(ctx, x)[0])
     b_val = bj.value
     if not 0.0 < b_val < 1.0:
         raise DomainError(f"B = {b_val!r} outside (0, 1) at x={coords(x)!r}")

@@ -10,21 +10,22 @@ sqrt, exp, ln, sin, cos (one argument) and pow (two arguments).  ``a^r``
 with a non-integer literal exponent evaluates through the real-power jet
 function and inherits its positivity requirement.
 
-``eval_scalar`` and ``eval_jet`` evaluate one tree by walking it.  A list
-of expressions that is evaluated again and again (the a_ij and b_i of a
-metric) is compiled once into a :class:`Tape`: a flat
-list of instructions, one per distinct subtree (hash-consing, Griewank and
-Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 6), in the
-order in which the walks first evaluate them.  The tape replays over
-floats, over a batch of points (one array per coordinate) and over raw
-jet coefficient vectors, of one point or of a batch of points (one row
-each), with the float and jet operations of the walks,
-so every value, every error and its text come out as the walks give them.
-Subtrees without coordinates are folded by the walks themselves; a literal
-times a jet is then a scalar multiply plus 0.0, which has the bits of the
-walk's Cauchy product by a constant jet.  Sources are parsed once
-(:func:`parse` keeps recent trees), so a source evaluated repeatedly is
-one tree.
+Expressions are evaluated by one engine, the :class:`Tape`: a list of
+expressions (the a_ij and b_i of a metric, or one tree) is compiled once
+into a flat list of instructions, one per distinct subtree (hash-consing,
+Griewank and Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008,
+ch. 6), in the order in which a node-by-node evaluation first reaches
+them.  The tape replays over floats, over a batch of points (one array per
+coordinate) and over raw jet coefficient vectors, of one point or of a
+batch of points (one row each), with the float operations below and the
+kernels of the ``Jet`` operators, so every value, every error and its text
+come out as evaluating the tree node by node with those operations gives
+them.  A subtree without coordinates is a literal, folded once per replay
+mode by replaying its own compilation; a literal times a jet is then a
+scalar multiply plus 0.0, which has the bits of the Cauchy product by a
+constant jet.  ``eval_scalar`` and ``eval_jet`` evaluate one tree through
+its shared tape.  Sources are parsed once (:func:`parse` keeps recent
+trees), so a source evaluated repeatedly is one tree.
 """
 
 from __future__ import annotations
@@ -48,7 +49,10 @@ from .errors import (
     FinslerError,
     UnknownIdentifier,
 )
-from .jets import (
+# jet_pow is not called here; it stays importable as exprlang.jet_pow, the
+# name the traced benchmark run wraps (perfbench/layers.py)
+from .jets import (  # noqa: F401
+    Jet,
     _cauchy,
     _cos,
     _exp,
@@ -60,12 +64,7 @@ from .jets import (
     _sqrt,
     _value,
     constant,
-    jet_cos,
-    jet_exp,
-    jet_ln,
     jet_pow,
-    jet_sin,
-    jet_sqrt,
     lift_variable,
 )
 
@@ -288,7 +287,8 @@ def to_source(node):
         rp = _prec(node.right)
         if lp < p or (lp == p and node.op == "pow"):
             left = f"({left})"
-        if rp < p or (rp == p and node.op in ("sub", "div", "mul")):
+        # equal precedence groups to the left, but for ^ to the right
+        if rp < p or (rp == p and node.op != "pow"):
             right = f"({right})"
         return f"{left}{op_text}{right}"
     if isinstance(node, Call):
@@ -321,90 +321,7 @@ def _constant_value(node):
     return -_constant_value(node.operand)
 
 
-_JET_FUNCS = {"sqrt": jet_sqrt, "exp": jet_exp, "ln": jet_ln,
-              "sin": jet_sin, "cos": jet_cos}
-
-
-def eval_jet(node, ctx, point):
-    """Evaluate with each coordinate lifted as a jet variable at ``point``."""
-    need = node.coordinate_count
-    if need > len(point):
-        raise ValueError(
-            f"expression uses x{need} but the point has {len(point)} coordinates")
-    if need > ctx.num_vars:
-        raise ValueError(
-            f"expression uses x{need} but the context has {ctx.num_vars} variables")
-
-    def rec(n):
-        if isinstance(n, Number):
-            return constant(ctx, n.value)
-        if isinstance(n, Coord):
-            return lift_variable(ctx, n.index, point[n.index])
-        if isinstance(n, Unary):
-            return -rec(n.operand)
-        if isinstance(n, Binary):
-            if n.op == "pow":
-                return _pow_jet(rec(n.left), n.right, rec)
-            a = rec(n.left)
-            b = rec(n.right)
-            if n.op == "add":
-                return a + b
-            if n.op == "sub":
-                return a - b
-            if n.op == "mul":
-                return a * b
-            return a / b
-        if isinstance(n, Call):
-            if n.func == "pow":
-                return _pow_jet(rec(n.args[0]), n.args[1], rec)
-            return _JET_FUNCS[n.func](rec(n.args[0]))
-        raise TypeError(f"not an expression node: {n!r}")
-
-    return rec(node)
-
-
-def _pow_jet(base, exponent_node, rec):
-    if _is_constant(exponent_node):
-        return jet_pow(base, _constant_value(exponent_node))
-    exp_jet = rec(exponent_node)
-    # general jet exponent: base must be positive
-    return jet_exp(exp_jet * jet_ln(base))
-
-
-def eval_scalar(node, point):
-    """Plain float evaluation, mirroring the jet domain rules."""
-    if isinstance(node, Number):
-        return node.value
-    if isinstance(node, Coord):
-        if node.index >= len(point):
-            raise ValueError(
-                f"expression uses x{node.index + 1} but the point has "
-                f"{len(point)} coordinates")
-        return float(point[node.index])
-    if isinstance(node, Unary):
-        return -eval_scalar(node.operand, point)
-    if isinstance(node, Binary):
-        if node.op == "pow":
-            return _pow_scalar(eval_scalar(node.left, point), node.right, point)
-        a = eval_scalar(node.left, point)
-        b = eval_scalar(node.right, point)
-        return _SCALAR_OPS[node.op](a, b)
-    if isinstance(node, Call):
-        if node.func == "pow":
-            return _pow_scalar(eval_scalar(node.args[0], point),
-                               node.args[1], point)
-        return _SCALAR_FUNCS[node.func](eval_scalar(node.args[0], point))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _pow_scalar(base, exponent_node, point):
-    if _is_constant(exponent_node):
-        return _scalar_const_pow(_constant_value(exponent_node))(base)
-    return _scalar_pow(base, eval_scalar(exponent_node, point))
-
-
-# The float operations with their domain rules, shared by ``eval_scalar``
-# and the float replay of a tape.
+# The float operations with their domain rules: the float replay of a tape.
 
 def _scalar_div(a, b):
     if abs(b) < 1e-300:
@@ -465,20 +382,22 @@ class Tape:
 
     Every distinct subtree is one instruction (hash-consing), so a subtree
     shared by several entries, or repeated inside one, is computed once.
-    Instructions are kept in the order in which the tree walks
-    (``eval_scalar``, ``eval_jet``) first evaluate their nodes, so the
-    first error a replay raises is the one the walks raise first.  A
-    subtree without coordinates is a literal: the walk itself folds it
-    once per replay mode, and an error it raises is raised again at the
-    literal's first use.
+    Instructions are kept in the order in which evaluating the entries one
+    after another, each tree node by node from the left, first reaches
+    their nodes, so the first error a replay raises is the one that
+    evaluation raises first.  A subtree without coordinates is a literal:
+    it is compiled on its own, with its numbers as its only literals, and
+    folded by replaying that once per replay mode, with the mode's own
+    operations; an error the fold raises is raised again at the literal's
+    first use.  A point with fewer coordinates than the entries use raises
+    ValueError before anything is evaluated.
 
     The same tape replays over floats (:meth:`floats`), over a batch of
     points (:meth:`batch`) and over jet coefficient vectors
     (:meth:`jets`), at one point or, with a leading batch axis, at a
-    batch of points, each with the bits of the corresponding tree walk.
-    The replays return their values as the walks would, except that jets
-    come as raw coefficient vectors; treat them as read-only, since a
-    literal entry is shared by every replay.
+    batch of points, each batch row with the bits of its point.  Jets come
+    as raw coefficient vectors; treat them as read-only, since a literal
+    entry is shared by every replay.
     """
 
     def __init__(self, exprs):
@@ -500,10 +419,19 @@ class Tape:
             program = self._modes[mode] = lower(self)
         return program
 
-    def floats(self, point):
-        """Float values of the expressions at ``point``, as ``eval_scalar``."""
+    def _too_few(self, point, ctx=None):
+        """Raise the ValueError of a ``point``, or ``ctx``, with fewer
+        coordinates than the expressions use."""
         if self.need > len(point):
-            return [eval_scalar(e, point) for e in self.exprs]
+            raise ValueError(f"expression uses x{self.need} but the point "
+                             f"has {len(point)} coordinates")
+        raise ValueError(f"expression uses x{self.need} but the context "
+                         f"has {ctx.num_vars} variables")
+
+    def floats(self, point):
+        """Float values of the expressions at ``point``."""
+        if self.need > len(point):
+            self._too_few(point)
         program, literals = self._program("floats", _lower_floats)
         vals = [float(point[i]) for i in self.coords] + literals
         _run(program, vals)
@@ -530,7 +458,7 @@ class Tape:
 
     def jets(self, ctx, point):
         """Jet coefficient vectors of the expressions in ``ctx`` at
-        ``point``, as ``eval_jet(e, ctx, point).c``.
+        ``point``, each coordinate lifted as a jet variable.
 
         A coordinate-major batch of points (a 2-D array, as for
         :meth:`batch`) gives one (B, ncoef) array per expression, row b
@@ -543,7 +471,7 @@ class Tape:
         if self.need > len(point) or self.need > ctx.num_vars:
             if batched:
                 raise BatchFailed
-            return [eval_jet(e, ctx, point).c for e in self.exprs]
+            self._too_few(point, ctx)
         program, literals = self._program(ctx, functools.partial(
             _lower_jets, ctx))
         if not batched:
@@ -584,6 +512,18 @@ def shared_tape(exprs):
                             TAPE_CACHE_SIZE)
 
 
+def eval_jet(node, ctx, point):
+    """The Jet of ``node`` in ``ctx``, each coordinate lifted as a jet
+    variable at ``point``, through the tree's shared tape."""
+    return Jet(ctx, shared_tape((node,)).jets(ctx, point)[0])
+
+
+def eval_scalar(node, point):
+    """The float value of ``node`` at ``point``, with the jet domain rules,
+    through the tree's shared tape."""
+    return shared_tape((node,)).floats(point)[0]
+
+
 def kept_by_identity(cache, trees, build, size):
     """``build()``, kept in the OrderedDict ``cache`` under the identity
     of the objects ``trees``.
@@ -615,15 +555,19 @@ def _literal_key(node):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _compile(exprs):
+def _compile(exprs, fold=False):
     """Hash-consed instructions of ``exprs`` in first-evaluation order.
 
-    Returns (coordinate index per coordinate slot, node per literal slot,
-    code, output slot per expression).  Slots number the coordinates
+    Returns (coordinate index per coordinate slot, literal per literal
+    slot, code, output slot per expression).  Slots number the coordinates
     first, then the literals, then one result per instruction.  ``code``
     holds ``(op, a, b)`` instructions and a ``("literal", slot, None)``
     marker at the first use of each literal; ``b`` is the exponent of ``powc``
     and unused by one-operand instructions.
+
+    A literal is a subtree without coordinates, given as its own
+    compilation with ``fold`` set (see :func:`_fold`).  With ``fold``, the
+    literals are the values of the Number leaves, and code has no markers.
     """
     ids = {}
     coords, literals, code = [], [], []
@@ -636,10 +580,13 @@ def _compile(exprs):
         return uid
 
     def visit(node):
-        if node.coordinate_count == 0:
+        if isinstance(node, Number) if fold else node.coordinate_count == 0:
             def literal(uid):
-                literals.append((uid, node))
-                code.append(("literal", uid))
+                if fold:
+                    literals.append((uid, node.value))
+                else:
+                    literals.append((uid, _compile((node,), fold=True)))
+                    code.append(("literal", uid))
             return intern(("literal", _literal_key(node)), literal)
         if isinstance(node, Coord):
             return intern(("x", node.index),
@@ -682,7 +629,7 @@ def _compile(exprs):
             if op != "powc" and b is not None:
                 b = slot[b]
             renumbered.append((op, slot[a], b))
-    return ([index for _, index in coords], [node for _, node in literals],
+    return ([index for _, index in coords], [lit for _, lit in literals],
              renumbered, [slot[uid] for uid in outputs])
 
 
@@ -697,22 +644,25 @@ def _run(program, vals):
 # literal's first use
 _FOLD_ERRORS = (FinslerError, ArithmeticError, ValueError)
 
+# the static kind of a slot that holds an instruction's result
+_RESULT = ("", None)
 
-def _lower(tape, fold, fail, instruction):
+
+def _lower(tape, fold, instruction):
     """The replay program of one mode: ``(program, literal values)``.
 
-    ``fold(node)`` folds a literal, ``fail(node)`` is the instruction that
-    raises where its folding raised, and ``instruction(op, a, b, kinds)``
-    the function of one instruction, given the static kind of each slot:
-    ``("x", index)`` for a coordinate, ``("literal", value)`` for a
-    literal (value None where folding raised) and ``("", None)`` for a
-    result.
+    ``fold(literal)`` folds one literal of the tape and
+    ``instruction(op, a, b, kinds)`` is the function of one instruction,
+    given the static kind of each slot: ``("x", index)`` for a coordinate,
+    ``("literal", value)`` for a literal (value None where folding raised)
+    and ``_RESULT`` for a result.  Where folding raised, the literal's
+    first use folds it again, which raises the same error.
     """
     kinds = [("x", i) for i in tape.coords]
     values = []
-    for node in tape.literals:
+    for literal in tape.literals:
         try:
-            value = fold(node)
+            value = fold(literal)
         except _FOLD_ERRORS:
             value = None
         values.append(value)
@@ -720,14 +670,34 @@ def _lower(tape, fold, fail, instruction):
     program = []
     for op, a, b in tape.code:
         if op == "literal":
-            if values[a - len(tape.coords)] is None:
-                program.append((fail(tape.literals[a - len(tape.coords)]),
+            k = a - len(tape.coords)
+            if values[k] is None:
+                program.append((lambda p, q, lit=tape.literals[k]: fold(lit),
                                 a, a))
             continue
-        fn = instruction(op, a, b, kinds)
-        program.append((fn, a, a if b is None or op == "powc" else b))
-        kinds.append(("", None))
+        program.append(_step(op, a, b, kinds, instruction))
+        kinds.append(_RESULT)
     return program, values
+
+
+def _step(op, a, b, kinds, instruction):
+    """The program entry ``(fn, a, b)`` of one instruction; a ``b`` that
+    names no slot is replaced by ``a``."""
+    return (instruction(op, a, b, kinds), a,
+            a if b is None or op == "powc" else b)
+
+
+def _fold(literal, leaf, instruction):
+    """The value of a literal: its compilation (``_compile`` with
+    ``fold``) replayed once with the mode's ``instruction``, each number
+    as ``leaf(value)`` and every slot of the kind of a result, so that
+    each operation is the one of the mode's plain arithmetic (the full
+    Cauchy product of the ``Jet`` operators, for jets)."""
+    _, numbers, code, (output,) = literal
+    vals = [leaf(v) for v in numbers]
+    kinds = [_RESULT] * (len(vals) + len(code))
+    _run([_step(op, a, b, kinds, instruction) for op, a, b in code], vals)
+    return vals[output]
 
 
 def _neg(p, q):
@@ -736,14 +706,6 @@ def _neg(p, q):
 
 def _unary(fn):
     return lambda p, q: fn(p)
-
-
-def _fold_float(node):
-    return eval_scalar(node, ())
-
-
-def _fail_float(node):
-    return lambda p, q: eval_scalar(node, ())
 
 
 def _float_instruction(op, a, b, kinds):
@@ -758,8 +720,12 @@ def _float_instruction(op, a, b, kinds):
     return _unary(_SCALAR_FUNCS[op])
 
 
+def _fold_floats(literal):
+    return _fold(literal, lambda v: v, _float_instruction)
+
+
 def _lower_floats(tape):
-    return _lower(tape, _fold_float, _fail_float, _float_instruction)
+    return _lower(tape, _fold_floats, _float_instruction)
 
 
 def each(fn, *columns):
@@ -840,7 +806,7 @@ def _lower_batch(tape):
             return fn
         return lambda p, q: each(fn, p, q)
 
-    return _lower(tape, _fold_float, _fail_float, instruction)
+    return _lower(tape, _fold_floats, instruction)
 
 
 def _jet_product(ctx, left, right):
@@ -865,9 +831,7 @@ def _jet_product(ctx, left, right):
     return functools.partial(_cauchy, ctx)
 
 
-_RESULT = ("", None)
-
-_JET_FUNCS_RAW = {"sqrt": _sqrt, "exp": _exp, "ln": _ln, "sin": _sin,
+_JET_FUNCS = {"sqrt": _sqrt, "exp": _exp, "ln": _ln, "sin": _sin,
                   "cos": _cos}
 
 # instructions whose kernels take one coefficient vector only
@@ -884,11 +848,8 @@ def _coordinates(ctx, var, values):
 
 
 def _lower_jets(ctx, tape):
-    def fold(node):
-        return eval_jet(node, ctx, ()).c
-
-    def fail(node):
-        return lambda p, q: eval_jet(node, ctx, ())
+    def fold(literal):
+        return _fold(literal, lambda v: constant(ctx, v).c, instruction)
 
     def instruction(op, a, b, kinds):
         if op == "neg":
@@ -915,7 +876,7 @@ def _lower_jets(ctx, tape):
         if op == "powe":
             times = _jet_product(ctx, kinds[b], _RESULT)
             return lambda p, q: _exp(ctx, times(q, _ln(ctx, p)))
-        fn = _JET_FUNCS_RAW[op]
+        fn = _JET_FUNCS[op]
         return lambda p, q: fn(ctx, p)
 
-    return _lower(tape, fold, fail, instruction)
+    return _lower(tape, fold, instruction)

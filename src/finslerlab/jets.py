@@ -234,7 +234,7 @@ def _recip(ctx, c):
         b0 = c[0]
         if abs(b0) < ctx.div_floor:
             raise DegenerateValue(
-                f"division by a jet with value {b0!r} below the floor")
+                f"division by a jet with value {float(b0)!r} below the floor")
         u = c / b0
         u[0] = 0.0
     else:
@@ -354,8 +354,8 @@ def _power(ctx, c, r, var=None):
         return _compose(ctx, c, _power_derivatives(c[:, 0], r, ctx.order))
     v = c[0]
     if v <= 0.0:
-        raise DomainError(
-            f"non-integer power {r!r} of nonpositive value {v!r}")
+        raise DomainError(f"non-integer power {float(r)!r} of nonpositive "
+                          f"value {float(v)!r}")
     return _compose(ctx, c, _power_derivatives(v, r, ctx.order))
 
 
@@ -363,7 +363,7 @@ def _sqrt(ctx, c):
     if c.ndim > 1:
         _raise_first(_sqrt, ctx, c, c[:, 0] <= 0.0)
     elif c[0] <= 0.0:
-        raise DomainError(f"sqrt of nonpositive value {c[0]!r}")
+        raise DomainError(f"sqrt of nonpositive value {float(c[0])!r}")
     return _power(ctx, c, 0.5)
 
 
@@ -375,7 +375,7 @@ def _exp(ctx, c):
 def _ln(ctx, c):
     v = c[0]
     if v <= 0.0:
-        raise DomainError(f"ln of nonpositive value {v!r}")
+        raise DomainError(f"ln of nonpositive value {float(v)!r}")
     derivs = [math.log(v)]
     for k in range(1, ctx.order + 1):
         derivs.append((-1.0) ** (k - 1) * math.factorial(k - 1) / v ** k)

@@ -61,7 +61,7 @@ from .core import (
     worst,
 )
 from .errors import FinslerError
-from .exprlang import eval_scalar
+from .exprlang import shared_tape
 from .report import manifest_hash
 
 
@@ -72,8 +72,7 @@ def _point_admissible(manifest, x, margin):
             b = fam.b_squared(x)  # raises when outside (0, 1)
             if not margin < b < 1.0 - margin:
                 return False
-            u = eval_scalar(fam.spec.u, x)
-            v = eval_scalar(fam.spec.v, x)
+            u, v = shared_tape((fam.spec.u, fam.spec.v)).floats(x)
             return abs(v) >= margin and u * u + v * v >= margin * margin
         _, ab = ab_tensors(manifest.alpha_spec, manifest.beta_spec, x,
                            order=2)
@@ -173,6 +172,20 @@ class EinsteinTable(_RunTable):
             exact_key(x, y),
             lambda: einstein_scalar(self.metric, x, list(y)))
 
+    def values(self, x):
+        """The Einstein scalars over ``directions(x)``: the directions
+        that have one, their values, and a skip text for each direction
+        whose evaluation raised, all in order."""
+        ys, values, skipped = [], [], []
+        for y in self.directions(x):
+            try:
+                values.append(self(x, y))
+            except FinslerError as exc:
+                skipped.append(f"x={x}: {exc}")
+                continue
+            ys.append(y)
+        return ys, values, skipped
+
     def reversal(self, x, y):
         """|lambda(x, y) - lambda(x, -y)|; both rays must be admissible."""
         return abs(self(x, y) - self(x, [-v for v in y]))
@@ -222,19 +235,16 @@ def _sample_row(manifest, metric, lam, tensors, x):
         row["b_squared"] = None
         row["skipped"] = f"tensor data unavailable: {exc}"
         return row
-    values = []
+    ys, values, _ = lam.values(x)
     rev = None
-    for y in lam.directions(x):
-        try:
-            values.append(lam(x, y))
-        except FinslerError:
-            continue
-        # the reversal of the first direction is a lone lookup
-        if rev is None and metric.in_domain(x, [-v for v in y]):
+    # the reversal of the first direction that has one is a lone lookup
+    for y in ys:
+        if metric.in_domain(x, [-v for v in y]):
             try:
                 rev = lam.reversal(x, y)
+                break
             except FinslerError:
-                rev = None
+                pass
     if values:
         row["lambda_mean"] = float(np.mean(values))
         row["lambda_spread"] = float(spread(values))
@@ -298,12 +308,8 @@ def run_check(name, manifest, metric, points, lam, tensors):
 def _einstein(manifest, metric, points, lam, tensors):
     spreads, skipped = [], []
     for x in points:
-        values = []
-        for y in lam.directions(x):
-            try:
-                values.append(lam(x, y))
-            except FinslerError as exc:
-                skipped.append(f"x={x}: {exc}")
+        _, values, missed = lam.values(x)
+        skipped += missed
         if len(values) >= 2:
             spreads.append(float(spread(values)))
         else:

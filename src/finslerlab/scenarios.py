@@ -52,7 +52,7 @@ from .core import (
     worst,
 )
 from .errors import FinslerError
-from .exprlang import eval_scalar
+from .exprlang import shared_tape
 from .fdcheck import fd_partials, rel_err
 from .jets import get_context, read_partials
 
@@ -117,7 +117,7 @@ def second_triple_points(count):
         k += 1
         if abs(x[0]) < 0.1 or abs(x[1]) < 0.1:
             continue
-        b = eval_scalar(SECOND_TRIPLE.B, x)
+        b = shared_tape((SECOND_TRIPLE.B,)).floats(x)[0]
         if not 0.1 < b < 0.9:
             continue
         points.append(x)

@@ -22,8 +22,9 @@ from finslerlab.alphabeta import (
     riemann_data_from_jets,
     structural_spray,
 )
-from finslerlab.exprlang import eval_jet, parse
+from finslerlab.exprlang import parse
 from finslerlab.jets import get_context
+from walks import eval_jet
 
 IDENTITY = [["1", "0"], ["0", "1"]]
 SPHERE = [["4/(1+x1^2+x2^2)^2", "0"], ["0", "4/(1+x1^2+x2^2)^2"]]

@@ -119,6 +119,7 @@ ROUND_TRIP_SOURCES = [
     "sin(x1)*cos(x2) - 1.25e-1",
     "1 - (x1 - (x2 - 1))",
     "-(x1 + x2)^2",
+    "x1 + (x2 + 1)",
 ]
 
 
@@ -170,8 +171,9 @@ def test_max_coord():
 
 
 def test_eval_jet_walks_each_tree_once(monkeypatch):
-    """The coordinate count is walked once per parsed tree and kept on it,
-    not once per evaluation; both ValueErrors keep their text."""
+    """The coordinate count of each subtree is walked once, when the tree's
+    tape is compiled, and kept on it, not once per evaluation; both
+    ValueErrors keep their text."""
     from finslerlab import exprlang
 
     walked = []
@@ -185,10 +187,12 @@ def test_eval_jet_walks_each_tree_once(monkeypatch):
     tree = parse("x1*x2 + sin(x1)^2")
     ctx = get_context(2, 2)
     eval_jet(tree, ctx, [0.1, 0.2])
-    assert len(walked) == 8  # one visit per node
+    # compiling the tree's tape reads the count of each subtree once: one
+    # visit per node below it, 8 + 3 + 1 + 1 + 4 + 2 + 1
+    assert len(walked) == 20
     for k in range(20):
         eval_jet(tree, ctx, [0.1 * k, 0.2])
-    assert len(walked) == 8
+    assert len(walked) == 20
     assert tree.coordinate_count == 2
     with pytest.raises(ValueError, match="uses x2 but the point has 1 "
                                          "coordinates"):
@@ -196,4 +200,4 @@ def test_eval_jet_walks_each_tree_once(monkeypatch):
     with pytest.raises(ValueError, match="uses x2 but the context has 1 "
                                          "variables"):
         eval_jet(tree, get_context(1, 2), [0.1, 0.2])
-    assert len(walked) == 8
+    assert len(walked) == 20

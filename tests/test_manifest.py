@@ -348,6 +348,28 @@ def test_cli_eval(capsys):
     assert "d1: 1.2" in out
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--expr", "x2 + 1", "--at", "0.5"],
+     "expression uses x2 but the point has 1 coordinates"),
+    (["--expr", "x1", "--at", "0.5", "--order", "0"],
+     "order must be in 1..4, got 0"),
+    (["--expr", "x1", "--at", "0.5", "--order", "5"],
+     "order must be in 1..4, got 5"),
+    # the jet kernels' texts print plain floats, not numpy reprs
+    (["--expr", "ln(x1)", "--at=-1"], "ln of nonpositive value -1.0"),
+    (["--expr", "sqrt(x1)", "--at=-1"], "sqrt of nonpositive value -1.0"),
+    (["--expr", "x1^1.5", "--at=-1"],
+     "non-integer power 1.5 of nonpositive value -1.0"),
+    (["--expr", "1/x1", "--at=0"],
+     "division by a jet with value 0.0 below the floor"),
+])
+def test_cli_eval_reports_input_errors(capsys, argv, error):
+    assert cli_main(["eval", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n"
+    assert captured.out == ""
+
+
 def test_cli_verify_filter(capsys):
     code = cli_main(["verify-paper", "--filter", "killing"])
     assert code == 0
@@ -398,6 +420,8 @@ def test_a_nan_fails_wherever_it_sits(values, monkeypatch):
             return values[y]
 
         reversal = __call__
+        # the runner's per-point read of the scalars, over the fakes above
+        values = runner.EinsteinTable.values
 
     manifest = validate_manifest(ppower_doc())
     for name in ("einstein", "reversibility"):

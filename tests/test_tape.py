@@ -22,12 +22,12 @@ from finslerlab.exprlang import (
     Number,
     Tape,
     Unary,
-    eval_jet,
-    eval_scalar,
     parse,
+    to_source,
 )
 from finslerlab.core import FinslerMetric
 from finslerlab.jets import Jet, get_context, jet_pow, jet_sqrt, lift_variable
+from walks import eval_jet, eval_scalar
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -126,6 +126,9 @@ def test_replays_match_the_tree_walks(exprs, points):
                   for x in points]
         for x, want in zip(points, floats):
             _same(_outcome(lambda: tape.floats(x)), want)
+            # the public one-tree evaluators, each through its own tape
+            _same(_outcome(lambda: [exprlang.eval_scalar(e, x)
+                                    for e in exprs]), want)
             for shape in CONTEXTS:
                 ctx = get_context(*shape)
                 want = _outcome(lambda: [eval_jet(e, ctx, x).c for e in exprs])
@@ -134,6 +137,8 @@ def test_replays_match_the_tree_walks(exprs, points):
                 if isinstance(want, tuple) or all(
                         np.isfinite(c).all() for c in want):
                     _same(_outcome(lambda: tape.jets(ctx, x)), want)
+                    _same(_outcome(lambda: [exprlang.eval_jet(e, ctx, x).c
+                                            for e in exprs]), want)
         columns = np.array(points).T
         # a coordinate-major batch replays each point's jets, or raises
         # BatchFailed where a point raises or an operation is not batched
@@ -222,6 +227,39 @@ def test_errors_keep_text_and_order():
     with pytest.raises(ValueError, match="uses x2 but the point has 1 "
                                          "coordinates"):
         tape.floats([0.5])
+
+
+# a right operand of the same precedence needs parentheses: x1 + 1.0 + x2
+# is (x1 + 1.0) + x2, which rounds differently from x1 + (1.0 + x2)
+@example(tree=Binary("add", Coord(0), Binary("add", Number(1.0), Coord(1))))
+@example(tree=Binary("mul", Coord(0), Binary("mul", Coord(1), Number(3.0))))
+@settings(max_examples=200, deadline=None)
+@given(tree=TREES)
+def test_printed_trees_parse_back_with_their_bits(tree):
+    printed = to_source(tree)
+    again = parse(printed)
+    assert to_source(again) == printed
+    with np.errstate(all="ignore"):
+        for x in ([1.2, 0.4], [-0.7, 1.1], [0.0, -0.0]):
+            _same(_outcome(lambda: [eval_scalar(again, x)]),
+                  _outcome(lambda: [eval_scalar(tree, x)]))
+
+
+def test_literals_fold_with_the_jet_operators():
+    """A literal folds with the Jet operators' kernels, non-finite values
+    included: inf times a constant jet is a Cauchy product, whose zero
+    coefficients times inf give NaN, not a scalar multiply."""
+    sources = ["1e200*1e200*3", "2*(1e200*1e200)", "(1e200*1e200)/2",
+               "(1e200*1e200)^0.5*2", "ln(1e200*1e200)", "1/(1e200*1e200)"]
+    exprs = [parse(s) for s in sources]
+    tape = Tape(exprs)
+    with np.errstate(all="ignore"):
+        for shape in CONTEXTS:
+            ctx = get_context(*shape)
+            want = [eval_jet(e, ctx, []).c for e in exprs]
+            assert np.isnan(want[0][1:]).all()
+            _same(tape.jets(ctx, []), want)
+        _same(tape.floats([]), [eval_scalar(e, []) for e in exprs])
 
 
 def test_shared_subtrees_are_one_instruction():
