@@ -43,7 +43,6 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -602,14 +601,6 @@ def einstein_scalars(metric, x, ys):
     return lam
 
 
-def reversibility_residual(metric, x, y):
-    """|Einstein scalar at y minus at -y|; both rays must be admissible."""
-    y_rev = [-v for v in y]
-    metric.require_domain(x, y)
-    metric.require_domain(x, y_rev)
-    return abs(einstein_scalar(metric, x, y) - einstein_scalar(metric, x, y_rev))
-
-
 def flag_curvature(metric, x, y, u):
     """Curvature of the flag spanned by y and the transverse direction u."""
     metric.require_domain(x, y)
@@ -693,32 +684,3 @@ def spread(values):
     if any(v != v for v in values):
         return math.inf
     return max(values) - min(values)
-
-
-@dataclass
-class EinsteinCheckResult:
-    verdict: bool
-    spreads: list = field(default_factory=list)
-    max_spread: float = 0.0
-    skipped: list = field(default_factory=list)
-
-
-def einstein_check(metric, points, directions_per_point=32, tolerance=1e-7):
-    """Spread of the Einstein scalar over directions, point by point.
-
-    The verdict is true iff every per-point spread (max - min over the
-    admissible sampled directions) is below ``tolerance``.
-    """
-    dirs = sphere_directions(metric.dim, directions_per_point)
-    spreads = []
-    skipped = []
-    for x in points:
-        values = einstein_scalars(
-            metric, x, [d for d in dirs if metric.in_domain(x, d)]).tolist()
-        if len(values) < 2:
-            skipped.append(tuple(x))
-            continue
-        spreads.append(spread(values))
-    max_spread = worst(spreads)
-    return EinsteinCheckResult(max_spread < tolerance, spreads, max_spread,
-                               skipped)

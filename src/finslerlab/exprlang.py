@@ -200,6 +200,10 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.next()
+            # a negative literal is one number, with the bits of its jet:
+            # negating the jet of 2.0 gives -0.0 derivative coefficients
+            if self.peek()[0] == "num":
+                return Number(-self.next()[1])
             return Unary("neg", self.unary())
         return self.atom()
 
@@ -274,7 +278,8 @@ def to_source(node):
         return f"x{node.index + 1}"
     if isinstance(node, Unary):
         inner = to_source(node.operand)
-        if _prec(node.operand) < 4:
+        # -2.0 would parse back as the literal Number(-2.0)
+        if _prec(node.operand) < 4 or isinstance(node.operand, Number):
             inner = f"({inner})"
         return f"-{inner}"
     if isinstance(node, Binary):

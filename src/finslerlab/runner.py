@@ -10,11 +10,16 @@ Each Einstein scalar of a run is evaluated once, into an
 ``EinsteinTable`` that takes a point's directions in one batch, and the
 alphabeta tensor data of each point once, into a ``TensorTable`` that
 calls the one builder ``alphabeta.ab_tensors``; the sample rows and every
-check read both.  A check is a small function registered in ``CHECKS``
-under its manifest name, and ``run_check`` looks it up.  The checks over
-the tensor data of a point share one point loop,
-``constructions.fold_points``.  Samples and checks are evaluated in
-manifest order, so output is deterministic.
+check read both.  The Einstein table's reads are the package's one sweep
+of lambda over directions, which the scenarios use too: ``values`` (the
+scalars at x in direction order, the first of them lambda at x wherever
+one value is needed), ``spreads`` (their max - min at each point) and
+``reversal`` (|lambda(x, y) - lambda(x, -y)|).
+
+A check is a small function registered in ``CHECKS`` under its manifest
+name, and ``run_check`` looks it up.  The checks over the tensor data of
+a point share one point loop, ``constructions.fold_points``.  Samples and
+checks are evaluated in manifest order, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -186,6 +191,20 @@ class EinsteinTable(_RunTable):
             ys.append(y)
         return ys, values, skipped
 
+    def spreads(self, points):
+        """The spread of lambda over ``values(x)`` at each point x that has
+        two values or more, and the skip texts: each direction whose
+        evaluation raised, and each point with fewer than two values."""
+        spreads, skipped = [], []
+        for x in points:
+            _, values, missed = self.values(x)
+            skipped += missed
+            if len(values) >= 2:
+                spreads.append(float(spread(values)))
+            else:
+                skipped.append(f"x={x}: fewer than two admissible directions")
+        return spreads, skipped
+
     def reversal(self, x, y):
         """|lambda(x, y) - lambda(x, -y)|; both rays must be admissible."""
         return abs(self(x, y) - self(x, [-v for v in y]))
@@ -306,14 +325,7 @@ def run_check(name, manifest, metric, points, lam, tensors):
 
 @_check("einstein")
 def _einstein(manifest, metric, points, lam, tensors):
-    spreads, skipped = [], []
-    for x in points:
-        _, values, missed = lam.values(x)
-        skipped += missed
-        if len(values) >= 2:
-            spreads.append(float(spread(values)))
-        else:
-            skipped.append(f"x={x}: fewer than two admissible directions")
+    spreads, skipped = lam.spreads(points)
     return _block({"max_spread": worst(spreads)},
                   manifest.tolerance("einstein_spread"), skipped=skipped)
 
@@ -335,16 +347,11 @@ def _reversibility(manifest, metric, points, lam, tensors):
 def _flag_curvature(manifest, metric, points, lam, tensors):
     values, notes, skipped = [], [], []
     for x in points:
-        y0 = lam0 = None
-        for y in lam.directions(x):  # the first that evaluates
-            try:
-                lam0, y0 = lam(x, y), list(y)
-                break
-            except FinslerError:
-                continue
-        if lam0 is None:
+        ys, lams, _ = lam.values(x)
+        if not lams:
             skipped.append(f"x={x}: no admissible direction")
             continue
+        y0, lam0 = list(ys[0]), lams[0]  # the first that evaluates
         scale = max(1.0, abs(lam0))
         if manifest.kind == "sqrt2d_family":
             try:
@@ -440,19 +447,20 @@ def _sqrt2d_conditions(manifest, metric, points, lam, tensors):
 
     def at(x, rd, ab):
         row = sqrt2d_structure_report(rd, ab, tolerance=tol).residuals
-        # alpha-data curvature against lambda at the first direction;
-        # where it cannot be had, the structure residuals of x still count
+        # alpha-data curvature against lambda at the first direction that
+        # evaluates; where it cannot be had, the structure residuals of x
+        # still count
         try:
             k_alpha = sqrt2d_K_from_lambda(rd, ab, precheck_tol=max(tol, 1e-6))
-            y0 = next(iter(lam.directions(x)), None)
-            if y0 is None:
-                row["skipped"] = "no admissible direction"
-            else:
-                lam0 = lam(x, y0)
-                row["curvature_agreement"] = (abs(k_alpha - lam0)
-                                              / max(1.0, abs(lam0)))
         except FinslerError as exc:
             row["skipped"] = str(exc)
+            return row
+        _, lams, _ = lam.values(x)
+        if lams:
+            row["curvature_agreement"] = (abs(k_alpha - lams[0])
+                                          / max(1.0, abs(lams[0])))
+        else:
+            row["skipped"] = "no admissible direction"
         return row
 
     return _per_point(points, tensors, at,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from finslerlab import (
     DegenerateValue,
@@ -12,8 +14,10 @@ from finslerlab import (
     Sqrt2dFamilySpec,
     ab_tensors,
     einstein_scalar,
+    eval_scalar,
     fundamental_tensor,
     killing_deformation,
+    parse,
     positivity_check,
     positivity_sample,
     ppower_metric,
@@ -21,12 +25,14 @@ from finslerlab import (
     ricci_flat_parallel_check,
     riemann_metric,
     sqrt2d_K_from_lambda,
+    sqrt2d_base_curvature,
     sqrt2d_einstein_residual,
     sqrt2d_family,
     sqrt2d_flag_curvature,
     square_einstein_residuals,
 )
-from finslerlab.core import circle_directions
+from finslerlab import runner
+from finslerlab.core import circle_directions, worst
 
 IDENTITY = [["1", "0"], ["0", "1"]]
 SPHERE = [["4/(1+x1^2+x2^2)^2", "0"], ["0", "4/(1+x1^2+x2^2)^2"]]
@@ -395,3 +401,72 @@ def test_batched_value_overflows_as_the_samples_one_by_one():
     assert np.isinf(got[3])
     assert [np.float64(v).tobytes() for v in got] == want
     assert [np.float64(v).tobytes() for v in f] == want and ok.all()
+
+
+# f = u + iv = c z^k, and B = a0 + a1 h with h = Im(int dz / z^k) up to a
+# factor, which is constant along f: every such triple is an Einstein member
+SQRT2D_GENERATORS = {
+    2: ("{c}*(x1^2 - x2^2)", "2*{c}*x1*x2", "{a0} + {a1}*x2/(x1^2 + x2^2)"),
+    3: ("{c}*(x1^3 - 3*x1*x2^2)", "{c}*(3*x1^2*x2 - x2^3)",
+        "{a0} + {a1}*x1*x2/(x1^2 + x2^2)^2"),
+}
+
+
+@st.composite
+def sqrt2d_members(draw):
+    """A generated triple (u, v, B) and three points at which |u| and |v|
+    are both at least 0.19 |f|, with |f| = c r^k >= 0.34: B_1 / v stays
+    finite, and B + 0.05 x1 moves the transport residual by 0.05 u, at
+    least 3e-3 in size."""
+    k = draw(st.sampled_from(sorted(SQRT2D_GENERATORS)))
+    coefficients = {"c": draw(st.floats(1.0, 2.0)),
+                    "a0": draw(st.floats(0.3, 0.7)),
+                    "a1": draw(st.floats(-0.3, 0.3))}
+    triple = [t.format(**{n: repr(v) for n, v in coefficients.items()})
+              for t in SQRT2D_GENERATORS[k]]
+    points = []
+    for _ in range(3):
+        r = draw(st.floats(0.7, 1.4))
+        # k theta = m pi/2 + phase, away from the zeros of cos and sin
+        m = draw(st.integers(0, 4 * k - 1))
+        phase = draw(st.floats(0.2, math.pi / 2 - 0.2))
+        theta = (m * math.pi / 2 + phase) / k
+        points.append([r * math.cos(theta), r * math.sin(theta)])
+    return triple, points
+
+
+@settings(max_examples=8, deadline=None)
+@given(member=sqrt2d_members())
+def test_generated_sqrt2d_members_are_einstein(member):
+    """Generated square-root triples satisfy their constraints, have lambda
+    constant in y and equal to the closed-form flag curvature, and have the
+    closed-form base curvature; B + 0.05 x1 fails both the constraints and
+    the Einstein check.  The bounds were fixed before any run."""
+    (u, v, b), points = member
+    perturbed = f"{b} + 0.05*x1"
+    for source in (b, perturbed):
+        tree = parse(source)
+        assume(all(0.1 < eval_scalar(tree, x) < 0.9 for x in points))
+    assume(all(abs(c) > 0.1 for x in points for c in x))
+    dirs = circle_directions(16)
+
+    spec = Sqrt2dFamilySpec(u, v, b)
+    fam = sqrt2d_family(spec)
+    lam = runner.EinsteinTable(fam.metric(), dirs)
+    spreads, skipped = lam.spreads(points)
+    assert not skipped and len(spreads) == len(points)
+    assert worst(spreads) < 1e-9
+    for x in points:
+        assert max(abs(r) for r in fam.pde_residuals(x).values()) < 1e-12
+        lam0 = lam.values(x)[1][0]
+        assert abs(lam0 - sqrt2d_flag_curvature(spec, x)) < \
+            1e-9 * max(1.0, abs(lam0))
+        k_alpha = ab_tensors(fam.alpha, fam.beta, x)[0].sectional_curvature()
+        assert abs(sqrt2d_base_curvature(spec, x) - k_alpha) < \
+            1e-9 * max(1.0, abs(k_alpha))
+
+    fam = sqrt2d_family((u, v, perturbed))
+    assert worst(abs(r) for x in points
+                 for r in fam.pde_residuals(x).values()) > 1e-3
+    spreads, skipped = runner.EinsteinTable(fam.metric(), dirs).spreads(points)
+    assert not skipped and worst(spreads) > 1e-3

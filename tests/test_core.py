@@ -14,13 +14,11 @@ from finslerlab import (
     FinslerMetric,
     PPowerSpec,
     SingularMetric,
-    einstein_check,
     einstein_scalar,
     einstein_scalars,
     flag_curvature,
     fundamental_tensor,
     ppower_metric,
-    reversibility_residual,
     ricci,
     riccis,
     riemann_curvature,
@@ -30,7 +28,7 @@ from finslerlab import (
     sprays,
     sqrt2d_family,
 )
-from finslerlab import core
+from finslerlab import core, runner
 from finslerlab.core import einstein_rows, sphere_directions
 from finslerlab.fdcheck import fd_partials
 from finslerlab.jets import get_context
@@ -235,28 +233,33 @@ def test_example_family_einstein_scalar(example_family):
             -1.25, abs=1e-9)
 
 
+def reversal(metric, x, y):
+    """|lambda(x, y) - lambda(x, -y)| as the runner reads it."""
+    return runner.EinsteinTable(metric, ()).reversal(x, y)
+
+
 def test_reversibility_einstein_instances(example_family):
     metric = example_family.metric()
-    assert reversibility_residual(metric, [0.5, 0.2], [1.0, 0.3]) < 1e-8
+    assert reversal(metric, [0.5, 0.2], [1.0, 0.3]) < 1e-8
     flat = flat_randers(0.28, -0.12)
-    assert reversibility_residual(flat, [0.1, 0.2], [1.0, 0.3]) < 1e-12
+    assert reversal(flat, [0.1, 0.2], [1.0, 0.3]) < 1e-12
 
 
 def test_reversibility_negative_control():
     metric = ppower_metric(PPowerSpec(IDENTITY, ["0.3*x2", "0"], 1.0))
-    assert reversibility_residual(metric, [0.0, 1.0], [1.0, 0.5]) > 1e-3
+    assert reversal(metric, [0.0, 1.0], [1.0, 0.5]) > 1e-3
 
 
 def test_reversibility_reversible_metric():
     metric = riemann_metric(SPHERE)
-    assert reversibility_residual(metric, [0.2, 0.1], [0.7, -0.4]) < 1e-12
+    assert reversal(metric, [0.2, 0.1], [0.7, -0.4]) < 1e-12
 
 
 def test_reversibility_domain_error():
     # norm above 1: the reversed ray leaves the cone 1 + s > 0
     metric = flat_randers(1.2, 0.0)
     with pytest.raises(DomainError):
-        reversibility_residual(metric, [0.0, 0.0], [1.0, 0.1])
+        reversal(metric, [0.0, 0.0], [1.0, 0.1])
 
 
 def test_flag_curvature_two_dimensional(example_family):
@@ -284,15 +287,21 @@ def test_flag_curvature_degenerate_plane():
         flag_curvature(metric, [0.0, 0.0], [1.0, 0.5], [2.0, 1.0])
 
 
+def max_spread(metric, points, count):
+    """The largest spread of lambda over ``count`` directions at the
+    points, each of which must have one."""
+    spreads, skipped = runner.EinsteinTable(
+        metric, sphere_directions(metric.dim, count)).spreads(points)
+    assert not skipped and len(spreads) == len(points)
+    return core.worst(spreads)
+
+
 def test_einstein_check_verdicts(example_family):
     metric = example_family.metric()
-    good = einstein_check(metric, [[0.5, 0.2], [0.3, -0.4]], 32, 1e-7)
-    assert good.verdict and good.max_spread < 1e-9
+    assert max_spread(metric, [[0.5, 0.2], [0.3, -0.4]], 32) < 1e-9
     bad_metric = ppower_metric(PPowerSpec(IDENTITY, ["0.3*x2", "0"], 1.0))
-    bad = einstein_check(bad_metric, [[0.0, 1.0]], 16, 1e-7)
-    assert not bad.verdict
-    const = einstein_check(riemann_metric(SPHERE), [[0.1, 0.2]], 16, 1e-7)
-    assert const.verdict
+    assert not max_spread(bad_metric, [[0.0, 1.0]], 16) < 1e-7
+    assert max_spread(riemann_metric(SPHERE), [[0.1, 0.2]], 16) < 1e-7
 
 
 def test_riemannian_spray_matches_christoffel_path():
@@ -730,11 +739,12 @@ def test_einstein_check_takes_each_point_in_one_batch(monkeypatch):
                        [d for d in sphere_directions(2, 12)
                         if metric.in_domain(x, d)]) for x in points]
     calls = []
-    monkeypatch.setattr(core, "einstein_scalar",
+    monkeypatch.setattr(runner, "einstein_scalar",
                         lambda *args: calls.append(args))
-    result = einstein_check(metric, points, directions_per_point=12)
-    assert not calls
-    assert result.spreads == [float(w.max() - w.min()) for w in want]
+    spreads, skipped = runner.EinsteinTable(
+        metric, sphere_directions(2, 12)).spreads(points)
+    assert not calls and not skipped
+    assert spreads == [float(w.max() - w.min()) for w in want]
 
 
 # -- the batched entries with one point x per row --

@@ -120,6 +120,8 @@ ROUND_TRIP_SOURCES = [
     "1 - (x1 - (x2 - 1))",
     "-(x1 + x2)^2",
     "x1 + (x2 + 1)",
+    "-2.0",
+    "-(2.0)",
 ]
 
 

@@ -58,6 +58,7 @@ GOLDEN = {
 
 RESIDUALS = {
     "scenario_rotational_family_curvature": [
+        (10, "c56b0fc302b8f83e0e33307e596e960879debfcba356046312d5a7bd06177b35"),
         (10, "cafd0b7076f9165577c13ec35840315b782c66b3d1262df120465176e2580b33"),
     ],
     "scenario_family_curvature_consistency": [

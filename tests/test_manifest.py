@@ -1,10 +1,16 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
-from finslerlab import ManifestError, load_manifest, run, runner, validate_manifest
+from finslerlab import (
+    DegenerateValue,
+    ManifestError,
+    load_manifest,
+    run,
+    runner,
+    validate_manifest,
+)
 from finslerlab.cli import main as cli_main
 from finslerlab.report import json_dumps, manifest_hash, report_csv
 
@@ -316,6 +322,31 @@ def test_sqrt2d_conditions_keep_structure_residuals_without_agreement():
     assert all("structure-equation residual" in s for s in check["skipped"])
 
 
+def test_sqrt2d_conditions_read_lambda_at_the_first_direction_that_evaluates():
+    """The alpha-data curvature is compared with lambda at the first
+    direction whose scalar evaluates, as flag_curvature reads it: a first
+    direction that raises does not skip the point."""
+    doc = rotational_doc()
+    doc["checks"] = ["sqrt2d_conditions"]
+    manifest = validate_manifest(doc)
+    metric = runner.build_metric(manifest)
+    points = manifest.samples.points
+    dirs = runner.sphere_directions(2, 8)
+
+    class FirstRaises(runner.EinsteinTable):
+        def __call__(self, x, y):
+            if list(y) == list(dirs[0]):
+                raise DegenerateValue("the first direction raises")
+            return super().__call__(x, y)
+
+    check = runner.run_check("sqrt2d_conditions", manifest, metric, points,
+                             FirstRaises(metric, dirs),
+                             runner.TensorTable(manifest))
+    assert check["skipped"] == []
+    assert check["verdict"]
+    assert check["residuals"]["curvature_agreement"] < 1e-9
+
+
 def test_cli_run_exit_codes(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = cli_main(["run", f"{MANIFEST_DIR}/rotational_family.json",
@@ -337,6 +368,26 @@ def test_cli_tolerance_override(tmp_path):
     report = json.loads(out.read_text())
     einstein = next(c for c in report["checks"] if c["name"] == "einstein")
     assert not einstein["verdict"]
+    # the report describes the manifest that was run, override included
+    assert report["manifest"]["tolerances"]["einstein_spread"] == 1e-16
+    assert report["manifest_hash"] == manifest_hash(report["manifest"])
+
+
+@pytest.mark.parametrize("override, error", [
+    ("einstein_spread=-1", "/tolerances/einstein_spread: tolerance must be "
+                           "a nonnegative number"),
+    ("einstein_spread=nan", "/tolerances/einstein_spread: tolerance must be "
+                            "a nonnegative number"),
+    ("bogus=1", "/tolerances/bogus: unknown tolerance 'bogus'"),
+], ids=["negative", "nan", "unknown"])
+def test_cli_tolerance_override_is_validated(tmp_path, capsys, override,
+                                             error):
+    out = tmp_path / "report.json"
+    code = cli_main(["run", f"{MANIFEST_DIR}/rotational_family.json",
+                     "--out", str(out), "--tol", override])
+    assert code == 2
+    assert capsys.readouterr().err == f"manifest error: {error}\n"
+    assert not out.exists()
 
 
 def test_cli_eval(capsys):
@@ -398,7 +449,7 @@ NAN_LISTS = [[math.nan, 0.1, 0.1], [0.1, math.nan, 0.1], [0.1, 0.1, math.nan]]
 
 
 @pytest.mark.parametrize("values", NAN_LISTS, ids=["first", "middle", "last"])
-def test_a_nan_fails_wherever_it_sits(values, monkeypatch):
+def test_a_nan_fails_wherever_it_sits(values):
     """A NaN residual or Einstein scalar reads inf, and fails its check,
     at the first, a middle and the last position."""
     from finslerlab import core
@@ -420,8 +471,9 @@ def test_a_nan_fails_wherever_it_sits(values, monkeypatch):
             return values[y]
 
         reversal = __call__
-        # the runner's per-point read of the scalars, over the fakes above
+        # the runner's reads of the scalars, over the fakes above
         values = runner.EinsteinTable.values
+        spreads = runner.EinsteinTable.spreads
 
     manifest = validate_manifest(ppower_doc())
     for name in ("einstein", "reversibility"):
@@ -429,9 +481,3 @@ def test_a_nan_fails_wherever_it_sits(values, monkeypatch):
                                  Table(), None)
         assert not check["verdict"], name
         assert all(math.isinf(v) for v in check["residuals"].values())
-
-    monkeypatch.setattr(core, "einstein_scalars",
-                        lambda metric, x, ys: np.array(values))
-    result = core.einstein_check(runner.build_metric(manifest), [[0.1, 0.2]],
-                                 directions_per_point=3)
-    assert not result.verdict and result.max_spread == math.inf

@@ -233,6 +233,9 @@ def test_errors_keep_text_and_order():
 # is (x1 + 1.0) + x2, which rounds differently from x1 + (1.0 + x2)
 @example(tree=Binary("add", Coord(0), Binary("add", Number(1.0), Coord(1))))
 @example(tree=Binary("mul", Coord(0), Binary("mul", Coord(1), Number(3.0))))
+# a negative literal prints as one, and must not parse back as a negation
+@example(tree=Number(-0.0))
+@example(tree=Binary("mul", Number(-2.0), Coord(0)))
 @settings(max_examples=200, deadline=None)
 @given(tree=TREES)
 def test_printed_trees_parse_back_with_their_bits(tree):
@@ -243,6 +246,12 @@ def test_printed_trees_parse_back_with_their_bits(tree):
         for x in ([1.2, 0.4], [-0.7, 1.1], [0.0, -0.0]):
             _same(_outcome(lambda: [eval_scalar(again, x)]),
                   _outcome(lambda: [eval_scalar(tree, x)]))
+            # a negated literal and a negative one differ in the signs of
+            # their jets' zero coefficients
+            for shape in CONTEXTS:
+                ctx = get_context(*shape)
+                _same(_outcome(lambda: [eval_jet(again, ctx, x).c]),
+                      _outcome(lambda: [eval_jet(tree, ctx, x).c]))
 
 
 def test_literals_fold_with_the_jet_operators():
