@@ -255,9 +255,10 @@ def _riemann_rows(coeffs, ctx, points):
 
 
 def _raised(row):
-    """``row``, or the FinslerError it holds, raised."""
+    """``row``, or the FinslerError it holds, raised without the frames of
+    an earlier raise, so that re-reading a failing row keeps none alive."""
     if isinstance(row, FinslerError):
-        raise row
+        raise row.with_traceback(None)
     return row
 
 
@@ -614,9 +615,8 @@ def curvature_term_sign():
     cached = _SIGN_CACHE.get("sign")
     if cached is not None:
         return cached
-    rd = riemann_data(_CALIBRATION_ALPHA, _CALIBRATION_POINT)
-    ab = ab_tensors_from_jets(
-        rd, covector_jets(_CALIBRATION_BETA, _CALIBRATION_POINT))
+    rd, ab = ab_tensors(_CALIBRATION_ALPHA, _CALIBRATION_BETA,
+                        _CALIBRATION_POINT)
     res_plus = _identity_residuals(rd, ab, +1)[0]
     res_minus = _identity_residuals(rd, ab, -1)[0]
     if res_plus < 1e-9 <= res_minus:

@@ -6,7 +6,9 @@ generated by a scalar triple (u, v, B).  Checkers: positivity of the
 fundamental tensor (closed form and inequality sampling), the structure
 equations that characterize Einstein instances of the Randers, square and
 2D square-root cases, the Killing rescaling of the 1-form, and the
-Ricci-flat-parallel test.
+Ricci-flat-parallel test.  All but positivity read the tensor data
+``(rd, ab)`` of one point; the multi-point wrappers fold them with
+``fold_points`` over rows of ``alphabeta.ab_tensor_rows``.
 """
 
 from __future__ import annotations
@@ -19,11 +21,9 @@ import numpy as np
 
 from .alphabeta import (
     AbTensors,
-    ab_tensors,
+    _raised,
+    ab_tensor_rows,
     ab_tensors_from_jets,
-    covector_jets,
-    matrix_jets,
-    riemann_data_from_jets,
 )
 from .core import (
     FinslerMetric,
@@ -58,6 +58,7 @@ from .jets import (
     _sqrt,
     get_context,
     jet_pow,
+    partial_table,
 )
 from .linalg import invert
 
@@ -381,8 +382,8 @@ def positivity_sample(p, b_sq, s_grid=101):
 
     ``s_grid`` is either a count of evenly spaced slopes on the closed
     interval [-b, b], both endpoints included (for p <= 0 and p >= 1/2 the
-    binding inequality sits at s = -b), or explicit slopes in that
-    interval.  Returns (all_positive, worst_margin).
+    binding inequality sits at s = -b), or one or more explicit slopes in
+    that interval.  Returns (all_positive, worst_margin).
     """
     if p == 0.0:
         raise ValueError("the exponent p must be nonzero")
@@ -394,13 +395,13 @@ def positivity_sample(p, b_sq, s_grid=101):
         grid = [-b + 2.0 * b * i / (count - 1) for i in range(count)]
     else:
         grid = [float(s) for s in s_grid]
+        if not grid:
+            raise ValueError("a slope grid needs at least one slope")
         if any(abs(s) > b for s in grid):
             raise ValueError("s grid must lie inside [-b, b]")
     worst = math.inf
     for s in grid:
         worst = min(worst, *positivity_margins(p, s, b_sq))
-    if not grid:
-        worst = 1.0
     return worst > 0.0, worst
 
 
@@ -545,17 +546,18 @@ def sqrt2d_base_curvature(spec, x):
 
 
 def fold_points(points, tensors, at, keys):
-    """Fold the residual dicts ``at(x, rd, ab)``, with ``(rd, ab) =
-    tensors(x)``, over the points; one raising a FinslerError is skipped
-    as ``x={x}: {exc}``.  A row may hold entries besides ``keys``, and may
-    leave out a key it could not evaluate, with the reason under
-    ``"skipped"``.  Returns ``(residuals, rows, skipped)``: each key's
-    ``core.worst`` over the rows holding it (inf for a NaN, and for a key
-    no point evaluated), the rows, and the skip texts in point order."""
+    """Fold the residual dicts ``at(x, rd, ab)`` over the points and their
+    ``tensors`` rows (``alphabeta.ab_tensor_rows``); a row holding a
+    FinslerError, or an ``at`` raising one, is skipped as ``x={x}: {exc}``.
+    A dict may hold entries besides ``keys``, and may leave out a key it
+    could not evaluate, with the reason under ``"skipped"``.  Returns
+    ``(residuals, dicts, skipped)``: each key's ``core.worst`` over the
+    dicts holding it (inf for a NaN, and for a key no point evaluated),
+    the dicts, and the skip texts in point order."""
     rows, skipped = [], []
-    for x in points:
+    for x, tensor_row in zip(points, tensors):
         try:
-            row = at(x, *tensors(x))
+            row = at(x, *_raised(tensor_row))
         except FinslerError as exc:
             skipped.append(f"x={x}: {exc}")
             continue
@@ -564,13 +566,6 @@ def fold_points(points, tensors, at, keys):
             skipped.append(f"x={x}: {row['skipped']}")
     residuals = {k: worst([row[k] for row in rows if k in row]) for k in keys}
     return residuals, rows, skipped
-
-
-def _fold_specs(alpha_spec, beta_spec, points, at, keys):
-    """``fold_points`` of ``at(rd, ab)`` over tensor data built anew from
-    fixed specs."""
-    return fold_points(points, lambda x: ab_tensors(alpha_spec, beta_spec, x),
-                       lambda x, rd, ab: at(rd, ab), keys)
 
 
 def _equation_residual(sides):
@@ -673,14 +668,33 @@ class KillingDeformationResult:
     ab_tilde: AbTensors
 
 
-def killing_deformation(alpha_spec, beta_spec, x, order=3):
-    """Rescale beta by (1-b^2)^{-3/4} and measure how Killing the result is.
+def _order2_coeffs(ctx, value, d, dd):
+    """The coefficients in the order-2 ``ctx`` of the jets with values
+    ``value[...]``, first raw partials ``d[v, ...]`` and second
+    ``dd[v, w, ...]``, on a last axis: the inverse of ``read_partials``,
+    exact since each factorial is 1 or 2."""
+    table = partial_table(ctx)
+    coeffs = np.zeros(value.shape + (ctx.ncoef,))
+    coeffs[..., 0] = value
+    coeffs[..., table.unit] = np.moveaxis(d, 0, -1)
+    coeffs[..., table.pair] = (np.moveaxis(dd, (0, 1), (-2, -1))
+                               / ctx.factorial[table.pair])
+    return coeffs
+
+
+def killing_deformation(rd, ab):
+    """Rescale beta by (1-b^2)^{-3/4} and measure how Killing the result is,
+    from the tensor data ``(rd, ab)`` of one point.
 
     For instances satisfying the square-root structure equation the
     rescaled form has r~_ij = 0 and squared norm b^2 / (1-b^2)^{3/2}.
+    The rescaled tensor data needs partials of a_ij and b_i up to order 2
+    only, so their order-2 jets are rebuilt from those ``(rd, ab)`` holds.
     """
-    a_jets = matrix_jets(parse_matrix(alpha_spec), x, order)
-    b_jets = covector_jets(parse_covector(beta_spec), x, order)
+    ctx = get_context(rd.dim, 2)
+    a_jets = [[Jet(ctx, c) for c in row]
+              for row in _order2_coeffs(ctx, rd.a, rd.da, rd.dda)]
+    b_jets = [Jet(ctx, c) for c in _order2_coeffs(ctx, ab.b, ab.db, ab.ddb)]
     a_inv_jets = invert(a_jets)
     n = len(b_jets)
     b2_jet = None
@@ -690,12 +704,11 @@ def killing_deformation(alpha_spec, beta_spec, x, order=3):
             b2_jet = term if b2_jet is None else b2_jet + term
     b2 = b2_jet.value
     if b2 >= 1.0:
-        raise DomainError(f"b^2 = {b2!r} >= 1 at x={coords(x)!r}")
+        raise DomainError(f"b^2 = {b2!r} >= 1 at x={coords(rd.x)!r}")
     scale = jet_pow(1.0 - b2_jet, -0.75)
-    rd = riemann_data_from_jets(a_jets, x)
     ab_t = ab_tensors_from_jets(rd, [scale * bj for bj in b_jets])
     return KillingDeformationResult(
-        tuple(float(v) for v in x), float(np.abs(ab_t.r).max()), ab_t.b2,
+        rd.x, float(np.abs(ab_t.r).max()), ab_t.b2,
         b2 / (1.0 - b2) ** 1.5, ab_t)
 
 
@@ -802,9 +815,9 @@ def randers_einstein_residuals(alpha_spec, beta_spec, points, directions=8,
     """``randers_residuals`` folded over the points (``fold_points``), with
     c and sigma at each evaluated point as the report's scalars."""
     metric = ppower_metric(PPowerSpec(alpha_spec, beta_spec, 1.0))
-    return _condition_report("randers", _fold_specs(
-        alpha_spec, beta_spec, points,
-        lambda rd, ab: randers_residuals(rd, ab, metric, directions),
+    return _condition_report("randers", fold_points(
+        points, ab_tensor_rows(alpha_spec, beta_spec, points),
+        lambda x, rd, ab: randers_residuals(rd, ab, metric, directions),
         RANDERS_KEYS), tolerance, ("c", "sigma"))
 
 
@@ -851,9 +864,9 @@ def square_einstein_residuals(alpha_spec, beta_spec, points, directions=8,
     """``square_residuals`` folded over the points (``fold_points``), with
     c at each evaluated point as the report's scalars."""
     metric = ppower_metric(PPowerSpec(alpha_spec, beta_spec, 2.0))
-    return _condition_report("square", _fold_specs(
-        alpha_spec, beta_spec, points,
-        lambda rd, ab: square_residuals(rd, ab, metric, directions),
+    return _condition_report("square", fold_points(
+        points, ab_tensor_rows(alpha_spec, beta_spec, points),
+        lambda x, rd, ab: square_residuals(rd, ab, metric, directions),
         SQUARE_KEYS), tolerance, ("c",))
 
 
@@ -871,8 +884,9 @@ def ricci_flat_parallel_check(alpha_spec, beta_spec, points, tolerance=1e-9):
     """``(verdict, max_cov, max_ric)``: the verdict is true iff alpha is
     Ricci-flat and beta is parallel at every point, and some point was
     evaluated (``fold_points``)."""
-    residuals, _, _ = _fold_specs(alpha_spec, beta_spec, points,
-                                  ricci_flat_parallel_residuals,
-                                  RICCI_FLAT_PARALLEL_KEYS)
+    residuals, _, _ = fold_points(
+        points, ab_tensor_rows(alpha_spec, beta_spec, points),
+        lambda x, rd, ab: ricci_flat_parallel_residuals(rd, ab),
+        RICCI_FLAT_PARALLEL_KEYS)
     max_cov, max_ric = residuals.values()
     return max_cov < tolerance and max_ric < tolerance, max_cov, max_ric

@@ -9,6 +9,7 @@ carry a JSON-pointer path to the offending field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .constructions import PPowerSpec, Sqrt2dFamilySpec, sqrt2d_family
@@ -141,6 +142,7 @@ def validate_manifest(doc):
             _expect(isinstance(p, (int, float)) and not isinstance(p, bool),
                     "p is required and must be a number", "/metric/p")
             _expect(p != 0, "p must be nonzero", "/metric/p")
+            _expect(math.isfinite(p), "p must be finite", "/metric/p")
             ppower = PPowerSpec(a_ast, b_ast, float(p))
         else:
             from .constructions import zero_covector
@@ -164,6 +166,8 @@ def validate_manifest(doc):
                 and all(isinstance(v, (int, float)) for v in pt),
                 f"point must have {dim} numeric coordinates",
                 f"/samples/points/{i}")
+        _expect(all(math.isfinite(v) for v in pt),
+                "point coordinates must be finite", f"/samples/points/{i}")
     random_points = samples_doc.get("random_points", 0)
     _expect(isinstance(random_points, int) and random_points >= 0,
             "random_points must be a nonnegative integer",
@@ -183,9 +187,10 @@ def validate_manifest(doc):
             "margin must be in [0, 0.5)", "/samples/margin")
     box = samples_doc.get("box", [[-0.8, 0.8]] * dim)
     _expect(isinstance(box, list) and len(box) == dim
-            and all(isinstance(iv, list) and len(iv) == 2 and iv[0] < iv[1]
-                    for iv in box),
-            f"box must be {dim} [lo, hi] intervals", "/samples/box")
+            and all(isinstance(iv, list) and len(iv) == 2
+                    and all(isinstance(v, (int, float)) and math.isfinite(v)
+                            for v in iv) and iv[0] < iv[1] for iv in box),
+            f"box must be {dim} finite [lo, hi] intervals", "/samples/box")
 
     checks = doc.get("checks")
     _expect(isinstance(checks, list) and checks,
@@ -206,6 +211,8 @@ def validate_manifest(doc):
                 f"unknown tolerance {name!r}", f"/tolerances/{name}")
         _expect(isinstance(value, (int, float)) and value >= 0,
                 "tolerance must be a nonnegative number", f"/tolerances/{name}")
+        _expect(math.isfinite(value), "tolerance must be finite",
+                f"/tolerances/{name}")
         tolerances[name] = float(value)
 
     plan = SamplePlan(points=[list(map(float, pt)) for pt in points],

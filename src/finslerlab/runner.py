@@ -8,18 +8,20 @@ reads inf (``core.worst``), so neither can pass.
 
 Each Einstein scalar of a run is evaluated once, into an
 ``EinsteinTable`` that takes a point's directions in one batch, and the
-alphabeta tensor data of each point once, into a ``TensorTable`` that
-calls the one builder ``alphabeta.ab_tensors``; the sample rows and every
-check read both.  The Einstein table's reads are the package's one sweep
-of lambda over directions, which the scenarios use too: ``values`` (the
-scalars at x in direction order, the first of them lambda at x wherever
-one value is needed), ``spreads`` (their max - min at each point) and
-``reversal`` (|lambda(x, y) - lambda(x, -y)|).
+alphabeta tensor data of all its points in one pass of
+``alphabeta.ab_tensor_rows``, one row per point, ``(rd, ab)`` or the
+FinslerError the point raised; the sample rows and every check read both.
+The Einstein table's reads are the package's one sweep of lambda over
+directions, which the scenarios use too: ``values`` (the scalars at x in
+direction order, the first of them lambda at x wherever one value is
+needed), ``spreads`` (their max - min at each point) and ``reversal``
+(|lambda(x, y) - lambda(x, -y)|).
 
 A check is a small function registered in ``CHECKS`` under its manifest
 name, and ``run_check`` looks it up.  The checks over the tensor data of
-a point share one point loop, ``constructions.fold_points``.  Samples and
-checks are evaluated in manifest order, so output is deterministic.
+a point share one point loop, ``constructions.fold_points``, which zips
+the points with their rows.  Samples and checks are evaluated in manifest
+order, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import numpy as np
 
 from . import __version__
 from .alphabeta import (
+    _raised,
+    ab_tensor_rows,
     ab_tensors,
     curvature_term_sign,
     ricci_identity_residuals,
@@ -116,47 +120,12 @@ def build_metric(manifest):
     return ppower_metric(manifest.ppower)
 
 
-class _RunTable:
-    """Results of one run, each evaluated once.
-
-    A result, or the FinslerError its evaluation raised, is stored under
-    exact bits (``core.exact_key``), so the sample rows and every check
-    read the same numbers, and the same skip text, without evaluating
-    twice.
-    """
-
-    def __init__(self):
-        self._results = {}
-
-    def _recall(self, key, evaluate):
-        result = self._results.get(key)
-        if result is None:
-            try:
-                result = evaluate()
-            except FinslerError as exc:
-                result = exc.with_traceback(None)  # keep no frames alive
-            self._results[key] = result
-        if isinstance(result, FinslerError):
-            raise result.with_traceback(None)
-        return result
-
-
-class TensorTable(_RunTable):
-    """The alphabeta tensor data of one run: ``(rd, ab)`` at each point x
-    (``alphabeta.ab_tensors``), or the FinslerError building it raised."""
-
-    def __init__(self, manifest):
-        super().__init__()
-        self.manifest = manifest
-
-    def __call__(self, x):
-        return self._recall(exact_key(x), lambda: ab_tensors(
-            self.manifest.alpha_spec, self.manifest.beta_spec, x))
-
-
-class EinsteinTable(_RunTable):
+class EinsteinTable:
     """The Einstein scalars of one run: the value at (x, y), or the
-    FinslerError its evaluation raised, over the run's directions.
+    FinslerError its evaluation raised, each evaluated once and stored
+    under exact bits (``core.exact_key``), so the sample rows and every
+    check read the same numbers, and the same skip text, over the run's
+    directions.
 
     ``directions(x)`` lists the admissible directions at x and
     ``reversible(x)`` those whose reverse is admissible too, each worked
@@ -167,15 +136,21 @@ class EinsteinTable(_RunTable):
     """
 
     def __init__(self, metric, dirs):
-        super().__init__()
         self.metric = metric
         self.dirs = dirs
+        self._results = {}
         self._sweeps = {}
 
     def __call__(self, x, y):
-        return self._recall(
-            exact_key(x, y),
-            lambda: einstein_scalar(self.metric, x, list(y)))
+        key = exact_key(x, y)
+        result = self._results.get(key)
+        if result is None:
+            try:
+                result = einstein_scalar(self.metric, x, list(y))
+            except FinslerError as exc:
+                result = exc.with_traceback(None)  # keep no frames alive
+            self._results[key] = result
+        return _raised(result)
 
     def values(self, x):
         """The Einstein scalars over ``directions(x)``: the directions
@@ -245,10 +220,10 @@ class EinsteinTable(_RunTable):
                 self._results[key] = value
 
 
-def _sample_row(manifest, metric, lam, tensors, x):
+def _sample_row(manifest, metric, lam, tensor_row, x):
     row = {"x": [float(v) for v in x]}
     try:
-        _, ab = tensors(x)
+        _, ab = _raised(tensor_row)
         row["b_squared"] = float(ab.b2)
     except FinslerError as exc:
         row["b_squared"] = None
@@ -315,8 +290,8 @@ def _check(name):
 
 
 def run_check(name, manifest, metric, points, lam, tensors):
-    """One check block; ``lam`` and ``tensors`` are the run's EinsteinTable
-    and TensorTable."""
+    """One check block; ``lam`` is the run's EinsteinTable and ``tensors``
+    the tensor rows of ``points`` (``alphabeta.ab_tensor_rows``)."""
     check = CHECKS.get(name)
     if check is None:
         raise ValueError(f"unknown check {name!r}")
@@ -383,9 +358,9 @@ def _pde_residuals(manifest, metric, points, lam, tensors):
 def _structural_vs_generic(manifest, metric, points, lam, tensors):
     p = manifest.ppower.p
     values, skipped = [], []
-    for x in points:
+    for x, row in zip(points, tensors):
         try:
-            rd, ab = tensors(x)
+            rd, ab = _raised(row)
         except FinslerError as exc:
             skipped.append(f"x={x}: {exc}")
             continue
@@ -494,7 +469,7 @@ def _positivity(manifest, metric, points, lam, tensors):
 @_check("killing_deformation")
 def _killing_deformation(manifest, metric, points, lam, tensors):
     def at(x, rd, ab):
-        kd = killing_deformation(manifest.alpha_spec, manifest.beta_spec, x)
+        kd = killing_deformation(rd, ab)
         return {"killing_residual": kd.r_residual,
                 "norm_identity": abs(kd.btilde_norm_sq - kd.expected_norm_sq)}
 
@@ -522,9 +497,9 @@ def run(manifest, include_timings=False):
     dirs = sphere_directions(manifest.dimension,
                              manifest.samples.direction_count)
     lam = EinsteinTable(metric, dirs)
-    tensors = TensorTable(manifest)
-    sample_rows = [_sample_row(manifest, metric, lam, tensors, x)
-                   for x in points]
+    tensors = ab_tensor_rows(manifest.alpha_spec, manifest.beta_spec, points)
+    sample_rows = [_sample_row(manifest, metric, lam, row, x)
+                   for x, row in zip(points, tensors)]
     checks = []
     timings = {}
     for name in manifest.checks:

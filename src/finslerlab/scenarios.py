@@ -477,8 +477,8 @@ def scenario_killing_rescale():
     start = time.perf_counter()
     fam = sqrt2d_family(ROTATIONAL_TRIPLE)
     r_values, norm_values = [], []
-    for x in rotational_points(10):
-        kd = killing_deformation(fam.alpha, fam.beta, x)
+    for rd, ab in _tensors(fam.alpha, fam.beta, rotational_points(10)):
+        kd = killing_deformation(rd, ab)
         r_values.append(kd.r_residual)
         norm_values.append(abs(kd.btilde_norm_sq - kd.expected_norm_sq))
     worst_r, worst_norm = worst(r_values), worst(norm_values)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -32,7 +34,28 @@ from finslerlab import (
     square_einstein_residuals,
 )
 from finslerlab import runner
+from finslerlab.alphabeta import (
+    ab_tensors_from_jets,
+    covector_jets,
+    matrix_jets,
+    riemann_data_from_jets,
+)
+from finslerlab.constructions import (
+    KillingDeformationResult,
+    parse_covector,
+    parse_matrix,
+)
 from finslerlab.core import circle_directions, worst
+from finslerlab.errors import FinslerError, coords
+from finslerlab.jets import jet_pow
+from finslerlab.linalg import invert
+from finslerlab.manifest import load_manifest
+from finslerlab.scenarios import (
+    ROTATIONAL_TRIPLE,
+    SECOND_TRIPLE,
+    rotational_points,
+    second_triple_points,
+)
 
 IDENTITY = [["1", "0"], ["0", "1"]]
 SPHERE = [["4/(1+x1^2+x2^2)^2", "0"], ["0", "4/(1+x1^2+x2^2)^2"]]
@@ -150,6 +173,17 @@ def test_positivity_sample_explicit_grid():
         positivity_sample(1.0, 0.25, [0.6])
     with pytest.raises(ValueError):
         positivity_sample(1.0, 0.25, 1)
+
+
+def test_positivity_sample_rejects_an_empty_grid():
+    """No slope is no evidence: at p = 3, b^2 = 0.9 the metric is not
+    positive definite (the 101-slope grid finds a negative margin), and
+    an empty grid must not pass it."""
+    ok, margin = positivity_sample(3.0, 0.9, 101)
+    assert not ok and margin < -3.0
+    for grid in ([], ()):
+        with pytest.raises(ValueError, match="at least one slope"):
+            positivity_sample(3.0, 0.9, grid)
 
 
 @pytest.mark.parametrize("p", [-1.0, 0.75, 1.0, 3.0])
@@ -289,28 +323,107 @@ def test_curvature_from_alpha_data_rejects_non_einstein():
             *ab_tensors(IDENTITY, ["0.3*x2", "0"], [0.0, 1.0]))
 
 
+def _reference_killing_deformation(alpha_spec, beta_spec, x):
+    """The Killing rescaling from the specs, as it was built before it read
+    the tensor data of its point: alpha's and beta's order-3 jets and
+    alpha's Levi-Civita data rebuilt at x."""
+    a_jets = matrix_jets(parse_matrix(alpha_spec), x)
+    b_jets = covector_jets(parse_covector(beta_spec), x)
+    a_inv_jets = invert(a_jets)
+    n = len(b_jets)
+    b2_jet = None
+    for i in range(n):
+        for j in range(n):
+            term = a_inv_jets[i][j] * b_jets[i] * b_jets[j]
+            b2_jet = term if b2_jet is None else b2_jet + term
+    b2 = b2_jet.value
+    if b2 >= 1.0:
+        raise DomainError(f"b^2 = {b2!r} >= 1 at x={coords(x)!r}")
+    scale = jet_pow(1.0 - b2_jet, -0.75)
+    rd = riemann_data_from_jets(a_jets, x)
+    ab_t = ab_tensors_from_jets(rd, [scale * bj for bj in b_jets])
+    return KillingDeformationResult(
+        tuple(float(v) for v in x), float(np.abs(ab_t.r).max()), ab_t.b2,
+        b2 / (1.0 - b2) ** 1.5, ab_t)
+
+
+def _bits(value):
+    """A value with the bytes of each float in it, sign bits included."""
+    if dataclasses.is_dataclass(value):
+        return tuple((f.name, _bits(getattr(value, f.name)))
+                     for f in dataclasses.fields(value))
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return type(value), struct.pack("d", value)
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _killing_cases():
+    """(alpha, beta, x): the rotational and second triples at their
+    scenario points, the rotational manifest's points, and a parallel, a
+    generic and a b^2 >= 1 instance."""
+    cases = []
+    for spec, points in ((ROTATIONAL_TRIPLE, rotational_points(10)),
+                         (SECOND_TRIPLE, second_triple_points(8))):
+        fam = sqrt2d_family(spec)
+        cases += [(fam.alpha, fam.beta, x) for x in points]
+    manifest = load_manifest("manifests/rotational_family.json")
+    cases += [(manifest.alpha_spec, manifest.beta_spec, x)
+              for x in runner.collect_points(manifest)]
+    cases += [(IDENTITY, ["0.3", "0.1"], [0.2, 0.4]),
+              (IDENTITY, ["0.3*x2", "0"], [0.0, 1.0]),
+              (IDENTITY, ["1.1", "0"], [0.0, 0.0])]
+    return cases
+
+
+def test_killing_deformation_has_the_bits_of_the_spec_rebuild():
+    """The rescaling over a point's tensor data, whose order-2 jets it
+    rebuilds from the partials (rd, ab) holds, has the bits of rebuilding
+    alpha's order-3 jets and Levi-Civita data from the specs, in every
+    field; where the rebuild raises, it raises the same error."""
+    cases = _killing_cases()
+    assert len(cases) == 31
+    raised = []
+    for alpha, beta, x in cases:
+        try:
+            want = _reference_killing_deformation(alpha, beta, x)
+        except FinslerError as exc:
+            with pytest.raises(type(exc)) as info:
+                killing_deformation(*ab_tensors(alpha, beta, x))
+            assert str(info.value) == str(exc)
+            raised.append(type(exc))
+            continue
+        got = killing_deformation(*ab_tensors(alpha, beta, x))
+        assert _bits(got) == _bits(want), x
+    assert raised == [DomainError]
+
+
 def test_killing_deformation_family(example_family):
-    kd = killing_deformation(example_family.alpha, example_family.beta,
-                             [0.6, 0.0])
+    kd = killing_deformation(*ab_tensors(example_family.alpha,
+                                         example_family.beta, [0.6, 0.0]))
     assert kd.r_residual < 1e-8
     assert kd.btilde_norm_sq == pytest.approx(0.703125, abs=1e-12)
     assert kd.expected_norm_sq == pytest.approx(0.703125, abs=1e-12)
 
 
 def test_killing_deformation_parallel_exact():
-    kd = killing_deformation(IDENTITY, ["0.3", "0.1"], [0.2, 0.4])
+    kd = killing_deformation(*ab_tensors(IDENTITY, ["0.3", "0.1"], [0.2, 0.4]))
     assert kd.r_residual == 0.0
     assert kd.btilde_norm_sq == pytest.approx(kd.expected_norm_sq, abs=1e-15)
 
 
 def test_killing_deformation_generic_fails():
-    kd = killing_deformation(IDENTITY, ["0.3*x2", "0"], [0.0, 1.0])
+    kd = killing_deformation(*ab_tensors(IDENTITY, ["0.3*x2", "0"],
+                                         [0.0, 1.0]))
     assert kd.r_residual > 1e-3
 
 
 def test_killing_deformation_norm_domain():
     with pytest.raises(DomainError):
-        killing_deformation(IDENTITY, ["1.1", "0"], [0.0, 0.0])
+        killing_deformation(*ab_tensors(IDENTITY, ["1.1", "0"], [0.0, 0.0]))
 
 
 def test_randers_conditions_flat_parallel():

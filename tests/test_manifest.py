@@ -128,6 +128,31 @@ def test_tolerance_override_validation():
     assert info.value.pointer == "/tolerances/bogus"
 
 
+@pytest.mark.parametrize("edit, pointer", [
+    (lambda doc: doc["samples"].update(points=[[math.nan, 1.0]]),
+     "/samples/points/0"),
+    (lambda doc: doc["samples"].update(points=[[0.1, 0.2], [math.inf, 1.0]]),
+     "/samples/points/1"),
+    (lambda doc: doc["samples"].update(points=[[0.1, -math.inf]]),
+     "/samples/points/0"),
+    (lambda doc: doc["samples"].update(box=[[-1.0, math.inf], [-1.0, 1.0]]),
+     "/samples/box"),
+    (lambda doc: doc["samples"].update(box=[[-1.0, 1.0], [math.nan, 1.0]]),
+     "/samples/box"),
+    (lambda doc: doc.update(tolerances={"einstein_spread": math.inf}),
+     "/tolerances/einstein_spread"),
+    (lambda doc: doc["metric"].update(p=math.inf), "/metric/p"),
+    (lambda doc: doc["metric"].update(p=math.nan), "/metric/p"),
+], ids=["nan-point", "inf-point", "minus-inf-point", "inf-box", "nan-box",
+        "inf-tolerance", "inf-p", "nan-p"])
+def test_non_finite_numbers_are_rejected(edit, pointer):
+    doc = ppower_doc()
+    edit(doc)
+    with pytest.raises(ManifestError) as info:
+        validate_manifest(doc)
+    assert info.value.pointer == pointer
+
+
 def test_run_produces_consistent_report():
     manifest = validate_manifest(rotational_doc())
     report = run(manifest)
@@ -341,7 +366,8 @@ def test_sqrt2d_conditions_read_lambda_at_the_first_direction_that_evaluates():
 
     check = runner.run_check("sqrt2d_conditions", manifest, metric, points,
                              FirstRaises(metric, dirs),
-                             runner.TensorTable(manifest))
+                             runner.ab_tensor_rows(manifest.alpha_spec,
+                                                   manifest.beta_spec, points))
     assert check["skipped"] == []
     assert check["verdict"]
     assert check["residuals"]["curvature_agreement"] < 1e-9
@@ -378,8 +404,10 @@ def test_cli_tolerance_override(tmp_path):
                            "a nonnegative number"),
     ("einstein_spread=nan", "/tolerances/einstein_spread: tolerance must be "
                             "a nonnegative number"),
+    ("einstein_spread=inf", "/tolerances/einstein_spread: tolerance must be "
+                            "finite"),
     ("bogus=1", "/tolerances/bogus: unknown tolerance 'bogus'"),
-], ids=["negative", "nan", "unknown"])
+], ids=["negative", "nan", "inf", "unknown"])
 def test_cli_tolerance_override_is_validated(tmp_path, capsys, override,
                                              error):
     out = tmp_path / "report.json"

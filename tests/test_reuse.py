@@ -5,8 +5,8 @@ curvature tail in the order-2 context."""
 import math
 import re
 import sys
+import traceback
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -22,9 +22,9 @@ from finslerlab.core import (
     exact_key,
     riemann_curvature,
 )
-from finslerlab.errors import DomainError, FinslerError
+from finslerlab.errors import DomainError
 from finslerlab.exprlang import Tape
-from finslerlab.manifest import load_manifest
+from finslerlab.manifest import load_manifest, validate_manifest
 from fdtools import funk_spec
 
 CURVED = [["1 + 0.3*x1^2 + 0.1*x2^2", "0.12*x1*x2"],
@@ -198,55 +198,79 @@ def count_calls(monkeypatch, fn, key):
 
 
 def test_run_builds_tensor_data_once_per_point(monkeypatch):
-    """Every order-3 (rd, ab) build of a run, by any check, goes through
-    alphabeta.ab_tensors, once per point, over the three bundled
-    manifests.  alpha's Levi-Civita data is built once more per point only
-    by the Killing rescaling, which rebuilds it from its own jets."""
+    """Each run builds the order-3 (rd, ab) data of its points in one call
+    of alphabeta.ab_tensor_rows, over exactly the run's points in order,
+    over the three bundled manifests; no check builds order-3 jets of a_ij
+    or Levi-Civita data of its own, the Killing rescaling included."""
     alphabeta.curvature_term_sign()  # calibrated once per process
     builds = count_calls(
-        monkeypatch, alphabeta.ab_tensors,
-        lambda alpha, beta, x, order=3: exact_key(x) if order == 3 else None)
+        monkeypatch, alphabeta.ab_tensor_rows,
+        lambda alpha, beta, points, order=3:
+        (tuple(exact_key(x) for x in points), order))
+    a_jets = count_calls(monkeypatch, alphabeta.matrix_jets,
+                         lambda exprs, x, order=3: order)
     levi_civita = count_calls(
         monkeypatch, alphabeta.riemann_data_from_jets,
-        lambda a_jets, x: exact_key(x) if a_jets[0][0].ctx.order == 3
-        else None)
+        lambda jets_of_a, x: jets_of_a[0][0].ctx.order)
     checks = set()
     for name in ("funk_ball", "non_einstein_control", "rotational_family"):
         builds.clear()
+        a_jets.clear()
         levi_civita.clear()
         report = runner.run(load_manifest(f"manifests/{name}.json"))
-        names = {c["name"] for c in report["checks"]}
-        checks |= names
-        points = {exact_key(s["x"]) for s in report["samples"]}
-        assert set(builds) == points and set(builds.values()) == {1}, name
-        rebuilt = 2 if "killing_deformation" in names else 1
-        assert set(levi_civita) == points, name
-        assert set(levi_civita.values()) == {rebuilt}, name
+        checks |= {c["name"] for c in report["checks"]}
+        points = tuple(exact_key(s["x"]) for s in report["samples"])
+        assert builds == Counter({(points, 3): 1}), name
+        assert a_jets[3] == 0 and levi_civita[3] == 0, name
     assert checks >= {
         "randers_conditions", "square_conditions", "sqrt2d_conditions",
         "ricci_flat_parallel", "ricci_identities", "structural_vs_generic",
         "positivity", "killing_deformation"}
 
 
-def test_tensor_table_raises_the_stored_error_again(monkeypatch):
-    calls = Counter()
-    original = runner.ab_tensors
+TENSOR_CHECKS = ["ricci_identities", "structural_vs_generic",
+                 "randers_conditions", "square_conditions", "positivity",
+                 "killing_deformation", "ricci_flat_parallel"]
 
-    def counting(alpha_spec, beta_spec, x, order=3):
-        calls[exact_key(x)] += 1
-        return original(alpha_spec, beta_spec, x, order)
 
-    monkeypatch.setattr(runner, "ab_tensors", counting)
-    spec = SimpleNamespace(alpha_spec=[["x1", "0"], ["0", "x1"]],
-                           beta_spec=["0", "0"])
-    table = runner.TensorTable(spec)
-    texts = []
+def test_a_failing_tensor_row_gives_one_skip_text(monkeypatch):
+    """A point whose tensor row holds an error is skipped with that
+    error's text in its sample row and in every check that reads the
+    rows, all from the one build of the run."""
+    builds = count_calls(monkeypatch, alphabeta.ab_tensor_rows,
+                         lambda *args, **kwargs: "build")
+    manifest = validate_manifest({
+        "dimension": 2,
+        "metric": {"kind": "ppower", "a": [["x1", "0"], ["0", "x1"]],
+                   "b": ["0.1", "0"], "p": 1},
+        "samples": {"points": [[-0.5, 0.1], [0.5, 0.1]],
+                    "direction_count": 8},
+        "checks": TENSOR_CHECKS})
+    report = runner.run(manifest)
+    assert builds == Counter({"build": 1})
+    failing, good = report["samples"]
+    prefix = "tensor data unavailable: "
+    assert failing["skipped"].startswith(prefix)
+    text = failing["skipped"][len(prefix):]
+    assert "not positive definite" in text
+    assert "skipped" not in good
+    assert [c["name"] for c in report["checks"]] == TENSOR_CHECKS
+    for check in report["checks"]:
+        assert f"x={[-0.5, 0.1]}: {text}" in check["skipped"], check["name"]
+
+
+def test_a_failing_row_raises_its_error_again_without_old_frames():
+    """Re-reading a failing row raises the stored error, with the same
+    text and a traceback that does not grow by each earlier raise."""
+    row = alphabeta.ab_tensor_rows([["1", "0"], ["0", "1"]],
+                                   ["sqrt(x1)", "0"], [[-0.5, 0.1]])[0]
+    assert isinstance(row, DomainError)
+    texts, depths = [], []
     for _ in range(3):
-        with pytest.raises(FinslerError) as info:
-            table([-0.5, 0.1])
+        with pytest.raises(DomainError) as info:
+            alphabeta._raised(row)
+        assert info.value is row
         texts.append(str(info.value))
+        depths.append(len(traceback.extract_tb(info.value.__traceback__)))
     assert texts[0] and texts == [texts[0]] * 3
-    rd, ab = table([0.5, 0.1])
-    again = table([0.5, 0.1])
-    assert again[0] is rd and again[1] is ab
-    assert list(calls.values()) == [1, 1]
+    assert depths == [depths[0]] * 3
