@@ -46,6 +46,7 @@ from .errors import (
     DomainError,
     FinslerError,
     NotPositiveDefinite,
+    _raised,
     coords,
 )
 from .exprlang import parse, shared_tape
@@ -252,14 +253,6 @@ def _riemann_rows(coeffs, ctx, points):
             RiemannData(tuple(coords(x)), a[b], a_inv[b], da[b], dda[b],
                         *(f[b] for f in fields))
             for b, x in enumerate(points)]
-
-
-def _raised(row):
-    """``row``, or the FinslerError it holds, raised without the frames of
-    an earlier raise, so that re-reading a failing row keeps none alive."""
-    if isinstance(row, FinslerError):
-        raise row.with_traceback(None)
-    return row
 
 
 def riemann_data_from_jets(a_jets, x):

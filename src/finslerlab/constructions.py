@@ -28,8 +28,8 @@ from .alphabeta import (
 from .core import (
     FinslerMetric,
     circle_directions,
+    EinsteinTable,
     exact_key,
-    riccis,
     sphere_directions,
     worst,
 )
@@ -37,6 +37,7 @@ from .errors import (
     DegenerateValue,
     DomainError,
     FinslerError,
+    NonFinite,
     NotEinstein,
     coords,
 )
@@ -268,7 +269,13 @@ def ppower_metric(spec):
         s = beta_value(memo.values("b", x), y) / alpha
         if 1.0 + s <= 0.0:
             raise DomainError("1 + beta/alpha is not positive")
-        return alpha * (1.0 + s) ** p
+        # a Python float power, which overflows with an error whether y
+        # is a list or a numpy row
+        try:
+            return alpha * float(1.0 + s) ** p
+        except OverflowError:
+            raise NonFinite(f"F overflows at x={coords(x)!r}, "
+                            f"y={coords(y)!r}") from None
 
     def batch_scalar(x, y):
         alpha2 = alpha2_value(coefficient_values("a", x), y)
@@ -280,9 +287,14 @@ def ppower_metric(spec):
         base = 1.0 + beta_value(coefficient_values("b", x), y) / alpha
         if np.any(base <= 0.0):
             raise BatchFailed
-        # the bits of a numpy scalar's ** (see jets._power_derivatives),
-        # which the samples taken one by one use, inf on overflow included
-        return alpha * np.float_power(base, p)
+        # the bits of Python's float ** (see jets._power_derivatives),
+        # which the samples taken one by one use; they evaluate a batch
+        # with a value that is not finite, so an overflow raises there
+        with np.errstate(over="ignore"):
+            f = alpha * np.float_power(base, p)
+        if not np.isfinite(f).all():
+            raise BatchFailed
+        return f
 
     def domain(x, y):
         # alpha > 0 and 1 + beta/alpha > 0; convexity failures beyond the
@@ -740,15 +752,6 @@ def _tensor_residual(delta, *scales):
     return float(np.abs(delta).max() / max(1.0, *(abs(s) for s in scales)))
 
 
-def _ricci_rows(metric, x, directions):
-    """(F, Ric) of ``metric`` at x along each admissible one of
-    ``directions`` sphere directions."""
-    ys = [y for y in sphere_directions(len(x), directions)
-          if metric.in_domain(x, y)]
-    return [(metric.value(x, y), ric)
-            for y, ric in zip(ys, riccis(metric, x, ys).tolist())]
-
-
 def _randers_scalars(rd, ab):
     n = rd.dim
     denom = 2.0 * (n - ab.b2)
@@ -764,16 +767,17 @@ def _randers_scalars(rd, ab):
 RANDERS_KEYS = ("closedness", "divergence", "ricci_alpha", "einstein_relation")
 
 
-def randers_residuals(rd, ab, metric, directions=8):
+def randers_residuals(rd, ab, table, directions=8):
     """Residuals of the Randers structure equations (``RANDERS_KEYS``) from
     the tensor data ``(rd, ab)`` of one point, with the scalars c and sigma.
 
     c(x) is recovered from the trace of the closedness equation (using
     b^j s_j = 0) and sigma(x) from the b-contraction of the divergence
     equation; the residuals are those of each equation and of the final
-    Einstein relation Ric = (n-1)(sigma - c^2) F^2, with Ric and F those of
-    ``metric``, the Randers metric alpha + beta.  Raises DegenerateValue
-    where b^2 ~ 0.
+    Einstein relation Ric = (n-1)(sigma - c^2) F^2, with Ric and F read
+    from ``table``, the ``core.EinsteinTable`` of the Randers metric
+    alpha + beta, along the admissible ones of ``directions`` sphere
+    directions.  Raises DegenerateValue where b^2 ~ 0.
     """
     n = rd.dim
     if ab.b2 < 1e-9:
@@ -803,7 +807,7 @@ def randers_residuals(rd, ab, metric, directions=8):
         np.abs(ric_rhs).max())
 
     relation = []
-    for f, ric_f in _ricci_rows(metric, rd.x, directions):
+    for f, ric_f in table.ricci_rows(rd.x, sphere_directions(n, directions)):
         want = (n - 1) * (sigma - c * c) * f * f
         relation.append(abs(ric_f - want) / max(1.0, abs(ric_f), abs(want)))
     row["einstein_relation"] = worst(relation)
@@ -814,10 +818,11 @@ def randers_einstein_residuals(alpha_spec, beta_spec, points, directions=8,
                                tolerance=1e-6):
     """``randers_residuals`` folded over the points (``fold_points``), with
     c and sigma at each evaluated point as the report's scalars."""
-    metric = ppower_metric(PPowerSpec(alpha_spec, beta_spec, 1.0))
+    table = EinsteinTable(
+        ppower_metric(PPowerSpec(alpha_spec, beta_spec, 1.0)), ())
     return _condition_report("randers", fold_points(
         points, ab_tensor_rows(alpha_spec, beta_spec, points),
-        lambda x, rd, ab: randers_residuals(rd, ab, metric, directions),
+        lambda x, rd, ab: randers_residuals(rd, ab, table, directions),
         RANDERS_KEYS), tolerance, ("c", "sigma"))
 
 
@@ -825,15 +830,17 @@ SQUARE_KEYS = ("covariant_derivative", "ricci_alpha", "c_gradient",
                "ricci_flat")
 
 
-def square_residuals(rd, ab, metric, directions=8):
+def square_residuals(rd, ab, table, directions=8):
     """Residuals of the square-metric structure equations (``SQUARE_KEYS``)
     from the tensor data ``(rd, ab)`` of one point, with the scalar c.
 
     c(x) comes from the trace of the covariant-derivative equation
     b_{i|j} = c [(1+2b^2) a_ij - 3 b_i b_j]; the residuals are those of
     that equation, of the curvature equation, of the gradient equation
-    c_i = -2 c^2 b_i, and the Ricci curvature of ``metric``, the square
-    metric itself (instances that satisfy all equations are Ricci-flat).
+    c_i = -2 c^2 b_i, and the Ricci curvature of the square metric itself
+    (instances that satisfy all equations are Ricci-flat), read from
+    ``table``, its ``core.EinsteinTable``, along the admissible ones of
+    ``directions`` sphere directions.
     """
     n = rd.dim
     denom = n * (1.0 + 2.0 * ab.b2) - 3.0 * ab.b2
@@ -854,8 +861,9 @@ def square_residuals(rd, ab, metric, directions=8):
 
     row["c_gradient"] = _tensor_residual(dc + 2.0 * c * c * ab.b,
                                          np.abs(dc).max())
-    row["ricci_flat"] = worst([abs(ric_f) / max(1.0, f * f) for f, ric_f
-                               in _ricci_rows(metric, rd.x, directions)])
+    row["ricci_flat"] = worst([
+        abs(ric_f) / max(1.0, f * f) for f, ric_f
+        in table.ricci_rows(rd.x, sphere_directions(n, directions))])
     return row
 
 
@@ -863,10 +871,11 @@ def square_einstein_residuals(alpha_spec, beta_spec, points, directions=8,
                               tolerance=1e-6):
     """``square_residuals`` folded over the points (``fold_points``), with
     c at each evaluated point as the report's scalars."""
-    metric = ppower_metric(PPowerSpec(alpha_spec, beta_spec, 2.0))
+    table = EinsteinTable(
+        ppower_metric(PPowerSpec(alpha_spec, beta_spec, 2.0)), ())
     return _condition_report("square", fold_points(
         points, ab_tensor_rows(alpha_spec, beta_spec, points),
-        lambda x, rd, ab: square_residuals(rd, ab, metric, directions),
+        lambda x, rd, ab: square_residuals(rd, ab, table, directions),
         SQUARE_KEYS), tolerance, ("c",))
 
 

@@ -19,23 +19,37 @@ F^2 partials are gathered out of the order-4 jet of F^2 into order-2
 coefficients (``_TailTable``), with the same bits as differentiating the
 order-4 jet.
 
-``sprays``, ``riccis`` and ``einstein_scalars`` (``einstein_rows``
-without the fallback) evaluate a batch of samples, each row with the bits
-of ``spray``, ``ricci`` and ``einstein_scalar``: many directions y at one
-point x, or one point x per row.  The jets of F and F^2 come from one pass
-over the batch, through the jet kernels' leading batch axis; the order-4
-F is built in chunks of at most ``CHUNK_PAIRS`` rows times product pairs
-(16 rows in 2-D, 4 in 3-D, one at a time from 4-D on, where a batched
-order-4 product is no faster and costs memory), and at one x it shares
-the memoised x-coefficient jets of x.  The tails then run once for all
-rows, on whole arrays: the domain test (``FinslerMetric.in_domain_rows``),
-F (``FinslerMetric.value_rows``), the positivity test of g
-(``linalg.positive_definite_rows``), the float or jet solve with its pivot
-chosen per row (``linalg.solve_rows``), the Riemann read and the trace.
-A row that fails one of them, or meets a pivot or division floor, is left
-to the one-point function, which raises its own error.  ``spray``,
-``ricci`` and ``einstein_scalar`` stay the one-point entries: a batch of
-one row costs several times their float tail.
+``evaluate`` is the one curvature pass over a batch of samples, many
+directions y at one point x, or one point x per row: per row it returns F,
+g_ij, R^i_k, Ric and the Einstein scalar, each with the bits of
+``metric.value``, ``fundamental_tensor``, ``riemann_curvature``, ``ricci``
+and ``einstein_scalar``, and ok where the row holds them all.  The jets of
+F and F^2 come from one pass over the batch, through the jet kernels'
+leading batch axis; the order-4 F is built in chunks of at most
+``CHUNK_PAIRS`` rows times product pairs (16 rows in 2-D, 4 in 3-D, one at
+a time from 4-D on, where a batched order-4 product is no faster and costs
+memory), and at one x it shares the memoised x-coefficient jets of x.
+The tails then run once for all rows, on whole arrays: the domain test
+(``FinslerMetric.in_domain_rows``), F (``FinslerMetric.value_rows``), the
+positivity test of g (``linalg.positive_definite_rows``), the jet solve
+with its pivot chosen per row (``linalg.solve_rows``), the Riemann read
+and the trace.  A row that fails one of them, or meets a pivot or
+division floor, is left to the one-point function, which raises its own
+error.  Its readers:
+
+- ``riccis``, ``einstein_scalars`` and ``einstein_rows`` (without the
+  fallback) read Ric and lambda;
+- ``EinsteinTable`` keeps every row it evaluates under exact bits, for
+  the runner's sample rows and checks and for the Randers and square
+  relations of ``constructions``: lambda over a point's directions,
+  (F, Ric) along a list of directions and (F, g, R) at one sample, the
+  flag curvature's inputs (``flag_formula``);
+- the flat-parallel-family scenario reads Ric and lambda of y and -y.
+
+``sprays`` is the order-2 batch of ``spray`` (the float tail, with the
+float solve).  ``spray``, ``ricci``, ``einstein_scalar`` and
+``flag_curvature`` stay the one-point entries: a batch of one row costs
+several times their float tail.
 """
 
 from __future__ import annotations
@@ -43,6 +57,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +67,7 @@ from .errors import (
     DomainError,
     FinslerError,
     SingularMetric,
+    _raised,
     coords,
 )
 from .jets import (
@@ -490,14 +506,24 @@ def _spray_jet_rows(metric, x, ys):
     the jet solve -- and where a value is not finite.  The tail runs once
     for every row.
     """
-    n = metric.dim
-    table = _tail_table(get_context(2 * n, 4))
-    low = table.low
     # rows that overflow are left to the one-point call, which warns
     with np.errstate(all="ignore"):
         f2, ok = _f2_rows(metric, x, ys)
+    coeffs, _, solved = _spray_tail_rows(f2, ys)
+    return coeffs, ok & solved
+
+
+def _spray_tail_rows(f2, ys):
+    """The spray jets and g from the order-4 coefficients ``f2`` of F^2
+    at the rows of ``ys``: ``(coeffs, g, ok)``, g[b] the float fundamental
+    tensor with the bits of ``fundamental_tensor``, and ok[b] false where
+    g is not positive definite or the jet solve meets a floor."""
+    n = ys.shape[1]
+    table = _tail_table(get_context(2 * n, 4))
+    low = table.low
+    with np.errstate(all="ignore"):
         g = 0.5 * _gather(f2, table.g)
-        ok &= positive_definite_rows(g[..., 0])
+        ok = positive_definite_rows(g[..., 0])
         # rhs[l] = -[F^2]_{x^l} + sum_k [F^2]_{x^k y^l} y^k, k in order
         f2_xy = _gather(f2, table.xy)
         rhs = -_gather(f2, table.x)
@@ -505,100 +531,109 @@ def _spray_jet_rows(metric, x, ys):
             rhs = rhs + _shift_product(low, f2_xy[:, :, k], n + k,
                                        ys[:, k:k + 1])
         sol, solved = solve_rows(low, g, rhs)
-        return 0.25 * sol, ok & solved
+        return 0.25 * sol, g[..., 0].copy(), ok & solved
 
 
-def _ricci_tail(metric, x, ys):
-    """Ricci curvatures at (x, y) for each row y of the (B, n) array
-    ``ys``, all in the domain; x is one point or the (B, n) array of each
-    row's point.
+class Samples(NamedTuple):
+    """Per-row results of ``evaluate``: F, g, R^i_k, Ric, the Einstein
+    scalar, and ok, true where the row holds all of them."""
 
-    Returns ``(ric, ok)``: ric[b] has the bits of ``ricci`` at row b
-    wherever ok[b] is true.  ok[b] is false where that call would raise
-    (see ``_spray_jet_rows``) and where a value is not finite; such rows
-    are left to ``ricci``.  The tail runs once for every row.
+    f: np.ndarray
+    g: np.ndarray
+    r: np.ndarray
+    ric: np.ndarray
+    lam: np.ndarray
+    ok: np.ndarray
+
+
+def evaluate(metric, x, ys):
+    """The curvature pass at (x, y) for each direction y of the (B, n)
+    array ``ys``; x is one point, or a (B, n) array with the point of each
+    row.  No row falls back: the :class:`Samples` row b holds F, g, R,
+    Ric and lambda with the bits of ``metric.value``,
+    ``fundamental_tensor(...)[0]``, ``riemann_curvature``, ``ricci`` and
+    ``einstein_scalar`` wherever ok[b] is true.
+
+    ok[b] is false outside the domain, where F does not evaluate or is
+    not positive, where g is not positive definite, where the jet solve
+    meets a floor, where Ric is not finite or lambda divides by zero, and
+    at every row of a batch of one, which is faster through the one-point
+    functions.  Such rows are the caller's, whose one-point call raises
+    their own errors.
     """
     n = metric.dim
-    low = get_context(2 * n, 2)
-    g, ok = _spray_jet_rows(metric, x, ys)
-    # rows that overflow are left to ``ricci``, which warns for them
-    with np.errstate(all="ignore"):
-        r = _riemann_read(g, ys, low)
-        # np.trace adds the diagonal in order
-        trace = r[:, 0, 0]
-        for i in range(1, n):
-            trace = trace + r[:, i, i]
-        ok &= np.isfinite(trace)
-    return trace, ok
-
-
-def riccis(metric, x, ys):
-    """Ricci curvature at (x, y) for each direction y of the (B, n) array
-    ``ys``, row b with the bits of ``ricci(metric, x, ys[b])``; x is one
-    point, or a (B, n) array with the point of each row.
-
-    A row the batch does not take is evaluated by ``ricci``, in row
-    order, so the first failing row raises its own error.
-    """
-    ys = np.asarray(ys, dtype=float).reshape(-1, metric.dim)
+    ys = np.asarray(ys, dtype=float).reshape(-1, n)
     x = _rows_of(x)
-    ric, ok = np.zeros(len(ys)), np.zeros(len(ys), dtype=bool)
-    if len(ys) > 1:  # one row is faster through the one-point path
-        try:
-            ok = metric.in_domain_rows(x, ys)
-            rows = np.flatnonzero(ok)
-            ric[rows], ok[rows] = _ricci_tail(metric, _take(x, rows), ys[rows])
-        except (FinslerError, ArithmeticError):  # take the rows one by one
-            ok[:] = False
-    for b in np.flatnonzero(~ok):
-        ric[b] = ricci(metric, _point(x, b), list(ys[b]))
-    return ric
-
-
-def einstein_rows(metric, x, ys):
-    """Einstein scalars at (x, y) for each direction y of the (B, n) array
-    ``ys``, x as for ``riccis``, without fallback: ``(lam, ok)``, lam[b]
-    with the bits of ``einstein_scalar(metric, x, ys[b])`` wherever ok[b]
-    is true.  Rows with ok[b] false -- outside the domain, F not
-    positive, or any row ``_ricci_tail`` does not take -- are the
-    caller's to evaluate with ``einstein_scalar``, which raises their own
-    errors.  F comes from one ``metric.value_rows`` call.
-    """
-    ys = np.asarray(ys, dtype=float).reshape(-1, metric.dim)
-    x = _rows_of(x)
-    lam = np.zeros(len(ys))
-    if len(ys) < 2:  # one row is faster through the one-point path
-        return lam, np.zeros(len(ys), dtype=bool)
+    out = Samples(np.zeros(len(ys)), np.zeros((len(ys), n, n)),
+                  np.zeros((len(ys), n, n)), np.zeros(len(ys)),
+                  np.zeros(len(ys)), np.zeros(len(ys), dtype=bool))
+    if len(ys) < 2:
+        return out
     try:
         rows = np.flatnonzero(metric.in_domain_rows(x, ys))
         f, valued = metric.value_rows(_take(x, rows), ys[rows])
         valued &= f > 0.0
         rows, f = rows[valued], f[valued]
-        ric, took = _ricci_tail(metric, _take(x, rows), ys[rows])
+        x, ys = _take(x, rows), ys[rows]
+        # rows that overflow are left to the one-point call, which warns
+        with np.errstate(all="ignore"):
+            f2, took = _f2_rows(metric, x, ys)
+            coeffs, g, solved = _spray_tail_rows(f2, ys)
+            r = _riemann_read(coeffs, ys, get_context(2 * n, 2))
+            # np.trace adds the diagonal in order
+            ric = r[:, 0, 0]
+            for i in range(1, n):
+                ric = ric + r[:, i, i]
+            den = (n - 1) * f * f
+            lam = ric / den
     except (FinslerError, ArithmeticError):  # leave every row
-        return lam, np.zeros(len(ys), dtype=bool)
-    ok = np.zeros(len(ys), dtype=bool)
-    with np.errstate(all="ignore"):
-        den = (metric.dim - 1) * f * f
-        lam[rows] = ric / den
-    ok[rows] = took & (den != 0.0)
-    return lam, ok
+        return out
+    out.f[rows], out.g[rows], out.r[rows] = f, g, r
+    out.ric[rows], out.lam[rows] = ric, lam
+    out.ok[rows] = took & solved & np.isfinite(ric) & (den != 0.0)
+    return out
+
+
+def _one_by_one(values, ok, fn, metric, x, ys):
+    """``values`` with each row b that is not ok set to
+    ``fn(metric, x_b, ys[b])``, in row order, so the first failing row
+    raises its own error."""
+    for b in np.flatnonzero(~ok):
+        values[b] = fn(metric, _point(x, b), list(ys[b]))
+    return values
+
+
+def riccis(metric, x, ys):
+    """Ricci curvature at (x, y) for each direction y of the (B, n) array
+    ``ys``, row b with the bits of ``ricci(metric, x, ys[b])``; x is one
+    point, or a (B, n) array with the point of each row.  A row
+    ``evaluate`` leaves is evaluated by ``ricci``, in row order, so the
+    first failing row raises its own error."""
+    ys = np.asarray(ys, dtype=float).reshape(-1, metric.dim)
+    x = _rows_of(x)
+    rows = evaluate(metric, x, ys)
+    return _one_by_one(rows.ric, rows.ok, ricci, metric, x, ys)
+
+
+def einstein_rows(metric, x, ys):
+    """Einstein scalars at (x, y) for each direction y of the (B, n) array
+    ``ys``, x as for ``riccis``, without fallback: ``(lam, ok)`` of
+    ``evaluate``; the rows with ok[b] false are the caller's to evaluate
+    with ``einstein_scalar``, which raises their own errors."""
+    rows = evaluate(metric, x, ys)
+    return rows.lam, rows.ok
 
 
 def einstein_scalars(metric, x, ys):
     """Einstein scalar at (x, y) for each direction y of the (B, n) array
     ``ys``, x as for ``riccis``, row b with the bits of
-    ``einstein_scalar(metric, x, ys[b])``.
-
-    A row the batch does not take is evaluated by ``einstein_scalar``, in
-    row order, so the first failing row raises its own error.
-    """
+    ``einstein_scalar(metric, x, ys[b])``.  A row ``evaluate`` leaves is
+    evaluated by ``einstein_scalar``, in row order, so the first failing
+    row raises its own error."""
     ys = np.asarray(ys, dtype=float).reshape(-1, metric.dim)
     x = _rows_of(x)
-    lam, ok = einstein_rows(metric, x, ys)
-    for b in np.flatnonzero(~ok):
-        lam[b] = einstein_scalar(metric, _point(x, b), list(ys[b]))
-    return lam
+    rows = evaluate(metric, x, ys)
+    return _one_by_one(rows.lam, rows.ok, einstein_scalar, metric, x, ys)
 
 
 def flag_curvature(metric, x, y, u):
@@ -606,9 +641,14 @@ def flag_curvature(metric, x, y, u):
     metric.require_domain(x, y)
     g, _ = fundamental_tensor(metric, x, y)
     r = riemann_curvature(metric, x, y)
+    return flag_formula(metric.value(x, y), g, r, y, u)
+
+
+def flag_formula(f, g, r, y, u):
+    """The flag curvature of (y, u) from F, the float g_ij and R^i_k at
+    one sample; raises DegeneratePlane where u is parallel to y."""
     u = np.asarray(u, dtype=float)
     yv = np.asarray(y, dtype=float)
-    f = metric.value(x, y)
     gu = g @ u
     num = float(u @ (g @ (r @ u)))
     den = f * f * float(u @ gu) - float(yv @ gu) ** 2
@@ -684,3 +724,148 @@ def spread(values):
     if any(v != v for v in values):
         return math.inf
     return max(values) - min(values)
+
+
+class EinsteinTable:
+    """The curvature samples of one metric: at each (x, y), the Einstein
+    scalar or the FinslerError its evaluation raised, and, for the rows a
+    batch evaluated, F, g, R^i_k and Ric as well, each evaluated once and
+    stored under exact bits (``exact_key``), so that the sample rows and
+    every check of a run read the same numbers, and the same skip text.
+
+    ``directions(x)`` lists the admissible ones of the directions
+    ``dirs`` at x and ``reversible(x)`` those whose reverse is admissible
+    too, each worked out once per point.  The first call of either
+    evaluates its rows (the directions, or their reverses) in one batch,
+    ``evaluate``; a lookup that no batch filled, and a row a batch
+    leaves, goes through the one-point functions.  The reads:
+
+    - the scalars: ``values`` (the scalars at x in direction order, the
+      first of them lambda at x wherever one value is needed),
+      ``spreads`` (their max - min at each point) and ``reversal``
+      (|lambda(x, y) - lambda(x, -y)|), the package's one sweep of lambda
+      over directions;
+    - ``ricci_rows(x, ys)``: (F, Ric) along a list of directions, for the
+      Randers and square-metric relations;
+    - ``curvature(x, y)``: (F, g, R) at one sample, for the flag
+      curvature.
+    """
+
+    def __init__(self, metric, dirs):
+        self.metric = metric
+        self.dirs = dirs
+        self._results = {}
+        self._rows = {}
+        self._sweeps = {}
+
+    def __call__(self, x, y):
+        key = exact_key(x, y)
+        result = self._results.get(key)
+        if result is None:
+            try:
+                result = einstein_scalar(self.metric, x, list(y))
+            except FinslerError as exc:
+                result = exc.with_traceback(None)  # keep no frames alive
+            self._results[key] = result
+        return _raised(result)
+
+    def values(self, x):
+        """The Einstein scalars over ``directions(x)``: the directions
+        that have one, their values, and a skip text for each direction
+        whose evaluation raised, all in order."""
+        ys, values, skipped = [], [], []
+        for y in self.directions(x):
+            try:
+                values.append(self(x, y))
+            except FinslerError as exc:
+                skipped.append(f"x={x}: {exc}")
+                continue
+            ys.append(y)
+        return ys, values, skipped
+
+    def spreads(self, points):
+        """The spread of lambda over ``values(x)`` at each point x that has
+        two values or more, and the skip texts: each direction whose
+        evaluation raised, and each point with fewer than two values."""
+        spreads, skipped = [], []
+        for x in points:
+            _, values, missed = self.values(x)
+            skipped += missed
+            if len(values) >= 2:
+                spreads.append(float(spread(values)))
+            else:
+                skipped.append(f"x={x}: fewer than two admissible directions")
+        return spreads, skipped
+
+    def reversal(self, x, y):
+        """|lambda(x, y) - lambda(x, -y)|; both rays must be admissible."""
+        return abs(self(x, y) - self(x, [-v for v in y]))
+
+    def ricci_rows(self, x, ys):
+        """(F, Ric) at (x, y) for each direction y of ``ys`` with (x, y)
+        admissible, in order.  The directions not yet in the table are
+        evaluated in one batch first; a row no batch holds is evaluated
+        by ``ricci`` and then ``metric.value``, which raise their own
+        errors."""
+        taken = self.metric.in_domain_rows(x, ys).tolist()
+        ys = [y for y, ok in zip(ys, taken) if ok]
+        self._fill(x, ys)
+        out = []
+        for y in ys:
+            row = self._rows.get(exact_key(x, y))
+            if row is None:
+                ric = ricci(self.metric, x, list(y))
+                out.append((float(self.metric.value(x, y)), ric))
+            else:
+                out.append((row[0], row[3]))
+        return out
+
+    def curvature(self, x, y):
+        """(F, g, R) at (x, y): the row a batch evaluated, else by
+        ``fundamental_tensor``, ``riemann_curvature`` and ``metric.value``,
+        which raise their own errors."""
+        row = self._rows.get(exact_key(x, y))
+        if row is not None:
+            return row[:3]
+        g, _ = fundamental_tensor(self.metric, x, y)
+        r = riemann_curvature(self.metric, x, y)
+        return self.metric.value(x, y), g, r
+
+    def directions(self, x):
+        """The run's directions y with (x, y) admissible, in order."""
+        return self._sweep(x, reverse=False)
+
+    def reversible(self, x):
+        """The admissible directions at x whose reverse is admissible."""
+        return self._sweep(x, reverse=True)
+
+    def _sweep(self, x, reverse):
+        key = (exact_key(x), reverse)
+        ys = self._sweeps.get(key)
+        if ys is None:
+            ys = self.directions(x) if reverse else list(self.dirs)
+            rows = [-y for y in ys] if reverse else ys
+            if rows:
+                taken = self.metric.in_domain_rows(x, rows).tolist()
+                rows = [y for y, ok in zip(rows, taken) if ok]
+                ys = [y for y, ok in zip(ys, taken) if ok]
+            self._sweeps[key] = ys
+            self._fill(x, rows)
+        return ys
+
+    def _fill(self, x, ys):
+        """Evaluate the directions ``ys`` at x not yet in the table, in
+        one batch."""
+        rows = {}
+        for y in ys:
+            rows.setdefault(exact_key(x, y), y)
+        for key in self._results.keys() & rows.keys():
+            del rows[key]
+        if not rows:
+            return
+        keys = list(rows)
+        got = evaluate(self.metric, x, list(rows.values()))
+        for b in np.flatnonzero(got.ok).tolist():
+            self._results[keys[b]] = float(got.lam[b])
+            self._rows[keys[b]] = (float(got.f[b]), got.g[b], got.r[b],
+                                   float(got.ric[b]))

@@ -12,6 +12,14 @@ class FinslerError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def _raised(row):
+    """``row``, or the FinslerError it holds, raised without the frames of
+    an earlier raise, so that re-reading a failing row keeps none alive."""
+    if isinstance(row, FinslerError):
+        raise row.with_traceback(None)
+    return row
+
+
 class BatchFailed(Exception):
     """Some point of a batch left the domain of an operation.
 
@@ -19,6 +27,12 @@ class BatchFailed(Exception):
     ``FinslerMetric.batch_jet``) raise it; the caller then evaluates the
     batch point by point, so the first failing point raises its own error.
     """
+
+
+class NonFinite(FinslerError, OverflowError):
+    """A float evaluation overflowed.  It is an OverflowError as well, the
+    error of the Python float operation that overflowed, and a
+    FinslerError, so a run records the sample as skipped."""
 
 
 class DegenerateValue(FinslerError):

@@ -6,16 +6,20 @@ enough that aborting would make random sampling useless.  A check that
 evaluated no sample reports an infinite residual, and a NaN residual
 reads inf (``core.worst``), so neither can pass.
 
-Each Einstein scalar of a run is evaluated once, into an
-``EinsteinTable`` that takes a point's directions in one batch, and the
-alphabeta tensor data of all its points in one pass of
+Each tangent sample of a run is evaluated once, into a
+``core.EinsteinTable`` that takes a point's directions in one curvature
+pass (``core.evaluate``) and keeps F, g, R^i_k, Ric and lambda of each
+row; the alphabeta tensor data of all its points is built in one pass of
 ``alphabeta.ab_tensor_rows``, one row per point, ``(rd, ab)`` or the
-FinslerError the point raised; the sample rows and every check read both.
-The Einstein table's reads are the package's one sweep of lambda over
-directions, which the scenarios use too: ``values`` (the scalars at x in
-direction order, the first of them lambda at x wherever one value is
-needed), ``spreads`` (their max - min at each point) and ``reversal``
-(|lambda(x, y) - lambda(x, -y)|).
+FinslerError the point raised.  The sample rows and every check read
+both: the ``einstein``, ``reversibility`` and ``sqrt2d_conditions`` checks
+read lambda (``values``, ``spreads``, ``reversal``), ``flag_curvature``
+reads (F, g, R) at the first direction that evaluates
+(``EinsteinTable.curvature``), and ``randers_conditions`` and
+``square_conditions`` read (F, Ric) along their directions
+(``EinsteinTable.ricci_rows``) from the run's own table where the run's
+metric is the Randers (p = 1) or square (p = 2) metric, else from a table
+of that metric's own.
 
 A check is a small function registered in ``CHECKS`` under its manifest
 name, and ``run_check`` looks it up.  The checks over the tensor data of
@@ -59,10 +63,8 @@ from .constructions import (
     square_residuals,
 )
 from .core import (
-    einstein_rows,
-    einstein_scalar,
-    exact_key,
-    flag_curvature,
+    EinsteinTable,
+    flag_formula,
     spray,
     sphere_directions,
     spread,
@@ -118,106 +120,6 @@ def build_metric(manifest):
     if manifest.kind == "sqrt2d_family":
         return manifest.family.metric()
     return ppower_metric(manifest.ppower)
-
-
-class EinsteinTable:
-    """The Einstein scalars of one run: the value at (x, y), or the
-    FinslerError its evaluation raised, each evaluated once and stored
-    under exact bits (``core.exact_key``), so the sample rows and every
-    check read the same numbers, and the same skip text, over the run's
-    directions.
-
-    ``directions(x)`` lists the admissible directions at x and
-    ``reversible(x)`` those whose reverse is admissible too, each worked
-    out once per point.  The first call of either evaluates its rows (the
-    directions, or their reverses) in one batch, ``core.einstein_rows``;
-    a lookup that no batch filled, and a row a batch leaves, goes through
-    ``einstein_scalar`` one point at a time.
-    """
-
-    def __init__(self, metric, dirs):
-        self.metric = metric
-        self.dirs = dirs
-        self._results = {}
-        self._sweeps = {}
-
-    def __call__(self, x, y):
-        key = exact_key(x, y)
-        result = self._results.get(key)
-        if result is None:
-            try:
-                result = einstein_scalar(self.metric, x, list(y))
-            except FinslerError as exc:
-                result = exc.with_traceback(None)  # keep no frames alive
-            self._results[key] = result
-        return _raised(result)
-
-    def values(self, x):
-        """The Einstein scalars over ``directions(x)``: the directions
-        that have one, their values, and a skip text for each direction
-        whose evaluation raised, all in order."""
-        ys, values, skipped = [], [], []
-        for y in self.directions(x):
-            try:
-                values.append(self(x, y))
-            except FinslerError as exc:
-                skipped.append(f"x={x}: {exc}")
-                continue
-            ys.append(y)
-        return ys, values, skipped
-
-    def spreads(self, points):
-        """The spread of lambda over ``values(x)`` at each point x that has
-        two values or more, and the skip texts: each direction whose
-        evaluation raised, and each point with fewer than two values."""
-        spreads, skipped = [], []
-        for x in points:
-            _, values, missed = self.values(x)
-            skipped += missed
-            if len(values) >= 2:
-                spreads.append(float(spread(values)))
-            else:
-                skipped.append(f"x={x}: fewer than two admissible directions")
-        return spreads, skipped
-
-    def reversal(self, x, y):
-        """|lambda(x, y) - lambda(x, -y)|; both rays must be admissible."""
-        return abs(self(x, y) - self(x, [-v for v in y]))
-
-    def directions(self, x):
-        """The run's directions y with (x, y) admissible, in order."""
-        return self._sweep(x, reverse=False)
-
-    def reversible(self, x):
-        """The admissible directions at x whose reverse is admissible."""
-        return self._sweep(x, reverse=True)
-
-    def _sweep(self, x, reverse):
-        key = (exact_key(x), reverse)
-        ys = self._sweeps.get(key)
-        if ys is None:
-            ys = self.directions(x) if reverse else list(self.dirs)
-            rows = [-y for y in ys] if reverse else ys
-            if rows:
-                taken = self.metric.in_domain_rows(x, rows).tolist()
-                rows = [y for y, ok in zip(rows, taken) if ok]
-                ys = [y for y, ok in zip(ys, taken) if ok]
-            self._sweeps[key] = ys
-            self._fill(x, rows)
-        return ys
-
-    def _fill(self, x, ys):
-        """Evaluate the directions ``ys`` at x not yet in the table, in
-        one batch."""
-        rows = {}
-        for y in ys:
-            rows.setdefault(exact_key(x, y), y)
-        for key in self._results.keys() & rows.keys():
-            del rows[key]
-        lam, ok = einstein_rows(self.metric, x, list(rows.values()))
-        for key, value, took in zip(rows, lam.tolist(), ok.tolist()):
-            if took:
-                self._results[key] = value
 
 
 def _sample_row(manifest, metric, lam, tensor_row, x):
@@ -337,7 +239,7 @@ def _flag_curvature(manifest, metric, points, lam, tensors):
         if metric.dim == 2:
             u = [-y0[1], y0[0]]
             try:
-                k_flag = flag_curvature(metric, x, y0, u)
+                k_flag = flag_formula(*lam.curvature(x, y0), y0, u)
                 values.append(abs(k_flag - lam0) / scale)
             except FinslerError as exc:
                 skipped.append(f"x={x}: {exc}")
@@ -398,10 +300,19 @@ def _ricci_identities(manifest, metric, points, lam, tensors):
                       notes=[f"curvature_term_sign={sign}"])
 
 
+def _table_of(manifest, lam, p):
+    """The Einstein table of the p-power metric on the run's (alpha,
+    beta): the run's own ``lam`` where the run's metric is that metric,
+    whose F has the same bits, else a table of its own."""
+    if manifest.kind == "ppower" and manifest.ppower.p == p:
+        return lam
+    return EinsteinTable(ppower_metric(PPowerSpec(
+        manifest.alpha_spec, manifest.beta_spec, p)), ())
+
+
 @_check("randers_conditions")
 def _randers_conditions(manifest, metric, points, lam, tensors):
-    randers = ppower_metric(PPowerSpec(manifest.alpha_spec,
-                                       manifest.beta_spec, 1.0))
+    randers = _table_of(manifest, lam, 1.0)
     return _per_point(points, tensors,
                       lambda x, rd, ab: randers_residuals(rd, ab, randers),
                       RANDERS_KEYS, manifest.tolerance("randers_conditions"))
@@ -409,8 +320,7 @@ def _randers_conditions(manifest, metric, points, lam, tensors):
 
 @_check("square_conditions")
 def _square_conditions(manifest, metric, points, lam, tensors):
-    square = ppower_metric(PPowerSpec(manifest.alpha_spec,
-                                      manifest.beta_spec, 2.0))
+    square = _table_of(manifest, lam, 2.0)
     return _per_point(points, tensors,
                       lambda x, rd, ab: square_residuals(rd, ab, square),
                       SQUARE_KEYS, manifest.tolerance("square_conditions"))
@@ -488,7 +398,10 @@ def _ricci_flat_parallel(manifest, metric, points, lam, tensors):
 
 
 def run(manifest, include_timings=False):
-    """Execute the manifest and return the report dict."""
+    """Execute the manifest and return the report dict.  With
+    ``include_timings`` the report also holds ``timings``: the seconds of
+    the sample rows (``samples``, the phase that fills the Einstein table),
+    of each check by name, and of the whole run (``total``)."""
     import time
 
     start = time.perf_counter()
@@ -498,10 +411,11 @@ def run(manifest, include_timings=False):
                              manifest.samples.direction_count)
     lam = EinsteinTable(metric, dirs)
     tensors = ab_tensor_rows(manifest.alpha_spec, manifest.beta_spec, points)
+    t0 = time.perf_counter()
     sample_rows = [_sample_row(manifest, metric, lam, row, x)
                    for x, row in zip(points, tensors)]
+    timings = {"samples": time.perf_counter() - t0}
     checks = []
-    timings = {}
     for name in manifest.checks:
         t0 = time.perf_counter()
         checks.append(run_check(name, manifest, metric, points, lam,

@@ -41,10 +41,15 @@ from .constructions import (
     square_einstein_residuals,
 )
 from .core import (
+    EinsteinTable,
     _f2_rows,
+    _one_by_one,
     _spray_jet_rows,
     _spray_jets,
+    einstein_scalar,
     einstein_scalars,
+    evaluate,
+    ricci,
     riccis,
     sphere_directions,
     sprays,
@@ -54,7 +59,6 @@ from .errors import FinslerError
 from .exprlang import shared_tape
 from .fdcheck import fd_partials, rel_err
 from .jets import get_context, read_partials
-from .runner import EinsteinTable
 
 
 @dataclass
@@ -424,11 +428,16 @@ def scenario_flat_parallel_family():
             rng.uniform(-1.0, 1.0, size=2).tolist()), reversible=True)
         xs = np.array([x for x, _ in samples])
         ys = np.array([y for _, y in samples])
-        ric_values += np.abs(riccis(metric, xs, ys)).tolist()
-        # lambda at y and at -y in one batch: |lambda(y) - lambda(-y)| is
-        # the reversibility residual
-        lams = einstein_scalars(metric, np.concatenate([xs, xs]),
-                                np.concatenate([ys, -ys]))
+        # Ric and lambda at y and at -y in one curvature pass:
+        # |lambda(y) - lambda(-y)| is the reversibility residual; a row the
+        # pass leaves goes to the one-point function, Ric's first
+        xs2, ys2 = np.concatenate([xs, xs]), np.concatenate([ys, -ys])
+        rows = evaluate(metric, xs2, ys2)
+        ric = _one_by_one(rows.ric[:len(ys)], rows.ok[:len(ys)], ricci,
+                          metric, xs, ys)
+        ric_values += np.abs(ric).tolist()
+        lams = _one_by_one(rows.lam, rows.ok, einstein_scalar, metric, xs2,
+                           ys2)
         rev_values += np.abs(lams[:len(ys)] - lams[len(ys):]).tolist()
     worst_ric = worst(ric_values)
     worst_rev = worst(rev_values)

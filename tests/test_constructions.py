@@ -46,10 +46,10 @@ from finslerlab.constructions import (
     parse_matrix,
 )
 from finslerlab.core import circle_directions, worst
-from finslerlab.errors import FinslerError, coords
+from finslerlab.errors import FinslerError, NonFinite, coords
 from finslerlab.jets import jet_pow
 from finslerlab.linalg import invert
-from finslerlab.manifest import load_manifest
+from finslerlab.manifest import load_manifest, validate_manifest
 from finslerlab.scenarios import (
     ROTATIONAL_TRIPLE,
     SECOND_TRIPLE,
@@ -501,19 +501,48 @@ def test_families_of_one_triple_share_their_trees_and_tapes():
 
 def test_batched_value_overflows_as_the_samples_one_by_one():
     """The batched F takes (1 + beta/alpha) ** p on whole arrays with the
-    bits of the per-sample F at the rows of y, whose numpy-scalar power
-    gives inf where it overflows (at p = 2000, along (1, 0))."""
+    bits of the per-sample F at the rows of y, whose Python float power
+    raises OverflowError where it overflows (at p = 2000, along (1, 0)),
+    for a numpy row as for a list; the batch then raises that sample's
+    error, and ``value_rows`` marks it not ok."""
     metric = ppower_metric(PPowerSpec([["1", "0"], ["0", "1"]],
                                       ["0.5", "0"], 2000.0))
     x = [0.1, 0.2]
     ys = np.array([[-1.0, 0.0], [0.0, 1.0], [-0.6, 0.8], [1.0, 0.0]])
-    with np.errstate(over="ignore"):
-        want = [np.float64(metric.value(x, y)).tobytes() for y in ys]
-        got = metric.value(x, ys.T)
-        f, ok = metric.value_rows(x, ys)
-    assert np.isinf(got[3])
+    want = [np.float64(metric.value(x, y)).tobytes() for y in ys[:3]]
+    for y in (ys[3], ys[3].tolist()):
+        with pytest.raises(OverflowError):
+            metric.value(x, y)
+    with pytest.raises(OverflowError):
+        metric.value(x, ys.T)
+    got = metric.value(x, ys[:3].T)
     assert [np.float64(v).tobytes() for v in got] == want
-    assert [np.float64(v).tobytes() for v in f] == want and ok.all()
+    f, ok = metric.value_rows(x, ys)
+    assert ok.tolist() == [True, True, True, False]
+    assert [np.float64(v).tobytes() for v in f[:3]] == want
+
+
+def test_an_overflowing_f_is_a_skipped_sample():
+    """A run skips a direction whose F overflows, with the error's text,
+    and counts it nowhere: NonFinite is a FinslerError as well as the
+    OverflowError of the float power."""
+    manifest = validate_manifest({
+        "dimension": 2,
+        "metric": {"kind": "ppower", "a": [["1", "0"], ["0", "1"]],
+                   "b": ["0.5", "0"], "p": 2000},
+        "samples": {"points": [[0.1, 0.2]], "direction_count": 8},
+        "checks": ["einstein", "flag_curvature"]})
+    with np.errstate(all="ignore"):  # the jets of F overflow one by one
+        report = runner.run(manifest)
+    text = "x=[0.1, 0.2]: F overflows at x=[0.1, 0.2], y=[1.0, 0.0]"
+    einstein, flag = report["checks"]
+    assert text in einstein["skipped"]
+    assert issubclass(NonFinite, OverflowError)
+    row, = report["samples"]
+    assert row["directions_used"] == 2
+    assert all(math.isfinite(v) for v in (row["lambda_mean"],
+                                          row["lambda_spread"]))
+    assert math.isfinite(flag["residuals"]["max_residual"])
 
 
 # f = u + iv = c z^k, and B = a0 + a1 h with h = Im(int dz / z^k) up to a

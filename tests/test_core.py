@@ -739,7 +739,7 @@ def test_einstein_check_takes_each_point_in_one_batch(monkeypatch):
                        [d for d in sphere_directions(2, 12)
                         if metric.in_domain(x, d)]) for x in points]
     calls = []
-    monkeypatch.setattr(runner, "einstein_scalar",
+    monkeypatch.setattr(core, "einstein_scalar",
                         lambda *args: calls.append(args))
     spreads, skipped = runner.EinsteinTable(
         metric, sphere_directions(2, 12)).spreads(points)
@@ -891,8 +891,8 @@ def test_sprays_and_einstein_scalars_are_homogeneous(p, k, x, size, signs):
 @pytest.mark.parametrize("n", [2, 3])
 def test_spray_jet_rows_equal_the_one_point_spray_jets(n):
     """The batched spray jets, with one point x per row, have the bits of
-    ``_spray_jets`` row by row; ``_ricci_tail`` reads its Ricci
-    curvatures from them."""
+    ``_spray_jets`` row by row; ``evaluate`` runs the same tail
+    (``_spray_tail_rows``)."""
     metric = _direction_metric(n, 0.5 if n == 2 else 1.0)
     rng = np.random.default_rng(40 + n)
     xs = rng.uniform(-0.3, 0.3, size=(12, n))

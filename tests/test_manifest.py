@@ -473,6 +473,20 @@ def test_timings_flag(tmp_path):
     assert "timings" not in without
 
 
+def test_timings_time_the_sample_rows():
+    """The sample rows, which fill the Einstein table, are timed as their
+    own phase, before the checks; the report without timings keeps its
+    bytes."""
+    manifest = validate_manifest(rotational_doc())
+    with_timings = run(manifest, include_timings=True)
+    timings = with_timings.pop("timings")
+    assert list(timings) == ["samples", *manifest.checks, "total"]
+    assert all(v >= 0.0 for v in timings.values())
+    assert timings["samples"] + sum(timings[c] for c in manifest.checks) \
+        <= timings["total"]
+    assert json_dumps(with_timings) == json_dumps(run(manifest))
+
+
 NAN_LISTS = [[math.nan, 0.1, 0.1], [0.1, math.nan, 0.1], [0.1, 0.1, math.nan]]
 
 

@@ -8,19 +8,25 @@ import sys
 import traceback
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from finslerlab import alphabeta, constructions, jets, runner
+from finslerlab import alphabeta, constructions, core, exprlang, jets, runner
 from finslerlab.constructions import (
     COEFFICIENT_MEMO_KEYS,
     PPowerSpec,
     ppower_metric,
 )
 from finslerlab.core import (
+    EinsteinTable,
     circle_directions,
     einstein_scalar,
     exact_key,
+    fundamental_tensor,
+    ricci,
+    riccis,
     riemann_curvature,
+    sphere_directions,
 )
 from finslerlab.errors import DomainError
 from finslerlab.exprlang import Tape
@@ -42,20 +48,20 @@ def test_run_evaluates_each_einstein_scalar_once(monkeypatch):
     one-point entry."""
     calls = Counter()
     one_point = Counter()
-    batched, original = runner.einstein_rows, runner.einstein_scalar
+    batched, original = core.evaluate, core.einstein_scalar
 
     def counting_rows(metric, x, ys):
-        lam, ok = batched(metric, x, ys)
-        calls.update(exact_key(x, y) for y, took in zip(ys, ok) if took)
-        return lam, ok
+        rows = batched(metric, x, ys)
+        calls.update(exact_key(x, y) for y, took in zip(ys, rows.ok) if took)
+        return rows
 
     def counting(metric, x, y):
         calls[exact_key(x, y)] += 1
         one_point[exact_key(x)] += 1
         return original(metric, x, y)
 
-    monkeypatch.setattr(runner, "einstein_rows", counting_rows)
-    monkeypatch.setattr(runner, "einstein_scalar", counting)
+    monkeypatch.setattr(core, "evaluate", counting_rows)
+    monkeypatch.setattr(core, "einstein_scalar", counting)
     report = runner.run(load_manifest("manifests/rotational_family.json"))
     assert report["verdict"]
     assert calls and max(calls.values()) == 1
@@ -274,3 +280,168 @@ def test_a_failing_row_raises_its_error_again_without_old_frames():
         depths.append(len(traceback.extract_tb(info.value.__traceback__)))
     assert texts[0] and texts == [texts[0]] * 3
     assert depths == [depths[0]] * 3
+
+
+def count_rows(monkeypatch):
+    """The order-4 rows of F each metric builds at each (x, y): the rows
+    of ``core._f2_rows`` and the one-point ``core._spray_jets`` calls."""
+    rows = Counter()
+    f2_rows, spray_jets = core._f2_rows, core._spray_jets
+
+    def counting_rows(metric, x, ys):
+        for b, y in enumerate(ys):
+            rows[id(metric), exact_key(core._point(x, b), y)] += 1
+        return f2_rows(metric, x, ys)
+
+    def counting_jets(metric, x, y):
+        rows[id(metric), exact_key(x, y)] += 1
+        return spray_jets(metric, x, y)
+
+    monkeypatch.setattr(core, "_f2_rows", counting_rows)
+    monkeypatch.setattr(core, "_spray_jets", counting_jets)
+    return rows
+
+
+def count_per_check(monkeypatch, counter):
+    """How much ``counter`` grows while each registered check runs."""
+    added = Counter()
+    for name, check in list(runner.CHECKS.items()):
+        def counted(*args, _check=check, _name=name):
+            before = sum(counter.values())
+            block = _check(*args)
+            added[_name] += sum(counter.values()) - before
+            return block
+        monkeypatch.setitem(runner.CHECKS, name, counted)
+    return added
+
+
+def funk_4d_doc():
+    spec = funk_spec(4)
+    return {
+        "dimension": 4,
+        "metric": {"kind": "ppower",
+                   "a": [[exprlang.to_source(e) for e in row]
+                         for row in spec.alpha],
+                   "b": [exprlang.to_source(e) for e in spec.beta],
+                   "p": 1.0},
+        "samples": {"points": [[0.1, -0.2, 0.15, 0.05],
+                               [-0.25, 0.1, 0.0, 0.3]],
+                    "direction_count": 16},
+        "checks": ["einstein", "reversibility", "randers_conditions",
+                   "structural_vs_generic", "ricci_identities"],
+    }
+
+
+@pytest.mark.parametrize("source", ["funk_ball", "funk_4d"])
+def test_run_builds_each_order_4_row_once(monkeypatch, source):
+    """A run builds the order-4 F of each (x, y) at most once over its
+    sample rows and all of its checks: at p = 1 the Randers relation reads
+    (F, Ric) from the run's Einstein table and builds no row."""
+    rows = count_rows(monkeypatch)
+    added = count_per_check(monkeypatch, rows)
+    if source == "funk_ball":
+        manifest = load_manifest("manifests/funk_ball.json")
+    else:
+        manifest = validate_manifest(funk_4d_doc())
+    report = runner.run(manifest)
+    assert report["verdict"]
+    assert rows and max(rows.values()) == 1
+    # the directions and their reverses at each point, one metric
+    dirs = manifest.samples.direction_count
+    assert len({metric for metric, _ in rows}) == 1
+    assert len(rows) <= 2 * dirs * len(report["samples"])
+    assert added["randers_conditions"] == 0
+
+
+def test_flag_curvature_builds_no_jet_of_f(monkeypatch):
+    """On the rotational family the flag-curvature check reads F, g and R
+    of its samples from the Einstein table: no jet of F, of any order."""
+    jets_of_f = Counter()
+    for name in ("jet", "batch_jet"):
+        original = getattr(core.FinslerMetric, name)
+
+        def counting(metric, *args, _name=name, _original=original):
+            jets_of_f[_name] += 1
+            return _original(metric, *args)
+
+        monkeypatch.setattr(core.FinslerMetric, name, counting)
+    added = count_per_check(monkeypatch, jets_of_f)
+    report = runner.run(load_manifest("manifests/rotational_family.json"))
+    assert report["verdict"] and jets_of_f
+    assert "flag_curvature" in added and added["flag_curvature"] == 0
+
+
+def _ricci_rows(metric, x, directions):
+    """(F, Ric) of ``metric`` at x along each admissible one of
+    ``directions`` sphere directions, one ``metric.value`` per direction
+    and one ``riccis`` pass: the evaluation the Randers and square
+    relations made before they read the Einstein table; the reference the
+    table's rows are checked against."""
+    ys = [y for y in sphere_directions(len(x), directions)
+          if metric.in_domain(x, y)]
+    return [(metric.value(x, y), ric)
+            for y, ric in zip(ys, riccis(metric, x, ys).tolist())]
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+RELATION_METRICS = {
+    "randers": (funk_spec(2), [[0.2, 0.3], [-0.35, 0.1]]),
+    "square": (PPowerSpec([["1", "0"], ["0", "1"]], ["0.3*x2", "0"], 2.0),
+               [[0.0, 1.0], [0.1, 0.2]]),
+}
+
+
+@pytest.mark.parametrize("relation", sorted(RELATION_METRICS))
+def test_relation_rows_have_the_bits_of_the_old_evaluation(relation):
+    """The (F, Ric) rows of the Randers and square relations, read from a
+    run's table swept over 16 directions and from a fresh table, have the
+    bits of the evaluation they replace; the 8 relation directions are
+    among the 16 on the circle, bit for bit."""
+    spec, points = RELATION_METRICS[relation]
+    metric = ppower_metric(spec)
+    swept = EinsteinTable(metric, sphere_directions(2, 16))
+    for x in points:
+        want = [(_bits(f), _bits(ric)) for f, ric in _ricci_rows(metric, x, 8)]
+        assert len(want) >= 2
+        swept.values(x)
+        for table in (swept, EinsteinTable(metric, ())):
+            got = table.ricci_rows(x, sphere_directions(2, 8))
+            assert [(_bits(f), _bits(ric)) for f, ric in got] == want
+            assert all(exact_key(x, y) in table._rows
+                       for y in sphere_directions(2, 8)
+                       if metric.in_domain(x, y))
+    assert all(exact_key(y) in {exact_key(d) for d in circle_directions(16)}
+               for y in circle_directions(8))
+    four = sphere_directions(4, 16)
+    assert sphere_directions(4, 8).tobytes() == four[:8].tobytes()
+
+
+@pytest.mark.parametrize("case", ["curved", "funk_4d"])
+def test_table_rows_have_the_bits_of_the_one_point_functions(case):
+    """F, g, R, Ric and lambda read from the Einstein table have the bits
+    of metric.value, fundamental_tensor, riemann_curvature, ricci and
+    einstein_scalar: at the rows one batch evaluated, and at a direction
+    the table leaves to the one-point functions (a batch of one)."""
+    if case == "curved":
+        metric, x = curved_metric(), [0.2, -0.1]
+    else:
+        metric, x = ppower_metric(funk_spec(4)), [0.1, -0.2, 0.15, 0.05]
+    n = metric.dim
+    table = EinsteinTable(metric, sphere_directions(n, 12))
+    ys = table.directions(x)
+    lone = [0.3 + 0.1 * k for k in range(n)]
+    assert len(ys) >= 2
+    assert all(exact_key(x, y) in table._rows for y in ys)
+    for y in ys + [lone]:
+        (f, ric), = table.ricci_rows(x, [y])
+        f_table, g, r = table.curvature(x, y)
+        y = list(y)
+        assert _bits(f) == _bits(f_table) == _bits(metric.value(x, y))
+        assert _bits(g) == _bits(fundamental_tensor(metric, x, y)[0])
+        assert _bits(r) == _bits(riemann_curvature(metric, x, y))
+        assert _bits(ric) == _bits(ricci(metric, x, y))
+        assert _bits(table(x, y)) == _bits(einstein_scalar(metric, x, y))
+    assert exact_key(x, lone) not in table._rows
