@@ -113,13 +113,14 @@ class CoefficientMemo:
     every sample (x, y) needs them: as floats in ``scalar`` and ``domain``
     and as jets in the jet builder.  Each list is compiled on first use
     into one ``exprlang.Tape``, shared with every metric over the same
-    trees, and replayed once per key ``(what, context size, order, x)``,
-    with size and order 0 for floats; the ``COEFFICIENT_MEMO_KEYS`` most
-    recently used keys are kept.  x enters the key as its exact bits, so
-    no rounding can serve a neighbouring point.  An evaluation that raises
-    stores nothing, so a DomainError is raised in the same order as
-    without the memo.  A batch of points (``batch``, or ``jets`` at a
-    coordinate-major array) is replayed without a key.
+    trees, and replayed once per key ``(what, context key, x)``, with the
+    context key (``JetContext.key``) None for floats; the
+    ``COEFFICIENT_MEMO_KEYS`` most recently used keys are kept.  x enters
+    the key as its exact bits, so no rounding can serve a neighbouring
+    point.  An evaluation that raises stores nothing, so a DomainError is
+    raised in the same order as without the memo.  A batch of points
+    (``batch``, or ``jets`` at a coordinate-major array) is replayed
+    without a key.
     """
 
     def __init__(self, a_ast, b_ast):
@@ -154,7 +155,7 @@ class CoefficientMemo:
 
     def values(self, what, x):
         """Float values of the ``what`` coefficients at x."""
-        return self._recall((what, 0, 0, exact_key(x)),
+        return self._recall((what, None, exact_key(x)),
                             lambda: self.tape(what).floats(x))
 
     def batch(self, what, x):
@@ -167,7 +168,7 @@ class CoefficientMemo:
         coordinate-major array (see ``Tape.jets``)."""
         if getattr(xvals, "ndim", 1) == 2:
             return self.tape(what).jets(ctx, xvals)
-        return self._recall((what, ctx.num_vars, ctx.order, exact_key(xvals)),
+        return self._recall((what, ctx.key, exact_key(xvals)),
                             lambda: self.tape(what).jets(ctx, xvals))
 
 

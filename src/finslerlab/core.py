@@ -19,16 +19,25 @@ F^2 partials are gathered out of the order-4 jet of F^2 into order-2
 coefficients (``_TailTable``), with the same bits as differentiating the
 order-4 jet.
 
+R^i_k reads only the x, y, xy and yy partials of G, so the curvature
+(``riemann_curvature`` and ``evaluate``) builds F and F^2 with x-degree
+<= 2 (``CURVATURE_X_DEGREE``) and runs the tail with x-degree <= 1: in
+4-D, 360 of F^2's 495 coefficients and 35 of G's 45.  A capped context's
+tables are the full context's filtered in their order (``jets.JetContext``),
+so every coefficient it keeps has the bits of the full context's.  The
+derivative-soundness oracle reads every partial and takes the full
+contexts (``_f2_rows`` and ``_spray_jets`` take the cap as an argument).
+
 ``evaluate`` is the one curvature pass over a batch of samples, many
 directions y at one point x, or one point x per row: per row it returns F,
 g_ij, R^i_k, Ric and the Einstein scalar, each with the bits of
 ``metric.value``, ``fundamental_tensor``, ``riemann_curvature``, ``ricci``
 and ``einstein_scalar``, and ok where the row holds them all.  The jets of
 F and F^2 come from one pass over the batch, through the jet kernels'
-leading batch axis; the order-4 F is built in chunks of at most
-``CHUNK_PAIRS`` rows times product pairs (16 rows in 2-D, 4 in 3-D, one at
-a time from 4-D on, where a batched order-4 product is no faster and costs
-memory), and at one x it shares the memoised x-coefficient jets of x.
+leading batch axis; the order-4 F is built in chunks of ``CHUNK_ROWS``
+rows in every dimension (the batched kernels gather into reused scratch
+arrays, so a batch costs no fresh allocation per product), and at one x
+it shares the memoised x-coefficient jets of x.
 The tails then run once for all rows, on whole arrays: the domain test
 (``FinslerMetric.in_domain_rows``), F (``FinslerMetric.value_rows``), the
 positivity test of g (``linalg.positive_definite_rows``), the jet solve
@@ -56,7 +65,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from typing import NamedTuple
 
 import numpy as np
@@ -66,6 +74,7 @@ from .errors import (
     DegeneratePlane,
     DomainError,
     FinslerError,
+    NonFinite,
     SingularMetric,
     _raised,
     coords,
@@ -94,9 +103,10 @@ def exact_key(*vectors):
     """The exact bits of float vectors as bytes, for use as a dictionary key.
 
     Unlike rounded or tuple keys, 0.0 and -0.0 differ and no two distinct
-    points share a key.
+    points share a key.  Each vector gives the native float64 bytes of
+    its entries, the bytes ``struct.pack`` gives them.
     """
-    return b"".join(struct.pack(f"{len(v)}d", *v) for v in vectors)
+    return b"".join(np.asarray(v, dtype=float).tobytes() for v in vectors)
 
 
 class FinslerMetric:
@@ -175,22 +185,25 @@ class FinslerMetric:
                 f"sample x={coords(x)!r}, y={coords(y)!r} outside the metric "
                 "domain")
 
-    def jet(self, x, y, order):
-        """Jet of F in the 2n-variable context (x first, then y)."""
+    def jet(self, x, y, order, x_degree=None):
+        """Jet of F in the 2n-variable context (x first, then y) of
+        ``order``, with the x-degree cap ``x_degree``."""
         n = self.dim
-        ctx = get_context(2 * n, order)
+        ctx = get_context(2 * n, order, x_degree)
         x_jets = [lift_variable(ctx, i, x[i]) for i in range(n)]
         y_jets = [lift_variable(ctx, n + i, y[i]) for i in range(n)]
         return self._jet_builder(x_jets, y_jets)
 
-    def batch_jet(self, x, y, order):
+    def batch_jet(self, x, y, order, x_degree=None):
         """Coefficients of the jets of F at a batch of samples, one row
-        each, in the 2n-variable context; y is a coordinate-major (n, B)
-        array and x one too, or one point for every sample.  Raises
-        BatchFailed for a metric without a batched F."""
+        each, in the 2n-variable context of ``jet``; y is a
+        coordinate-major (n, B) array and x one too, or one point for
+        every sample.  Raises BatchFailed for a metric without a batched
+        F."""
         if self._batch_builder is None:
             raise BatchFailed
-        return self._batch_builder(get_context(2 * self.dim, order), x, y)
+        return self._batch_builder(get_context(2 * self.dim, order, x_degree),
+                                   x, y)
 
 
 def _take(x, rows):
@@ -243,7 +256,10 @@ def _partial_table(ctx):
 class _TailTable:
     """Where the curvature tail's inputs sit in an order-4 jet of F^2.
 
-    ``low`` is the order-2 context on the same 2n variables.  Each tensor
+    ``low`` is the order-2 context on the same 2n variables, with an
+    x-degree cap one below the order-4 context's where that has one: a
+    partial of F^2 with one x-derivative needs one x-degree more than the
+    coefficient it gives.  Each tensor
     is a pair (index array, factor array) whose last axis runs over the
     monomials m of ``low``: the partial d/dz^a ... of F^2 has order-2
     coefficient ``c[idx] * factor`` at m, where idx indexes m + e_a + ...
@@ -258,7 +274,8 @@ class _TailTable:
 
     def __init__(self, ctx):
         n = ctx.num_vars // 2
-        self.low = low = get_context(ctx.num_vars, 2)
+        cap = None if ctx.x_degree is None else ctx.x_degree - 1
+        self.low = low = get_context(ctx.num_vars, 2, cap)
         monomials = np.array(low.monomials)
 
         def lowered(*variables):
@@ -381,13 +398,15 @@ def _spray_rows(metric, points):
         return 0.25 * sol, ok & solved
 
 
-def _spray_jets(metric, x, y):
+def _spray_jets(metric, x, y, x_degree=None):
     """G^i as jets of the order-2 context, for the curvature extraction.
 
-    Also returns the order-4 jet of F.
+    Also returns the order-4 jet of F, built with the x-degree cap
+    ``x_degree``: by default none, so the spray jets hold every partial;
+    ``riemann_curvature`` passes ``CURVATURE_X_DEGREE``.
     """
     n = metric.dim
-    f = metric.jet(x, y, 4)
+    f = metric.jet(x, y, 4, x_degree)
     f2 = f * f
     table = _tail_table(f2.ctx)
     low = table.low
@@ -413,7 +432,7 @@ def _spray_jets(metric, x, y):
 def riemann_curvature(metric, x, y):
     """R^i_k as an n-by-n float matrix (the trace is the Ricci curvature)."""
     metric.require_domain(x, y)
-    g_jets, _ = _spray_jets(metric, x, y)
+    g_jets, _ = _spray_jets(metric, x, y, CURVATURE_X_DEGREE)
     coeffs = np.stack([gj.c for gj in g_jets])
     return _riemann_read(coeffs[None], np.array([y], dtype=float),
                          g_jets[0].ctx)[0]
@@ -443,50 +462,69 @@ def _riemann_read(coeffs, y, ctx):
 
 
 def ricci(metric, x, y):
-    """Ricci curvature: the trace of the Riemann operator."""
-    return float(np.trace(riemann_curvature(metric, x, y)))
+    """Ricci curvature: the trace of the Riemann operator; raises
+    NonFinite where it is not finite."""
+    ric = float(np.trace(riemann_curvature(metric, x, y)))
+    if not math.isfinite(ric):
+        raise NonFinite(f"Ric = {ric!r} is not finite at x={coords(x)!r}, "
+                        f"y={coords(y)!r}")
+    return ric
 
 
 def einstein_scalar(metric, x, y):
-    """Einstein scalar: Ric / ((n-1) F^2); 0-homogeneous in y."""
+    """Einstein scalar: Ric / ((n-1) F^2); 0-homogeneous in y.  Raises
+    NonFinite where Ric or the scalar is not finite, and where (n-1) F^2
+    is zero or not finite."""
     f = metric.value(x, y)
     if not f > 0.0:
         raise DomainError(f"F = {f!r} is not positive at this sample")
-    return ricci(metric, x, y) / ((metric.dim - 1) * f * f)
+    ric = ricci(metric, x, y)
+    den = (metric.dim - 1) * f * f
+    lam = ric / den if math.isfinite(den) and den != 0.0 else math.nan
+    if not math.isfinite(lam):
+        raise NonFinite(f"lambda = {ric!r} / {den!r} is not finite at "
+                        f"x={coords(x)!r}, y={coords(y)!r}")
+    return lam
 
 
-# rows times order-4 product pairs per Cauchy product of a batched F^2:
-# 16 rows in 2-D (495 pairs), 4 in 3-D (1,820) and one from 4-D (4,845) on
-CHUNK_PAIRS = 8192
+# The curvature pass builds F and F^2 with x-degree <= 2: R^i_k reads the
+# x, y, xy and yy partials of G only, and the tail takes them from F^2
+# partials of one x-degree more (``_TailTable``).
+CURVATURE_X_DEGREE = 2
+
+# rows of F per batch of ``_f2_rows``
+CHUNK_ROWS = 16
 
 
-def _f2_rows(metric, x, ys):
+def _f2_rows(metric, x, ys, x_degree=CURVATURE_X_DEGREE):
     """Order-4 coefficients of F^2 at (x, y) for each row y of ``ys``, x
-    one point or the (B, n) array of each row's point.
+    one point or the (B, n) array of each row's point, with the x-degree
+    cap ``x_degree``: by default the curvature pass's, None for a caller
+    that reads every partial.
 
     Returns ``(f2, ok)``; ok[b] is false where building F raised.  Rows go
-    through the metric's batched F in chunks of ``CHUNK_PAIRS`` over the
-    context's product pairs; one point x shares its memoised
-    x-coefficient jets over the chunk.  Where a chunk holds one row, or
-    the batch raises, F is built row by row with ``metric.jet``.
+    through the metric's batched F in chunks of ``CHUNK_ROWS``; one point
+    x shares its memoised x-coefficient jets over the chunk.  Where a
+    chunk holds one row, or the batch raises, F is built row by row with
+    ``metric.jet``.
     """
-    ctx = get_context(2 * metric.dim, 4)
-    chunk = max(1, CHUNK_PAIRS // len(ctx._mul_i))
+    ctx = get_context(2 * metric.dim, 4, x_degree)
     f2 = np.zeros((len(ys), ctx.ncoef))
     ok = np.ones(len(ys), dtype=bool)
-    for start in range(0, len(ys), chunk):
-        part = slice(start, start + chunk)
+    for start in range(0, len(ys), CHUNK_ROWS):
+        part = slice(start, start + CHUNK_ROWS)
         y = ys[part]
         if len(y) > 1:
             try:
-                f = metric.batch_jet(_major(_take(x, part)), y.T, 4)
+                f = metric.batch_jet(_major(_take(x, part)), y.T, 4,
+                                     x_degree)
                 f2[part] = _cauchy(ctx, f, f)
                 continue
             except (BatchFailed, FinslerError):
                 pass
         for b, y_row in enumerate(y.tolist(), start):
             try:
-                f = metric.jet(_point(x, b), y_row, 4)
+                f = metric.jet(_point(x, b), y_row, 4, x_degree)
             except FinslerError:
                 ok[b] = False
                 continue
@@ -508,18 +546,20 @@ def _spray_jet_rows(metric, x, ys):
     """
     # rows that overflow are left to the one-point call, which warns
     with np.errstate(all="ignore"):
-        f2, ok = _f2_rows(metric, x, ys)
-    coeffs, _, solved = _spray_tail_rows(f2, ys)
+        f2, ok = _f2_rows(metric, x, ys, x_degree=None)
+    coeffs, _, solved = _spray_tail_rows(get_context(2 * metric.dim, 4),
+                                         f2, ys)
     return coeffs, ok & solved
 
 
-def _spray_tail_rows(f2, ys):
-    """The spray jets and g from the order-4 coefficients ``f2`` of F^2
-    at the rows of ``ys``: ``(coeffs, g, ok)``, g[b] the float fundamental
+def _spray_tail_rows(ctx, f2, ys):
+    """The spray jets and g from the coefficients ``f2`` of F^2 in the
+    order-4 ``ctx`` at the rows of ``ys``: ``(coeffs, g, ok)``, coeffs in
+    the context ``_tail_table(ctx).low``, g[b] the float fundamental
     tensor with the bits of ``fundamental_tensor``, and ok[b] false where
     g is not positive definite or the jet solve meets a floor."""
     n = ys.shape[1]
-    table = _tail_table(get_context(2 * n, 4))
+    table = _tail_table(ctx)
     low = table.low
     with np.errstate(all="ignore"):
         g = 0.5 * _gather(f2, table.g)
@@ -556,10 +596,11 @@ def evaluate(metric, x, ys):
 
     ok[b] is false outside the domain, where F does not evaluate or is
     not positive, where g is not positive definite, where the jet solve
-    meets a floor, where Ric is not finite or lambda divides by zero, and
-    at every row of a batch of one, which is faster through the one-point
-    functions.  Such rows are the caller's, whose one-point call raises
-    their own errors.
+    meets a floor, where Ric, (n-1) F^2 or lambda is not finite or
+    (n-1) F^2 is zero, and at every row of a batch of one, which is faster
+    through the one-point functions.  Such rows are the caller's, whose
+    one-point call raises their own errors (NonFinite for the values that
+    are not finite).
     """
     n = metric.dim
     ys = np.asarray(ys, dtype=float).reshape(-1, n)
@@ -575,11 +616,12 @@ def evaluate(metric, x, ys):
         valued &= f > 0.0
         rows, f = rows[valued], f[valued]
         x, ys = _take(x, rows), ys[rows]
+        ctx = get_context(2 * n, 4, CURVATURE_X_DEGREE)
         # rows that overflow are left to the one-point call, which warns
         with np.errstate(all="ignore"):
             f2, took = _f2_rows(metric, x, ys)
-            coeffs, g, solved = _spray_tail_rows(f2, ys)
-            r = _riemann_read(coeffs, ys, get_context(2 * n, 2))
+            coeffs, g, solved = _spray_tail_rows(ctx, f2, ys)
+            r = _riemann_read(coeffs, ys, _tail_table(ctx).low)
             # np.trace adds the diagonal in order
             ric = r[:, 0, 0]
             for i in range(1, n):
@@ -590,7 +632,8 @@ def evaluate(metric, x, ys):
         return out
     out.f[rows], out.g[rows], out.r[rows] = f, g, r
     out.ric[rows], out.lam[rows] = ric, lam
-    out.ok[rows] = took & solved & np.isfinite(ric) & (den != 0.0)
+    # a finite lambda over a finite den has a finite Ric and den != 0
+    out.ok[rows] = took & solved & np.isfinite(den) & np.isfinite(lam)
     return out
 
 

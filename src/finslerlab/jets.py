@@ -12,6 +12,12 @@ jet (which loses one order of validity) never corrupts the surviving orders.
 The monomials of an order-d context open the list of every higher-order
 context with the same variables, so a computation whose inputs are valid
 only to degree d can run in the order-d context and give the same bits.
+The degree in the first half of the variables (x of the engine's (x, y)
+contexts) is filtered the same way, so a context may also cap it
+(``x_degree``): its tables are the full context's, filtered in their
+order, so each coefficient it keeps sums the same terms in the same order
+and has the same bits as in the full context (Griewank and Walther 2008,
+ch. 13, on truncated polynomial arithmetic).
 
 A coordinate jet (from :func:`lift_variable`) has two nonzero coefficients,
 so a product with it sums two terms per output instead of every pair of the
@@ -31,7 +37,12 @@ leading batch axis; Bettencourt, Johnson and Duvenaud 2019); one factor
 of a Cauchy product may stay one vector and is then broadcast.  Row b of
 a result has the bits of the kernel applied to row b alone.  A kernel
 that would raise for some row raises the error of the first such row.
-One vector keeps the plain indexing of the one-point path.
+One vector keeps the plain indexing of the one-point path.  A batch
+gathers its terms, multiplies them and builds its bincount index in
+scratch arrays that the context keeps (``JetContext._buffer``), so a batch
+costs no fresh allocation per product; results are fresh arrays.  The
+reciprocal and the composition skip the product pairs of a factor known
+to be zero (``JetContext._pairs``).
 """
 
 from __future__ import annotations
@@ -45,6 +56,9 @@ from .errors import DegenerateValue, DomainError
 
 MAX_ORDER = 4
 MAX_VARS = 16  # enough for base + fiber variables of an 8-dimensional chart
+# the largest scratch array a context keeps, in elements (1 MiB of
+# floats); a batch whose temporaries are larger allocates them afresh
+SCRATCH_LIMIT = 1 << 17
 
 
 def _monomials(num_vars, order):
@@ -67,31 +81,58 @@ def _monomials(num_vars, order):
 
 
 class JetContext:
-    """Shared immutable workspace: monomial order and multiplication table.
+    """Shared workspace: monomial order, multiplication tables (immutable)
+    and the batched kernels' scratch (``_buffer``).
 
     All jets taking part in one computation must share a context with the
-    same (num_vars, order).  Use :func:`get_context` to reuse cached tables.
+    same (num_vars, order, x_degree).  Use :func:`get_context` to reuse
+    cached tables.
+
+    ``x_degree`` caps the total degree in the first ``num_vars // 2``
+    variables, the base point x of the engine's (x, y) contexts; None keeps
+    every monomial of total degree <= order.  A capped context keeps the
+    monomials of the full one whose x-degree is within the cap, in their
+    order, and its tables are the full context's filtered in their order.
     """
 
-    def __init__(self, num_vars, order, div_floor=1e-14):
+    def __init__(self, num_vars, order, div_floor=1e-14, x_degree=None):
         if not 1 <= order <= MAX_ORDER:
             raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
         if not 1 <= num_vars <= MAX_VARS:
             raise ValueError(f"num_vars must be in 1..{MAX_VARS}, got {num_vars}")
+        if x_degree is not None and x_degree < 1:
+            raise ValueError(f"x_degree must be at least 1, got {x_degree}")
+        if x_degree is not None and x_degree >= order:
+            x_degree = None  # the cap drops nothing
         self.num_vars = num_vars
         self.order = order
         self.div_floor = div_floor
-        self.monomials = _monomials(num_vars, order)
-        self.ncoef = len(self.monomials)
-        self.index = {mono: i for i, mono in enumerate(self.monomials)}
+        self.x_degree = x_degree
+        self.key = (num_vars, order, x_degree)
+        self._pair_tables = {}
+        self._scratch = {}
+        if x_degree is None:
+            self._set_monomials(_monomials(num_vars, order))
+            self._build_tables()
+        else:
+            self._filter(get_context(num_vars, order), x_degree)
+
+    def _set_monomials(self, monomials):
+        self.monomials = monomials
+        self.ncoef = len(monomials)
+        self.index = {mono: i for i, mono in enumerate(monomials)}
         # index of the unit monomial of each variable
+        num_vars = self.num_vars
         self.unit = [self.index[tuple(int(v == u) for v in range(num_vars))]
                      for u in range(num_vars)]
-        self.degree = np.array([sum(m) for m in self.monomials])
+        self.degree = np.array([sum(m) for m in monomials])
         self.factorial = np.array(
-            [math.prod(math.factorial(e) for e in m) for m in self.monomials],
+            [math.prod(math.factorial(e) for e in m) for m in monomials],
             dtype=float,
         )
+
+    def _build_tables(self):
+        num_vars, order = self.num_vars, self.order
         mi, mj, mk = [], [], []
         for i, a in enumerate(self.monomials):
             da = sum(a)
@@ -128,39 +169,115 @@ class JetContext:
             self._shift.append((np.concatenate((lower, every)),
                                 np.concatenate((upper, every)), len(lower)))
 
+    def _filter(self, full, x_degree):
+        """The tables of ``full`` kept where every monomial they index has
+        x-degree <= x_degree, in their order and renumbered.
+
+        The dropped monomials are closed under multiplication by any
+        monomial, so an entry whose target (product, m + e_v) is kept
+        reads kept monomials only: each kept coefficient sums the terms
+        it sums in ``full``, in the same order, and keeps its bits.
+        """
+        n = self.num_vars // 2
+        keep = np.array([sum(m[:n]) <= x_degree for m in full.monomials])
+        new = np.cumsum(keep) - 1
+        self._set_monomials([m for m, k in zip(full.monomials, keep) if k])
+        taken = keep[full._mul_k]
+        self._mul_i, self._mul_j, self._mul_k = (
+            new[t[taken]] for t in (full._mul_i, full._mul_j, full._mul_k))
+        self._raise = []
+        for lower, upper, fac in full._raise:
+            taken = keep[upper]
+            self._raise.append((new[lower[taken]], new[upper[taken]],
+                                fac[taken]))
+        self._shift = []
+        for source, target, shifted in full._shift:
+            taken = keep[target]
+            self._shift.append((new[source[taken]], new[target[taken]],
+                                int(taken[:shifted].sum())))
+
+    def _pairs(self, low_a, low_b):
+        """The (i, j, k) pairs of the Cauchy product whose first factor
+        has degree >= low_a and second degree >= low_b, in table order.
+
+        Where the coefficients of a below degree low_a and of b below
+        degree low_b are zeros, the pairs left out add only zeros: on
+        finite coefficients the product over these pairs has the bits of
+        the full product, -0.0 included, as for ``_shift_product``.
+        """
+        table = self._pair_tables.get((low_a, low_b))
+        if table is None:
+            taken = ((self.degree[self._mul_i] >= low_a)
+                     & (self.degree[self._mul_j] >= low_b))
+            table = self._pair_tables[low_a, low_b] = (
+                self._mul_i[taken], self._mul_j[taken], self._mul_k[taken])
+        return table
+
+    def _buffer(self, role, shape, dtype=float):
+        """An uninitialised array of ``shape`` over the scratch of ``role``.
+
+        The batched kernels gather their terms and build their bincount
+        index in scratch kept on the context and grown to the largest
+        batch seen, up to ``SCRATCH_LIMIT`` elements, so a batch costs no
+        fresh allocation of its (rows x pairs) temporaries.  Their results
+        are always fresh arrays, never views of scratch; two threads must
+        not run the batched kernels of one context at once.
+        """
+        size = math.prod(shape)
+        if size > SCRATCH_LIMIT:
+            return np.empty(shape, dtype)
+        buf = self._scratch.get(role)
+        if buf is None or buf.size < size:
+            buf = self._scratch[role] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
     def compatible(self, other):
-        return (self is other
-                or (self.num_vars == other.num_vars and self.order == other.order))
+        return self is other or self.key == other.key
 
     def __repr__(self):
-        return f"JetContext(num_vars={self.num_vars}, order={self.order})"
+        cap = "" if self.x_degree is None else f", x_degree={self.x_degree}"
+        return f"JetContext(num_vars={self.num_vars}, order={self.order}{cap})"
 
 
-_CONTEXT_CACHE: dict[tuple[int, int], JetContext] = {}
+_CONTEXT_CACHE: dict[tuple[int, int, int | None], JetContext] = {}
 
 
-def get_context(num_vars, order):
-    """Cached JetContext for (num_vars, order)."""
-    key = (num_vars, order)
+def get_context(num_vars, order, x_degree=None):
+    """Cached JetContext for (num_vars, order) with the x-degree cap
+    ``x_degree`` (None for none)."""
+    if x_degree is not None and x_degree >= order:
+        x_degree = None
+    key = (num_vars, order, x_degree)
     ctx = _CONTEXT_CACHE.get(key)
     if ctx is None:
-        ctx = _CONTEXT_CACHE[key] = JetContext(num_vars, order)
+        ctx = _CONTEXT_CACHE[key] = JetContext(num_vars, order,
+                                               x_degree=x_degree)
     return ctx
 
 
-def _rows_bincount(index, terms, ncoef):
+def _gather_into(ctx, role, a, idx):
+    """``a.take(idx, axis=-1)`` into the context's scratch of ``role``."""
+    out = ctx._buffer(role, a.shape[:-1] + (len(idx),))
+    return np.take(a, idx, axis=-1, out=out, mode="clip")
+
+
+def _rows_bincount(ctx, index, terms):
     """``np.bincount(index, row, ncoef)`` for every row of ``terms``, whose
     leading axes may be any batch shape.
 
     One bincount over the flattened batch, with each row's bins offset by
     ``ncoef``: every bin sums the same terms, in the same order, from the
-    same +0.0, as the bincount of its own row.
+    same +0.0, as the bincount of its own row.  ``terms`` is contiguous;
+    the flat index is built in the context's scratch.
     """
+    ncoef = ctx.ncoef
     lead = terms.shape[:-1]
-    terms = terms.reshape(-1, terms.shape[-1])
-    rows = len(terms)
-    flat = index + ncoef * np.arange(rows)[:, None]
-    return np.bincount(flat.ravel(), terms.ravel(),
+    rows = math.prod(lead)
+    if not rows:  # np.bincount of nothing would be an integer array
+        return np.zeros(lead + (ncoef,))
+    flat = ctx._buffer("index", (rows, len(index)), np.intp)
+    np.add(index, (ncoef * np.arange(rows))[:, None], out=flat)
+    return np.bincount(flat.reshape(-1), terms.reshape(-1),
                        rows * ncoef).reshape(*lead, ncoef)
 
 
@@ -178,11 +295,28 @@ def _raise_first(kernel, ctx, c, bad, *args):
 
 def _cauchy(ctx, a, b):
     """Truncated Cauchy product of two coefficient vectors of ``ctx``."""
+    return _pair_product(ctx, a, b, (ctx._mul_i, ctx._mul_j, ctx._mul_k))
+
+
+def _pair_product(ctx, a, b, pairs):
+    """The sum of a[i] * b[j] into k over the (i, j, k) ``pairs``, each
+    output from +0.0 in pair order; a batch is gathered and multiplied in
+    scratch."""
+    mul_i, mul_j, mul_k = pairs
     if a.ndim == 1 == b.ndim:
-        prod = a[ctx._mul_i] * b[ctx._mul_j]
-        return np.bincount(ctx._mul_k, weights=prod, minlength=ctx.ncoef)
-    prod = a.take(ctx._mul_i, axis=-1) * b.take(ctx._mul_j, axis=-1)
-    return _rows_bincount(ctx._mul_k, prod, ctx.ncoef)
+        prod = a[mul_i] * b[mul_j]
+        return np.bincount(mul_k, weights=prod, minlength=ctx.ncoef)
+    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    left = _gather_into(ctx, "left", a, mul_i)
+    right = _gather_into(ctx, "right", b, mul_j)
+    if right.shape[:-1] == lead:
+        prod = right
+    elif left.shape[:-1] == lead:
+        prod = left
+    else:
+        prod = ctx._buffer("product", lead + (len(mul_k),))
+    np.multiply(left, right, out=prod)
+    return _rows_bincount(ctx, mul_k, prod)
 
 
 def _shift_product(ctx, a, var, value):
@@ -203,14 +337,17 @@ def _shift_product(ctx, a, var, value):
         terms = a[source]
         terms[shifted:] *= value
         return np.bincount(target, terms, len(a))
-    terms = a.take(source, axis=-1)
-    if batched:
-        if a.ndim == 1:
-            terms = np.repeat(terms[None], len(value), axis=0)
+    if not batched:
+        terms = _gather_into(ctx, "terms", a, source)
+        terms[..., shifted:] *= value
+    elif a.ndim == 1:  # the one vector a at each of the values
+        terms = ctx._buffer("terms", value.shape + (len(source),))
+        terms[...] = a[source]
         terms[..., shifted:] *= value[..., None]
     else:
-        terms[..., shifted:] *= value
-    return _rows_bincount(target, terms, ctx.ncoef)
+        terms = _gather_into(ctx, "terms", a, source)
+        terms[..., shifted:] *= value[..., None]
+    return _rows_bincount(ctx, target, terms)
 
 
 def _product(a, b):
@@ -242,13 +379,14 @@ def _recip(ctx, c):
         _raise_first(_recip, ctx, c, np.abs(b0[:, 0]) < ctx.div_floor)
         u = c / b0
         u[:, 0] = 0.0
-    # 1/b = (1 - u + u^2 - ...) / b0, truncated; u has no constant term.
+    # 1/b = (1 - u + u^2 - ...) / b0, truncated; u has no constant term,
+    # so its products skip the pairs of u's zero (``JetContext._pairs``).
     # Step s fixes the degree-s coefficients, so ``order`` steps are
     # enough; the first, 1 - u * 1, needs no product.
     one = _one(ctx)
     inv = one - u
     for _ in range(ctx.order - 1):
-        inv = one - _cauchy(ctx, u, inv)
+        inv = one - _pair_product(ctx, u, inv, ctx._pairs(1, 0))
     return inv / b0
 
 
@@ -284,6 +422,8 @@ def _compose(ctx, c, derivs):
 
     For a batch, each derivs[k] is the array of the rows' derivatives; a
     row whose derivative is zero skips its term, as one vector does.
+    h has no constant term and h^k no term below degree k, so h^k = h^(k-1)
+    * h skips the pairs of those zeros (``JetContext._pairs``).
     """
     batched = c.ndim > 1
     h = c.copy()
@@ -297,7 +437,8 @@ def _compose(ctx, c, derivs):
     hpow = None
     fact = 1.0
     for k in range(1, ctx.order + 1):
-        hpow = h if hpow is None else _cauchy(ctx, hpow, h)
+        hpow = h if hpow is None else _pair_product(ctx, hpow, h,
+                                                    ctx._pairs(k - 1, 1))
         fact *= k
         if batched:
             nonzero = derivs[k] != 0.0
@@ -559,7 +700,10 @@ def extract_partial(jet, multi_index):
     if sum(mono) > jet.ctx.order:
         raise ValueError(
             f"multi-index degree {sum(mono)} exceeds jet order {jet.ctx.order}")
-    i = jet.ctx.index[mono]
+    i = jet.ctx.index.get(mono)
+    if i is None:
+        raise ValueError(f"multi-index {mono!r} exceeds the context's "
+                         f"x-degree cap {jet.ctx.x_degree}")
     return jet.c[i] * jet.ctx.factorial[i]
 
 
@@ -569,7 +713,8 @@ class PartialTable:
     ``unit[v]`` indexes the monomial of z^v and ``pair[v][w]`` that of
     z^v z^w (order 2 and up), as index arrays into a coefficient vector;
     :func:`read_partials` turns one of them into raw partials with a
-    single gather.
+    single gather.  Where an x-degree cap drops z^v z^w, ``pair[v][w]``
+    is ``ncoef``, out of range, so a gather of it raises IndexError.
     """
 
     def __init__(self, ctx):
@@ -580,7 +725,7 @@ class PartialTable:
             mono = [0] * m
             mono[v] += 1
             mono[w] += 1
-            return ctx.index[tuple(mono)]
+            return ctx.index.get(tuple(mono), ctx.ncoef)
 
         self.pair = np.array([[pair(v, w) for w in range(m)]
                               for v in range(m)], dtype=np.intp)

@@ -541,11 +541,12 @@ def scenario_derivative_soundness():
     f2_samples = _draw_samples(metric, 100, draw(0.4, 0.4))
     spray_samples = _draw_samples(metric, 100, draw(0.35, 0.45))
 
-    # the jets of F^2 at every sample in one batched pass; ``_f2_rows``
-    # built F of a row it marks with metric.jet, which raised there, so
-    # the call here raises that sample's own error
+    # the jets of F^2 at every sample in one batched pass, in the full
+    # order-4 context; ``_f2_rows`` built F of a row it marks with
+    # metric.jet, which raised there, so the call here raises that
+    # sample's own error
     xs, ys = (np.array(v) for v in zip(*f2_samples))
-    f2, ok = _f2_rows(metric, xs, ys)
+    f2, ok = _f2_rows(metric, xs, ys, x_degree=None)
     for b in np.flatnonzero(~ok):
         metric.jet(xs[b].tolist(), ys[b].tolist(), 4)
     wants = fd_partials(f2_rows, np.hstack([xs, ys]), f2_monomials)

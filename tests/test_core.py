@@ -12,6 +12,7 @@ from finslerlab import (
     DomainError,
     FinslerError,
     FinslerMetric,
+    NonFinite,
     PPowerSpec,
     SingularMetric,
     einstein_scalar,
@@ -660,6 +661,72 @@ def test_batched_curvature_matches_the_one_point_calls(data, n, p):
     _rows_taken(metric, x, ys)
 
 
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), n=st.sampled_from([2, 3, 4]),
+       p=st.sampled_from([1.0, 2.0, 0.5, -1.0, 3.0]))
+def test_the_curvature_ring_keeps_the_bits_of_the_full_ring(data, n, p):
+    """The curvature pass builds F^2 with x-degree <= 2 (360 of 495
+    coefficients in 4-D): its rows equal the full order-4 rows at every
+    kept monomial, bit for bit, signs of zeros included, and the R^i_k of
+    ``evaluate`` equals R read from the one-point spray jets of the full
+    ring."""
+    metric = _direction_metric(n, p)
+    x = data.draw(st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n))
+    rows = data.draw(st.integers(2, 5 if n == 4 else 8))
+    ys = np.array(data.draw(st.lists(
+        st.lists(DIRECTION_ENTRY, min_size=n, max_size=n),
+        min_size=rows, max_size=rows)))
+    capped = get_context(2 * n, 4, core.CURVATURE_X_DEGREE)
+    full = get_context(2 * n, 4)
+    assert capped.x_degree == 2 and capped.ncoef < full.ncoef
+    kept = [full.index[m] for m in capped.monomials]
+    with np.errstate(all="ignore"):
+        got, ok = core._f2_rows(metric, x, ys)
+        want, ok_full = core._f2_rows(metric, x, ys, x_degree=None)
+    assert ok.tolist() == ok_full.tolist()
+    _same_bits(got[ok], want[ok][:, kept])
+    samples = core.evaluate(metric, x, ys)
+    low = get_context(2 * n, 2)
+    for b in np.flatnonzero(samples.ok):
+        g_jets, _ = core._spray_jets(metric, x, list(ys[b]))
+        assert g_jets[0].ctx is low
+        r = core._riemann_read(np.stack([g.c for g in g_jets])[None],
+                               ys[b:b + 1], low)[0]
+        _same_bits(samples.r[b], r)
+        _same_bits(samples.r[b], riemann_curvature(metric, x, list(ys[b])))
+
+
+# directions along which the jets of the curved p = 1/2 metric overflow
+NON_FINITE_DIRECTIONS = [[0.0, 1e-60], [0.0, 5e-103], [0.0, 1e103]]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows
+def test_a_non_finite_curvature_is_a_typed_skip():
+    """Where Ric is not finite, ``ricci`` and ``einstein_scalar`` raise
+    NonFinite instead of returning NaN; ``evaluate`` leaves those rows to
+    them, and the Einstein table records each as a skip."""
+    metric = _direction_metric(2, 0.5)
+    x = [0.0, 0.0]
+    dirs = [[0.0, 1.0]] + NON_FINITE_DIRECTIONS
+    for y in NON_FINITE_DIRECTIONS:
+        for fn in (ricci, einstein_scalar):
+            with pytest.raises(NonFinite, match="is not finite"):
+                fn(metric, x, y)
+    assert core.evaluate(metric, x, dirs).ok.tolist() == [True, False,
+                                                          False, False]
+    with pytest.raises(NonFinite):
+        einstein_scalars(metric, x, dirs)
+    table = core.EinsteinTable(metric, dirs)
+    ys, values, skipped = table.values(x)
+    assert ys == [[0.0, 1.0]]
+    assert values == [einstein_scalar(metric, x, [0.0, 1.0])]
+    assert len(skipped) == 3
+    assert all("is not finite" in text for text in skipped)
+    for y in NON_FINITE_DIRECTIONS:
+        with pytest.raises(NonFinite):
+            table(x, y)
+
+
 def test_batched_curvature_keeps_signed_zeros():
     """A flat Randers metric has zero spray and zero curvature; the batch
     gives each row the zeros, and their signs, of the one-point call."""
@@ -684,7 +751,7 @@ def test_batched_curvature_leaves_failing_rows_to_the_one_point_call():
     good = [[0.1, 1.0], [-0.3, 1.0], [0.2, -1.0]]
     singular = [1.0, 0.0]
     outside = [0.0, 0.0]
-    tiny = [0.0, 5e-103]  # the jets overflow: the one-point call gives NaN
+    tiny = [0.0, 5e-103]  # the jets overflow: the one-point call raises
     for ys in ([*good, singular, outside], [good[0], outside, singular],
                [singular, *good], [*good, tiny]):
         ys = np.array(ys)
@@ -699,12 +766,13 @@ def test_batched_curvature_leaves_failing_rows_to_the_one_point_call():
 
 
 @pytest.mark.parametrize("n,rows,chunks", [(2, 40, [16, 16, 8]),
-                                           (3, 10, [4, 4, 2]),
-                                           (4, 6, [])])
+                                           (3, 10, [10]),
+                                           (4, 6, [6]),
+                                           (4, 17, [16, 1])])
 def test_batched_f_is_built_in_bounded_chunks(n, rows, chunks, monkeypatch):
     """The order-4 F of a direction batch is built in chunks of at most
-    CHUNK_PAIRS rows times product pairs; in 4-D that is one row, so F is
-    built row by row with ``metric.jet`` and only the tail is batched."""
+    CHUNK_ROWS rows, in every dimension, 4-D included; a last chunk of one
+    row is built with ``metric.jet``."""
     metric = _direction_metric(n, 1.0)
     x = [0.1, -0.2, 0.15, 0.05][:n]
     ys = sphere_directions(n, rows)
@@ -713,23 +781,25 @@ def test_batched_f_is_built_in_bounded_chunks(n, rows, chunks, monkeypatch):
     one_point = []
     batch_jet, jet = metric.batch_jet, metric.jet
 
-    def counting_batch(x, y, order):
+    def counting_batch(x, y, order, *cap):
         built.append(y.shape[1])
-        return batch_jet(x, y, order)
+        return batch_jet(x, y, order, *cap)
 
-    def counting_jet(x, y, order):
+    def counting_jet(x, y, order, *cap):
         one_point.append(order)
-        return jet(x, y, order)
+        return jet(x, y, order, *cap)
 
     monkeypatch.setattr(metric, "batch_jet", counting_batch)
     monkeypatch.setattr(metric, "jet", counting_jet)
     lam, ok = einstein_rows(metric, x, ys)
     assert ok.all()
     _same_bits(lam, want)
-    assert built == chunks
-    assert one_point == ([] if chunks else [4] * rows)
-    pairs = len(get_context(2 * n, 4)._mul_i)
-    assert max(chunks, default=1) * pairs <= core.CHUNK_PAIRS
+    assert chunks == [min(core.CHUNK_ROWS, rows - start)
+                      for start in range(0, rows, core.CHUNK_ROWS)]
+    assert built == [c for c in chunks if c > 1]
+    assert one_point == [4] * chunks.count(1)
+    assert max(built) <= core.CHUNK_ROWS
+    assert max(built) > 1  # 4-D is batched too
 
 
 def test_einstein_check_takes_each_point_in_one_batch(monkeypatch):

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerlab import DegenerateValue, DomainError, FinslerError
+from finslerlab import DegenerateValue, DomainError, FinslerError, jets
 from finslerlab.jets import (
     CoordinateJet,
     Jet,
     JetContext,
     _cauchy,
+    _compose,
     _int_power,
     _power,
+    _power_derivatives,
     _recip,
     _shift_product,
     _sqrt,
@@ -27,6 +29,8 @@ from finslerlab.jets import (
     jet_sin,
     jet_sqrt,
     lift_variable,
+    partial_table,
+    read_partials,
 )
 from fdtools import fd_partial, rel_err
 
@@ -431,6 +435,205 @@ def test_batched_kernels_raise_the_first_failing_row():
     c[:, 1] = [2.0, 1e200]
     with np.errstate(over="ignore", invalid="ignore"):
         _rows(ctx, _power(ctx, c, 0.5), lambda i: _power(ctx, c[i], 0.5))
+
+
+# -- an x-degree cap keeps the bits of every coefficient it keeps --
+
+def _kept(capped):
+    """Where each monomial of ``capped`` sits in its full context."""
+    full = get_context(capped.num_vars, capped.order)
+    return np.array([full.index[m] for m in capped.monomials])
+
+
+@pytest.mark.parametrize("num_vars,order,x_degree,ncoef", [
+    (4, 4, 2, 53), (6, 4, 2, 155), (8, 4, 2, 360), (8, 2, 1, 35),
+    (4, 3, 1, 22)])
+def test_capped_context_is_the_full_context_filtered(num_vars, order,
+                                                     x_degree, ncoef):
+    capped = get_context(num_vars, order, x_degree)
+    full = get_context(num_vars, order)
+    half = num_vars // 2
+    assert capped.monomials == [m for m in full.monomials
+                                if sum(m[:half]) <= x_degree]
+    assert capped.ncoef == ncoef
+    pairs = sum(1 for a in capped.monomials for b in capped.monomials
+                if sum(a) + sum(b) <= order
+                and sum(a[:half]) + sum(b[:half]) <= x_degree)
+    assert len(capped._mul_i) == pairs
+    if (num_vars, order) == (8, 4):
+        assert (full.ncoef, len(full._mul_i), pairs) == (495, 4845, 3435)
+    assert capped.key == (num_vars, order, x_degree)
+    assert not capped.compatible(full)
+    kept = _kept(capped)
+    position = {k: i for i, k in enumerate(kept.tolist())}
+    # the product table: the full one's pairs into kept monomials, in order
+    taken = [(position[i], position[j], position[k]) for i, j, k in zip(
+        full._mul_i.tolist(), full._mul_j.tolist(), full._mul_k.tolist())
+        if k in position]
+    assert taken == list(zip(capped._mul_i.tolist(), capped._mul_j.tolist(),
+                             capped._mul_k.tolist()))
+    np.testing.assert_array_equal(capped.factorial, full.factorial[kept])
+    # a cap at or above the order drops nothing
+    assert get_context(num_vars, order, order) is full
+    dropped = next(m for m in full.monomials if m not in capped.index)
+    with pytest.raises(ValueError, match="x-degree cap"):
+        extract_partial(Jet(capped, np.zeros(capped.ncoef)), dropped)
+    pair = partial_table(capped).pair
+    if (pair == capped.ncoef).any():  # a dropped pair cannot be read
+        with pytest.raises(IndexError):
+            read_partials(np.zeros(capped.ncoef), pair, capped)
+
+
+def test_zero_skipping_tables_leave_the_pairs_of_zeros():
+    """In 4-D (8 variables, order 4) the reciprocal and the composition
+    skip the pairs that hold a known zero factor."""
+    full = get_context(8, 4)
+    assert len(full._mul_i) == 4845
+    assert [len(full._pairs(k, 1)[0]) for k in (1, 2, 3)] == [3856, 2544,
+                                                              960]
+    assert len(full._pairs(1, 0)[0]) == 4845 - 495
+
+
+def _all_pairs_reciprocal(ctx, c):
+    """``_recip`` with every product over all pairs of the Cauchy product."""
+    b0 = c[..., :1]
+    u = c / b0
+    u[..., 0] = 0.0
+    one = constant(ctx, 1.0).c
+    inv = one - u
+    for _ in range(ctx.order - 1):
+        inv = one - _cauchy(ctx, u, inv)
+    return inv / b0
+
+
+def _all_pairs_compose(ctx, c, derivs):
+    """``_compose`` of one vector with every power of h over all pairs."""
+    h = c.copy()
+    h[0] = 0.0
+    out = np.zeros(c.shape)
+    out[0] = float(derivs[0])
+    hpow = None
+    fact = 1.0
+    for k in range(1, ctx.order + 1):
+        hpow = h if hpow is None else _cauchy(ctx, hpow, h)
+        fact *= k
+        if derivs[k] != 0.0:
+            out = out + hpow * float(derivs[k] / fact)
+    return out
+
+
+CAPPED_SHAPES = [(4, 4, None), (4, 4, 2), (6, 4, 2), (8, 4, 2), (8, 2, 1),
+                 (3, 3, None)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), shape=st.sampled_from(CAPPED_SHAPES),
+       rows=st.integers(1, 3),
+       r=st.sampled_from([0.5, -0.5, 1.5, -1.25, 3.0]),
+       k=st.integers(-3, 4))
+def test_capped_kernels_keep_the_bits_of_the_full_kernels(data, shape, rows,
+                                                          r, k):
+    """Every kernel in a capped context gives, at each kept monomial, the
+    bits the full context gives there, -0.0 included; the zero-skipping
+    reciprocal and composition give the bits of their all-pairs forms."""
+    capped = get_context(*shape)
+    full = get_context(*shape[:2])
+    kept = _kept(capped)
+    small = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.5, 0.5))
+    a = np.array([_coefficients(data, full, small) for _ in range(rows)])
+    a[:, 0] = data.draw(st.lists(st.floats(0.2, 2.0), min_size=rows,
+                                 max_size=rows))
+    b = np.array([_coefficients(data, full) for _ in range(rows)])
+    var = data.draw(st.integers(0, full.num_vars - 1))
+    value = data.draw(COEFFICIENTS)
+    kernels = [
+        lambda ctx, a, b: _cauchy(ctx, a, b),
+        lambda ctx, a, b: _shift_product(ctx, b, var, value),
+        lambda ctx, a, b: _recip(ctx, a),
+        lambda ctx, a, b: _int_power(ctx, a, k),
+        lambda ctx, a, b: _power(ctx, a, r),
+        lambda ctx, a, b: _sqrt(ctx, a),
+    ]
+    for kernel in kernels:
+        want = kernel(full, a, b)
+        _same_bits(kernel(capped, a[:, kept], b[:, kept]), want[:, kept])
+        _same_bits(kernel(capped, a[0, kept], b[0, kept]), want[0, kept])
+    for ctx, c in ((full, a), (capped, a[:, kept])):
+        _same_bits(_recip(ctx, c), _all_pairs_reciprocal(ctx, c))
+        for row in c:
+            _same_bits(_recip(ctx, row), _all_pairs_reciprocal(ctx, row))
+            derivs = _power_derivatives(row[0], r, ctx.order)
+            _same_bits(_compose(ctx, row, derivs),
+                       _all_pairs_compose(ctx, row, derivs))
+
+
+# -- the batched kernels gather into reused scratch arrays --
+
+def test_batched_results_never_alias_the_scratch():
+    """A second batched call reuses the scratch arrays; the first call's
+    results are fresh arrays and stay as they were."""
+    ctx = get_context(8, 4, 2)
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-1.0, 1.0, size=(6, ctx.ncoef))
+    b = rng.uniform(-1.0, 1.0, size=(6, ctx.ncoef))
+    a[:, 0] += 3.0
+    values = rng.uniform(-1.0, 1.0, size=6)
+    firsts = [_cauchy(ctx, a, b), _shift_product(ctx, b, 2, values),
+              _shift_product(ctx, b[0], 5, values), _recip(ctx, a),
+              _power(ctx, a, 0.5)]
+    kept = [f.copy() for f in firsts]
+    _cauchy(ctx, b[::-1] * 3.0, a)
+    _shift_product(ctx, a, 6, values[::-1])
+    _recip(ctx, a[::-1])
+    _power(ctx, a[::-1], -1.5)
+    assert ctx._scratch
+    for first, want in zip(firsts, kept):
+        _same_bits(first, want)
+        for buf in ctx._scratch.values():
+            assert not np.shares_memory(first, buf)
+    # a batch past the limit keeps the bits and leaves the scratch as it was
+    rows = jets.SCRATCH_LIMIT // len(ctx._mul_i) + 1
+    big = rng.uniform(-1.0, 1.0, size=(rows, ctx.ncoef))
+    sizes = {role: buf.size for role, buf in ctx._scratch.items()}
+    _rows(ctx, _cauchy(ctx, big, big[::-1]),
+          lambda i: _cauchy(ctx, big[i], big[rows - 1 - i]))
+    assert {role: buf.size for role, buf in ctx._scratch.items()} == sizes
+    assert max(sizes.values()) <= jets.SCRATCH_LIMIT
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 2), (8, 4, 2)])
+def test_batches_of_any_size_and_layout_give_the_one_vector_bits(shape):
+    """Batches of 1 to 33 rows, with broadcast or non-contiguous operands,
+    give each row the bits of the one-vector kernel."""
+    ctx = get_context(*shape)
+    rng = np.random.default_rng(len(shape) + ctx.ncoef)
+    for rows in range(1, 34):
+        wide = rng.uniform(-1.0, 1.0, size=(rows, 2 * ctx.ncoef))
+        wide[:, rng.random(wide.shape[1]) < 0.2] = -0.0
+        a = wide[:, ::2]  # every other column: not contiguous
+        a[:, 0] = rng.uniform(0.5, 2.0, size=rows)
+        b = np.asfortranarray(rng.uniform(-1.0, 1.0, size=(rows, ctx.ncoef)))
+        one = rng.uniform(-1.0, 1.0, size=ctx.ncoef)
+        spread = np.broadcast_to(one, (rows, ctx.ncoef))
+        values = rng.uniform(-1.0, 1.0, size=rows)
+        pairs = np.stack([a, b], axis=-1).swapaxes(1, 2)  # (rows, 2, ncoef)
+        _rows(ctx, _cauchy(ctx, a, b), lambda i: _cauchy(ctx, a[i], b[i]))
+        _rows(ctx, _cauchy(ctx, spread, a),
+              lambda i: _cauchy(ctx, one, a[i]))
+        _rows(ctx, _cauchy(ctx, b, one), lambda i: _cauchy(ctx, b[i], one))
+        crossed = _cauchy(ctx, pairs, spread[:, None])
+        for j, got in enumerate(np.moveaxis(crossed, 1, 0)):
+            _rows(ctx, got, lambda i: _cauchy(ctx, pairs[i, j], one))
+        _rows(ctx, _shift_product(ctx, a, 1, values),
+              lambda i: _shift_product(ctx, a[i], 1, values[i]))
+        _rows(ctx, _shift_product(ctx, spread, 0, values),
+              lambda i: _shift_product(ctx, one, 0, values[i]))
+        _rows(ctx, _shift_product(ctx, one, 3, values),
+              lambda i: _shift_product(ctx, one, 3, values[i]))
+        _rows(ctx, _shift_product(ctx, b, 2, 0.75),
+              lambda i: _shift_product(ctx, b[i], 2, 0.75))
+        _rows(ctx, _recip(ctx, a), lambda i: _recip(ctx, a[i]))
+        _rows(ctx, _power(ctx, a, -0.5), lambda i: _power(ctx, a[i], -0.5))
 
 
 # -- np.float_power has the bits of Python's and numpy-scalar ** --

@@ -120,6 +120,24 @@ def test_memo_keys_are_exact():
     assert exact_key([1, 2]) == exact_key([1.0, 2.0])
 
 
+def test_exact_key_has_the_bytes_of_struct_pack():
+    """The key of a vector is the native float64 bytes of its entries,
+    the bytes ``struct.pack`` gives them, whatever the vector's type."""
+    import struct
+
+    def packed(*vectors):
+        return b"".join(struct.pack(f"{len(v)}d", *v) for v in vectors)
+
+    row = np.array([0.25, -0.0, math.nan, -1e300])
+    vectors = [[0.1, -0.0, 2.5], (0.1, -0.0, 2.5), [1, -2, 3], (0, 7),
+               [math.nan, -math.nan, math.inf], row, row[::2], row[1:3],
+               np.array([3, -4]), [np.float64(-0.0), np.int64(5)], []]
+    for v in vectors:
+        assert exact_key(v) == packed(v), v
+    assert exact_key(row, [1, -0.0], (2.0,)) == packed(row, [1, -0.0], (2.0,))
+    assert exact_key([1, 2], row) != exact_key([1, 2], row[::-1])
+
+
 @pytest.mark.parametrize("alpha,point,message", [
     # alpha^2 fails before b_1 = sqrt(x1) is evaluated
     ([["x1", "0"], ["0", "x1"]], [-0.5, 0.1], "alpha^2 is not positive"),
@@ -293,9 +311,9 @@ def count_rows(monkeypatch):
             rows[id(metric), exact_key(core._point(x, b), y)] += 1
         return f2_rows(metric, x, ys)
 
-    def counting_jets(metric, x, y):
+    def counting_jets(metric, x, y, *cap):
         rows[id(metric), exact_key(x, y)] += 1
-        return spray_jets(metric, x, y)
+        return spray_jets(metric, x, y, *cap)
 
     monkeypatch.setattr(core, "_f2_rows", counting_rows)
     monkeypatch.setattr(core, "_spray_jets", counting_jets)
