@@ -14,10 +14,11 @@ context with the same variables, so a computation whose inputs are valid
 only to degree d can run in the order-d context and give the same bits.
 The degree in the first half of the variables (x of the engine's (x, y)
 contexts) is filtered the same way, so a context may also cap it
-(``x_degree``): its tables are the full context's, filtered in their
-order, so each coefficient it keeps sums the same terms in the same order
-and has the same bits as in the full context (Griewank and Walther 2008,
-ch. 13, on truncated polynomial arithmetic).
+(``x_degree``): its product and shift tables are the full context's,
+filtered in their order, so each coefficient it keeps sums the same terms
+in the same order and has the same bits as in the full context (Griewank
+and Walther 2008, ch. 13, on truncated polynomial arithmetic).  A capped
+context has no derivative: d/dx_v would need the dropped monomials.
 
 A coordinate jet (from :func:`lift_variable`) has two nonzero coefficients,
 so a product with it sums two terms per output instead of every pair of the
@@ -39,16 +40,18 @@ a result has the bits of the kernel applied to row b alone.  A kernel
 that would raise for some row raises the error of the first such row.
 One vector keeps the plain indexing of the one-point path.  A batch
 gathers its terms, multiplies them and builds its bincount index in
-scratch arrays that the context keeps (``JetContext._buffer``), so a batch
-costs no fresh allocation per product; results are fresh arrays.  The
-reciprocal and the composition skip the product pairs of a factor known
-to be zero (``JetContext._pairs``).
+scratch arrays that the context keeps for each thread
+(``JetContext._buffer``), so a batch costs no fresh allocation per
+product; results are fresh arrays.  The reciprocal and the composition
+skip the product pairs of a factor known to be zero
+(``JetContext._pairs``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -82,7 +85,8 @@ def _monomials(num_vars, order):
 
 class JetContext:
     """Shared workspace: monomial order, multiplication tables (immutable)
-    and the batched kernels' scratch (``_buffer``).
+    and the batched kernels' scratch (``_buffer``), one set per thread, so
+    threads may share a context.
 
     All jets taking part in one computation must share a context with the
     same (num_vars, order, x_degree).  Use :func:`get_context` to reuse
@@ -92,7 +96,8 @@ class JetContext:
     variables, the base point x of the engine's (x, y) contexts; None keeps
     every monomial of total degree <= order.  A capped context keeps the
     monomials of the full one whose x-degree is within the cap, in their
-    order, and its tables are the full context's filtered in their order.
+    order, and its product and shift tables are the full context's
+    filtered in their order; :meth:`Jet.derivative` refuses it.
     """
 
     def __init__(self, num_vars, order, div_floor=1e-14, x_degree=None):
@@ -110,7 +115,7 @@ class JetContext:
         self.x_degree = x_degree
         self.key = (num_vars, order, x_degree)
         self._pair_tables = {}
-        self._scratch = {}
+        self._local = threading.local()
         if x_degree is None:
             self._set_monomials(_monomials(num_vars, order))
             self._build_tables()
@@ -170,8 +175,9 @@ class JetContext:
                                 np.concatenate((upper, every)), len(lower)))
 
     def _filter(self, full, x_degree):
-        """The tables of ``full`` kept where every monomial they index has
-        x-degree <= x_degree, in their order and renumbered.
+        """The product and shift tables of ``full`` kept where every
+        monomial they index has x-degree <= x_degree, in their order and
+        renumbered.
 
         The dropped monomials are closed under multiplication by any
         monomial, so an entry whose target (product, m + e_v) is kept
@@ -185,11 +191,7 @@ class JetContext:
         taken = keep[full._mul_k]
         self._mul_i, self._mul_j, self._mul_k = (
             new[t[taken]] for t in (full._mul_i, full._mul_j, full._mul_k))
-        self._raise = []
-        for lower, upper, fac in full._raise:
-            taken = keep[upper]
-            self._raise.append((new[lower[taken]], new[upper[taken]],
-                                fac[taken]))
+        self._raise = None  # a derivative would read dropped monomials
         self._shift = []
         for source, target, shifted in full._shift:
             taken = keep[target]
@@ -220,16 +222,22 @@ class JetContext:
         index in scratch kept on the context and grown to the largest
         batch seen, up to ``SCRATCH_LIMIT`` elements, so a batch costs no
         fresh allocation of its (rows x pairs) temporaries.  Their results
-        are always fresh arrays, never views of scratch; two threads must
-        not run the batched kernels of one context at once.
+        are always fresh arrays, never views of scratch.  Each thread has
+        its own scratch (``_scratch``).
         """
         size = math.prod(shape)
         if size > SCRATCH_LIMIT:
             return np.empty(shape, dtype)
-        buf = self._scratch.get(role)
+        scratch = self._scratch
+        buf = scratch.get(role)
         if buf is None or buf.size < size:
-            buf = self._scratch[role] = np.empty(size, dtype)
+            buf = scratch[role] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
+
+    @property
+    def _scratch(self):
+        """The calling thread's scratch arrays, by role."""
+        return self._local.__dict__
 
     def compatible(self, other):
         return self is other or self.key == other.key
@@ -643,9 +651,13 @@ class Jet:
         """Jet of the partial derivative with respect to variable ``var``.
 
         The result is exact to order (d - 1); its top-degree coefficients are
-        zero because they are not determined by the input truncation.
+        zero because they are not determined by the input truncation.  A
+        context with an x-degree cap has none: the derivative by an x
+        variable would read the monomials the cap dropped.
         """
         ctx = self.ctx
+        if ctx._raise is None:
+            raise ValueError(f"no derivative in the x-degree capped {ctx!r}")
         lower, upper, fac = ctx._raise[var]
         out = np.zeros(ctx.ncoef)
         out[lower] = self.c[upper] * fac

@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -478,6 +479,9 @@ def test_capped_context_is_the_full_context_filtered(num_vars, order,
     dropped = next(m for m in full.monomials if m not in capped.index)
     with pytest.raises(ValueError, match="x-degree cap"):
         extract_partial(Jet(capped, np.zeros(capped.ncoef)), dropped)
+    # d/dx_v would read dropped monomials: a capped context has none
+    with pytest.raises(ValueError, match="x-degree capped"):
+        Jet(capped, np.zeros(capped.ncoef)).derivative(0)
     pair = partial_table(capped).pair
     if (pair == capped.ncoef).any():  # a dropped pair cannot be read
         with pytest.raises(IndexError):
@@ -599,6 +603,32 @@ def test_batched_results_never_alias_the_scratch():
           lambda i: _cauchy(ctx, big[i], big[rows - 1 - i]))
     assert {role: buf.size for role, buf in ctx._scratch.items()} == sizes
     assert max(sizes.values()) <= jets.SCRATCH_LIMIT
+
+
+def test_each_thread_has_its_own_scratch():
+    """Threads sharing a context gather into scratch of their own: a
+    thread's batch neither reads nor writes the other thread's arrays."""
+    ctx = get_context(4, 4, 2)
+    rng = np.random.default_rng(9)
+    a = rng.uniform(-1.0, 1.0, size=(5, ctx.ncoef))
+    b = rng.uniform(-1.0, 1.0, size=(5, ctx.ncoef))
+    want = _cauchy(ctx, a, b)
+    mine = dict(ctx._scratch)
+    seen = {}
+
+    def other():
+        seen["product"] = _cauchy(ctx, b, a)
+        seen["scratch"] = dict(ctx._scratch)
+
+    thread = threading.Thread(target=other)
+    thread.start()
+    thread.join()
+    assert {"left", "right", "index"} <= seen["scratch"].keys() & mine.keys()
+    for role, buf in seen["scratch"].items():
+        assert role not in mine or not np.shares_memory(buf, mine[role])
+    assert all(ctx._scratch[role] is buf for role, buf in mine.items())
+    _rows(ctx, seen["product"], lambda i: _cauchy(ctx, b[i], a[i]))
+    _same_bits(_cauchy(ctx, a, b), want)
 
 
 @pytest.mark.parametrize("shape", [(4, 4, 2), (8, 4, 2)])

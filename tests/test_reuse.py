@@ -154,22 +154,30 @@ def test_domain_errors_keep_text_and_order(alpha, point, message):
 
 def test_einstein_scalar_runs_the_tail_at_order_two(monkeypatch):
     """Per 4-D Einstein scalar (warm coefficient memo) only F and F^2 take
-    order-4 Cauchy products: 9 of them, down from 128 with the tail in the
-    order-4 context.  Products by a coordinate take no Cauchy product."""
+    order-4 products over pairs of the Cauchy table: 9 of them, down from
+    128 with the tail in the order-4 context.  3 are full Cauchy products
+    (beta/alpha, alpha * base, F * F); the 6 of the square root's
+    composition and beta/alpha's reciprocal skip the pairs of a known
+    zero.  Products by a coordinate take no Cauchy product."""
     metric = ppower_metric(funk_spec(4))
     x = [0.1, -0.2, 0.15, 0.05]
     einstein_scalar(metric, x, [0.0, 1.0, 0.0, 0.0])
     products = Counter()
-    original = jets._cauchy
+    full = Counter()
+    original = jets._pair_product
 
-    def counting(ctx, a, b):
+    def counting(ctx, a, b, pairs):
         products[ctx.order] += 1
-        return original(ctx, a, b)
+        full[ctx.order] += len(pairs[0]) == len(ctx._mul_i)
+        return original(ctx, a, b, pairs)
 
-    monkeypatch.setattr(jets, "_cauchy", counting)
+    # every Cauchy product, full or zero-skipping, runs jets._pair_product,
+    # wherever the module that calls _cauchy imported it from
+    monkeypatch.setattr(jets, "_pair_product", counting)
     lam = einstein_scalar(metric, x, [1.0, 0.3, -0.2, 0.5])
     assert abs(lam + 0.25) < 1e-9
     assert 0 < products[4] <= 9
+    assert 0 < full[4] <= 3
     assert set(products) == {2, 4}
 
 
