@@ -28,37 +28,19 @@ so every coefficient it keeps has the bits of the full context's.  The
 derivative-soundness oracle reads every partial and takes the full
 contexts (``_f2_rows`` and ``_spray_jets`` take the cap as an argument).
 
-``evaluate`` is the one curvature pass over a batch of samples, many
-directions y at one point x, or one point x per row: per row it returns F,
-g_ij, R^i_k, Ric and the Einstein scalar, each with the bits of
-``metric.value``, ``fundamental_tensor``, ``riemann_curvature``, ``ricci``
-and ``einstein_scalar``, and ok where the row holds them all.  The jets of
-F and F^2 come from one pass over the batch, through the jet kernels'
-leading batch axis; the order-4 F is built in chunks of ``CHUNK_ROWS``
-rows in every dimension (the batched kernels gather into reused scratch
-arrays, so a batch costs no fresh allocation per product), and at one x
-it shares the memoised x-coefficient jets of x.
-The tails then run once for all rows, on whole arrays: the domain test
-(``FinslerMetric.in_domain_rows``), F (``FinslerMetric.value_rows``), the
-positivity test of g (``linalg.positive_definite_rows``), the jet solve
-with its pivot chosen per row (``linalg.solve_rows``), the Riemann read
-and the trace.  A row that fails one of them, or meets a pivot or
-division floor, is left to the one-point function, which raises its own
-error.  Its readers:
-
-- ``riccis``, ``einstein_scalars`` and ``einstein_rows`` (without the
-  fallback) read Ric and lambda;
-- ``EinsteinTable`` keeps every row it evaluates under exact bits, for
-  the runner's sample rows and checks and for the Randers and square
-  relations of ``constructions``: lambda over a point's directions,
-  (F, Ric) along a list of directions and (F, g, R) at one sample, the
-  flag curvature's inputs (``flag_formula``);
-- the flat-parallel-family scenario reads Ric and lambda of y and -y.
-
-``sprays`` is the order-2 batch of ``spray`` (the float tail, with the
-float solve).  ``spray``, ``ricci``, ``einstein_scalar`` and
-``flag_curvature`` stay the one-point entries: a batch of one row costs
-several times their float tail.
+The one-point functions -- ``fundamental_tensor``, ``spray``,
+``riemann_curvature``, ``ricci``, ``einstein_scalar`` -- raise a
+FinslerError where a sample has no value, NonFinite where g, G^i, R, Ric
+or lambda is not finite.  The batch entries ``evaluate`` (F, g, R, Ric
+and lambda at many directions at one x, or at one x per row) and
+``sprays`` answer every row with the one-point bits or the error the
+one-point function raises there, and choose each row's path: two rows
+or more run through the batched kernels (the jet kernels' leading batch
+axis, the order-4 F in chunks of ``CHUNK_ROWS``, the float tails on
+whole arrays); a row the kernels leave, and a lone row, which is
+cheaper so, goes through the one-point code.  Their readers only read:
+``riccis``, ``einstein_scalars`` and ``sprays`` raise the first error in
+row order, and ``EinsteinTable`` keeps every row, errors included.
 """
 
 from __future__ import annotations
@@ -76,6 +58,7 @@ from .errors import (
     FinslerError,
     NonFinite,
     SingularMetric,
+    _checked,
     _raised,
     coords,
 )
@@ -215,19 +198,13 @@ def _take(x, rows):
 def _point(x, b):
     """The point of row b: x itself where it is one point, else the
     list of row b of the (B, n) array x."""
-    return x if np.ndim(x) == 1 else list(x[b])
+    return x if np.ndim(x) == 1 else x[b].tolist()
 
 
 def _major(x):
     """x as the batched F and domain take it: one point as it is, a
     (B, n) array of points coordinate-major."""
     return x if np.ndim(x) == 1 else np.asarray(x, dtype=float).T
-
-
-def _rows_of(x):
-    """x as the batched entries take it: one point as it is, a nested
-    list of points as a (B, n) float array."""
-    return x if np.ndim(x) == 1 else np.asarray(x, dtype=float)
 
 
 class _PartialTable:
@@ -308,9 +285,19 @@ def _gather(coeffs, tensor):
     return coeffs.take(idx, axis=-1) * factor
 
 
-def _g_values(metric, f2, x, y):
-    table = _partial_table(f2.ctx)
-    g = (0.5 * read_partials(f2.c, table.yy, f2.ctx)).tolist()
+def _require_finite(name, value, x, y):
+    """Raise NonFinite where the float array ``value`` is not finite."""
+    if not np.isfinite(value).all():
+        raise NonFinite(f"{name} is not finite at x={coords(x)!r}, "
+                        f"y={coords(y)!r}")
+
+
+def _require_metric(g, x, y):
+    """``g`` as a list of rows; raises NonFinite where the float matrix g
+    is not finite, and SingularMetric where it is not positive definite
+    (a NaN g passes the Sylvester test)."""
+    _require_finite("fundamental tensor", g, x, y)
+    g = g.tolist()
     if not is_positive_definite(g):
         raise SingularMetric(
             f"fundamental tensor not positive definite at x={coords(x)!r}, "
@@ -319,23 +306,28 @@ def _g_values(metric, f2, x, y):
 
 
 def fundamental_tensor(metric, x, y):
-    """(g, g_inv) as float matrices; raises SingularMetric when degenerate."""
+    """(g, g_inv) as float matrices; raises SingularMetric when degenerate
+    and NonFinite where g is not finite."""
     metric.require_domain(x, y)
     f = metric.jet(x, y, 2)
     f2 = f * f
-    g = _g_values(metric, f2, x, y)
+    table = _partial_table(f2.ctx)
+    g = _require_metric(0.5 * read_partials(f2.c, table.yy, f2.ctx), x, y)
     return np.array(g), np.array(invert(g))
 
 
 def spray(metric, x, y):
-    """Geodesic coefficients G^i as a float vector (2-homogeneous in y)."""
+    """Geodesic coefficients G^i as a float vector (2-homogeneous in y);
+    raises NonFinite where g or G^i is not finite."""
     metric.require_domain(x, y)
     f = metric.jet(x, y, 2)
     f2 = f * f
-    g = _g_values(metric, f2, x, y)
     table = _partial_table(f2.ctx)
-    return _spray_tail(g, read_partials(f2.c, table.xy, f2.ctx).tolist(),
-                       read_partials(f2.c, table.x, f2.ctx).tolist(), y)
+    g = _require_metric(0.5 * read_partials(f2.c, table.yy, f2.ctx), x, y)
+    out = _spray_tail(g, read_partials(f2.c, table.xy, f2.ctx).tolist(),
+                      read_partials(f2.c, table.x, f2.ctx).tolist(), y)
+    _require_finite("spray", out, x, y)
+    return out
 
 
 def _spray_tail(g, f2_xy, f2_x, y):
@@ -349,72 +341,70 @@ def _spray_tail(g, f2_xy, f2_x, y):
 
 def sprays(metric, points):
     """G^i at every row (x, y) of the (B, 2n) array ``points``, as a (B, n)
-    array; row b has the bits of ``spray(metric, row[:n], row[n:])``.
-
-    The order-2 jets of F and F^2 are built for the whole batch in one
-    pass (``metric.batch_jet`` and the batched kernels), and the float
-    tail runs on whole arrays: the domain test, the positivity test of g
-    (``linalg.positive_definite_rows``) and the solve
-    (``linalg.solve_rows``).  A row that fails one of them, every row of
-    a metric without a batched F, and every row of a batch whose F
-    raises, is evaluated by ``spray``, in row order, so the first
-    failing row raises its own error.
-    """
-    n = metric.dim
-    points = np.asarray(points, dtype=float).reshape(-1, 2 * n)
-    if not len(points):
-        return np.zeros((0, n))
-    try:
-        out, ok = _spray_rows(metric, points)
-    except (BatchFailed, FinslerError, ArithmeticError):
-        out, ok = np.zeros((len(points), n)), np.zeros(len(points), bool)
-    for b in np.flatnonzero(~ok):
-        row = points[b].tolist()
-        out[b] = spray(metric, row[:n], row[n:])
+    array, row b with the bits of ``spray(metric, row[:n], row[n:])``;
+    the first row whose ``spray`` raises raises its error."""
+    out, errors = _spray_rows(metric, points)
+    _checked(errors)
     return out
 
 
 def _spray_rows(metric, points):
-    """G^i at each row of ``points`` without fallback: ``(out, ok)``, row
-    b of out with the bits of ``spray`` wherever ok[b] is true."""
+    """``(out, errors)``: G^i at every row of ``points`` with the bits of
+    ``spray``, or errors[b], the FinslerError ``spray`` raises at row b.
+    The order-2 jets of F and F^2 and the float tail -- the domain and
+    positivity tests and the solve -- run on the whole batch; a row they
+    leave, and every row of a batch without a batched F, is evaluated by
+    ``spray``."""
     n = metric.dim
-    ctx = get_context(2 * n, 2)
+    points = np.asarray(points, dtype=float).reshape(-1, 2 * n)
     x, y = points[:, :n], points[:, n:]
-    f = metric.batch_jet(x.T, y.T, 2)
-    ok = metric.in_domain_rows(x, y)
+    ctx = get_context(2 * n, 2)
     table = _partial_table(ctx)
-    with np.errstate(all="ignore"):
-        f2 = _cauchy(ctx, f, f)
-        g = 0.5 * read_partials(f2, table.yy, ctx)
-        ok &= positive_definite_rows(g)
-        # rhs[l] = sum_k [F^2]_{x^k y^l} y^k - [F^2]_{x^l}, summed from 0
-        # as ``sum`` sums
-        f2_xy = read_partials(f2, table.xy, ctx)
-        rhs = np.zeros((len(points), n))
-        for k in range(n):
-            rhs = rhs + f2_xy[:, k] * y[:, k, None]
-        rhs = rhs - read_partials(f2, table.x, ctx)
-        sol, solved = solve_rows(None, g, rhs)
-        return 0.25 * sol, ok & solved
+    try:
+        f = metric.batch_jet(x.T, y.T, 2)
+        ok = metric.in_domain_rows(x, y)
+        with np.errstate(all="ignore"):
+            f2 = _cauchy(ctx, f, f)
+            g = 0.5 * read_partials(f2, table.yy, ctx)
+            ok &= positive_definite_rows(g)
+            # rhs[l] = sum_k [F^2]_{x^k y^l} y^k - [F^2]_{x^l}, summed
+            # from 0 as ``sum`` sums
+            f2_xy = read_partials(f2, table.xy, ctx)
+            rhs = np.zeros((len(points), n))
+            for k in range(n):
+                rhs = rhs + f2_xy[:, k] * y[:, k, None]
+            rhs = rhs - read_partials(f2, table.x, ctx)
+            sol, solved = solve_rows(None, g, rhs)
+        out, ok = 0.25 * sol, ok & solved
+    except (BatchFailed, FinslerError, ArithmeticError):
+        out, ok = np.zeros((len(points), n)), np.zeros(len(points), bool)
+    return _keep_rows(out, [None] * len(points), np.flatnonzero(~ok),
+                      lambda b: spray(metric, x[b].tolist(), y[b].tolist()))
+
+
+def _keep_rows(values, errors, rows, fn):
+    """``(values, errors)`` with each row b of ``rows`` set to ``fn(b)``,
+    or errors[b] to the FinslerError it raises, in row order."""
+    for b in rows.tolist():
+        try:
+            values[b] = fn(b)
+        except FinslerError as exc:
+            errors[b] = exc.with_traceback(None)  # keep no frames alive
+    return values, errors
 
 
 def _spray_jets(metric, x, y, x_degree=None):
-    """G^i as jets of the order-2 context, for the curvature extraction.
-
-    Also returns the order-4 jet of F, built with the x-degree cap
+    """G^i as jets of the order-2 context, for the curvature extraction,
+    and the float g they solve with.  F is built with the x-degree cap
     ``x_degree``: by default none, so the spray jets hold every partial;
-    ``riemann_curvature`` passes ``CURVATURE_X_DEGREE``.
-    """
+    the curvature passes ``CURVATURE_X_DEGREE``."""
     n = metric.dim
     f = metric.jet(x, y, 4, x_degree)
     f2 = f * f
     table = _tail_table(f2.ctx)
     low = table.low
     g = 0.5 * _gather(f2.c, table.g)
-    if not is_positive_definite(g[:, :, 0].tolist()):
-        raise SingularMetric(
-            f"fundamental tensor not positive definite at x={coords(x)!r}, "
-            f"y={coords(y)!r}")
+    _require_metric(g[:, :, 0], x, y)
     g_jets = [[Jet(low, g[i, j]) for j in range(n)] for i in range(n)]
     f2_xy = _gather(f2.c, table.xy)
     f2_x = _gather(f2.c, table.x)
@@ -426,16 +416,25 @@ def _spray_jets(metric, x, y, x_degree=None):
             acc = acc + Jet(low, f2_xy[l, k]) * y_jets[k]
         rhs.append(acc)
     cols = solve(g_jets, [rhs])
-    return [0.25 * gi for gi in cols[0]], f
+    return [0.25 * gi for gi in cols[0]], g[:, :, 0].copy()
+
+
+def _curvature(metric, x, y):
+    """(g, R^i_k) at one sample from one jet solve; raises NonFinite where
+    g or R is not finite."""
+    metric.require_domain(x, y)
+    g_jets, g = _spray_jets(metric, x, y, CURVATURE_X_DEGREE)
+    coeffs = np.stack([gj.c for gj in g_jets])
+    r = _riemann_read(coeffs[None], np.array([y], dtype=float),
+                      g_jets[0].ctx)[0]
+    _require_finite("R^i_k", r, x, y)
+    return g, r
 
 
 def riemann_curvature(metric, x, y):
-    """R^i_k as an n-by-n float matrix (the trace is the Ricci curvature)."""
-    metric.require_domain(x, y)
-    g_jets, _ = _spray_jets(metric, x, y, CURVATURE_X_DEGREE)
-    coeffs = np.stack([gj.c for gj in g_jets])
-    return _riemann_read(coeffs[None], np.array([y], dtype=float),
-                         g_jets[0].ctx)[0]
+    """R^i_k as an n-by-n float matrix (the trace is the Ricci curvature);
+    raises NonFinite where it is not finite."""
+    return _curvature(metric, x, y)[1]
 
 
 def _riemann_read(coeffs, y, ctx):
@@ -461,30 +460,68 @@ def _riemann_read(coeffs, y, ctx):
     return r
 
 
-def ricci(metric, x, y):
-    """Ricci curvature: the trace of the Riemann operator; raises
-    NonFinite where it is not finite."""
-    ric = float(np.trace(riemann_curvature(metric, x, y)))
+def _ricci_of(r, x, y):
+    """Ric, the trace of R^i_k; raises NonFinite where it is not finite."""
+    ric = float(np.trace(r))
     if not math.isfinite(ric):
         raise NonFinite(f"Ric = {ric!r} is not finite at x={coords(x)!r}, "
                         f"y={coords(y)!r}")
     return ric
 
 
-def einstein_scalar(metric, x, y):
-    """Einstein scalar: Ric / ((n-1) F^2); 0-homogeneous in y.  Raises
-    NonFinite where Ric or the scalar is not finite, and where (n-1) F^2
-    is zero or not finite."""
-    f = metric.value(x, y)
+def _positive(f):
+    """F; raises DomainError where it is not positive."""
     if not f > 0.0:
         raise DomainError(f"F = {f!r} is not positive at this sample")
-    ric = ricci(metric, x, y)
-    den = (metric.dim - 1) * f * f
+    return f
+
+
+def _einstein_of(dim, f, ric, x, y):
+    """Ric / ((n-1) F^2); raises NonFinite where (n-1) F^2 is zero or not
+    finite, and where the scalar is not finite."""
+    den = (dim - 1) * f * f
     lam = ric / den if math.isfinite(den) and den != 0.0 else math.nan
     if not math.isfinite(lam):
         raise NonFinite(f"lambda = {ric!r} / {den!r} is not finite at "
                         f"x={coords(x)!r}, y={coords(y)!r}")
     return lam
+
+
+def ricci(metric, x, y):
+    """Ricci curvature: the trace of the Riemann operator; raises
+    NonFinite where it is not finite."""
+    return _ricci_of(riemann_curvature(metric, x, y), x, y)
+
+
+def einstein_scalar(metric, x, y):
+    """Einstein scalar: Ric / ((n-1) F^2); 0-homogeneous in y.  Raises
+    DomainError where F is not positive, and NonFinite where R, Ric or the
+    scalar is not finite, and where (n-1) F^2 is zero or not finite."""
+    f = _positive(metric.value(x, y))
+    return _einstein_of(metric.dim, f, ricci(metric, x, y), x, y)
+
+
+def _sample(metric, x, y):
+    """F, g, R^i_k, Ric and lambda at one sample through the one-point
+    code, with one R: each a value, or the FinslerError ``metric.value``,
+    ``riemann_curvature`` (g and R), ``ricci`` and ``einstein_scalar``
+    raise there."""
+    f = _outcome(metric.value, x, y)
+    g = r = _outcome(_curvature, metric, x, y)
+    if not isinstance(r, FinslerError):
+        g, r = r
+    ric = _outcome(lambda: _ricci_of(_raised(r), x, y))
+    lam = _outcome(lambda: _einstein_of(metric.dim, _positive(_raised(f)),
+                                        _raised(ric), x, y))
+    return f, g, r, ric, lam
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the FinslerError it raises, without its frames."""
+    try:
+        return fn(*args)
+    except FinslerError as exc:
+        return exc.with_traceback(None)
 
 
 # The curvature pass builds F and F^2 with x-degree <= 2: R^i_k reads the
@@ -502,7 +539,8 @@ def _f2_rows(metric, x, ys, x_degree=CURVATURE_X_DEGREE):
     cap ``x_degree``: by default the curvature pass's, None for a caller
     that reads every partial.
 
-    Returns ``(f2, ok)``; ok[b] is false where building F raised.  Rows go
+    Returns ``(f2, errors)``: errors[b] is None where row b holds F^2,
+    and the FinslerError that building F raised otherwise.  Rows go
     through the metric's batched F in chunks of ``CHUNK_ROWS``; one point
     x shares its memoised x-coefficient jets over the chunk.  Where a
     chunk holds one row, or the batch raises, F is built row by row with
@@ -510,7 +548,12 @@ def _f2_rows(metric, x, ys, x_degree=CURVATURE_X_DEGREE):
     """
     ctx = get_context(2 * metric.dim, 4, x_degree)
     f2 = np.zeros((len(ys), ctx.ncoef))
-    ok = np.ones(len(ys), dtype=bool)
+    errors = [None] * len(ys)
+
+    def square(b):
+        f = metric.jet(_point(x, b), ys[b].tolist(), 4, x_degree)
+        return (f * f).c
+
     for start in range(0, len(ys), CHUNK_ROWS):
         part = slice(start, start + CHUNK_ROWS)
         y = ys[part]
@@ -522,14 +565,8 @@ def _f2_rows(metric, x, ys, x_degree=CURVATURE_X_DEGREE):
                 continue
             except (BatchFailed, FinslerError):
                 pass
-        for b, y_row in enumerate(y.tolist(), start):
-            try:
-                f = metric.jet(_point(x, b), y_row, 4, x_degree)
-            except FinslerError:
-                ok[b] = False
-                continue
-            f2[b] = (f * f).c
-    return f2, ok
+        _keep_rows(f2, errors, np.arange(start, start + len(y)), square)
+    return f2, errors
 
 
 def _spray_jet_rows(metric, x, ys):
@@ -537,19 +574,22 @@ def _spray_jet_rows(metric, x, ys):
     of the (B, n) array ``ys``, all in the domain; x is one point or the
     (B, n) array of each row's point.
 
-    Returns ``(coeffs, ok)``: coeffs[b] is the (n, ncoef) array of the
-    coefficients of G^1..G^n, with the bits of ``_spray_jets`` at row b
-    wherever ok[b] is true.  ok[b] is false where that call would raise --
-    F not built, g not positive definite, a pivot or division floor in
-    the jet solve -- and where a value is not finite.  The tail runs once
-    for every row.
+    Returns ``(coeffs, errors)``: coeffs[b] is the (n, ncoef) array of the
+    coefficients of G^1..G^n with the bits of ``_spray_jets`` at row b,
+    or errors[b] the FinslerError that call raises; a row the batched
+    tail leaves is evaluated by ``_spray_jets``.
     """
     # rows that overflow are left to the one-point call, which warns
     with np.errstate(all="ignore"):
-        f2, ok = _f2_rows(metric, x, ys, x_degree=None)
+        f2, errors = _f2_rows(metric, x, ys, x_degree=None)
     coeffs, _, solved = _spray_tail_rows(get_context(2 * metric.dim, 4),
                                          f2, ys)
-    return coeffs, ok & solved
+
+    def spray_jets(b):
+        g_jets, _ = _spray_jets(metric, _point(x, b), ys[b].tolist())
+        return np.stack([gi.c for gi in g_jets])
+
+    return _keep_rows(coeffs, errors, np.flatnonzero(~solved), spray_jets)
 
 
 def _spray_tail_rows(ctx, f2, ys):
@@ -575,39 +615,53 @@ def _spray_tail_rows(ctx, f2, ys):
 
 
 class Samples(NamedTuple):
-    """Per-row results of ``evaluate``: F, g, R^i_k, Ric, the Einstein
-    scalar, and ok, true where the row holds all of them."""
+    """Per-row results of ``evaluate``: at each row, F, g_ij, R^i_k, Ric
+    and the Einstein scalar, each a value or the FinslerError computing it
+    raised, and ok, true where the row holds all five values."""
 
-    f: np.ndarray
-    g: np.ndarray
-    r: np.ndarray
-    ric: np.ndarray
-    lam: np.ndarray
+    f: list
+    g: list
+    r: list
+    ric: list
+    lam: list
     ok: np.ndarray
 
 
 def evaluate(metric, x, ys):
     """The curvature pass at (x, y) for each direction y of the (B, n)
     array ``ys``; x is one point, or a (B, n) array with the point of each
-    row.  No row falls back: the :class:`Samples` row b holds F, g, R,
-    Ric and lambda with the bits of ``metric.value``,
-    ``fundamental_tensor(...)[0]``, ``riemann_curvature``, ``ricci`` and
-    ``einstein_scalar`` wherever ok[b] is true.
+    row.  Row b of the :class:`Samples` holds F, g, R, Ric and lambda with
+    the bits of ``metric.value``, ``fundamental_tensor(...)[0]``,
+    ``riemann_curvature``, ``ricci`` and ``einstein_scalar``, or in place
+    of each the error that function raises there; g, from R's jet solve,
+    holds R's error wherever R has one.  The batched kernels take two rows
+    or more (``_held_rows``); a row they leave, and a lone row, which is
+    cheaper so, goes through the one-point code, one R per row
+    (``_sample``)."""
+    ys = np.asarray(ys, dtype=float).reshape(-1, metric.dim)
+    x = x if np.ndim(x) == 1 else np.asarray(x, dtype=float)
+    f, g, r, ric, lam, ok = _held_rows(metric, x, ys)
+    out = Samples(f.tolist(), list(g), list(r), ric.tolist(), lam.tolist(),
+                  ok)
+    for b in np.flatnonzero(~ok).tolist():
+        for column, value in zip(out, _sample(metric, _point(x, b),
+                                              ys[b].tolist())):
+            column[b] = value
+        ok[b] = not isinstance(out.lam[b], FinslerError)
+    return out
 
-    ok[b] is false outside the domain, where F does not evaluate or is
-    not positive, where g is not positive definite, where the jet solve
-    meets a floor, where Ric, (n-1) F^2 or lambda is not finite or
-    (n-1) F^2 is zero, and at every row of a batch of one, which is faster
-    through the one-point functions.  Such rows are the caller's, whose
-    one-point call raises their own errors (NonFinite for the values that
-    are not finite).
-    """
+
+def _held_rows(metric, x, ys):
+    """F, g, R, Ric, lambda and ok at the rows of ``evaluate``, through
+    the batched kernels: ok[b] is true where row b has the one-point bits,
+    false outside the domain, where F does not evaluate or is not
+    positive, where g is not positive definite, where the jet solve meets
+    a floor, where R, Ric, (n-1) F^2 or lambda is not finite or (n-1) F^2
+    is zero, and at the row of a batch of one."""
     n = metric.dim
-    ys = np.asarray(ys, dtype=float).reshape(-1, n)
-    x = _rows_of(x)
-    out = Samples(np.zeros(len(ys)), np.zeros((len(ys), n, n)),
-                  np.zeros((len(ys), n, n)), np.zeros(len(ys)),
-                  np.zeros(len(ys)), np.zeros(len(ys), dtype=bool))
+    out = (np.zeros(len(ys)), np.zeros((len(ys), n, n)),
+           np.zeros((len(ys), n, n)), np.zeros(len(ys)), np.zeros(len(ys)),
+           np.zeros(len(ys), dtype=bool))
     if len(ys) < 2:
         return out
     try:
@@ -617,9 +671,10 @@ def evaluate(metric, x, ys):
         rows, f = rows[valued], f[valued]
         x, ys = _take(x, rows), ys[rows]
         ctx = get_context(2 * n, 4, CURVATURE_X_DEGREE)
-        # rows that overflow are left to the one-point call, which warns
+        # rows that overflow are left to the one-point code, which warns
         with np.errstate(all="ignore"):
-            f2, took = _f2_rows(metric, x, ys)
+            # a row whose F raised holds zeros, which the solve leaves
+            f2, _ = _f2_rows(metric, x, ys)
             coeffs, g, solved = _spray_tail_rows(ctx, f2, ys)
             r = _riemann_read(coeffs, ys, _tail_table(ctx).low)
             # np.trace adds the diagonal in order
@@ -630,53 +685,28 @@ def evaluate(metric, x, ys):
             lam = ric / den
     except (FinslerError, ArithmeticError):  # leave every row
         return out
-    out.f[rows], out.g[rows], out.r[rows] = f, g, r
-    out.ric[rows], out.lam[rows] = ric, lam
+    for column, values in zip(out, (f, g, r, ric, lam)):
+        column[rows] = values
     # a finite lambda over a finite den has a finite Ric and den != 0
-    out.ok[rows] = took & solved & np.isfinite(den) & np.isfinite(lam)
+    out[5][rows] = (solved & np.isfinite(r).all(axis=(1, 2))
+                    & np.isfinite(den) & np.isfinite(lam))
     return out
-
-
-def _one_by_one(values, ok, fn, metric, x, ys):
-    """``values`` with each row b that is not ok set to
-    ``fn(metric, x_b, ys[b])``, in row order, so the first failing row
-    raises its own error."""
-    for b in np.flatnonzero(~ok):
-        values[b] = fn(metric, _point(x, b), list(ys[b]))
-    return values
 
 
 def riccis(metric, x, ys):
     """Ricci curvature at (x, y) for each direction y of the (B, n) array
     ``ys``, row b with the bits of ``ricci(metric, x, ys[b])``; x is one
-    point, or a (B, n) array with the point of each row.  A row
-    ``evaluate`` leaves is evaluated by ``ricci``, in row order, so the
-    first failing row raises its own error."""
-    ys = np.asarray(ys, dtype=float).reshape(-1, metric.dim)
-    x = _rows_of(x)
-    rows = evaluate(metric, x, ys)
-    return _one_by_one(rows.ric, rows.ok, ricci, metric, x, ys)
-
-
-def einstein_rows(metric, x, ys):
-    """Einstein scalars at (x, y) for each direction y of the (B, n) array
-    ``ys``, x as for ``riccis``, without fallback: ``(lam, ok)`` of
-    ``evaluate``; the rows with ok[b] false are the caller's to evaluate
-    with ``einstein_scalar``, which raises their own errors."""
-    rows = evaluate(metric, x, ys)
-    return rows.lam, rows.ok
+    point, or a (B, n) array with the point of each row.  The first row
+    whose ``ricci`` raises raises its error."""
+    return np.array(_checked(evaluate(metric, x, ys).ric), dtype=float)
 
 
 def einstein_scalars(metric, x, ys):
     """Einstein scalar at (x, y) for each direction y of the (B, n) array
     ``ys``, x as for ``riccis``, row b with the bits of
-    ``einstein_scalar(metric, x, ys[b])``.  A row ``evaluate`` leaves is
-    evaluated by ``einstein_scalar``, in row order, so the first failing
-    row raises its own error."""
-    ys = np.asarray(ys, dtype=float).reshape(-1, metric.dim)
-    x = _rows_of(x)
-    rows = evaluate(metric, x, ys)
-    return _one_by_one(rows.lam, rows.ok, einstein_scalar, metric, x, ys)
+    ``einstein_scalar(metric, x, ys[b])``; the first row whose
+    ``einstein_scalar`` raises raises its error."""
+    return np.array(_checked(evaluate(metric, x, ys).lam), dtype=float)
 
 
 def flag_curvature(metric, x, y, u):
@@ -772,16 +802,17 @@ def spread(values):
 class EinsteinTable:
     """The curvature samples of one metric: at each (x, y), the Einstein
     scalar or the FinslerError its evaluation raised, and, for the rows a
-    batch evaluated, F, g, R^i_k and Ric as well, each evaluated once and
-    stored under exact bits (``exact_key``), so that the sample rows and
-    every check of a run read the same numbers, and the same skip text.
+    batch evaluated, F, g, R^i_k and Ric as well, each a value or its
+    error, each evaluated once and stored under exact bits
+    (``exact_key``), so that the sample rows and every check of a run
+    read the same numbers, and the same skip text.
 
     ``directions(x)`` lists the admissible ones of the directions
     ``dirs`` at x and ``reversible(x)`` those whose reverse is admissible
     too, each worked out once per point.  The first call of either
     evaluates its rows (the directions, or their reverses) in one batch,
-    ``evaluate``; a lookup that no batch filled, and a row a batch
-    leaves, goes through the one-point functions.  The reads:
+    ``evaluate``, which keeps every row, errors included; a lookup that
+    no batch filled goes through ``einstein_scalar``.  The reads:
 
     - the scalars: ``values`` (the scalars at x in direction order, the
       first of them lambda at x wherever one value is needed),
@@ -805,11 +836,8 @@ class EinsteinTable:
         key = exact_key(x, y)
         result = self._results.get(key)
         if result is None:
-            try:
-                result = einstein_scalar(self.metric, x, list(y))
-            except FinslerError as exc:
-                result = exc.with_traceback(None)  # keep no frames alive
-            self._results[key] = result
+            result = self._results[key] = _outcome(einstein_scalar,
+                                                   self.metric, x, list(y))
         return _raised(result)
 
     def values(self, x):
@@ -846,30 +874,26 @@ class EinsteinTable:
 
     def ricci_rows(self, x, ys):
         """(F, Ric) at (x, y) for each direction y of ``ys`` with (x, y)
-        admissible, in order.  The directions not yet in the table are
-        evaluated in one batch first; a row no batch holds is evaluated
-        by ``ricci`` and then ``metric.value``, which raise their own
-        errors."""
+        admissible, in order.  The directions without a row in the table
+        are evaluated in one batch first; the first row whose ``ricci``,
+        or else whose ``metric.value``, raised raises that error."""
         taken = self.metric.in_domain_rows(x, ys).tolist()
         ys = [y for y, ok in zip(ys, taken) if ok]
-        self._fill(x, ys)
-        out = []
-        for y in ys:
-            row = self._rows.get(exact_key(x, y))
-            if row is None:
-                ric = ricci(self.metric, x, list(y))
-                out.append((float(self.metric.value(x, y)), ric))
-            else:
-                out.append((row[0], row[3]))
-        return out
+        self._fill(x, ys, self._rows)
+        rows = [self._rows[exact_key(x, y)] for y in ys]
+        for f, _, _, ric in rows:
+            _checked((ric, f))
+        return [(f, ric) for f, _, _, ric in rows]
 
     def curvature(self, x, y):
         """(F, g, R) at (x, y): the row a batch evaluated, else by
-        ``fundamental_tensor``, ``riemann_curvature`` and ``metric.value``,
-        which raise their own errors."""
+        ``fundamental_tensor``, ``riemann_curvature`` and ``metric.value``;
+        the first of them that raised, in that order, raises its error."""
         row = self._rows.get(exact_key(x, y))
         if row is not None:
-            return row[:3]
+            f, g, r, _ = row
+            g, r = _raised(g), _raised(r)
+            return _raised(f), g, r
         g, _ = fundamental_tensor(self.metric, x, y)
         r = riemann_curvature(self.metric, x, y)
         return self.metric.value(x, y), g, r
@@ -893,22 +917,21 @@ class EinsteinTable:
                 rows = [y for y, ok in zip(rows, taken) if ok]
                 ys = [y for y, ok in zip(ys, taken) if ok]
             self._sweeps[key] = ys
-            self._fill(x, rows)
+            self._fill(x, rows, self._results)
         return ys
 
-    def _fill(self, x, ys):
-        """Evaluate the directions ``ys`` at x not yet in the table, in
-        one batch."""
+    def _fill(self, x, ys, known):
+        """Evaluate and store, errors included, the directions ``ys`` at x
+        whose key is not in ``known`` (``_results`` or ``_rows``), in one
+        batch."""
         rows = {}
         for y in ys:
             rows.setdefault(exact_key(x, y), y)
-        for key in self._results.keys() & rows.keys():
+        for key in known.keys() & rows.keys():
             del rows[key]
         if not rows:
             return
-        keys = list(rows)
         got = evaluate(self.metric, x, list(rows.values()))
-        for b in np.flatnonzero(got.ok).tolist():
-            self._results[keys[b]] = float(got.lam[b])
-            self._rows[keys[b]] = (float(got.f[b]), got.g[b], got.r[b],
-                                   float(got.ric[b]))
+        for key, f, g, r, ric, lam in zip(rows, *got[:5]):
+            self._results[key] = lam
+            self._rows[key] = (f, g, r, ric)

@@ -20,6 +20,14 @@ def _raised(row):
     return row
 
 
+def _checked(rows):
+    """``rows``, once the first FinslerError among them, in row order, is
+    raised as ``_raised`` raises it; the other rows are values or None."""
+    for row in rows:
+        _raised(row)
+    return rows
+
+
 class BatchFailed(Exception):
     """Some point of a batch left the domain of an operation.
 

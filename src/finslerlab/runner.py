@@ -64,11 +64,10 @@ from .constructions import (
 )
 from .core import (
     EinsteinTable,
+    _spray_rows,
     flag_formula,
-    spray,
     sphere_directions,
     spread,
-    sprays,
     worst,
 )
 from .errors import FinslerError
@@ -267,17 +266,11 @@ def _structural_vs_generic(manifest, metric, points, lam, tensors):
             skipped.append(f"x={x}: {exc}")
             continue
         ys = lam.directions(x)
-        try:
-            generic = sprays(metric, [list(x) + list(y) for y in ys])
-        except FinslerError:
-            # some row raises: take the rows one at a time, so each skip
-            # names the error its own row raises first
-            generic = [None] * len(ys)
-        for y, g_generic in zip(ys, generic):
+        generic, errors = _spray_rows(metric, [list(x) + list(y) for y in ys])
+        for y, g_generic, error in zip(ys, generic, errors):
             try:
                 g_struct = structural_spray(rd, ab, p, y)
-                if g_generic is None:
-                    g_generic = spray(metric, x, list(y))
+                _raised(error)
             except FinslerError as exc:
                 skipped.append(f"x={x}: {exc}")
                 continue

@@ -43,19 +43,15 @@ from .constructions import (
 from .core import (
     EinsteinTable,
     _f2_rows,
-    _one_by_one,
     _spray_jet_rows,
-    _spray_jets,
-    einstein_scalar,
     einstein_scalars,
     evaluate,
-    ricci,
     riccis,
     sphere_directions,
     sprays,
     worst,
 )
-from .errors import FinslerError
+from .errors import FinslerError, _checked
 from .exprlang import shared_tape
 from .fdcheck import fd_partials, rel_err
 from .jets import get_context, read_partials
@@ -126,10 +122,6 @@ def second_triple_points(count):
             continue
         points.append(x)
     return points
-
-
-def _fail_lines(details, passed):
-    return details if passed else details + ["FAILED"]
 
 
 def _tensors(alpha, beta, points):
@@ -429,15 +421,12 @@ def scenario_flat_parallel_family():
         xs = np.array([x for x, _ in samples])
         ys = np.array([y for _, y in samples])
         # Ric and lambda at y and at -y in one curvature pass:
-        # |lambda(y) - lambda(-y)| is the reversibility residual; a row the
-        # pass leaves goes to the one-point function, Ric's first
-        xs2, ys2 = np.concatenate([xs, xs]), np.concatenate([ys, -ys])
-        rows = evaluate(metric, xs2, ys2)
-        ric = _one_by_one(rows.ric[:len(ys)], rows.ok[:len(ys)], ricci,
-                          metric, xs, ys)
-        ric_values += np.abs(ric).tolist()
-        lams = _one_by_one(rows.lam, rows.ok, einstein_scalar, metric, xs2,
-                           ys2)
+        # |lambda(y) - lambda(-y)| is the reversibility residual; the first
+        # row that holds an error raises it, Ric's first
+        rows = evaluate(metric, np.concatenate([xs, xs]),
+                        np.concatenate([ys, -ys]))
+        ric_values += np.abs(_checked(rows.ric[:len(ys)])).tolist()
+        lams = np.array(_checked(rows.lam))
         rev_values += np.abs(lams[:len(ys)] - lams[len(ys):]).tolist()
     worst_ric = worst(ric_values)
     worst_rev = worst(rev_values)
@@ -542,13 +531,10 @@ def scenario_derivative_soundness():
     spray_samples = _draw_samples(metric, 100, draw(0.35, 0.45))
 
     # the jets of F^2 at every sample in one batched pass, in the full
-    # order-4 context; ``_f2_rows`` built F of a row it marks with
-    # metric.jet, which raised there, so the call here raises that
-    # sample's own error
+    # order-4 context; the first sample whose F raised raises its error
     xs, ys = (np.array(v) for v in zip(*f2_samples))
-    f2, ok = _f2_rows(metric, xs, ys, x_degree=None)
-    for b in np.flatnonzero(~ok):
-        metric.jet(xs[b].tolist(), ys[b].tolist(), 4)
+    f2, errors = _f2_rows(metric, xs, ys, x_degree=None)
+    _checked(errors)
     wants = fd_partials(f2_rows, np.hstack([xs, ys]), f2_monomials)
     gots = read_partials(f2, f2_index, ctx)
     f2_errors = rel_err(gots, wants).ravel().tolist()
@@ -556,10 +542,8 @@ def scenario_derivative_soundness():
     # the spray jets likewise; the finite differences difference one
     # batched spray evaluation per chunk of stencil rows
     xs, ys = (np.array(v) for v in zip(*spray_samples))
-    g, ok = _spray_jet_rows(metric, xs, ys)
-    for b in np.flatnonzero(~ok):
-        g_jets, _ = _spray_jets(metric, xs[b].tolist(), ys[b].tolist())
-        g[b] = np.stack([gi.c for gi in g_jets])
+    g, errors = _spray_jet_rows(metric, xs, ys)
+    _checked(errors)
     wants = fd_partials(lambda rows: sprays(metric, rows),
                         np.hstack([xs, ys]), spray_monomials)
     # gots[b, i, m] and wants[b, m, i]: partial m of G^i at sample b

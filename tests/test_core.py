@@ -30,7 +30,7 @@ from finslerlab import (
     sqrt2d_family,
 )
 from finslerlab import core, runner
-from finslerlab.core import einstein_rows, sphere_directions
+from finslerlab.core import sphere_directions
 from finslerlab.fdcheck import fd_partials
 from finslerlab.jets import get_context
 from fdtools import funk_spec
@@ -579,9 +579,9 @@ def test_order2_tail_matches_the_order4_path(spec, x, directions):
 
     metric = ppower_metric(spec)
     for y in directions:
-        got, f = _spray_jets(metric, x, y)
+        got, g = _spray_jets(metric, x, y)
         want = _order4_spray_jets(metric, x, y)
-        assert f.ctx.order == 4
+        _same_bits(g, fundamental_tensor(metric, x, y)[0])
         ncoef = got[0].ctx.ncoef
         assert got[0].ctx.order == 2 and ncoef < want[0].ctx.ncoef
         for g_low, g_high in zip(got, want):
@@ -620,16 +620,33 @@ def _same_outcome(batched, want):
         assert batched().tobytes() == want.tobytes()  # NaN and -0.0 too
 
 
-def _rows_taken(metric, x, ys):
-    """einstein_rows takes exactly the rows whose one-point call returns a
-    finite value, each with its bits; the rest are left to that call."""
-    lam, ok = einstein_rows(metric, x, ys)
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except FinslerError as exc:
+        return exc
+
+
+def _same_outcome_row(got, want):
+    """The bits of a value, sign bits included, or an error's type and
+    text."""
+    if isinstance(want, FinslerError):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert not isinstance(got, FinslerError), got
+        assert np.asarray(got, dtype=float).tobytes() == \
+            np.asarray(want, dtype=float).tobytes()
+
+
+def _rows_kept(metric, x, ys):
+    """evaluate keeps every row: its lambda has the bits of the one-point
+    call, or is the error that call raises, with its text; ok marks the
+    rows that hold a value."""
+    samples = core.evaluate(metric, x, ys)
     for b, y in enumerate(ys):
-        want = _one_point(einstein_scalar, metric, x, [y])
-        finite = not isinstance(want, FinslerError) and np.isfinite(want[0])
-        assert ok[b] == finite, (b, y)
-        if ok[b]:
-            _same_bits(lam[b:b + 1], want)
+        want = _outcome(einstein_scalar, metric, x, list(y))
+        assert samples.ok[b] == (not isinstance(want, FinslerError)), (b, y)
+        _same_outcome_row(samples.lam[b], want)
 
 
 # zeros of both signs, and directions on the axes, are drawn often
@@ -658,7 +675,7 @@ def test_batched_curvature_matches_the_one_point_calls(data, n, p):
                   _one_point(einstein_scalar, metric, x, ys))
     _same_outcome(lambda: riccis(metric, x, ys),
                   _one_point(ricci, metric, x, ys))
-    _rows_taken(metric, x, ys)
+    _rows_kept(metric, x, ys)
 
 
 @settings(max_examples=20, deadline=None)
@@ -681,9 +698,10 @@ def test_the_curvature_ring_keeps_the_bits_of_the_full_ring(data, n, p):
     assert capped.x_degree == 2 and capped.ncoef < full.ncoef
     kept = [full.index[m] for m in capped.monomials]
     with np.errstate(all="ignore"):
-        got, ok = core._f2_rows(metric, x, ys)
-        want, ok_full = core._f2_rows(metric, x, ys, x_degree=None)
-    assert ok.tolist() == ok_full.tolist()
+        got, errors = core._f2_rows(metric, x, ys)
+        want, errors_full = core._f2_rows(metric, x, ys, x_degree=None)
+    ok = np.array([e is None for e in errors])
+    assert ok.tolist() == [e is None for e in errors_full]
     _same_bits(got[ok], want[ok][:, kept])
     samples = core.evaluate(metric, x, ys)
     low = get_context(2 * n, 2)
@@ -727,6 +745,83 @@ def test_a_non_finite_curvature_is_a_typed_skip():
             table(x, y)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows
+@pytest.mark.parametrize("y", NON_FINITE_DIRECTIONS + [[0.0, 1e-160]])
+def test_a_non_finite_g_or_r_raises_non_finite(y):
+    """Where the jets of F overflow, riemann_curvature raises NonFinite
+    instead of returning NaN; at y = (0, 1e-160) a NaN g passes the
+    Sylvester test, and spray and fundamental_tensor raise NonFinite
+    there.  evaluate keeps each such error in its row."""
+    metric = _direction_metric(2, 0.5)
+    x = [0.0, 0.0]
+    calls = [riemann_curvature]
+    if y == [0.0, 1e-160]:
+        calls += [spray, fundamental_tensor]
+    for fn in calls:
+        with pytest.raises(NonFinite, match="is not finite"):
+            fn(metric, x, y)
+    for ys in ([y], [[0.0, 1.0], y]):
+        samples = core.evaluate(metric, x, ys)
+        with pytest.raises(NonFinite) as want:
+            riemann_curvature(metric, x, y)
+        assert str(samples.r[-1]) == str(want.value)
+        assert samples.ok.tolist() == [True] * (len(ys) - 1) + [False]
+
+
+# rows of the mixed batches: with b = (0.8, 0) and p = 3, g is not
+# positive definite at y = (1, 0); y = 0 is outside the domain; the jets
+# overflow at y = (0, 5e-103); y = (t, +-1) with |t| <= 0.5 is good
+MIXED_ROWS = st.one_of(
+    st.sampled_from([[1.0, 0.0], [0.0, 0.0], [0.0, 5e-103]]),
+    st.builds(lambda t, s: [t, s], st.floats(-0.5, 0.5),
+              st.sampled_from([1.0, -1.0])))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), per_row=st.booleans())
+def test_every_row_of_a_batch_equals_the_one_point_call(data, per_row):
+    """A batch of 1 to 6 rows, good, singular, outside the domain and
+    overflowing rows mixed, at one x or one x per row: each row of
+    evaluate holds F, R, Ric and lambda with the bits of metric.value,
+    riemann_curvature, ricci and einstein_scalar, or the error each
+    raises, and g with the bits of fundamental_tensor or R's error;
+    riccis, einstein_scalars and sprays give the one-point rows or raise
+    the first row's error, and _spray_rows keeps every row's spray or
+    error."""
+    metric = ppower_metric(PPowerSpec(IDENTITY, ["0.8", "0"], 3.0))
+    count = data.draw(st.integers(1, 6))
+    ys = [data.draw(MIXED_ROWS) for _ in range(count)]
+    point = st.lists(st.floats(-0.3, 0.3), min_size=2, max_size=2)
+    if per_row:
+        x = np.array([data.draw(point) for _ in range(count)])
+        xs = [list(v) for v in x]
+    else:
+        x = data.draw(point)
+        xs = [x] * count
+    samples = core.evaluate(metric, x, ys)
+    for b, (xb, y) in enumerate(zip(xs, ys)):
+        r = _outcome(riemann_curvature, metric, xb, y)
+        _same_outcome_row(samples.f[b], _outcome(metric.value, xb, y))
+        _same_outcome_row(samples.r[b], r)
+        _same_outcome_row(samples.g[b], r if isinstance(r, FinslerError)
+                          else fundamental_tensor(metric, xb, y)[0])
+        _same_outcome_row(samples.ric[b], _outcome(ricci, metric, xb, y))
+        lam = _outcome(einstein_scalar, metric, xb, y)
+        _same_outcome_row(samples.lam[b], lam)
+        assert samples.ok[b] == (not isinstance(lam, FinslerError))
+    for fn, batched in ((ricci, riccis), (einstein_scalar, einstein_scalars)):
+        _same_outcome(lambda: batched(metric, x, ys),
+                      _one_point_rows(fn, metric, xs, ys))
+    rows = np.array([list(xb) + y for xb, y in zip(xs, ys)])
+    want = _one_point_rows(spray, metric, xs, ys)
+    _same_outcome(lambda: sprays(metric, rows), want)
+    got, errors = core._spray_rows(metric, rows)
+    for b, (xb, y) in enumerate(zip(xs, ys)):
+        one = _outcome(spray, metric, xb, y)
+        _same_outcome_row(got[b] if errors[b] is None else errors[b], one)
+
+
 def test_batched_curvature_keeps_signed_zeros():
     """A flat Randers metric has zero spray and zero curvature; the batch
     gives each row the zeros, and their signs, of the one-point call."""
@@ -760,7 +855,7 @@ def test_batched_curvature_leaves_failing_rows_to_the_one_point_call():
             want = _one_point(fn, metric, x, ys)
             assert isinstance(want, FinslerError) or not np.isfinite(want[-1])
             _same_outcome(lambda: batched(metric, x, ys), want)
-        _rows_taken(metric, x, ys)
+        _rows_kept(metric, x, ys)
     _same_bits(einstein_scalars(metric, x, good),
                _one_point(einstein_scalar, metric, x, good))
 
@@ -791,9 +886,9 @@ def test_batched_f_is_built_in_bounded_chunks(n, rows, chunks, monkeypatch):
 
     monkeypatch.setattr(metric, "batch_jet", counting_batch)
     monkeypatch.setattr(metric, "jet", counting_jet)
-    lam, ok = einstein_rows(metric, x, ys)
-    assert ok.all()
-    _same_bits(lam, want)
+    samples = core.evaluate(metric, x, ys)
+    assert samples.ok.all()
+    _same_bits(np.array(samples.lam), want)
     assert chunks == [min(core.CHUNK_ROWS, rows - start)
                       for start in range(0, rows, core.CHUNK_ROWS)]
     assert built == [c for c in chunks if c > 1]
@@ -849,9 +944,10 @@ def test_batched_curvature_takes_one_point_per_row(n):
             want = _one_point_rows(fn, metric, points, ys)
             _same_bits(batched(metric, points, ys), want)
             _same_bits(batched(metric, points.tolist(), ys.tolist()), want)
-        lam, ok = einstein_rows(metric, points, ys)
-        assert ok.all()
-        _same_bits(lam, _one_point_rows(einstein_scalar, metric, points, ys))
+        samples = core.evaluate(metric, points, ys)
+        assert samples.ok.all()
+        _same_bits(np.array(samples.lam),
+                   _one_point_rows(einstein_scalar, metric, points, ys))
 
 
 def test_batched_curvature_with_a_point_per_row_raises_the_first_error():
@@ -872,8 +968,8 @@ def test_batched_curvature_with_a_point_per_row_raises_the_first_error():
             assert isinstance(want, FinslerError)
             with pytest.raises(type(want), match=re.escape(str(want))):
                 batched(metric, xs, ys)
-        lam, ok = einstein_rows(metric, xs, ys)
-        assert ok.tolist() == [(x, y) in good for x, y in samples]
+        assert core.evaluate(metric, xs, ys).ok.tolist() == [
+            (x, y) in good for x, y in samples]
 
 
 def test_domain_rows_take_one_point_per_row():
@@ -953,9 +1049,9 @@ def test_sprays_and_einstein_scalars_are_homogeneous(p, k, x, size, signs):
     assert np.abs(g_scaled / 4.0 ** k - g).max() <= 1e-14 * np.abs(g).max()
     assert abs(lam_scaled - lam) <= 1e-14 * max(1.0, abs(lam))
     _same_bits(sprays(metric, [x + y, x + scaled]), np.array([g, g_scaled]))
-    lams, ok = einstein_rows(metric, x, np.array([y, scaled]))
-    assert ok.all()
-    _same_bits(lams, np.array([lam, lam_scaled]))
+    samples = core.evaluate(metric, x, np.array([y, scaled]))
+    assert samples.ok.all()
+    _same_bits(np.array(samples.lam), np.array([lam, lam_scaled]))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -968,8 +1064,8 @@ def test_spray_jet_rows_equal_the_one_point_spray_jets(n):
     xs = rng.uniform(-0.3, 0.3, size=(12, n))
     ys = rng.uniform(0.4, 1.0, size=(12, n)) * rng.choice([-1.0, 1.0],
                                                           size=(12, n))
-    got, ok = core._spray_jet_rows(metric, xs, ys)
-    assert ok.all()
+    got, errors = core._spray_jet_rows(metric, xs, ys)
+    assert errors == [None] * len(xs)
     for b in range(len(xs)):
         g_jets, _ = core._spray_jets(metric, xs[b].tolist(), ys[b].tolist())
         _same_bits(got[b], np.stack([g.c for g in g_jets]))

@@ -73,6 +73,38 @@ def test_run_evaluates_each_einstein_scalar_once(monkeypatch):
     assert len(one_point) == len(report["samples"])
 
 
+@pytest.mark.parametrize("name", ["funk_ball", "non_einstein_control"])
+def test_one_point_lookups_are_the_reversal_probes_only(monkeypatch, name):
+    """A run calls einstein_scalar exactly once per point that has a
+    reversible direction, the sample row's reversal probe, and never
+    evaluates a batch of one: every other read of the curvature comes in
+    batches of two rows or more."""
+    probes = Counter()
+    sizes = []
+    batched, original = core.evaluate, core.einstein_scalar
+
+    def counting_rows(metric, x, ys):
+        sizes.append(len(ys))
+        return batched(metric, x, ys)
+
+    def counting(metric, x, y):
+        probes[exact_key(x)] += 1
+        return original(metric, x, y)
+
+    monkeypatch.setattr(core, "evaluate", counting_rows)
+    monkeypatch.setattr(core, "einstein_scalar", counting)
+    manifest = load_manifest(f"manifests/{name}.json")
+    report = runner.run(manifest)
+    metric = runner.build_metric(manifest)
+    dirs = sphere_directions(2, manifest.samples.direction_count)
+    reversible = [row["x"] for row in report["samples"]
+                  if any(metric.in_domain(row["x"], y)
+                         and metric.in_domain(row["x"], -y) for y in dirs)]
+    assert reversible and sizes
+    assert probes == Counter(exact_key(x) for x in reversible)
+    assert min(sizes) >= 2
+
+
 def test_direction_sweep_evaluates_coefficients_once(monkeypatch):
     calls = Counter()
     original = Tape.jets
@@ -450,7 +482,8 @@ def test_table_rows_have_the_bits_of_the_one_point_functions(case):
     """F, g, R, Ric and lambda read from the Einstein table have the bits
     of metric.value, fundamental_tensor, riemann_curvature, ricci and
     einstein_scalar: at the rows one batch evaluated, and at a direction
-    the table leaves to the one-point functions (a batch of one)."""
+    evaluated alone, which the table stores as well (a batch of one, run
+    through the one-point code)."""
     if case == "curved":
         metric, x = curved_metric(), [0.2, -0.1]
     else:
@@ -470,4 +503,4 @@ def test_table_rows_have_the_bits_of_the_one_point_functions(case):
         assert _bits(r) == _bits(riemann_curvature(metric, x, y))
         assert _bits(ric) == _bits(ricci(metric, x, y))
         assert _bits(table(x, y)) == _bits(einstein_scalar(metric, x, y))
-    assert exact_key(x, lone) not in table._rows
+    assert exact_key(x, lone) in table._rows
