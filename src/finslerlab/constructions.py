@@ -118,9 +118,10 @@ class CoefficientMemo:
     ``COEFFICIENT_MEMO_KEYS`` most recently used keys are kept.  x enters
     the key as its exact bits, so no rounding can serve a neighbouring
     point.  An evaluation that raises stores nothing, so a DomainError is
-    raised in the same order as without the memo.  A batch of points
-    (``batch``, or ``jets`` at a coordinate-major array) is replayed
-    without a key.
+    raised in the same order as without the memo.  ``values`` and ``jets``
+    also take a coordinate-major (n, B) array of B points, which they
+    replay in one batch without a key; that replay raises
+    ``BatchFailed`` where some point would raise.
     """
 
     def __init__(self, a_ast, b_ast):
@@ -154,13 +155,12 @@ class CoefficientMemo:
         return value
 
     def values(self, what, x):
-        """Float values of the ``what`` coefficients at x."""
+        """Float values of the ``what`` coefficients at x, or arrays of
+        them over the points of a coordinate-major x (see ``Tape.batch``)."""
+        if getattr(x, "ndim", 1) == 2:
+            return self.tape(what).batch(x)
         return self._recall((what, None, exact_key(x)),
                             lambda: self.tape(what).floats(x))
-
-    def batch(self, what, x):
-        """Float values at the points of the coordinate-major array x."""
-        return self.tape(what).batch(x)
 
     def jets(self, what, ctx, xvals):
         """Jet coefficient vectors of the ``what`` coefficients in ``ctx``
@@ -173,7 +173,8 @@ class CoefficientMemo:
 
 
 def ppower_metric(spec):
-    """FinslerMetric for a p-power spec, with its admissibility predicate.
+    """The FinslerMetric of a p-power spec, with its batch hooks and its
+    admissibility predicate; every metric the package builds is one.
 
     The domain predicate tests alpha > 0 and 1 + s > 0 with
     s = beta/alpha, nothing more.  The third convexity condition, which
@@ -193,10 +194,11 @@ def ppower_metric(spec):
     jets of x.  The
     scalar function also takes y as a coordinate-major (n, B) array of B
     directions, with x one point or coordinate-major as well, and then
-    returns F at each sample, with the bits of the one-point calls; where
-    a sample would raise, the samples are evaluated one by one, so the
-    first of them raises its own error.  The batched domain test takes
-    the same arrays.
+    returns F at each sample, with the bits of the one-point calls, or
+    raises ``BatchFailed`` where a sample would raise (or the error of
+    the one point x's coefficients); ``FinslerMetric.value_rows`` then
+    takes the samples one by one.  The batched domain test takes the same
+    arrays.
     """
     n = spec.dim
     b_ast, p = spec.beta, spec.p
@@ -235,13 +237,6 @@ def ppower_metric(spec):
     def batch_builder(ctx, x, y):
         return f_coefficients(ctx, x, [(n + i, y[i]) for i in range(n)])
 
-    def coefficient_values(what, x):
-        """Float coefficients at the point x, or arrays of them over the
-        points of a coordinate-major x."""
-        if getattr(x, "ndim", 1) == 2:
-            return memo.batch(what, x)
-        return memo.values(what, x)
-
     def alpha2_value(a, y):
         alpha2 = 0.0
         for (i, j), coef in zip(pairs, a):
@@ -256,11 +251,7 @@ def ppower_metric(spec):
 
     def scalar(x, y):
         if getattr(y, "ndim", 1) == 2:
-            try:
-                return batch_scalar(x, y)
-            except (BatchFailed, ArithmeticError):
-                xs = x.T if getattr(x, "ndim", 1) == 2 else [x] * y.shape[1]
-                return np.array([scalar(xk, yk) for xk, yk in zip(xs, y.T)])
+            return batch_scalar(x, y)
         alpha2 = alpha2_value(memo.values("a", x), y)
         if alpha2 <= 0.0:
             raise DomainError("alpha^2 is not positive")
@@ -279,18 +270,18 @@ def ppower_metric(spec):
                             f"y={coords(y)!r}") from None
 
     def batch_scalar(x, y):
-        alpha2 = alpha2_value(coefficient_values("a", x), y)
+        alpha2 = alpha2_value(memo.values("a", x), y)
         if np.any(alpha2 <= 0.0):
             raise BatchFailed
         alpha = np.sqrt(alpha2)
         if beta_zero:
             return alpha
-        base = 1.0 + beta_value(coefficient_values("b", x), y) / alpha
+        base = 1.0 + beta_value(memo.values("b", x), y) / alpha
         if np.any(base <= 0.0):
             raise BatchFailed
         # the bits of Python's float ** (see jets._power_derivatives),
-        # which the samples taken one by one use; they evaluate a batch
-        # with a value that is not finite, so an overflow raises there
+        # which the samples taken one by one use; a value that is not
+        # finite is left to them, so an overflow raises there
         with np.errstate(over="ignore"):
             f = alpha * np.float_power(base, p)
         if not np.isfinite(f).all():
@@ -317,11 +308,11 @@ def ppower_metric(spec):
         float operations on whole rows; point by point where the
         coefficients of a batch of points raise."""
         try:
-            alpha2 = alpha2_value(coefficient_values("a", x), y)
+            alpha2 = alpha2_value(memo.values("a", x), y)
             positive = alpha2 > 0.0
             if beta_zero or not positive.any():
                 return positive
-            b = coefficient_values("b", x)
+            b = memo.values("b", x)
         except DomainError:
             return np.zeros(y.shape[1], dtype=bool)
         except BatchFailed:
@@ -331,20 +322,17 @@ def ppower_metric(spec):
             slope = beta_value(b, y) / np.sqrt(alpha2)
         return positive & (1.0 + slope > 1e-12)
 
-    metric = FinslerMetric(n, builder, scalar, domain, name=f"ppower(p={p})",
-                           batch_builder=batch_builder,
-                           batch_domain=batch_domain)
+    metric = FinslerMetric(n, builder, scalar, domain, batch_builder,
+                           batch_domain)
     metric.coefficients = memo
     return metric
 
 
 def riemann_metric(alpha_exprs):
-    """Purely Riemannian metric F = alpha as a FinslerMetric."""
-    n = len(alpha_exprs)
-    spec = PPowerSpec(alpha_exprs, zero_covector(n), 1.0)
-    metric = ppower_metric(spec)
-    metric.name = "riemannian"
-    return metric
+    """Purely Riemannian metric F = alpha: the p-power metric with p = 1
+    and beta = 0."""
+    return ppower_metric(PPowerSpec(alpha_exprs,
+                                    zero_covector(len(alpha_exprs)), 1.0))
 
 
 def positivity_check(p, b_sq):

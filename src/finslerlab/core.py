@@ -93,65 +93,60 @@ def exact_key(*vectors):
 
 
 class FinslerMetric:
-    """A Finsler metric given by a jet evaluator and a domain predicate.
+    """A Finsler metric: F and its domain predicate, each over one sample
+    and over a batch, with every hook required.
 
     ``jet_builder(x_jets, y_jets)`` receives coordinate jets (shared
     context) and returns the jet of F.  ``scalar_fn(x, y)`` is the plain
-    float evaluation used by oracles and homogeneity checks.
-    ``domain_fn(x, y)`` must be true wherever F is admissible.  The
-    optional ``batch_builder(ctx, x, y)`` is F over a batch: y is a
-    coordinate-major (n, B) array, x is one too or one point shared by
-    every sample, and it returns the (B, ncoef) coefficients of F in
-    ``ctx``, row b with the bits of the jet builder at sample b, or
-    raises where a sample would raise.  A metric with a batch builder
-    takes such x and y in ``scalar_fn`` too, and returns F at each
-    sample.  The optional ``batch_domain(x, y)`` is ``domain_fn`` at each
-    column of the (n, B) array y, with x one point or coordinate-major as
-    well, as a bool array.
+    float F at one sample, used by oracles and homogeneity checks.
+    ``domain_fn(x, y)`` must be true wherever F is admissible.  The batch
+    hooks take y as a coordinate-major (n, B) array of B directions and x
+    as one too, or as one point shared by every sample:
+    ``batch_builder(ctx, x, y)`` returns the (B, ncoef) coefficients of F
+    in ``ctx``, row b with the bits of the jet builder at sample b, or
+    raises where a sample would raise; ``scalar_fn`` takes such arrays
+    as well and returns F at each sample, with the bits of the one-point
+    calls, or raises ``BatchFailed`` where a sample would raise; and
+    ``batch_domain(x, y)`` is ``domain_fn`` at each sample, as a bool
+    array.  ``value_rows``, ``in_domain_rows`` and ``batch_jet`` are the
+    batch entries, and ``value_rows`` the one that falls back to the
+    samples one by one.
     """
 
-    def __init__(self, dim, jet_builder, scalar_fn, domain_fn=None, name="",
-                 batch_builder=None, batch_domain=None):
+    def __init__(self, dim, jet_builder, scalar_fn, domain_fn, batch_builder,
+                 batch_domain):
         self.dim = dim
         self._jet_builder = jet_builder
         self._scalar_fn = scalar_fn
         self._domain_fn = domain_fn
         self._batch_builder = batch_builder
         self._batch_domain = batch_domain
-        self.name = name
 
     def value(self, x, y):
         return self._scalar_fn(x, y)
 
     def in_domain(self, x, y):
-        if not any(v != 0.0 for v in y):
-            return False
-        if self._domain_fn is not None and not self._domain_fn(x, y):
-            return False
-        return True
+        return any(v != 0.0 for v in y) and bool(self._domain_fn(x, y))
 
     def in_domain_rows(self, x, ys):
         """``in_domain(x, y)`` for each row y of the (B, n) array ``ys``,
         as a bool array; x is one point, or a (B, n) array with the
         point of each row."""
         ys = np.asarray(ys, dtype=float).reshape(-1, self.dim)
-        if self._batch_domain is None:
-            return np.array([self.in_domain(_point(x, b), y)
-                             for b, y in enumerate(ys.tolist())], dtype=bool)
         return (ys != 0.0).any(axis=1) & self._batch_domain(_major(x), ys.T)
 
     def value_rows(self, x, ys):
         """F at (x, y) for each row y of the (B, n) array ``ys``, x as
         for ``in_domain_rows``: ``(f, ok)``, f[b] with the bits of
         ``value`` wherever ok[b] is true, and ok[b] false where that call
-        raises.  A metric with a batched F takes every row in one call."""
+        raises.  Every row goes through one call of the batched F; where
+        that raises, each row through ``value``."""
         ys = np.asarray(ys, dtype=float).reshape(-1, self.dim)
-        if self._batch_builder is not None:
-            try:
-                f = self._scalar_fn(_major(x), ys.T)
-                return np.asarray(f, dtype=float), np.ones(len(ys), bool)
-            except (FinslerError, ArithmeticError):
-                pass
+        try:
+            f = self._scalar_fn(_major(x), ys.T)
+            return np.asarray(f, dtype=float), np.ones(len(ys), bool)
+        except (BatchFailed, FinslerError, ArithmeticError):
+            pass
         f = np.zeros(len(ys))
         ok = np.zeros(len(ys), dtype=bool)
         for b, y in enumerate(ys.tolist()):
@@ -181,10 +176,7 @@ class FinslerMetric:
         """Coefficients of the jets of F at a batch of samples, one row
         each, in the 2n-variable context of ``jet``; y is a
         coordinate-major (n, B) array and x one too, or one point for
-        every sample.  Raises BatchFailed for a metric without a batched
-        F."""
-        if self._batch_builder is None:
-            raise BatchFailed
+        every sample."""
         return self._batch_builder(get_context(2 * self.dim, order, x_degree),
                                    x, y)
 
@@ -353,8 +345,8 @@ def _spray_rows(metric, points):
     ``spray``, or errors[b], the FinslerError ``spray`` raises at row b.
     The order-2 jets of F and F^2 and the float tail -- the domain and
     positivity tests and the solve -- run on the whole batch; a row they
-    leave, and every row of a batch without a batched F, is evaluated by
-    ``spray``."""
+    leave, and every row of a batch the batched F does not take, is
+    evaluated by ``spray``."""
     n = metric.dim
     points = np.asarray(points, dtype=float).reshape(-1, 2 * n)
     x, y = points[:, :n], points[:, n:]
@@ -886,17 +878,13 @@ class EinsteinTable:
         return [(f, ric) for f, _, _, ric in rows]
 
     def curvature(self, x, y):
-        """(F, g, R) at (x, y): the row a batch evaluated, else by
-        ``fundamental_tensor``, ``riemann_curvature`` and ``metric.value``;
-        the first of them that raised, in that order, raises its error."""
-        row = self._rows.get(exact_key(x, y))
-        if row is not None:
-            f, g, r, _ = row
-            g, r = _raised(g), _raised(r)
-            return _raised(f), g, r
-        g, _ = fundamental_tensor(self.metric, x, y)
-        r = riemann_curvature(self.metric, x, y)
-        return self.metric.value(x, y), g, r
+        """(F, g, R) at (x, y), from the table's row, which a batch of its
+        own evaluates where no batch has; the first of g, R and F that
+        raised, in that order, raises its error."""
+        self._fill(x, [y], self._rows)
+        f, g, r, _ = self._rows[exact_key(x, y)]
+        g, r = _raised(g), _raised(r)
+        return _raised(f), g, r
 
     def directions(self, x):
         """The run's directions y with (x, y) admissible, in order."""

@@ -32,8 +32,9 @@ class BatchFailed(Exception):
     """Some point of a batch left the domain of an operation.
 
     The batched evaluations (``exprlang.Tape.batch`` and ``Tape.jets``,
-    ``FinslerMetric.batch_jet``) raise it; the caller then evaluates the
-    batch point by point, so the first failing point raises its own error.
+    ``FinslerMetric.batch_jet`` and the batched F of ``metric.value``)
+    raise it; the caller then evaluates the batch point by point, so each
+    failing point raises its own error.
     """
 
 

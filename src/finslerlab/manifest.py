@@ -80,14 +80,10 @@ class Manifest:
 
     @property
     def alpha_spec(self):
-        if self.kind == "sqrt2d_family":
-            return self.family.alpha
         return self.ppower.alpha
 
     @property
     def beta_spec(self):
-        if self.kind == "sqrt2d_family":
-            return self.family.beta
         return self.ppower.beta
 
 

@@ -56,7 +56,6 @@ from .constructions import (
     ppower_metric,
     randers_residuals,
     ricci_flat_parallel_residuals,
-    riemann_metric,
     sqrt2d_K_from_lambda,
     sqrt2d_flag_curvature,
     sqrt2d_structure_report,
@@ -88,7 +87,7 @@ def _point_admissible(manifest, x, margin):
                            order=2)
         if abs(ab.b2 - 4.0) < margin:
             return False
-        return not (manifest.kind == "ppower" and ab.b2 > 0
+        return not (ab.b2 > 0
                     and not positivity_check(manifest.ppower.p, ab.b2))
     except (FinslerError, ValueError):
         return False
@@ -114,10 +113,8 @@ def collect_points(manifest):
 
 
 def build_metric(manifest):
-    if manifest.kind == "riemann":
-        return riemann_metric(manifest.alpha_spec)
-    if manifest.kind == "sqrt2d_family":
-        return manifest.family.metric()
+    """The run's metric: the p-power metric of the manifest's spec, which
+    every kind has (a ``riemann`` manifest's is p = 1 with beta = 0)."""
     return ppower_metric(manifest.ppower)
 
 
@@ -297,7 +294,7 @@ def _table_of(manifest, lam, p):
     """The Einstein table of the p-power metric on the run's (alpha,
     beta): the run's own ``lam`` where the run's metric is that metric,
     whose F has the same bits, else a table of its own."""
-    if manifest.kind == "ppower" and manifest.ppower.p == p:
+    if manifest.ppower.p == p:
         return lam
     return EinsteinTable(ppower_metric(PPowerSpec(
         manifest.alpha_spec, manifest.beta_spec, p)), ())

@@ -46,7 +46,7 @@ from finslerlab.constructions import (
     parse_matrix,
 )
 from finslerlab.core import circle_directions, worst
-from finslerlab.errors import FinslerError, NonFinite, coords
+from finslerlab.errors import BatchFailed, FinslerError, NonFinite, coords
 from finslerlab.jets import jet_pow
 from finslerlab.linalg import invert
 from finslerlab.manifest import load_manifest, validate_manifest
@@ -503,8 +503,8 @@ def test_batched_value_overflows_as_the_samples_one_by_one():
     """The batched F takes (1 + beta/alpha) ** p on whole arrays with the
     bits of the per-sample F at the rows of y, whose Python float power
     raises OverflowError where it overflows (at p = 2000, along (1, 0)),
-    for a numpy row as for a list; the batch then raises that sample's
-    error, and ``value_rows`` marks it not ok."""
+    for a numpy row as for a list; the batch then raises BatchFailed,
+    and ``value_rows`` marks that sample not ok."""
     metric = ppower_metric(PPowerSpec([["1", "0"], ["0", "1"]],
                                       ["0.5", "0"], 2000.0))
     x = [0.1, 0.2]
@@ -513,7 +513,7 @@ def test_batched_value_overflows_as_the_samples_one_by_one():
     for y in (ys[3], ys[3].tolist()):
         with pytest.raises(OverflowError):
             metric.value(x, y)
-    with pytest.raises(OverflowError):
+    with pytest.raises(BatchFailed):
         metric.value(x, ys.T)
     got = metric.value(x, ys[:3].T)
     assert [np.float64(v).tobytes() for v in got] == want

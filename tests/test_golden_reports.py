@@ -45,6 +45,22 @@ def funk_manifest(dim, seed):
     })
 
 
+def sphere_manifest():
+    """The round sphere a_ij = 4 delta_ij / (1 + |x|^2)^2 in 2-D as a
+    ``riemann`` manifest, with three fixed and three seed-drawn points:
+    lambda = 1 everywhere, and the ``ricci_flat_parallel`` check fails."""
+    a = "4/(1+x1^2+x2^2)^2"
+    return validate_manifest({
+        "dimension": 2,
+        "metric": {"kind": "riemann", "a": [[a, "0"], ["0", a]]},
+        "samples": {"points": [[0.2, 0.3], [-0.4, 0.1], [0.0, -0.6]],
+                    "random_points": 3, "seed": 5, "direction_count": 16},
+        "checks": ["einstein", "reversibility", "flag_curvature",
+                   "ricci_identities", "ricci_flat_parallel"],
+        "tolerances": {},
+    })
+
+
 def bundled(name, seed=None):
     """A bundled manifest, with its random points drawn from ``seed``."""
     def make():
@@ -73,6 +89,8 @@ GOLDEN = [
      "e09120ffb6336c56b4ae5fa3204190b534c837dd7ba57dc7faf53be002fd536b"),
     ("funk_4d_seed11", lambda: funk_manifest(4, 11),
      "72cdcadc5aa06d58b8ad05deeb061c5af957ee622e89468d86d086f8f4fd1862"),
+    ("riemann_sphere", sphere_manifest,
+     "cd048c4cc27c6b5e4d866b9072f515271f808a2333faf2ffde55393b097d40f3"),
 ]
 
 

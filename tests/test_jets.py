@@ -438,6 +438,70 @@ def test_batched_kernels_raise_the_first_failing_row():
         _rows(ctx, _power(ctx, c, 0.5), lambda i: _power(ctx, c[i], 0.5))
 
 
+# -- the kernels keep the identities of the truncated power series --
+
+# the relative tolerance of these identities, fixed before they were first
+# run; they hold exactly but for rounding
+IDENTITY_TOL = 1e-10
+SERIES_SHAPES = [(2, 4), (4, 2), (4, 4), (8, 4)]
+# one vector (None), or a batch of that many rows
+ROWS = st.sampled_from([None, 1, 4])
+
+
+def _series(data, ctx, rows):
+    """Coefficients with the value in [0.5, 2] and the rest in
+    [-0.5, 0.5]: one vector, or a (rows, ncoef) batch."""
+    def one():
+        c = _coefficients(data, ctx, st.floats(-0.5, 0.5))
+        c[0] = data.draw(st.floats(0.5, 2.0))
+        return c
+    return one() if rows is None else np.array([one() for _ in range(rows)])
+
+
+def _close(got, want, scale):
+    """|got - want| <= IDENTITY_TOL * max(1, |scale|) in the max norm of
+    each vector (each row of a batch)."""
+    err = np.abs(got - want).max(axis=-1)
+    bound = IDENTITY_TOL * np.maximum(1.0, np.abs(scale).max(axis=-1))
+    assert (err <= bound).all(), (err, bound)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), shape=st.sampled_from(SERIES_SHAPES), rows=ROWS)
+def test_products_distribute_over_sums(data, shape, rows):
+    ctx = get_context(*shape)
+    a, b, c = (_series(data, ctx, rows) for _ in range(3))
+    _close(_cauchy(ctx, a, b + c), _cauchy(ctx, a, b) + _cauchy(ctx, a, c),
+           _cauchy(ctx, np.abs(a), np.abs(b) + np.abs(c)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), shape=st.sampled_from(SERIES_SHAPES), rows=ROWS,
+       negative=st.booleans())
+def test_a_series_times_its_reciprocal_is_one(data, shape, rows, negative):
+    ctx = get_context(*shape)
+    c = _series(data, ctx, rows) * (-1.0 if negative else 1.0)
+    inv = _recip(ctx, c)
+    _close(_cauchy(ctx, c, inv), np.broadcast_to(_one(ctx), c.shape),
+           _cauchy(ctx, np.abs(c), np.abs(inv)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), shape=st.sampled_from(SERIES_SHAPES), rows=ROWS,
+       r=st.sampled_from([0.5, -0.5, 1.5, -1.25, 2.0, 3.0]),
+       s=st.sampled_from([0.5, -0.5, 1.5, -1.25, 2.0, 3.0]))
+def test_composition_agrees_with_nesting(data, shape, rows, r, s):
+    """(c^r)^s against c^(rs), and exp(ln c) against c; exp and ln have
+    no batched kernel, so a batch takes them row by row."""
+    ctx = get_context(*shape)
+    c = _series(data, ctx, rows)
+    nested = _power(ctx, _power(ctx, c, r), s)
+    want = _power(ctx, c, r * s)
+    _close(nested, want, np.maximum(np.abs(nested), np.abs(want)))
+    for row in [c] if rows is None else c:
+        _close(jet_exp(jet_ln(Jet(ctx, row))).c, row, row)
+
+
 # -- an x-degree cap keeps the bits of every coefficient it keeps --
 
 def _kept(capped):

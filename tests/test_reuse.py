@@ -123,6 +123,36 @@ def test_direction_sweep_evaluates_coefficients_once(monkeypatch):
     assert set(calls.values()) == {1}
 
 
+def test_a_failing_batch_of_values_falls_back_once(monkeypatch):
+    """Where one sample of a batch fails (y = 0 at row 2), the batched F
+    raises and ``value_rows`` evaluates each sample once on its own: 12
+    coefficient lookups, one for the batch and a_ij and b_i per sample
+    (b_i not at the failing one), each row with the bits of ``value``."""
+    metric = curved_metric()
+    x = [0.2, -0.1]
+    ys = np.array([[1.0, 0.3], [-0.4, 1.0], [0.0, 0.0], [0.7, -0.7],
+                   [-1.0, -0.2], [0.1, 0.9]])
+    lookups = []
+    original = constructions.CoefficientMemo.values
+
+    def counting(memo, what, point):
+        lookups.append(what)
+        return original(memo, what, point)
+
+    monkeypatch.setattr(constructions.CoefficientMemo, "values", counting)
+    f, ok = metric.value_rows(x, ys)
+    monkeypatch.undo()
+    assert len(lookups) == 12
+    assert ok.tolist() == [True, True, False, True, True, True]
+    for b, y in enumerate(ys.tolist()):
+        if b == 2:
+            with pytest.raises(DomainError):
+                metric.value(x, y)
+            continue
+        assert np.float64(f[b]).tobytes() == \
+            np.float64(metric.value(x, y)).tobytes()
+
+
 def test_memo_stays_bounded():
     metric = curved_metric()
     for k in range(100):

@@ -443,8 +443,15 @@ def test_ppower_assembly_matches_jet_operators(p):
             assert metric.value(x, y) == _reference_value(spec, x, y)
         batch = metric.value(np.array(xs).T, np.array(ys).T)
         assert batch.tolist() == [metric.value(x, y) for x, y in zip(xs, ys)]
-    # a batch with a point outside the domain raises that point's error
+    # a batch with a point outside the domain raises BatchFailed, and
+    # ``value_rows`` marks that point, whose own call raises its error
     xs.insert(3, [0.1, 0.2])
     ys.insert(3, [0.0, 0.0])
-    with pytest.raises(DomainError, match="alpha\\^2 is not positive"):
+    with pytest.raises(BatchFailed):
         metric.value(np.array(xs).T, np.array(ys).T)
+    with pytest.raises(DomainError, match="alpha\\^2 is not positive"):
+        metric.value(xs[3], ys[3])
+    f, ok = metric.value_rows(np.array(xs), np.array(ys))
+    assert ok.tolist() == [k != 3 for k in range(len(xs))]
+    assert f[ok].tolist() == [metric.value(x, y) for k, (x, y)
+                              in enumerate(zip(xs, ys)) if k != 3]
