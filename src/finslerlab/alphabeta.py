@@ -470,12 +470,11 @@ def _tensor_rows(a, b, ctx, points, a_errors=None, b_errors=None):
     return rows
 
 
-def ab_tensor_rows(alpha_spec, beta_spec, points, order=3):
+def ab_tensor_rows(alpha_spec, beta_spec, points):
     """The tensor data ``(rd, ab)`` of (alpha, beta) at each of
     ``points``, in one batched pass: row k has the bits of
-    ``ab_tensors(alpha_spec, beta_spec, points[k], order)`` in every
-    field, or, where that call raises a FinslerError, holds the error it
-    raises.
+    ``ab_tensors(alpha_spec, beta_spec, points[k])`` in every field, or,
+    where that call raises a FinslerError, holds the error it raises.
 
     The jets of a_ij and b_i come from one batched replay of their tapes
     (point by point where the batch fails), and the Levi-Civita data and
@@ -485,7 +484,7 @@ def ab_tensor_rows(alpha_spec, beta_spec, points, order=3):
     if not points:
         return []
     n = len(alpha_spec)
-    ctx = get_context(n, order)
+    ctx = get_context(n, 3)
     a, a_errors = _jet_rows(lambda p: _matrix_entries(alpha_spec, ctx, p),
                             points, (n, n, ctx.ncoef))
     b, b_errors = _jet_rows(lambda p: _covector_coeffs(beta_spec, ctx, p),

@@ -576,24 +576,25 @@ def _equation_residual(sides):
             / max(1.0, *(abs(v) for pair in sides for v in pair)))
 
 
-def sqrt2d_einstein_residual(rd, ab, directions=16):
+def sqrt2d_einstein_residual(rd, ab):
     """Residual of the square-root structure equation r_00 = 6 beta s_0 /
     (b^2-4) from the tensor data ``(rd, ab)`` of one point: the maximum over
-    evenly spaced unit directions, normalized by the scale of the sides."""
+    16 evenly spaced unit directions, normalized by the scale of the
+    sides."""
     if rd.dim != 2:
         raise ValueError("this structure equation is two-dimensional")
     if abs(ab.b2 - 4.0) < 1e-9:
         raise DegenerateValue("b^2 = 4 degenerates the structure equation")
     return _equation_residual([
         (ab.r00(y), 6.0 * ab.beta(y) * ab.s0(y) / (ab.b2 - 4.0))
-        for y in circle_directions(directions)])
+        for y in circle_directions(16)])
 
 
 SQRT2D_KEYS = ("r00_equation", "t00_equation", "s0_squared_equation",
                "divergence_equation", "covariant_s_equation")
 
 
-def sqrt2d_structure_report(rd, ab, directions=16, tolerance=1e-6):
+def sqrt2d_structure_report(rd, ab, tolerance=1e-6):
     """Residuals of the full 2D square-root Einstein structure system.
 
     Beyond the closedness-type equation r_00 = 6 beta s_0 / (b^2 - 4), an
@@ -601,7 +602,8 @@ def sqrt2d_structure_report(rd, ab, directions=16, tolerance=1e-6):
     s^k_{0|k} and s_{0|0} to the scalars theta(x) (recovered from
     s_m s^m = 4 theta b^2 (b^2-4)) and lambda(x), the sectional curvature
     of the base metric.  All five are reported as normalized residuals
-    (``SQRT2D_KEYS``), from the tensor data ``(rd, ab)`` of one point.
+    (``SQRT2D_KEYS``), the maximum over 16 evenly spaced unit directions,
+    from the tensor data ``(rd, ab)`` of one point.
     """
     if rd.dim != 2:
         raise ValueError("these structure equations are two-dimensional")
@@ -613,7 +615,7 @@ def sqrt2d_structure_report(rd, ab, directions=16, tolerance=1e-6):
     theta = smsm / (4.0 * b2 * (b2 - 4.0))
     sk_form = ab.sk_form()
     sides = []  # per direction, the (lhs, rhs) of each equation
-    for y in circle_directions(directions):
+    for y in circle_directions(16):
         alpha2 = rd.alpha(y) ** 2
         beta = ab.beta(y)
         s0 = ab.s0(y)
@@ -728,13 +730,13 @@ class EinsteinConditionReport:
         return all(v < self.tolerance for v in self.residuals.values())
 
 
-def _condition_report(condition_id, folded, tolerance, scalars):
-    """The report of a ``fold_points`` result, with the per-point values
-    of the row entries ``scalars``."""
+def _condition_report(condition_id, folded, scalars):
+    """The report, at tolerance 1e-6, of a ``fold_points`` result, with
+    the per-point values of the row entries ``scalars``."""
     residuals, rows, skipped = folded
     return EinsteinConditionReport(
         condition_id, {k: [row[k] for row in rows] for k in scalars},
-        residuals, tolerance, skipped)
+        residuals, 1e-6, skipped)
 
 
 def _tensor_residual(delta, *scales):
@@ -756,7 +758,7 @@ def _randers_scalars(rd, ab):
 RANDERS_KEYS = ("closedness", "divergence", "ricci_alpha", "einstein_relation")
 
 
-def randers_residuals(rd, ab, table, directions=8):
+def randers_residuals(rd, ab, table):
     """Residuals of the Randers structure equations (``RANDERS_KEYS``) from
     the tensor data ``(rd, ab)`` of one point, with the scalars c and sigma.
 
@@ -765,8 +767,8 @@ def randers_residuals(rd, ab, table, directions=8):
     equation; the residuals are those of each equation and of the final
     Einstein relation Ric = (n-1)(sigma - c^2) F^2, with Ric and F read
     from ``table``, the ``core.EinsteinTable`` of the Randers metric
-    alpha + beta, along the admissible ones of ``directions`` sphere
-    directions.  Raises DegenerateValue where b^2 ~ 0.
+    alpha + beta, along the admissible ones of 8 sphere directions.
+    Raises DegenerateValue where b^2 ~ 0.
     """
     n = rd.dim
     if ab.b2 < 1e-9:
@@ -796,30 +798,29 @@ def randers_residuals(rd, ab, table, directions=8):
         np.abs(ric_rhs).max())
 
     relation = []
-    for f, ric_f in table.ricci_rows(rd.x, sphere_directions(n, directions)):
+    for f, ric_f in table.ricci_rows(rd.x, sphere_directions(n, 8)):
         want = (n - 1) * (sigma - c * c) * f * f
         relation.append(abs(ric_f - want) / max(1.0, abs(ric_f), abs(want)))
     row["einstein_relation"] = worst(relation)
     return row
 
 
-def randers_einstein_residuals(alpha_spec, beta_spec, points, directions=8,
-                               tolerance=1e-6):
+def randers_einstein_residuals(alpha_spec, beta_spec, points):
     """``randers_residuals`` folded over the points (``fold_points``), with
     c and sigma at each evaluated point as the report's scalars."""
     table = EinsteinTable(
         ppower_metric(PPowerSpec(alpha_spec, beta_spec, 1.0)), ())
     return _condition_report("randers", fold_points(
         points, ab_tensor_rows(alpha_spec, beta_spec, points),
-        lambda x, rd, ab: randers_residuals(rd, ab, table, directions),
-        RANDERS_KEYS), tolerance, ("c", "sigma"))
+        lambda x, rd, ab: randers_residuals(rd, ab, table),
+        RANDERS_KEYS), ("c", "sigma"))
 
 
 SQUARE_KEYS = ("covariant_derivative", "ricci_alpha", "c_gradient",
                "ricci_flat")
 
 
-def square_residuals(rd, ab, table, directions=8):
+def square_residuals(rd, ab, table):
     """Residuals of the square-metric structure equations (``SQUARE_KEYS``)
     from the tensor data ``(rd, ab)`` of one point, with the scalar c.
 
@@ -828,8 +829,8 @@ def square_residuals(rd, ab, table, directions=8):
     that equation, of the curvature equation, of the gradient equation
     c_i = -2 c^2 b_i, and the Ricci curvature of the square metric itself
     (instances that satisfy all equations are Ricci-flat), read from
-    ``table``, its ``core.EinsteinTable``, along the admissible ones of
-    ``directions`` sphere directions.
+    ``table``, its ``core.EinsteinTable``, along the admissible ones of 8
+    sphere directions.
     """
     n = rd.dim
     denom = n * (1.0 + 2.0 * ab.b2) - 3.0 * ab.b2
@@ -852,20 +853,19 @@ def square_residuals(rd, ab, table, directions=8):
                                          np.abs(dc).max())
     row["ricci_flat"] = worst([
         abs(ric_f) / max(1.0, f * f) for f, ric_f
-        in table.ricci_rows(rd.x, sphere_directions(n, directions))])
+        in table.ricci_rows(rd.x, sphere_directions(n, 8))])
     return row
 
 
-def square_einstein_residuals(alpha_spec, beta_spec, points, directions=8,
-                              tolerance=1e-6):
+def square_einstein_residuals(alpha_spec, beta_spec, points):
     """``square_residuals`` folded over the points (``fold_points``), with
     c at each evaluated point as the report's scalars."""
     table = EinsteinTable(
         ppower_metric(PPowerSpec(alpha_spec, beta_spec, 2.0)), ())
     return _condition_report("square", fold_points(
         points, ab_tensor_rows(alpha_spec, beta_spec, points),
-        lambda x, rd, ab: square_residuals(rd, ab, table, directions),
-        SQUARE_KEYS), tolerance, ("c",))
+        lambda x, rd, ab: square_residuals(rd, ab, table),
+        SQUARE_KEYS), ("c",))
 
 
 RICCI_FLAT_PARALLEL_KEYS = ("max_covariant_derivative", "max_ricci_alpha")
@@ -878,13 +878,13 @@ def ricci_flat_parallel_residuals(rd, ab):
             "max_ricci_alpha": float(np.abs(rd.ricci_alpha).max())}
 
 
-def ricci_flat_parallel_check(alpha_spec, beta_spec, points, tolerance=1e-9):
+def ricci_flat_parallel_check(alpha_spec, beta_spec, points):
     """``(verdict, max_cov, max_ric)``: the verdict is true iff alpha is
-    Ricci-flat and beta is parallel at every point, and some point was
-    evaluated (``fold_points``)."""
+    Ricci-flat and beta is parallel at every point, both maxima below
+    1e-9, and some point was evaluated (``fold_points``)."""
     residuals, _, _ = fold_points(
         points, ab_tensor_rows(alpha_spec, beta_spec, points),
         lambda x, rd, ab: ricci_flat_parallel_residuals(rd, ab),
         RICCI_FLAT_PARALLEL_KEYS)
     max_cov, max_ric = residuals.values()
-    return max_cov < tolerance and max_ric < tolerance, max_cov, max_ric
+    return max_cov < 1e-9 and max_ric < 1e-9, max_cov, max_ric

@@ -17,7 +17,7 @@ right-hand side as jets, the n-by-n jet solve for G^i and the Riemann read
 -- is valid to degree 2 only, so it runs in the order-2 context: g and the
 F^2 partials are gathered out of the order-4 jet of F^2 into order-2
 coefficients (``_TailTable``), with the same bits as differentiating the
-order-4 jet.
+order-4 jet (the reference is ``derivative`` in ``tests/walks.py``).
 
 R^i_k reads only the x, y, xy and yy partials of G, so the curvature
 (``riemann_curvature`` and ``evaluate``) builds F and F^2 with x-degree
@@ -228,14 +228,15 @@ class _TailTable:
     ``low`` is the order-2 context on the same 2n variables, with an
     x-degree cap one below the order-4 context's where that has one: a
     partial of F^2 with one x-derivative needs one x-degree more than the
-    coefficient it gives.  Each tensor
-    is a pair (index array, factor array) whose last axis runs over the
-    monomials m of ``low``: the partial d/dz^a ... of F^2 has order-2
-    coefficient ``c[idx] * factor`` at m, where idx indexes m + e_a + ...
-    and factor = (m + e_a + ...)! / m!.  That equals differentiating the
-    order-4 jet one variable at a time, bit for bit: with |m| <= 2 each
-    factor is a product of at most two of 1, 2, 3, 4 with at most one 3,
-    so one rounded multiply gives what multiplying by each in turn gives.
+    coefficient it gives.  Each tensor is a pair (index array, factor
+    array) whose last axis runs over the monomials m of ``low``: the
+    partial d/dz^a ... of F^2 has order-2 coefficient ``c[idx] * factor``
+    at m, where idx indexes m + e_a + ... and factor = (m + e_a + ...)! /
+    m!.  That equals differentiating the order-4 jet one variable at a
+    time (``derivative`` in ``tests/walks.py``, the reference), bit for
+    bit: with |m| <= 2 each factor is a product of at most two of 1, 2,
+    3, 4 with at most one 3, so one rounded multiply gives what
+    multiplying by each in turn gives.
 
     ``g[i][j]`` reads d^2/dy^i dy^j, ``xy[l][k]`` d^2/dy^l dx^k and
     ``x[l]`` d/dx^l.

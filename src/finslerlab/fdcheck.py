@@ -187,7 +187,7 @@ def fd_partial(f, point, multi_index, step=None):
     return fd_partials(per_row(f), [point], [multi_index], step)[0, 0]
 
 
-def rel_err(got, want, floor=1.0):
-    """Error relative to |want|, floored so near-zero targets compare
+def rel_err(got, want):
+    """Error relative to |want|, floored at 1 so near-zero targets compare
     absolutely; elementwise for arrays."""
-    return np.abs(np.subtract(got, want)) / np.maximum(np.abs(want), floor)
+    return np.abs(np.subtract(got, want)) / np.maximum(np.abs(want), 1.0)

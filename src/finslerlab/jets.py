@@ -7,18 +7,16 @@ which keeps products free of binomial factors: multiplication is then the
 plain Cauchy product truncated at degree d.
 
 Degrees are filtered: the degree-k coefficients of any arithmetic result
-depend only on degree <= k coefficients of the inputs, so differentiating a
-jet (which loses one order of validity) never corrupts the surviving orders.
-The monomials of an order-d context open the list of every higher-order
-context with the same variables, so a computation whose inputs are valid
-only to degree d can run in the order-d context and give the same bits.
-The degree in the first half of the variables (x of the engine's (x, y)
-contexts) is filtered the same way, so a context may also cap it
-(``x_degree``): its product and shift tables are the full context's,
-filtered in their order, so each coefficient it keeps sums the same terms
-in the same order and has the same bits as in the full context (Griewank
-and Walther 2008, ch. 13, on truncated polynomial arithmetic).  A capped
-context has no derivative: d/dx_v would need the dropped monomials.
+depend only on degree <= k coefficients of the inputs.  The monomials of
+an order-d context open the list of every higher-order context with the
+same variables, so a computation whose inputs are valid only to degree d
+can run in the order-d context and give the same bits.  The degree in the
+first half of the variables (x of the engine's (x, y) contexts) is
+filtered the same way, so a context may also cap it (``x_degree``): its
+product and shift tables are the full context's, filtered in their order,
+so each coefficient it keeps sums the same terms in the same order and has
+the same bits as in the full context (Griewank and Walther 2008, ch. 13,
+on truncated polynomial arithmetic).
 
 A coordinate jet (from :func:`lift_variable`) has two nonzero coefficients,
 so a product with it sums two terms per output instead of every pair of the
@@ -26,8 +24,8 @@ Cauchy product.
 
 Each operation is one kernel over raw coefficient vectors (``_cauchy``,
 ``_shift_product``, ``_recip``, ``_int_power``, ``_power``, ``_compose``
-and the functions).  The Jet operators and ``jet_*`` functions wrap them,
-and compiled expression tapes (``exprlang.Tape``) and the p-power builder
+and the functions).  The Jet operators and ``jet_pow`` wrap them, and
+compiled expression tapes (``exprlang.Tape``) and the p-power builder
 call them directly, without a Jet per operation.  A jet keeps its
 reciprocal once computed, so a jet solve divides by each pivot once.
 
@@ -62,6 +60,8 @@ MAX_VARS = 16  # enough for base + fiber variables of an 8-dimensional chart
 # the largest scratch array a context keeps, in elements (1 MiB of
 # floats); a batch whose temporaries are larger allocates them afresh
 SCRATCH_LIMIT = 1 << 17
+# a division by a jet or scalar whose value is below this raises
+DIV_FLOOR = 1e-14
 
 
 def _monomials(num_vars, order):
@@ -97,10 +97,10 @@ class JetContext:
     every monomial of total degree <= order.  A capped context keeps the
     monomials of the full one whose x-degree is within the cap, in their
     order, and its product and shift tables are the full context's
-    filtered in their order; :meth:`Jet.derivative` refuses it.
+    filtered in their order.
     """
 
-    def __init__(self, num_vars, order, div_floor=1e-14, x_degree=None):
+    def __init__(self, num_vars, order, x_degree=None):
         if not 1 <= order <= MAX_ORDER:
             raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
         if not 1 <= num_vars <= MAX_VARS:
@@ -111,7 +111,6 @@ class JetContext:
             x_degree = None  # the cap drops nothing
         self.num_vars = num_vars
         self.order = order
-        self.div_floor = div_floor
         self.x_degree = x_degree
         self.key = (num_vars, order, x_degree)
         self._pair_tables = {}
@@ -150,27 +149,21 @@ class JetContext:
         self._mul_i = np.array(mi, dtype=np.intp)
         self._mul_j = np.array(mj, dtype=np.intp)
         self._mul_k = np.array(mk, dtype=np.intp)
-        # per-variable tables (lower, upper, factor): lower indexes each
-        # monomial m below the top degree, upper indexes m + e_v and factor
-        # is m_v + 1; d/dx_v reads upper into lower.  A product by the
-        # coordinate x_v (``_shift_product``) sums the terms a[source] into
-        # ``target``: the first ``shifted`` are a[m] into m + e_v for the
-        # lower monomials, the rest a[m] (times the value) into m.
-        self._raise = []
+        # a product by the coordinate x_v (``_shift_product``) sums the
+        # terms a[source] into ``target``: the first ``shifted`` are a[m]
+        # into m + e_v for each monomial m below the top degree, the rest
+        # a[m] (times the value) into m
         self._shift = []
         every = np.arange(self.ncoef, dtype=np.intp)
         for v in range(num_vars):
-            lower, upper, fac = [], [], []
+            lower, upper = [], []
             for i, m in enumerate(self.monomials):
                 if sum(m) >= order:
                     continue
-                bumped = m[:v] + (m[v] + 1,) + m[v + 1:]
                 lower.append(i)
-                upper.append(self.index[bumped])
-                fac.append(m[v] + 1)
+                upper.append(self.index[m[:v] + (m[v] + 1,) + m[v + 1:]])
             lower = np.array(lower, dtype=np.intp)
             upper = np.array(upper, dtype=np.intp)
-            self._raise.append((lower, upper, np.array(fac, dtype=float)))
             self._shift.append((np.concatenate((lower, every)),
                                 np.concatenate((upper, every)), len(lower)))
 
@@ -191,7 +184,6 @@ class JetContext:
         taken = keep[full._mul_k]
         self._mul_i, self._mul_j, self._mul_k = (
             new[t[taken]] for t in (full._mul_i, full._mul_j, full._mul_k))
-        self._raise = None  # a derivative would read dropped monomials
         self._shift = []
         for source, target, shifted in full._shift:
             taken = keep[target]
@@ -377,14 +369,14 @@ def _recip(ctx, c):
     """Coefficients of 1 / c."""
     if c.ndim == 1:
         b0 = c[0]
-        if abs(b0) < ctx.div_floor:
+        if abs(b0) < DIV_FLOOR:
             raise DegenerateValue(
                 f"division by a jet with value {float(b0)!r} below the floor")
         u = c / b0
         u[0] = 0.0
     else:
         b0 = c[:, :1]
-        _raise_first(_recip, ctx, c, np.abs(b0[:, 0]) < ctx.div_floor)
+        _raise_first(_recip, ctx, c, np.abs(b0[:, 0]) < DIV_FLOOR)
         u = c / b0
         u[:, 0] = 0.0
     # 1/b = (1 - u + u^2 - ...) / b0, truncated; u has no constant term,
@@ -622,7 +614,7 @@ class Jet:
             return NotImplemented
         if not isinstance(other, Jet):
             d = float(other)
-            if abs(d) < self.ctx.div_floor:
+            if abs(d) < DIV_FLOOR:
                 raise DegenerateValue("division by a scalar below the floor")
             return Jet(self.ctx, self.c / d)
         return self * o._reciprocal()
@@ -646,22 +638,6 @@ class Jet:
         if isinstance(exponent, (float, np.floating)):
             return jet_pow(self, float(exponent))
         return NotImplemented
-
-    def derivative(self, var):
-        """Jet of the partial derivative with respect to variable ``var``.
-
-        The result is exact to order (d - 1); its top-degree coefficients are
-        zero because they are not determined by the input truncation.  A
-        context with an x-degree cap has none: the derivative by an x
-        variable would read the monomials the cap dropped.
-        """
-        ctx = self.ctx
-        if ctx._raise is None:
-            raise ValueError(f"no derivative in the x-degree capped {ctx!r}")
-        lower, upper, fac = ctx._raise[var]
-        out = np.zeros(ctx.ncoef)
-        out[lower] = self.c[upper] * fac
-        return Jet(ctx, out)
 
     def partial(self, multi_index):
         return extract_partial(self, multi_index)
@@ -761,26 +737,6 @@ def _int_pow(jet, k):
     """jet ** k for an integer k (see :func:`_int_power`)."""
     var = jet.var if type(jet) is CoordinateJet else None
     return Jet(jet.ctx, _int_power(jet.ctx, jet.c, k, var))
-
-
-def jet_sqrt(jet):
-    return Jet(jet.ctx, _sqrt(jet.ctx, jet.c))
-
-
-def jet_exp(jet):
-    return Jet(jet.ctx, _exp(jet.ctx, jet.c))
-
-
-def jet_ln(jet):
-    return Jet(jet.ctx, _ln(jet.ctx, jet.c))
-
-
-def jet_sin(jet):
-    return Jet(jet.ctx, _sin(jet.ctx, jet.c))
-
-
-def jet_cos(jet):
-    return Jet(jet.ctx, _cos(jet.ctx, jet.c))
 
 
 def jet_pow(jet, r):

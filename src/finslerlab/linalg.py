@@ -3,7 +3,8 @@
 One generic implementation serves two element types: plain floats and jets
 (anything supporting + - * / and neg).  Pivots are compared by a magnitude
 functional -- abs for floats, abs of the value coefficient for jets -- and a
-pivot falling below ``floor`` times its row scale raises SingularMetric.
+pivot falling below ``PIVOT_FLOOR`` times its row scale raises
+SingularMetric.
 ``solve_rows`` runs either case for a batch of systems at once, on raw
 arrays, and ``positive_definite_rows`` the Sylvester test for a batch of
 matrices, each row with the bits or the verdict of the one-point call.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularMetric
-from .jets import Jet, _cauchy, _one, _recip
+from .jets import DIV_FLOOR, Jet, _cauchy, _one, _recip
 
 PIVOT_FLOOR = 1e-12
 
@@ -25,7 +26,7 @@ def _magnitude(element):
     return abs(element)
 
 
-def solve(matrix, rhs_columns, floor=PIVOT_FLOOR):
+def solve(matrix, rhs_columns):
     """Solve A X = B for X, with B given as a list of columns.
 
     ``matrix`` is a list of rows; entries may be floats or jets (mixed is
@@ -42,9 +43,9 @@ def solve(matrix, rhs_columns, floor=PIVOT_FLOOR):
     for k in range(n):
         pivot_row = max(range(k, n),
                         key=lambda r: _magnitude(a[r][k]) / scales[perm[r]])
-        if _magnitude(a[pivot_row][k]) < floor * scales[perm[pivot_row]]:
-            raise SingularMetric(
-                f"pivot {k} below {floor} of row scale during elimination")
+        if _magnitude(a[pivot_row][k]) < PIVOT_FLOOR * scales[perm[pivot_row]]:
+            raise SingularMetric(f"pivot {k} below {PIVOT_FLOOR} of row "
+                                 f"scale during elimination")
         if pivot_row != k:
             a[k], a[pivot_row] = a[pivot_row], a[k]
             perm[k], perm[pivot_row] = perm[pivot_row], perm[k]
@@ -70,7 +71,7 @@ def solve(matrix, rhs_columns, floor=PIVOT_FLOOR):
     return solutions
 
 
-def solve_rows(ctx, matrix, rhs, floor=PIVOT_FLOOR):
+def solve_rows(ctx, matrix, rhs):
     """:func:`solve` of one system per batch row, on raw arrays.
 
     Float systems come as a (B, n, n) ``matrix`` and a (B, n) ``rhs`` with
@@ -78,9 +79,9 @@ def solve_rows(ctx, matrix, rhs, floor=PIVOT_FLOOR):
     arrays of coefficient vectors of ``ctx``.  Returns ``(x, ok)``: x[b]
     holds ``solve(A_b, [rhs_b])[0]`` (its coefficients, for jets) with
     its bits wherever ok[b] is true.  ok[b] is false where that solve
-    would raise (a zero row, a pivot below ``floor`` times its row scale,
-    a jet pivot value below the context's division floor, a float pivot
-    of zero) and where a value is not finite; x[b] is then meaningless.
+    would raise (a zero row, a pivot below ``PIVOT_FLOOR`` times its row
+    scale, a jet pivot value below ``jets.DIV_FLOOR``, a float pivot of
+    zero) and where a value is not finite; x[b] is then meaningless.
 
     Every step runs the operations of ``solve`` on the same operands, in
     the same order, for all rows at once: a float is taken as a jet with
@@ -105,7 +106,7 @@ def solve_rows(ctx, matrix, rhs, floor=PIVOT_FLOOR):
         def divisor(pivot):  # a jet row is multiplied by its reciprocal
             return _recip(ctx, pivot)
 
-        divide, div_floor, one = mul, ctx.div_floor, _one(ctx)
+        divide, div_floor, one = mul, DIV_FLOOR, _one(ctx)
     batch, n = a.shape[:2]
     every = np.arange(batch)
     with np.errstate(all="ignore"):
@@ -122,7 +123,7 @@ def solve_rows(ctx, matrix, rhs, floor=PIVOT_FLOOR):
             best = ratio.argmax(axis=1)
             pivot_row = k + best
             ok &= ~(magnitude[every, best]
-                    < floor * scales[every, perm[every, pivot_row]])
+                    < PIVOT_FLOOR * scales[every, perm[every, pivot_row]])
             order = np.tile(np.arange(n), (batch, 1))
             order[every, pivot_row] = k
             order[:, k] = pivot_row
@@ -155,12 +156,12 @@ def solve_rows(ctx, matrix, rhs, floor=PIVOT_FLOOR):
     return (x[..., 0] if ctx is None else x), ok
 
 
-def invert(matrix, floor=PIVOT_FLOOR):
+def invert(matrix):
     """Inverse as a list of rows; elements may be floats or jets."""
     n = len(matrix)
     identity_cols = [[1.0 if r == c else 0.0 for r in range(n)]
                      for c in range(n)]
-    cols = solve(matrix, identity_cols, floor=floor)
+    cols = solve(matrix, identity_cols)
     return [[cols[c][r] for c in range(n)] for r in range(n)]
 
 
@@ -186,7 +187,7 @@ def det(matrix):
     return sign * result
 
 
-def is_positive_definite(matrix, floor=PIVOT_FLOOR):
+def is_positive_definite(matrix):
     """Sylvester test on a symmetric float matrix, with a relative floor."""
     n = len(matrix)
     scale = max(abs(matrix[i][j]) for i in range(n) for j in range(n))
@@ -194,7 +195,7 @@ def is_positive_definite(matrix, floor=PIVOT_FLOOR):
         return False
     for k in range(1, n + 1):
         minor = [[matrix[i][j] for j in range(k)] for i in range(k)]
-        if det(minor) <= (floor * scale) ** k:
+        if det(minor) <= (PIVOT_FLOOR * scale) ** k:
             return False
     return True
 
@@ -228,14 +229,14 @@ def _det_rows(a):
     return np.where(zero, 0.0, sign * result)
 
 
-def positive_definite_rows(matrices, floor=PIVOT_FLOOR):
+def positive_definite_rows(matrices):
     """:func:`is_positive_definite` of each matrix of the (B, n, n) float
     array ``matrices``, as a bool array of its verdicts.
 
     Each leading minor's determinant is ``det``'s own elimination, run on
     every minor of every row at once (``_det_rows``), and it is compared
-    with the limit ``(floor * scale) ** k`` from ``np.float_power``, whose
-    float64 loop calls the C library's pow, the function behind the
+    with the limit ``(PIVOT_FLOOR * scale) ** k`` from ``np.float_power``,
+    whose float64 loop calls the C library's pow, the function behind the
     one-point test's ``**`` (``np.power`` may go through SIMD routines
     that round differently).  The minor of order k is padded to n by n
     with the identity: its zero entries keep the padded rows out of the
@@ -250,7 +251,7 @@ def positive_definite_rows(matrices, floor=PIVOT_FLOOR):
     with np.errstate(all="ignore"):
         scale = np.abs(m).max(axis=(1, 2))
         apart = ~np.isfinite(m).all(axis=(1, 2))
-        limits = np.float_power((floor * scale)[:, None],
+        limits = np.float_power((PIVOT_FLOOR * scale)[:, None],
                                 np.arange(1.0, n + 1))
         apart |= np.isinf(limits).any(axis=1)
         minors = np.tile(np.eye(n), (batch, n, 1, 1))
@@ -260,5 +261,5 @@ def positive_definite_rows(matrices, floor=PIVOT_FLOOR):
         apart |= np.isnan(d).any(axis=1)
         positive = (scale != 0.0) & ~(d <= limits).any(axis=1)
     for b in np.flatnonzero(apart):
-        positive[b] = is_positive_definite(m[b].tolist(), floor)
+        positive[b] = is_positive_definite(m[b].tolist())
     return positive

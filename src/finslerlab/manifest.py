@@ -2,8 +2,9 @@
 
 A manifest is a JSON document describing one metric scenario: the
 dimension, the metric (by kind and expression payloads), the sample plan,
-the list of checks to run, and tolerance overrides.  Validation errors
-carry a JSON-pointer path to the offending field.
+the list of checks to run, and tolerance overrides.  Every numeric field
+must be a JSON number: ``true`` and ``false`` are not 1 and 0.  Validation
+errors carry a JSON-pointer path to the offending field.
 """
 
 from __future__ import annotations
@@ -92,6 +93,16 @@ def _expect(cond, message, pointer):
         raise ManifestError(message, pointer)
 
 
+def _is_number(value):
+    """Whether ``value`` is a JSON number: an int or a float, and not a
+    bool, which Python counts as an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value):
+    return _is_number(value) and isinstance(value, int)
+
+
 def _parse_expr(text, pointer, dimension):
     _expect(isinstance(text, str), "expected an expression string", pointer)
     try:
@@ -108,8 +119,7 @@ def validate_manifest(doc):
     """Validate a manifest dict and return the parsed Manifest."""
     _expect(isinstance(doc, dict), "manifest must be an object", "")
     dim = doc.get("dimension")
-    _expect(isinstance(dim, int) and not isinstance(dim, bool),
-            "dimension must be an integer", "/dimension")
+    _expect(_is_integer(dim), "dimension must be an integer", "/dimension")
     _expect(2 <= dim <= MAX_DIMENSION,
             f"dimension must be between 2 and {MAX_DIMENSION}", "/dimension")
 
@@ -135,8 +145,8 @@ def validate_manifest(doc):
             b_ast = [_parse_expr(b[i], f"/metric/b/{i}", dim)
                      for i in range(dim)]
             p = metric.get("p")
-            _expect(isinstance(p, (int, float)) and not isinstance(p, bool),
-                    "p is required and must be a number", "/metric/p")
+            _expect(_is_number(p), "p is required and must be a number",
+                    "/metric/p")
             _expect(p != 0, "p must be nonzero", "/metric/p")
             _expect(math.isfinite(p), "p must be finite", "/metric/p")
             ppower = PPowerSpec(a_ast, b_ast, float(p))
@@ -159,32 +169,35 @@ def validate_manifest(doc):
     _expect(isinstance(points, list), "points must be a list", "/samples/points")
     for i, pt in enumerate(points):
         _expect(isinstance(pt, list) and len(pt) == dim
-                and all(isinstance(v, (int, float)) for v in pt),
+                and all(_is_number(v) for v in pt),
                 f"point must have {dim} numeric coordinates",
                 f"/samples/points/{i}")
         _expect(all(math.isfinite(v) for v in pt),
                 "point coordinates must be finite", f"/samples/points/{i}")
     random_points = samples_doc.get("random_points", 0)
-    _expect(isinstance(random_points, int) and random_points >= 0,
+    _expect(_is_integer(random_points) and random_points >= 0,
             "random_points must be a nonnegative integer",
             "/samples/random_points")
     seed = samples_doc.get("seed")
-    if random_points > 0:
-        _expect(isinstance(seed, int),
-                "seed is required when random_points > 0", "/samples/seed")
+    if seed is not None:
+        _expect(_is_integer(seed) and seed >= 0,
+                "seed must be a nonnegative integer", "/samples/seed")
+    elif random_points > 0:
+        raise ManifestError("seed is required when random_points > 0",
+                            "/samples/seed")
     _expect(points or random_points > 0,
             "at least one sample point is required", "/samples")
     direction_count = samples_doc.get("direction_count", 32)
-    _expect(isinstance(direction_count, int) and direction_count >= 2,
+    _expect(_is_integer(direction_count) and direction_count >= 2,
             "direction_count must be an integer >= 2",
             "/samples/direction_count")
     margin = samples_doc.get("margin", 0.05)
-    _expect(isinstance(margin, (int, float)) and 0 <= margin < 0.5,
+    _expect(_is_number(margin) and 0 <= margin < 0.5,
             "margin must be in [0, 0.5)", "/samples/margin")
     box = samples_doc.get("box", [[-0.8, 0.8]] * dim)
     _expect(isinstance(box, list) and len(box) == dim
             and all(isinstance(iv, list) and len(iv) == 2
-                    and all(isinstance(v, (int, float)) and math.isfinite(v)
+                    and all(_is_number(v) and math.isfinite(v)
                             for v in iv) and iv[0] < iv[1] for iv in box),
             f"box must be {dim} finite [lo, hi] intervals", "/samples/box")
 
@@ -205,7 +218,7 @@ def validate_manifest(doc):
     for name, value in overrides.items():
         _expect(name in DEFAULT_TOLERANCES,
                 f"unknown tolerance {name!r}", f"/tolerances/{name}")
-        _expect(isinstance(value, (int, float)) and value >= 0,
+        _expect(_is_number(value) and value >= 0,
                 "tolerance must be a nonnegative number", f"/tolerances/{name}")
         _expect(math.isfinite(value), "tolerance must be finite",
                 f"/tolerances/{name}")

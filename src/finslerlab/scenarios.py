@@ -91,13 +91,14 @@ SECOND_TRIPLE = Sqrt2dFamilySpec(
     "x1^2 - x2^2", "2*x1*x2", "0.5 - 0.3*x2/(x1^2+x2^2)")
 
 
-def rotational_points(count, radius_lo=0.35, radius_hi=0.9):
-    """Deterministic points with B in (0,1) and v = x1 away from zero."""
+def rotational_points(count):
+    """Deterministic points with B in (0,1) and v = x1 away from zero, at
+    radii from 0.35 to 0.9."""
     points = []
     k = 0
     while len(points) < count:
         t = k / max(count * 2 - 1, 1)
-        r = radius_lo + (radius_hi - radius_lo) * t
+        r = 0.35 + (0.9 - 0.35) * t
         angle = 0.25 + 2.3 * k
         x = [r * math.cos(angle), r * math.sin(angle)]
         k += 1

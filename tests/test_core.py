@@ -33,6 +33,7 @@ from finslerlab.core import sphere_directions
 from finslerlab.fdcheck import fd_partials
 from finslerlab.jets import get_context
 from fdtools import funk_spec
+from walks import derivative
 
 IDENTITY = [["1", "0"], ["0", "1"]]
 SPHERE = [["4/(1+x1^2+x2^2)^2", "0"], ["0", "4/(1+x1^2+x2^2)^2"]]
@@ -526,16 +527,16 @@ def _order4_spray_jets(metric, x, y):
     ctx = get_context(2 * n, 4)
     f = metric.jet(x, y, 4)
     f2 = f * f
-    g_jets = [[0.5 * f2.derivative(n + i).derivative(n + j) for j in range(n)]
-              for i in range(n)]
+    g_jets = [[0.5 * derivative(derivative(f2, n + i), n + j)
+               for j in range(n)] for i in range(n)]
     # plain jets with coordinate coefficients take the Cauchy product
     y_jets = [Jet(ctx, lift_variable(ctx, n + k, y[k]).c) for k in range(n)]
     rhs = []
     for l in range(n):
-        df_l = f2.derivative(n + l)
-        acc = -f2.derivative(l)
+        df_l = derivative(f2, n + l)
+        acc = -derivative(f2, l)
         for k in range(n):
-            acc = acc + df_l.derivative(k) * y_jets[k]
+            acc = acc + derivative(df_l, k) * y_jets[k]
         rhs.append(acc)
     cols = solve(g_jets, [rhs])
     return [0.25 * gi for gi in cols[0]]

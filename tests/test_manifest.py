@@ -108,6 +108,8 @@ def test_seed_required_for_random_points():
     with pytest.raises(ManifestError) as info:
         validate_manifest(doc)
     assert info.value.pointer == "/samples/seed"
+    doc["samples"]["seed"] = 0
+    assert validate_manifest(doc).samples.seed == 0
 
 
 def test_family_requires_dimension_two():
@@ -151,6 +153,43 @@ def test_non_finite_numbers_are_rejected(edit, pointer):
     with pytest.raises(ManifestError) as info:
         validate_manifest(doc)
     assert info.value.pointer == pointer
+
+
+@pytest.mark.parametrize("edit, pointer", [
+    (lambda doc: doc.update(tolerances={"einstein_spread": True}),
+     "/tolerances/einstein_spread"),
+    (lambda doc: doc["samples"].update(points=[[True, False]]),
+     "/samples/points/0"),
+    (lambda doc: doc["samples"].update(random_points=True, seed=1),
+     "/samples/random_points"),
+    (lambda doc: doc["samples"].update(seed=True), "/samples/seed"),
+    (lambda doc: doc["samples"].update(margin=False), "/samples/margin"),
+    (lambda doc: doc["samples"].update(direction_count=True),
+     "/samples/direction_count"),
+    (lambda doc: doc["samples"].update(box=[[False, True], [-1.0, 1.0]]),
+     "/samples/box"),
+    (lambda doc: doc.update(dimension=True), "/dimension"),
+    (lambda doc: doc["metric"].update(p=True), "/metric/p"),
+], ids=["tolerance", "point", "random-points", "seed", "margin",
+        "direction-count", "box", "dimension", "p"])
+def test_booleans_are_not_numbers(edit, pointer):
+    doc = ppower_doc()
+    edit(doc)
+    with pytest.raises(ManifestError) as info:
+        validate_manifest(doc)
+    assert info.value.pointer == pointer
+
+
+@pytest.mark.parametrize("random_points", [0, 3])
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", [7]])
+def test_seed_must_be_a_nonnegative_integer(seed, random_points):
+    """Also where random_points is 0, a seed that is there is checked."""
+    doc = ppower_doc()
+    doc["samples"].update(random_points=random_points, seed=seed)
+    with pytest.raises(ManifestError, match="seed must be a nonnegative "
+                                            "integer") as info:
+        validate_manifest(doc)
+    assert info.value.pointer == "/samples/seed"
 
 
 def test_run_produces_consistent_report():
@@ -415,6 +454,16 @@ def test_cli_tolerance_override_is_validated(tmp_path, capsys, override,
                      "--out", str(out), "--tol", override])
     assert code == 2
     assert capsys.readouterr().err == f"manifest error: {error}\n"
+    assert not out.exists()
+
+
+def test_cli_negative_seed_is_a_manifest_error(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = cli_main(["run", f"{MANIFEST_DIR}/funk_ball.json",
+                     "--out", str(out), "--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "manifest error: /samples/seed: seed must be a nonnegative integer\n")
     assert not out.exists()
 
 

@@ -26,8 +26,8 @@ from finslerlab.exprlang import (
     to_source,
 )
 from finslerlab.core import FinslerMetric
-from finslerlab.jets import Jet, get_context, jet_pow, jet_sqrt, lift_variable
-from walks import eval_jet, eval_scalar
+from finslerlab.jets import Jet, get_context, jet_pow, lift_variable
+from walks import eval_jet, eval_scalar, jet_sqrt
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))

@@ -5,7 +5,13 @@ against.
 float operations and domain rules of ``exprlang`` and the ``Jet``
 operators, so every value, every error and its text are the ones a
 compiled ``exprlang.Tape`` must give bit for bit.
+
+The one-jet functions ``jet_sqrt``, ``jet_exp``, ``jet_ln``, ``jet_sin``
+and ``jet_cos`` wrap the kernels the tapes call, and ``derivative`` takes
+the jet of a partial derivative, for the reference paths of the tests.
 """
+
+import numpy as np
 
 from finslerlab.exprlang import (
     Binary,
@@ -21,17 +27,56 @@ from finslerlab.exprlang import (
     _scalar_pow,
 )
 from finslerlab.jets import (
+    Jet,
+    _cos,
+    _exp,
+    _ln,
+    _sin,
+    _sqrt,
     constant,
-    jet_cos,
-    jet_exp,
-    jet_ln,
     jet_pow,
-    jet_sin,
-    jet_sqrt,
     lift_variable,
 )
 
-__all__ = ["eval_jet", "eval_scalar"]
+__all__ = ["derivative", "eval_jet", "eval_scalar", "jet_cos", "jet_exp",
+           "jet_ln", "jet_sin", "jet_sqrt"]
+
+
+def jet_sqrt(jet):
+    return Jet(jet.ctx, _sqrt(jet.ctx, jet.c))
+
+
+def jet_exp(jet):
+    return Jet(jet.ctx, _exp(jet.ctx, jet.c))
+
+
+def jet_ln(jet):
+    return Jet(jet.ctx, _ln(jet.ctx, jet.c))
+
+
+def jet_sin(jet):
+    return Jet(jet.ctx, _sin(jet.ctx, jet.c))
+
+
+def jet_cos(jet):
+    return Jet(jet.ctx, _cos(jet.ctx, jet.c))
+
+
+def derivative(jet, var):
+    """Jet of the partial derivative of ``jet`` by variable ``var``.
+
+    The result is exact to order (d - 1); its top-degree coefficients are
+    zero because they are not determined by the input truncation.  The
+    context must keep every monomial (no x-degree cap): d/dx_v reads the
+    coefficient of m + e_v into m for each monomial m below the top degree.
+    """
+    ctx = jet.ctx
+    out = np.zeros(ctx.ncoef)
+    for i, m in enumerate(ctx.monomials):
+        if sum(m) < ctx.order:
+            bumped = m[:var] + (m[var] + 1,) + m[var + 1:]
+            out[i] = jet.c[ctx.index[bumped]] * (m[var] + 1)
+    return Jet(ctx, out)
 
 _JET_FUNCS = {"sqrt": jet_sqrt, "exp": jet_exp, "ln": jet_ln,
               "sin": jet_sin, "cos": jet_cos}
