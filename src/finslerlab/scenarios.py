@@ -1,16 +1,24 @@
 """Bundled verification scenarios.
 
 Each scenario reproduces one published closed-form result or cross-path
-equivalence as machine-checked residuals, and returns a ScenarioResult with
-per-row details.  The registry drives both the ``verify-paper`` CLI command
-and the acceptance test suite.
+equivalence as machine-checked residuals.  A scenario is a function
+registered in ``SCENARIOS`` by the ``_scenario(description, runtime=...)``
+decorator, which names it by its function name (``scenario_killing_rescale``
+is ``killing-rescale``), times it, and returns a ScenarioResult.  The body
+returns its detail lines, each plain text or a ``(text, holds)`` row; the
+verdict is that every row holds.  ``_row(label, value, "< 1e-7")`` formats
+a row and tests the bound it prints, so each bound is written once; a
+``>`` row holds only for a finite value, so neither a NaN nor the inf of
+a fold over nothing can pass it.  The registry drives both the
+``verify-paper`` CLI command and the acceptance test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,8 +70,60 @@ class ScenarioResult:
     anchor: str
     description: str
     passed: bool
-    details: list = field(default_factory=list)
-    duration: float = 0.0
+    details: list
+    duration: float
+
+
+# scenario functions in registration order, filled by ``_scenario``
+SCENARIOS = []
+
+
+def _anchor(fn):
+    """The name a scenario reports and ``run_scenarios`` filters on."""
+    return fn.__name__.replace("scenario_", "").replace("_", "-")
+
+
+def _row(label, value, bound, fmt=".3e", unit=""):
+    """The detail row ``label value (bound)`` and whether ``value`` holds
+    ``bound``, a text ``"< L"`` or ``"> L"`` that may go on with a note
+    after a comma.  L is read from that text, so the limit printed is the
+    limit tested; ``unit`` follows both the value and L.  Neither sense
+    holds at L itself or on NaN, and ``>`` holds only for a finite value:
+    ``worst`` reads a NaN, and a list with nothing evaluated, as inf.
+    With an empty ``bound`` the row is plain text."""
+    text = f"{label} {value:{fmt}}{unit}"
+    if not bound:
+        return text
+    limit = float(bound[2:].split(",")[0].removesuffix(unit))
+    if bound[0] == "<":
+        holds = value < limit
+    else:
+        holds = math.isfinite(value) and value > limit
+    return f"{text} ({bound})", bool(holds)
+
+
+def _scenario(description, runtime=None):
+    """Register a scenario whose body returns its detail lines: plain text
+    or ``(text, holds)`` rows.  With ``runtime`` a ``runtime:`` row
+    follows them, gated by that bound (``"< 10s"``) or, where it is ``""``,
+    printed only."""
+    def register(body):
+        @functools.wraps(body)
+        def run():
+            start = time.perf_counter()
+            rows = body()
+            elapsed = time.perf_counter() - start
+            if runtime is not None:
+                rows.append(_row("runtime:", elapsed, runtime, ".2f", "s"))
+            rows = [(row, True) if isinstance(row, str) else row
+                    for row in rows]
+            return ScenarioResult(
+                _anchor(body), description,
+                all(holds for _, holds in rows),
+                [text for text, _ in rows], elapsed)
+        SCENARIOS.append(run)
+        return run
+    return register
 
 
 IDENTITY_2D = [["1", "0"], ["0", "1"]]
@@ -132,9 +192,10 @@ def _tensors(alpha, beta, points):
     return [_raised(row) for row in ab_tensor_rows(alpha, beta, points)]
 
 
+@_scenario("closed-form curvature of the rotational family",
+           runtime="< 10s")
 def scenario_rotational_family_curvature():
     """Engine Einstein scalar of the rotational family vs its closed form."""
-    start = time.perf_counter()
     fam = sqrt2d_family(ROTATIONAL_TRIPLE)
     metric = fam.metric()
     points = rotational_points(10)
@@ -142,30 +203,26 @@ def scenario_rotational_family_curvature():
     # on fewer samples than its detail line prints
     spreads, skipped = EinsteinTable(
         metric, sphere_directions(2, 32)).spreads(points)
-    max_spread = worst(spreads)
+    rows = [f"points: {len(points)}, directions: 32"]
+    if skipped:
+        rows.append(("skipped:", False))
+        rows += ["  " + text for text in skipped]
+    rows.append(_row("max spread of the Einstein scalar over directions:",
+                     worst(spreads), "< 1e-7"))
     bs = [fam.b_squared(x) for x in points]
     lams = einstein_scalars(metric, points, [[0.6, 0.8]] * len(points))
-    worst_closed = worst(abs(lam - (-1.0 / math.sqrt(1.0 - b)))
-                         for b, lam in zip(bs, lams.tolist()))
-    elapsed = time.perf_counter() - start
-    passed = (not skipped and max_spread < 1e-7 and worst_closed < 1e-7
-              and elapsed < 10.0)
-    details = [
-        f"points: {len(points)}, directions: 32",
-        f"max spread of the Einstein scalar over directions: {max_spread:.3e} (< 1e-7)",
-        f"max |engine - closed form -1/sqrt(1-B)|: {worst_closed:.3e} (< 1e-7)",
-        f"runtime: {elapsed:.2f}s (< 10s)",
-    ]
-    return ScenarioResult("rotational-family-curvature",
-                          "closed-form curvature of the rotational family",
-                          passed, details, elapsed)
+    rows.append(_row("max |engine - closed form -1/sqrt(1-B)|:",
+                     worst(abs(lam - (-1.0 / math.sqrt(1.0 - b)))
+                           for b, lam in zip(bs, lams.tolist())), "< 1e-7"))
+    return rows
 
 
+@_scenario("pairwise agreement of the three curvature formulas",
+           runtime="< 10s")
 def scenario_family_curvature_consistency():
     """Three independent curvature computations agree on family instances."""
-    start = time.perf_counter()
     gaps = []
-    rows = 0
+    count = 0
     for spec, points in ((ROTATIONAL_TRIPLE, rotational_points(20)),
                          (SECOND_TRIPLE, second_triple_points(8))):
         fam = sqrt2d_family(spec)
@@ -173,11 +230,7 @@ def scenario_family_curvature_consistency():
         for x in points:
             pde = fam.pde_residuals(x)
             if max(abs(v) for v in pde.values()) > 1e-10:
-                return ScenarioResult(
-                    "family-curvature-consistency",
-                    "pairwise agreement of the three curvature formulas",
-                    False, [f"triple violates its constraints at {x}"],
-                    time.perf_counter() - start)
+                return [(f"triple violates its constraints at {x}", False)]
         k_engines = einstein_scalars(metric, points,
                                      [[0.6, 0.8]] * len(points))
         tensors = _tensors(fam.alpha, fam.beta, points)
@@ -186,26 +239,20 @@ def scenario_family_curvature_consistency():
             k_alpha = sqrt2d_K_from_lambda(rd, ab)
             gaps += [abs(k_formula - k_alpha), abs(k_formula - k_engine),
                      abs(k_alpha - k_engine)]
-            rows += 1
-    elapsed = time.perf_counter() - start
-    disagreement = worst(gaps)
-    passed = disagreement < 1e-6 and elapsed < 10.0
-    details = [
-        f"{rows} points across two scalar triples",
-        f"max pairwise disagreement of the three curvature values: {disagreement:.3e} (< 1e-6)",
-        f"runtime: {elapsed:.2f}s (< 10s)",
+            count += 1
+    return [
+        f"{count} points across two scalar triples",
+        _row("max pairwise disagreement of the three curvature values:",
+             worst(gaps), "< 1e-6"),
     ]
-    return ScenarioResult("family-curvature-consistency",
-                          "pairwise agreement of the three curvature formulas",
-                          passed, details, elapsed)
 
 
+@_scenario("structural vs generic geodesic coefficients", runtime="< 30s")
 def scenario_spray_cross_validation():
     """Structural spray formula vs generic spray over random samples."""
-    start = time.perf_counter()
     rng = np.random.default_rng(42)
     exponents = (1.0, 2.0, -1.0, 0.5, 3.0)
-    differences = {}
+    rows = []
     for p in exponents:
         metric = ppower_metric(PPowerSpec(CURVED_ALPHA, CURVED_BETA, p))
         samples = _draw_samples(metric, 100, lambda: (
@@ -218,46 +265,36 @@ def scenario_spray_cross_validation():
             g_struct = structural_spray(rd, ab, p, y)
             scale = max(1.0, float(np.abs(g_generic).max()))
             values.append(float(np.abs(g_struct - g_generic).max()) / scale)
-        differences[p] = worst(values)
-    elapsed = time.perf_counter() - start
-    passed = all(v < 1e-9 for v in differences.values()) and elapsed < 30.0
-    details = [f"p={p}: max relative spray difference {v:.3e} (< 1e-9)"
-               for p, v in differences.items()]
-    details.append(f"runtime: {elapsed:.2f}s (< 30s)")
-    return ScenarioResult("spray-cross-validation",
-                          "structural vs generic geodesic coefficients",
-                          passed, details, elapsed)
+        rows.append(_row(f"p={p}: max relative spray difference",
+                         worst(values), "< 1e-9"))
+    return rows
 
 
+@_scenario("closed-form Randers Ricci vs the generic engine")
 def scenario_randers_ricci_formula():
     """Closed-form Randers Ricci curvature vs the generic engine."""
-    start = time.perf_counter()
     rng = np.random.default_rng(7)
     metric = ppower_metric(PPowerSpec(IDENTITY_2D, FLAT_RANDERS_BETA, 1.0))
     samples = _draw_samples(metric, 50, lambda: (
         rng.uniform(-0.6, 0.6, size=2).tolist(),
         rng.uniform(-1.0, 1.0, size=2).tolist()))
-    worst_flat = worst(_randers_ricci_gaps(metric, IDENTITY_2D,
-                                           FLAT_RANDERS_BETA, samples))
+    rows = [_row("50 flat-metric samples: max relative difference",
+                 worst(_randers_ricci_gaps(metric, IDENTITY_2D,
+                                           FLAT_RANDERS_BETA, samples)),
+                 "< 1e-7")]
     funk = ppower_metric(PPowerSpec(FUNK_ALPHA, FUNK_BETA, 1.0))
     samples = [([0.45 * math.cos(0.7 * k), 0.45 * math.sin(0.7 * k)],
                 [math.cos(2.1 * k + 0.4), math.sin(2.1 * k + 0.4)])
                for k in range(10)]
-    worst_funk = worst(_randers_ricci_gaps(funk, FUNK_ALPHA, FUNK_BETA,
-                                           samples))
+    rows.append(_row("unit-ball instance: max relative difference",
+                     worst(_randers_ricci_gaps(funk, FUNK_ALPHA, FUNK_BETA,
+                                               samples)), "< 1e-7"))
     lams = einstein_scalars(funk, [x for x, _ in samples],
                             [y for _, y in samples])
-    worst_lambda = worst(abs(lam + 0.25) for lam in lams.tolist())
-    elapsed = time.perf_counter() - start
-    passed = worst_flat < 1e-7 and worst_funk < 1e-7 and worst_lambda < 1e-6
-    details = [
-        f"50 flat-metric samples: max relative difference {worst_flat:.3e} (< 1e-7)",
-        f"unit-ball instance: max relative difference {worst_funk:.3e} (< 1e-7)",
-        f"unit-ball Einstein scalar vs -1/4: {worst_lambda:.3e} (< 1e-6)",
-    ]
-    return ScenarioResult("randers-ricci-formula",
-                          "closed-form Randers Ricci vs the generic engine",
-                          passed, details, elapsed)
+    rows.append(_row("unit-ball Einstein scalar vs -1/4:",
+                     worst(abs(lam + 0.25) for lam in lams.tolist()),
+                     "< 1e-6"))
+    return rows
 
 
 def _randers_ricci_gaps(metric, alpha, beta, samples):
@@ -286,13 +323,12 @@ def random_polynomial_instance(rng):
     return alpha, beta
 
 
+@_scenario("covariant-derivative identity residuals")
 def scenario_covariant_identity_suite():
     """The four covariant-derivative identities, and their sign sensitivity."""
-    start = time.perf_counter()
     rng = np.random.default_rng(2024)
     sign = curvature_term_sign()
-    residuals = []
-    flipped_max = 0.0
+    residuals, flipped = [], []
     instances = 0
     while instances < 20:
         # draw as many instances as are missing, as drawing one at a time
@@ -310,22 +346,16 @@ def scenario_covariant_identity_suite():
             if isinstance(row, FinslerError):
                 continue
             residuals += ricci_identity_residuals(*row, sign)[0]
-            # flipped_max must exceed its bound, and worst() would read a
-            # NaN as inf and pass it: it keeps the bare max
-            res_flipped, _ = ricci_identity_residuals(*row, -sign)
-            flipped_max = max(flipped_max, *res_flipped)
+            flipped += ricci_identity_residuals(*row, -sign)[0]
             instances += 1
-    elapsed = time.perf_counter() - start
-    max_residual = worst(residuals)
-    passed = max_residual < 1e-7 and flipped_max > 1e-4
-    details = [
+    return [
         f"calibrated curvature term sign: {sign:+d}",
-        f"20 instances: max identity residual {max_residual:.3e} (< 1e-7)",
-        f"flipped sign: max residual {flipped_max:.3e} (> 1e-4, sensitivity)",
+        _row("20 instances: max identity residual", worst(residuals),
+             "< 1e-7"),
+        # np.max keeps a NaN, which fails the row
+        _row("flipped sign: max residual", float(np.max(flipped)),
+             "> 1e-4, sensitivity"),
     ]
-    return ScenarioResult("covariant-identity-suite",
-                          "covariant-derivative identity residuals",
-                          passed, details, elapsed)
 
 
 def stated_positivity_bound(p):
@@ -357,6 +387,7 @@ def positivity_pairs():
     return pairs
 
 
+@_scenario("closed-form positivity vs inequality sampling")
 def scenario_positivity_criterion():
     """Closed-form positivity case split vs sampling the three inequalities.
 
@@ -365,7 +396,6 @@ def scenario_positivity_criterion():
     (``stated_positivity_bound``) beside the exact one that the case split
     uses, so the gap between them stays in sight.
     """
-    start = time.perf_counter()
     pairs = positivity_pairs()
     disagreements = []
     for p, b_sq in pairs:
@@ -375,21 +405,17 @@ def scenario_positivity_criterion():
             disagreements.append(
                 f"(p={p}, b^2={b_sq:.4f}): closed-form {closed}, "
                 f"inequalities {sampled} (worst margin {margin:.3e})")
-    elapsed = time.perf_counter() - start
-    passed = not disagreements
-    details = [f"{len(pairs)} (p, b^2) pairs across the three case boundaries"]
+    rows = [f"{len(pairs)} (p, b^2) pairs across the three case boundaries"]
     if disagreements:
-        details.append("divergent pairs:")
-        details.extend("  " + d for d in disagreements)
+        rows.append(("divergent pairs:", False))
+        rows += ["  " + d for d in disagreements]
     else:
-        details.append("closed form and inequality sampling agree everywhere")
+        rows.append("closed form and inequality sampling agree everywhere")
     for p in sorted({p for p, _ in pairs if 0.0 < p < 0.5}):
-        details.append(f"p={p}: stated bound b^2 < "
-                       f"{stated_positivity_bound(p):.5f}, exact b^2 < "
-                       f"{positivity_bound(p):.5f}")
-    return ScenarioResult("positivity-criterion",
-                          "closed-form positivity vs inequality sampling",
-                          passed, details, elapsed)
+        rows.append(f"p={p}: stated bound b^2 < "
+                    f"{stated_positivity_bound(p):.5f}, exact b^2 < "
+                    f"{positivity_bound(p):.5f}")
+    return rows
 
 
 def _draw_samples(metric, count, draw, reversible=False):
@@ -405,9 +431,10 @@ def _draw_samples(metric, count, draw, reversible=False):
     return samples
 
 
+@_scenario("flat metric + parallel 1-form is Ricci-flat "
+           "and reversible for all exponents")
 def scenario_flat_parallel_family():
     """Flat metric with a parallel 1-form is Ricci-flat and reversible."""
-    start = time.perf_counter()
     rng = np.random.default_rng(99)
     beta = ["0.28", "-0.12"]
     ric_values = []
@@ -429,72 +456,54 @@ def scenario_flat_parallel_family():
         ric_values += np.abs(_checked(rows.ric[:len(ys)])).tolist()
         lams = np.array(_checked(rows.lam))
         rev_values += np.abs(lams[:len(ys)] - lams[len(ys):]).tolist()
-    worst_ric = worst(ric_values)
-    worst_rev = worst(rev_values)
-    elapsed = time.perf_counter() - start
-    passed = rfp and worst_ric < 1e-9 and worst_rev < 1e-9
-    details = [
-        f"flat-parallel verdict: {rfp} (covariant derivative {max_cov:.1e}, "
-        f"curvature {max_ric_alpha:.1e})",
-        f"5 exponents x 50 samples: max |Ricci of F| {worst_ric:.3e} (< 1e-9)",
-        f"max reversibility residual {worst_rev:.3e} (< 1e-9)",
+    return [
+        (f"flat-parallel verdict: {rfp} (covariant derivative "
+         f"{max_cov:.1e}, curvature {max_ric_alpha:.1e})", rfp),
+        _row("5 exponents x 50 samples: max |Ricci of F|", worst(ric_values),
+             "< 1e-9"),
+        _row("max reversibility residual", worst(rev_values), "< 1e-9"),
     ]
-    return ScenarioResult("flat-parallel-family",
-                          "flat metric + parallel 1-form is Ricci-flat "
-                          "and reversible for all exponents",
-                          passed, details, elapsed)
 
 
+@_scenario("checkers reject a generic non-Einstein instance")
 def scenario_non_einstein_rejection():
     """A generic non-Einstein instance must fail every checker."""
-    start = time.perf_counter()
     metric = ppower_metric(PPowerSpec(IDENTITY_2D, NEGATIVE_CONTROL_BETA, 1.0))
-    rev = EinsteinTable(metric, ()).reversal([0.0, 1.0], [1.0, 0.5])
-    randers = randers_einstein_residuals(IDENTITY_2D, NEGATIVE_CONTROL_BETA,
-                                         [[0.0, 1.0], [0.2, 0.8]])
-    square = square_einstein_residuals(IDENTITY_2D, NEGATIVE_CONTROL_BETA,
-                                       [[0.0, 1.0], [0.2, 0.8]])
-    closedness = randers.residuals["closedness"]
-    cov_residual = square.residuals["covariant_derivative"]
-    elapsed = time.perf_counter() - start
-    passed = (rev > 1e-3 and not randers.verdict and not square.verdict
-              and closedness > 1e-3 and cov_residual > 1e-3)
-    details = [
-        f"reversibility residual {rev:.4f} (> 1e-3)",
-        f"Randers structure equations: verdict {randers.verdict}, "
-        f"closedness residual {closedness:.4f} (> 1e-3)",
-        f"square structure equations: verdict {square.verdict}, "
-        f"covariant-derivative residual {cov_residual:.4f} (> 1e-3)",
-    ]
-    return ScenarioResult("non-einstein-rejection",
-                          "checkers reject a generic non-Einstein instance",
-                          passed, details, elapsed)
+    rows = [_row("reversibility residual",
+                 EinsteinTable(metric, ()).reversal([0.0, 1.0], [1.0, 0.5]),
+                 "> 1e-3", ".4f")]
+    for name, check, key, label in (
+            ("Randers", randers_einstein_residuals, "closedness",
+             "closedness residual"),
+            ("square", square_einstein_residuals, "covariant_derivative",
+             "covariant-derivative residual")):
+        report = check(IDENTITY_2D, NEGATIVE_CONTROL_BETA,
+                       [[0.0, 1.0], [0.2, 0.8]])
+        text, holds = _row(
+            f"{name} structure equations: verdict {report.verdict}, {label}",
+            report.residuals[key], "> 1e-3", ".4f")
+        rows.append((text, holds and not report.verdict))
+    return rows
 
 
+@_scenario("rescaled 1-form is Killing with the stated norm")
 def scenario_killing_rescale():
     """Rescaled 1-form of the rotational family is a Killing form."""
-    start = time.perf_counter()
     fam = sqrt2d_family(ROTATIONAL_TRIPLE)
     r_values, norm_values = [], []
     for rd, ab in _tensors(fam.alpha, fam.beta, rotational_points(10)):
         kd = killing_deformation(rd, ab)
         r_values.append(kd.r_residual)
         norm_values.append(abs(kd.btilde_norm_sq - kd.expected_norm_sq))
-    worst_r, worst_norm = worst(r_values), worst(norm_values)
-    elapsed = time.perf_counter() - start
-    passed = bool(worst_r < 1e-7 and worst_norm < 1e-9)
-    details = [
-        f"10 points: max Killing residual {worst_r:.3e} (< 1e-7)",
-        f"max |norm^2 - B/(1-B)^(3/2)| {worst_norm:.3e} (< 1e-9)",
+    return [
+        _row("10 points: max Killing residual", worst(r_values), "< 1e-7"),
+        _row("max |norm^2 - B/(1-B)^(3/2)|", worst(norm_values), "< 1e-9"),
     ]
-    return ScenarioResult("killing-rescale",
-                          "rescaled 1-form is Killing with the stated norm",
-                          passed, details, elapsed)
 
 
+@_scenario("jet derivatives vs central finite differences", runtime="")
 def scenario_derivative_soundness():
     """Jet partials of F^2 and the spray match finite differences."""
-    start = time.perf_counter()
     rng = np.random.default_rng(17)
     metric = ppower_metric(PPowerSpec(CURVED_ALPHA, CURVED_BETA, 0.5))
     n = metric.dim
@@ -550,39 +559,16 @@ def scenario_derivative_soundness():
     # gots[b, i, m] and wants[b, m, i]: partial m of G^i at sample b
     gots = read_partials(g, spray_index, low)
     spray_errors = rel_err(gots, wants.transpose(0, 2, 1)).ravel().tolist()
-    worst_f2 = worst(f2_errors)
-    worst_spray = worst(spray_errors)
-    elapsed = time.perf_counter() - start
-    passed = bool(worst_f2 < 1e-5 and worst_spray < 1e-5)
-    details = [
-        f"100 samples, all F^2 partials to order 4: max error {worst_f2:.3e} (< 1e-5)",
-        f"100 samples, all spray partials to order 2: max error {worst_spray:.3e} (< 1e-5)",
-        f"runtime: {elapsed:.2f}s",
+    return [
+        _row("100 samples, all F^2 partials to order 4: max error",
+             worst(f2_errors), "< 1e-5"),
+        _row("100 samples, all spray partials to order 2: max error",
+             worst(spray_errors), "< 1e-5"),
     ]
-    return ScenarioResult("derivative-soundness",
-                          "jet derivatives vs central finite differences",
-                          passed, details, elapsed)
-
-
-SCENARIOS = (
-    scenario_rotational_family_curvature,
-    scenario_family_curvature_consistency,
-    scenario_spray_cross_validation,
-    scenario_randers_ricci_formula,
-    scenario_covariant_identity_suite,
-    scenario_positivity_criterion,
-    scenario_flat_parallel_family,
-    scenario_non_einstein_rejection,
-    scenario_killing_rescale,
-    scenario_derivative_soundness,
-)
 
 
 def run_scenarios(filter_text=None):
-    results = []
-    for fn in SCENARIOS:
-        probe = fn.__name__.replace("scenario_", "").replace("_", "-")
-        if filter_text and filter_text not in probe:
-            continue
-        results.append(fn())
-    return results
+    """The results of the registered scenarios whose anchor contains
+    ``filter_text`` (all of them without one), in ``SCENARIOS`` order."""
+    return [fn() for fn in SCENARIOS
+            if not filter_text or filter_text in _anchor(fn)]

@@ -67,3 +67,9 @@ def test_scenario_registry_complete():
     anchors = [r.anchor for r in results]
     assert len(set(anchors)) == 10
     assert all(type(r.passed) is bool for r in results)
+    # perfbench's scenarios.<anchor>_s metrics and its known-defect list
+    # key on these names
+    assert anchors == [fn.__name__.replace("scenario_", "").replace("_", "-")
+                       for fn in scenarios.SCENARIOS]
+    assert [r.anchor for r in scenarios.run_scenarios("rejection")] == [
+        "non-einstein-rejection"]
