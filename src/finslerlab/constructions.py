@@ -550,12 +550,13 @@ def fold_points(points, tensors, at, keys):
     """Fold the residual dicts ``at(x, rd, ab)`` over the points and their
     ``tensors`` rows (``alphabeta.ab_tensor_rows``); a row holding a
     FinslerError, or an ``at`` raising one, is skipped as ``x={x}: {exc}``.
-    A dict may hold entries besides ``keys``, and may leave out a key it
-    could not evaluate, with the reason under ``"skipped"``.  Returns
-    ``(residuals, dicts, skipped)``: each key's ``core.worst`` over the
-    dicts holding it (inf for a NaN, and for a key no point evaluated),
-    the dicts, and the skip texts in point order."""
-    rows, skipped = [], []
+    A dict may hold entries besides ``keys``, a list of ``"notes"``, and
+    may leave out a key it could not evaluate, with the reason under
+    ``"skipped"``.  Returns ``(lists, notes, skipped)``, the shape of a
+    registered check's body (``runner._check``): each key's values in the
+    dicts holding it, and the notes and skip texts as ``x={x}: ...`` in
+    point order."""
+    rows, notes, skipped = [], [], []
     for x, tensor_row in zip(points, tensors):
         try:
             row = at(x, *_raised(tensor_row))
@@ -563,10 +564,11 @@ def fold_points(points, tensors, at, keys):
             skipped.append(f"x={x}: {exc}")
             continue
         rows.append(row)
+        notes += [f"x={x}: {note}" for note in row.get("notes", ())]
         if "skipped" in row:
             skipped.append(f"x={x}: {row['skipped']}")
-    residuals = {k: worst([row[k] for row in rows if k in row]) for k in keys}
-    return residuals, rows, skipped
+    lists = {k: [row[k] for row in rows if k in row] for k in keys}
+    return lists, notes, skipped
 
 
 def _equation_residual(sides):
@@ -730,13 +732,18 @@ class EinsteinConditionReport:
         return all(v < self.tolerance for v in self.residuals.values())
 
 
-def _condition_report(condition_id, folded, scalars):
-    """The report, at tolerance 1e-6, of a ``fold_points`` result, with
-    the per-point values of the row entries ``scalars``."""
-    residuals, rows, skipped = folded
+def _condition_report(condition_id, alpha_spec, beta_spec, points, at, keys,
+                      scalars=(), tolerance=1e-6):
+    """The report of ``at`` folded over the points (``fold_points``): the
+    per-point values of its entries ``scalars``, and each of its ``keys``
+    folded by ``core.worst`` (inf for a NaN, and for a key no point
+    evaluated)."""
+    lists, _, skipped = fold_points(
+        points, ab_tensor_rows(alpha_spec, beta_spec, points), at,
+        keys + scalars)
     return EinsteinConditionReport(
-        condition_id, {k: [row[k] for row in rows] for k in scalars},
-        residuals, 1e-6, skipped)
+        condition_id, {k: lists[k] for k in scalars},
+        {k: worst(lists[k]) for k in keys}, tolerance, skipped)
 
 
 def _tensor_residual(delta, *scales):
@@ -810,10 +817,10 @@ def randers_einstein_residuals(alpha_spec, beta_spec, points):
     c and sigma at each evaluated point as the report's scalars."""
     table = EinsteinTable(
         ppower_metric(PPowerSpec(alpha_spec, beta_spec, 1.0)), ())
-    return _condition_report("randers", fold_points(
-        points, ab_tensor_rows(alpha_spec, beta_spec, points),
-        lambda x, rd, ab: randers_residuals(rd, ab, table),
-        RANDERS_KEYS), ("c", "sigma"))
+    return _condition_report(
+        "randers", alpha_spec, beta_spec, points,
+        lambda x, rd, ab: randers_residuals(rd, ab, table), RANDERS_KEYS,
+        ("c", "sigma"))
 
 
 SQUARE_KEYS = ("covariant_derivative", "ricci_alpha", "c_gradient",
@@ -862,10 +869,10 @@ def square_einstein_residuals(alpha_spec, beta_spec, points):
     c at each evaluated point as the report's scalars."""
     table = EinsteinTable(
         ppower_metric(PPowerSpec(alpha_spec, beta_spec, 2.0)), ())
-    return _condition_report("square", fold_points(
-        points, ab_tensor_rows(alpha_spec, beta_spec, points),
-        lambda x, rd, ab: square_residuals(rd, ab, table),
-        SQUARE_KEYS), ("c",))
+    return _condition_report(
+        "square", alpha_spec, beta_spec, points,
+        lambda x, rd, ab: square_residuals(rd, ab, table), SQUARE_KEYS,
+        ("c",))
 
 
 RICCI_FLAT_PARALLEL_KEYS = ("max_covariant_derivative", "max_ricci_alpha")
@@ -882,9 +889,8 @@ def ricci_flat_parallel_check(alpha_spec, beta_spec, points):
     """``(verdict, max_cov, max_ric)``: the verdict is true iff alpha is
     Ricci-flat and beta is parallel at every point, both maxima below
     1e-9, and some point was evaluated (``fold_points``)."""
-    residuals, _, _ = fold_points(
-        points, ab_tensor_rows(alpha_spec, beta_spec, points),
+    report = _condition_report(
+        "ricci_flat_parallel", alpha_spec, beta_spec, points,
         lambda x, rd, ab: ricci_flat_parallel_residuals(rd, ab),
-        RICCI_FLAT_PARALLEL_KEYS)
-    max_cov, max_ric = residuals.values()
-    return max_cov < 1e-9 and max_ric < 1e-9, max_cov, max_ric
+        RICCI_FLAT_PARALLEL_KEYS, tolerance=1e-9)
+    return (report.verdict, *report.residuals.values())

@@ -4,7 +4,10 @@ A manifest is a JSON document describing one metric scenario: the
 dimension, the metric (by kind and expression payloads), the sample plan,
 the list of checks to run, and tolerance overrides.  Every numeric field
 must be a JSON number: ``true`` and ``false`` are not 1 and 0.  Validation
-errors carry a JSON-pointer path to the offending field.
+errors carry a JSON-pointer path to the offending field.  The metric
+kinds, the checks each kind (and, for some, each dimension) allows, and
+the tolerance names with their defaults come from the checks as
+``runner`` registers them (``runner.SPECS``).
 """
 
 from __future__ import annotations
@@ -16,43 +19,17 @@ from dataclasses import dataclass, field
 from .constructions import PPowerSpec, Sqrt2dFamilySpec, sqrt2d_family
 from .errors import ExprError, ManifestError
 from .exprlang import parse
+from .runner import SPECS
 
 MAX_DIMENSION = 8
 
-CHECKS_BY_KIND = {
-    "riemann": {
-        "reversibility", "einstein", "flag_curvature", "ricci_identities",
-        "ricci_flat_parallel",
-    },
-    "ppower": {
-        "reversibility", "einstein", "flag_curvature", "ricci_identities",
-        "structural_vs_generic", "randers_conditions", "square_conditions",
-        "positivity", "killing_deformation", "ricci_flat_parallel",
-    },
-    "sqrt2d_family": {
-        "reversibility", "einstein", "flag_curvature", "pde_residuals",
-        "ricci_identities", "structural_vs_generic", "randers_conditions",
-        "square_conditions", "sqrt2d_conditions", "positivity",
-        "killing_deformation", "ricci_flat_parallel",
-    },
-}
-
-ALL_CHECKS = sorted(set().union(*CHECKS_BY_KIND.values()))
-
-DEFAULT_TOLERANCES = {
-    "einstein_spread": 1e-7,
-    "reversibility": 1e-8,
-    "flag_consistency": 1e-6,
-    "pde_residuals": 1e-9,
-    "ricci_identities": 1e-7,
-    "structural_vs_generic": 1e-9,
-    "randers_conditions": 1e-6,
-    "square_conditions": 1e-6,
-    "sqrt2d_conditions": 1e-6,
-    "killing_deformation": 1e-7,
-    "killing_norm_identity": 1e-9,
-    "ricci_flat_parallel": 1e-9,
-}
+# the metric kinds, checks and tolerances a manifest may name, the last
+# with their defaults, as the checks registered them
+KINDS = sorted(set().union(*(spec.kinds for spec in SPECS.values())))
+ALL_CHECKS = sorted(SPECS)
+DEFAULT_TOLERANCES = {bound[0]: bound[1] for spec in SPECS.values()
+                      for bound in spec.bounds.values()
+                      if isinstance(bound, tuple)}
 
 
 @dataclass
@@ -126,8 +103,7 @@ def validate_manifest(doc):
     metric = doc.get("metric")
     _expect(isinstance(metric, dict), "metric block is required", "/metric")
     kind = metric.get("kind")
-    _expect(kind in CHECKS_BY_KIND,
-            f"kind must be one of {sorted(CHECKS_BY_KIND)}", "/metric/kind")
+    _expect(kind in KINDS, f"kind must be one of {KINDS}", "/metric/kind")
 
     ppower = None
     family = None
@@ -204,11 +180,14 @@ def validate_manifest(doc):
     checks = doc.get("checks")
     _expect(isinstance(checks, list) and checks,
             "checks must be a nonempty list", "/checks")
-    allowed = CHECKS_BY_KIND[kind]
     for i, name in enumerate(checks):
         _expect(name in ALL_CHECKS, f"unknown check {name!r}", f"/checks/{i}")
-        _expect(name in allowed,
+        spec = SPECS[name]
+        _expect(kind in spec.kinds,
                 f"check {name!r} does not apply to kind {kind!r}",
+                f"/checks/{i}")
+        _expect(spec.dimension in (None, dim),
+                f"check {name!r} applies only in dimension {spec.dimension}",
                 f"/checks/{i}")
 
     tolerances = dict(DEFAULT_TOLERANCES)

@@ -21,16 +21,19 @@ reads (F, g, R) at the first direction that evaluates
 metric is the Randers (p = 1) or square (p = 2) metric, else from a table
 of that metric's own.
 
-A check is a small function registered in ``CHECKS`` under its manifest
-name, and ``run_check`` looks it up.  The checks over the tensor data of
-a point share one point loop, ``constructions.fold_points``, which zips
-the points with their rows.  Samples and checks are evaluated in manifest
-order, so output is deterministic.
+A check registers once, by ``_check`` on its body, with the metric kinds
+it applies to and the bound of each residual (``SPECS``, from which the
+manifest reads kinds, check names and tolerance defaults).  A body
+returns its residual lists by key, its notes and its skip texts, as does
+``constructions.fold_points``, the one point loop of the checks over a
+point's tensor data; ``CHECKS`` holds each check that folds them into its
+block.  Samples and checks run in manifest order, so output is
+deterministic.
 """
 
 from __future__ import annotations
 
-import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -156,34 +159,41 @@ def _sample_row(manifest, metric, lam, tensor_row, x):
     return row
 
 
-def _block(residuals, tol, notes=None, skipped=None):
-    """A check block but for its name; ``tol`` is one tolerance for every
-    residual or a dict of them.  The verdict is a pure function of
-    residuals and tolerances, so reports are auditable on their own."""
-    tolerances = tol if isinstance(tol, dict) else {k: tol for k in residuals}
-    return {
-        "residuals": residuals,
-        "tolerances": tolerances,
-        "verdict": all(residuals[k] < tolerances[k] for k in residuals),
-        "notes": notes or [],
-        "skipped": skipped or [],
-    }
+# where a check applies and what bounds its residuals: the metric kinds,
+# the one dimension (None for any) and, per residual key in block order, a
+# fixed bound or a (tolerance name, default) pair that a manifest may set
+CheckSpec = namedtuple("CheckSpec", "kinds bounds dimension")
 
+ALL_KINDS = ("riemann", "ppower", "sqrt2d_family")
+BETA_KINDS = ("ppower", "sqrt2d_family")
+FAMILY_KIND = ("sqrt2d_family",)
 
-def _per_point(points, tensors, at, keys, tol, notes=None):
-    """The block of ``at`` folded over the points by ``fold_points``."""
-    residuals, _, skipped = fold_points(points, tensors, at, keys)
-    return _block(residuals, tol, notes, skipped)
-
-
+# check name -> its CheckSpec, which the manifest validates against
+SPECS = {}
 # check name -> fn(manifest, metric, points, lam, tensors) -> block
 CHECKS = {}
 
 
-def _check(name):
-    def register(fn):
-        CHECKS[name] = fn
-        return fn
+def _check(name, kinds, bounds, dimension=None):
+    """Register the body ``fn(manifest, metric, points, lam, tensors) ->
+    (lists, notes, skipped)`` as the check ``name``, which folds each list
+    with ``core.worst`` and pairs it with its bound.  The verdict, that
+    every residual is below its bound, is a pure function of the block,
+    so reports are auditable on their own."""
+    SPECS[name] = CheckSpec(kinds, bounds, dimension)
+
+    def register(body):
+        def check(manifest, *args):
+            lists, notes, skipped = body(manifest, *args)
+            residuals = {k: worst(lists[k]) for k in bounds}
+            tolerances = {k: manifest.tolerance(b[0]) if isinstance(b, tuple)
+                          else b for k, b in bounds.items()}
+            return {"residuals": residuals, "tolerances": tolerances,
+                    "verdict": all(residuals[k] < tolerances[k]
+                                   for k in bounds),
+                    "notes": notes, "skipped": skipped}
+        CHECKS[name] = check
+        return body
     return register
 
 
@@ -196,27 +206,30 @@ def run_check(name, manifest, metric, points, lam, tensors):
     return {"name": name, **check(manifest, metric, points, lam, tensors)}
 
 
-@_check("einstein")
+@_check("einstein", ALL_KINDS, {"max_spread": ("einstein_spread", 1e-7)})
 def _einstein(manifest, metric, points, lam, tensors):
     spreads, skipped = lam.spreads(points)
-    return _block({"max_spread": worst(spreads)},
-                  manifest.tolerance("einstein_spread"), skipped=skipped)
+    return {"max_spread": spreads}, [], skipped
 
 
-@_check("reversibility")
+@_check("reversibility", ALL_KINDS, {"max_residual": ("reversibility", 1e-8)})
 def _reversibility(manifest, metric, points, lam, tensors):
     values, skipped = [], []
     for x in points:
-        for y in lam.reversible(x):
+        ys = lam.reversible(x)
+        if not ys:
+            skipped.append(f"x={x}: no reversible direction")
+        for y in ys:
             try:
                 values.append(lam.reversal(x, y))
             except FinslerError as exc:
                 skipped.append(f"x={x}: {exc}")
-    return _block({"max_residual": worst(values)},
-                  manifest.tolerance("reversibility"), skipped=skipped)
+    return {"max_residual": values}, [], skipped
 
 
-@_check("flag_curvature")
+# lambda is the curvature of the one flag through y only in 2-D
+@_check("flag_curvature", ALL_KINDS,
+        {"max_residual": ("flag_consistency", 1e-6)}, dimension=2)
 def _flag_curvature(manifest, metric, points, lam, tensors):
     values, notes, skipped = [], [], []
     for x in points:
@@ -232,27 +245,25 @@ def _flag_curvature(manifest, metric, points, lam, tensors):
                 values.append(abs(k_formula - lam0) / scale)
             except FinslerError as exc:
                 notes.append(f"x={x}: closed form unavailable ({exc})")
-        if metric.dim == 2:
-            u = [-y0[1], y0[0]]
-            try:
-                k_flag = flag_formula(*lam.curvature(x, y0), y0, u)
-                values.append(abs(k_flag - lam0) / scale)
-            except FinslerError as exc:
-                skipped.append(f"x={x}: {exc}")
-    return _block({"max_residual": worst(values)},
-                  manifest.tolerance("flag_consistency"), notes, skipped)
+        try:
+            k_flag = flag_formula(*lam.curvature(x, y0), y0, [-y0[1], y0[0]])
+            values.append(abs(k_flag - lam0) / scale)
+        except FinslerError as exc:
+            skipped.append(f"x={x}: {exc}")
+    return {"max_residual": values}, notes, skipped
 
 
-@_check("pde_residuals")
+@_check("pde_residuals", FAMILY_KIND,
+        {"max_residual": ("pde_residuals", 1e-9)})
 def _pde_residuals(manifest, metric, points, lam, tensors):
     values = []
     for x in points:
         values += [abs(v) for v in manifest.family.pde_residuals(x).values()]
-    return _block({"max_residual": worst(values)},
-                  manifest.tolerance("pde_residuals"))
+    return {"max_residual": values}, [], []
 
 
-@_check("structural_vs_generic")
+@_check("structural_vs_generic", BETA_KINDS,
+        {"max_residual": ("structural_vs_generic", 1e-9)})
 def _structural_vs_generic(manifest, metric, points, lam, tensors):
     p = manifest.ppower.p
     values, skipped = [], []
@@ -273,21 +284,23 @@ def _structural_vs_generic(manifest, metric, points, lam, tensors):
                 continue
             scale = max(1.0, float(np.abs(g_generic).max()))
             values.append(float(np.abs(g_struct - g_generic).max()) / scale)
-    return _block({"max_residual": worst(values)},
-                  manifest.tolerance("structural_vs_generic"), skipped=skipped)
+    return {"max_residual": values}, [], skipped
 
 
-@_check("ricci_identities")
+IDENTITY_KEYS = tuple(f"identity_{i + 1}" for i in range(4))
+
+
+@_check("ricci_identities", ALL_KINDS,
+        dict.fromkeys(IDENTITY_KEYS, ("ricci_identities", 1e-7)))
 def _ricci_identities(manifest, metric, points, lam, tensors):
     sign = curvature_term_sign()
-    keys = [f"identity_{i + 1}" for i in range(4)]
 
-    def residuals_at(x, rd, ab):
-        return dict(zip(keys, ricci_identity_residuals(rd, ab, sign)[0]))
+    def at(x, rd, ab):
+        return dict(zip(IDENTITY_KEYS,
+                        ricci_identity_residuals(rd, ab, sign)[0]))
 
-    return _per_point(points, tensors, residuals_at, keys,
-                      manifest.tolerance("ricci_identities"),
-                      notes=[f"curvature_term_sign={sign}"])
+    lists, _, skipped = fold_points(points, tensors, at, IDENTITY_KEYS)
+    return lists, [f"curvature_term_sign={sign}"], skipped
 
 
 def _table_of(manifest, lam, p):
@@ -300,33 +313,39 @@ def _table_of(manifest, lam, p):
         manifest.alpha_spec, manifest.beta_spec, p)), ())
 
 
-@_check("randers_conditions")
+@_check("randers_conditions", BETA_KINDS,
+        dict.fromkeys(RANDERS_KEYS, ("randers_conditions", 1e-6)))
 def _randers_conditions(manifest, metric, points, lam, tensors):
     randers = _table_of(manifest, lam, 1.0)
-    return _per_point(points, tensors,
-                      lambda x, rd, ab: randers_residuals(rd, ab, randers),
-                      RANDERS_KEYS, manifest.tolerance("randers_conditions"))
+    return fold_points(points, tensors,
+                       lambda x, rd, ab: randers_residuals(rd, ab, randers),
+                       RANDERS_KEYS)
 
 
-@_check("square_conditions")
+@_check("square_conditions", BETA_KINDS,
+        dict.fromkeys(SQUARE_KEYS, ("square_conditions", 1e-6)))
 def _square_conditions(manifest, metric, points, lam, tensors):
     square = _table_of(manifest, lam, 2.0)
-    return _per_point(points, tensors,
-                      lambda x, rd, ab: square_residuals(rd, ab, square),
-                      SQUARE_KEYS, manifest.tolerance("square_conditions"))
+    return fold_points(points, tensors,
+                       lambda x, rd, ab: square_residuals(rd, ab, square),
+                       SQUARE_KEYS)
 
 
-@_check("sqrt2d_conditions")
+SQRT2D_CHECK_KEYS = SQRT2D_KEYS + ("curvature_agreement",)
+
+
+@_check("sqrt2d_conditions", FAMILY_KIND,
+        dict.fromkeys(SQRT2D_CHECK_KEYS, ("sqrt2d_conditions", 1e-6)))
 def _sqrt2d_conditions(manifest, metric, points, lam, tensors):
-    tol = manifest.tolerance("sqrt2d_conditions")
+    precheck_tol = max(manifest.tolerance("sqrt2d_conditions"), 1e-6)
 
     def at(x, rd, ab):
-        row = sqrt2d_structure_report(rd, ab, tolerance=tol).residuals
+        row = sqrt2d_structure_report(rd, ab).residuals
         # alpha-data curvature against lambda at the first direction that
         # evaluates; where it cannot be had, the structure residuals of x
         # still count
         try:
-            k_alpha = sqrt2d_K_from_lambda(rd, ab, precheck_tol=max(tol, 1e-6))
+            k_alpha = sqrt2d_K_from_lambda(rd, ab, precheck_tol=precheck_tol)
         except FinslerError as exc:
             row["skipped"] = str(exc)
             return row
@@ -338,53 +357,54 @@ def _sqrt2d_conditions(manifest, metric, points, lam, tensors):
             row["skipped"] = "no admissible direction"
         return row
 
-    return _per_point(points, tensors, at,
-                      SQRT2D_KEYS + ("curvature_agreement",), tol)
+    return fold_points(points, tensors, at, SQRT2D_CHECK_KEYS)
 
 
-@_check("positivity")
+POSITIVITY_KEYS = ("disagreements", "inadmissible_points")
+
+
+# counts, not worst residuals, so no manifest sets their bound
+@_check("positivity", BETA_KINDS, dict.fromkeys(POSITIVITY_KEYS, 0.5))
 def _positivity(manifest, metric, points, lam, tensors):
     p = manifest.ppower.p
-    notes = []
 
     def at(x, rd, ab):
         closed = positivity_check(p, ab.b2)
         sampled, margin = positivity_sample(p, ab.b2, 101)
+        notes = []
         if closed != sampled:
-            notes.append(f"x={x}: closed form {closed} vs sampled {sampled} "
+            notes.append(f"closed form {closed} vs sampled {sampled} "
                          f"(b^2={ab.b2:.6f}, worst margin {margin:.3e})")
         if not closed:
-            notes.append(f"x={x}: metric not positive definite "
-                         f"(b^2={ab.b2:.6f})")
+            notes.append(f"metric not positive definite (b^2={ab.b2:.6f})")
         return {"disagreements": float(closed != sampled),
-                "inadmissible_points": float(not closed)}
+                "inadmissible_points": float(not closed), "notes": notes}
 
-    _, rows, skipped = fold_points(points, tensors, at, ())
-    # counts, not worst residuals
-    residuals = {k: float(sum(row[k] for row in rows)) if rows else math.inf
-                 for k in ("disagreements", "inadmissible_points")}
-    return _block(residuals, 0.5, notes, skipped)
+    lists, notes, skipped = fold_points(points, tensors, at, POSITIVITY_KEYS)
+    # each count is one value, and none where no point was evaluated
+    counts = {k: [float(sum(v))] if v else [] for k, v in lists.items()}
+    return counts, notes, skipped
 
 
-@_check("killing_deformation")
+@_check("killing_deformation", BETA_KINDS,
+        {"killing_residual": ("killing_deformation", 1e-7),
+         "norm_identity": ("killing_norm_identity", 1e-9)})
 def _killing_deformation(manifest, metric, points, lam, tensors):
     def at(x, rd, ab):
         kd = killing_deformation(rd, ab)
         return {"killing_residual": kd.r_residual,
                 "norm_identity": abs(kd.btilde_norm_sq - kd.expected_norm_sq)}
 
-    return _per_point(
-        points, tensors, at, ("killing_residual", "norm_identity"),
-        {"killing_residual": manifest.tolerance("killing_deformation"),
-         "norm_identity": manifest.tolerance("killing_norm_identity")})
+    return fold_points(points, tensors, at,
+                       ("killing_residual", "norm_identity"))
 
 
-@_check("ricci_flat_parallel")
+@_check("ricci_flat_parallel", ALL_KINDS,
+        dict.fromkeys(RICCI_FLAT_PARALLEL_KEYS, ("ricci_flat_parallel", 1e-9)))
 def _ricci_flat_parallel(manifest, metric, points, lam, tensors):
-    return _per_point(points, tensors,
-                      lambda x, rd, ab: ricci_flat_parallel_residuals(rd, ab),
-                      RICCI_FLAT_PARALLEL_KEYS,
-                      manifest.tolerance("ricci_flat_parallel"))
+    return fold_points(points, tensors,
+                       lambda x, rd, ab: ricci_flat_parallel_residuals(rd, ab),
+                       RICCI_FLAT_PARALLEL_KEYS)
 
 
 def run(manifest, include_timings=False):

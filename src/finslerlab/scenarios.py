@@ -2,9 +2,9 @@
 
 Each scenario reproduces one published closed-form result or cross-path
 equivalence as machine-checked residuals.  A scenario is a function
-registered in ``SCENARIOS`` by the ``_scenario(description, runtime=...)``
-decorator, which names it by its function name (``scenario_killing_rescale``
-is ``killing-rescale``), times it, and returns a ScenarioResult.  The body
+registered in ``SCENARIOS`` by the ``_scenario(description)`` decorator,
+which names it by its function name (``scenario_killing_rescale`` is
+``killing-rescale``), times it, and returns a ScenarioResult.  The body
 returns its detail lines, each plain text or a ``(text, holds)`` row; the
 verdict is that every row holds.  ``_row(label, value, "< 1e-7")`` formats
 a row and tests the bound it prints, so each bound is written once; a
@@ -83,18 +83,15 @@ def _anchor(fn):
     return fn.__name__.replace("scenario_", "").replace("_", "-")
 
 
-def _row(label, value, bound, fmt=".3e", unit=""):
+def _row(label, value, bound, fmt=".3e"):
     """The detail row ``label value (bound)`` and whether ``value`` holds
     ``bound``, a text ``"< L"`` or ``"> L"`` that may go on with a note
     after a comma.  L is read from that text, so the limit printed is the
-    limit tested; ``unit`` follows both the value and L.  Neither sense
-    holds at L itself or on NaN, and ``>`` holds only for a finite value:
-    ``worst`` reads a NaN, and a list with nothing evaluated, as inf.
-    With an empty ``bound`` the row is plain text."""
-    text = f"{label} {value:{fmt}}{unit}"
-    if not bound:
-        return text
-    limit = float(bound[2:].split(",")[0].removesuffix(unit))
+    limit tested.  Neither sense holds at L itself or on NaN, and ``>``
+    holds only for a finite value: ``worst`` reads a NaN, and a list with
+    nothing evaluated, as inf."""
+    text = f"{label} {value:{fmt}}"
+    limit = float(bound[2:].split(",")[0])
     if bound[0] == "<":
         holds = value < limit
     else:
@@ -102,19 +99,16 @@ def _row(label, value, bound, fmt=".3e", unit=""):
     return f"{text} ({bound})", bool(holds)
 
 
-def _scenario(description, runtime=None):
+def _scenario(description):
     """Register a scenario whose body returns its detail lines: plain text
-    or ``(text, holds)`` rows.  With ``runtime`` a ``runtime:`` row
-    follows them, gated by that bound (``"< 10s"``) or, where it is ``""``,
-    printed only."""
+    or ``(text, holds)`` rows.  Its duration is timed but tests nothing,
+    so no verdict depends on the machine's load."""
     def register(body):
         @functools.wraps(body)
         def run():
             start = time.perf_counter()
             rows = body()
             elapsed = time.perf_counter() - start
-            if runtime is not None:
-                rows.append(_row("runtime:", elapsed, runtime, ".2f", "s"))
             rows = [(row, True) if isinstance(row, str) else row
                     for row in rows]
             return ScenarioResult(
@@ -192,8 +186,7 @@ def _tensors(alpha, beta, points):
     return [_raised(row) for row in ab_tensor_rows(alpha, beta, points)]
 
 
-@_scenario("closed-form curvature of the rotational family",
-           runtime="< 10s")
+@_scenario("closed-form curvature of the rotational family")
 def scenario_rotational_family_curvature():
     """Engine Einstein scalar of the rotational family vs its closed form."""
     fam = sqrt2d_family(ROTATIONAL_TRIPLE)
@@ -217,8 +210,7 @@ def scenario_rotational_family_curvature():
     return rows
 
 
-@_scenario("pairwise agreement of the three curvature formulas",
-           runtime="< 10s")
+@_scenario("pairwise agreement of the three curvature formulas")
 def scenario_family_curvature_consistency():
     """Three independent curvature computations agree on family instances."""
     gaps = []
@@ -247,7 +239,7 @@ def scenario_family_curvature_consistency():
     ]
 
 
-@_scenario("structural vs generic geodesic coefficients", runtime="< 30s")
+@_scenario("structural vs generic geodesic coefficients")
 def scenario_spray_cross_validation():
     """Structural spray formula vs generic spray over random samples."""
     rng = np.random.default_rng(42)
@@ -501,7 +493,7 @@ def scenario_killing_rescale():
     ]
 
 
-@_scenario("jet derivatives vs central finite differences", runtime="")
+@_scenario("jet derivatives vs central finite differences")
 def scenario_derivative_soundness():
     """Jet partials of F^2 and the spray match finite differences."""
     rng = np.random.default_rng(17)
