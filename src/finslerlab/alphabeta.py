@@ -184,7 +184,8 @@ def _inverse_rows(a, points):
     against 0.28 at 8, 1.2 against 0.36 at 50, 3.0 against 0.52 at 100
     (2 vCPUs, numpy 2.4.6).  Over a verify-paper pass (batches of 1 to
     100 points) they saved about 11 ms of 0.59 s, within the spread of
-    the passes, and they are several times slower for one 4x4 matrix.
+    the passes; a batch of one matrix they take through the one-point
+    form themselves.
     """
     a_inv = np.zeros_like(a)
     errors = {}

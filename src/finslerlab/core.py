@@ -26,21 +26,26 @@ R^i_k reads only the x, y, xy and yy partials of G, so the curvature
 tables are the full context's filtered in their order (``jets.JetContext``),
 so every coefficient it keeps has the bits of the full context's.  The
 derivative-soundness oracle reads every partial and takes the full
-contexts (``_f2_rows`` and ``_spray_jets`` take the cap as an argument).
+contexts (``_f2_rows`` takes the cap as an argument).
 
-The one-point functions -- ``fundamental_tensor``, ``spray``,
-``riemann_curvature``, ``ricci``, ``einstein_scalar`` -- raise a
-FinslerError where a sample has no value, NonFinite where g, G^i, R, Ric
-or lambda is not finite.  The batch entries ``evaluate`` (F, g, R, Ric
-and lambda at many directions at one x, or at one x per row) and
-``sprays`` answer every row with the one-point bits or the error the
-one-point function raises there, and choose each row's path: two rows
-or more run through the batched kernels (the jet kernels' leading batch
-axis, the order-4 F in chunks of ``CHUNK_ROWS``, the float tails on
-whole arrays); a row the kernels leave, and a lone row, which is
-cheaper so, goes through the one-point code.  Their readers only read:
-``riccis``, ``einstein_scalars`` and ``sprays`` raise the first error in
-row order, and ``EinsteinTable`` keeps every row, errors included.
+The curvature is coded once, in the batch entries: ``evaluate`` (F, g, R,
+Ric and lambda at many directions at one x, or at one x per row) and
+``sprays`` run every row through the batched kernels (the jet kernels'
+leading batch axis, the order-4 F in chunks of ``CHUNK_ROWS``, the float
+tails on whole arrays), and keep at each row its value or its first
+error, in the order of the steps: the domain, F, g not finite or not
+positive definite, the solve, then G^i, R, Ric or lambda not finite.  A
+lone row takes the one-point form inside the batch entries it meets
+(``FinslerMetric.in_domain_rows`` and ``value_rows``, ``_squares``, and
+``linalg``'s ``solve_rows`` and ``positive_definite_rows``), which costs
+less for one row, so no caller chooses a path by batch size.  The
+one-point functions ``spray``, ``riemann_curvature``, ``ricci`` and
+``einstein_scalar`` read the row of a batch of one and raise its error;
+``fundamental_tensor`` and ``flag_curvature`` compose the one-point jet
+of F.  Their readers only read: ``riccis``, ``einstein_scalars`` and
+``sprays`` raise the first error in row order, and ``EinsteinTable``
+keeps every row, errors included.  The one-point code the batch entries
+replaced is the reference in ``tests/walks.py``.
 """
 
 from __future__ import annotations
@@ -63,7 +68,6 @@ from .errors import (
     coords,
 )
 from .jets import (
-    Jet,
     _cauchy,
     _shift_product,
     get_context,
@@ -75,7 +79,7 @@ from .linalg import (
     invert,
     is_positive_definite,
     positive_definite_rows,
-    solve,
+    solve_row,
     solve_rows,
 )
 
@@ -109,8 +113,8 @@ class FinslerMetric:
     calls, or raises ``BatchFailed`` where a sample would raise; and
     ``batch_domain(x, y)`` is ``domain_fn`` at each sample, as a bool
     array.  ``value_rows``, ``in_domain_rows`` and ``batch_jet`` are the
-    batch entries, and ``value_rows`` the one that falls back to the
-    samples one by one.
+    batch entries; ``value_rows`` falls back to the samples one by one,
+    and a lone row goes through the one-point ``value`` and ``in_domain``.
     """
 
     def __init__(self, dim, jet_builder, scalar_fn, domain_fn, batch_builder,
@@ -131,22 +135,27 @@ class FinslerMetric:
     def in_domain_rows(self, x, ys):
         """``in_domain(x, y)`` for each row y of the (B, n) array ``ys``,
         as a bool array; x is one point, or a (B, n) array with the
-        point of each row."""
+        point of each row.  The batched domain test takes two rows or
+        more, ``in_domain`` a lone row."""
         ys = np.asarray(ys, dtype=float).reshape(-1, self.dim)
+        if len(ys) == 1:
+            return np.array([self.in_domain(_point(x, 0), ys[0].tolist())])
         return (ys != 0.0).any(axis=1) & self._batch_domain(_major(x), ys.T)
 
     def value_rows(self, x, ys):
         """F at (x, y) for each row y of the (B, n) array ``ys``, x as
         for ``in_domain_rows``: ``(f, ok)``, f[b] with the bits of
         ``value`` wherever ok[b] is true, and ok[b] false where that call
-        raises.  Every row goes through one call of the batched F; where
-        that raises, each row through ``value``."""
+        raises.  Two rows or more go through one call of the batched F;
+        a lone row, and each row where the batch raises, through
+        ``value``."""
         ys = np.asarray(ys, dtype=float).reshape(-1, self.dim)
-        try:
-            f = self._scalar_fn(_major(x), ys.T)
-            return np.asarray(f, dtype=float), np.ones(len(ys), bool)
-        except (BatchFailed, FinslerError, ArithmeticError):
-            pass
+        if len(ys) > 1:
+            try:
+                f = self._scalar_fn(_major(x), ys.T)
+                return np.asarray(f, dtype=float), np.ones(len(ys), bool)
+            except (BatchFailed, FinslerError, ArithmeticError):
+                pass
         f = np.zeros(len(ys))
         ok = np.zeros(len(ys), dtype=bool)
         for b, y in enumerate(ys.tolist()):
@@ -159,9 +168,7 @@ class FinslerMetric:
 
     def require_domain(self, x, y):
         if not self.in_domain(x, y):
-            raise DomainError(
-                f"sample x={coords(x)!r}, y={coords(y)!r} outside the metric "
-                "domain")
+            raise _outside(x, y)
 
     def jet(self, x, y, order, x_degree=None):
         """Jet of F in the 2n-variable context (x first, then y) of
@@ -181,22 +188,28 @@ class FinslerMetric:
                                    x, y)
 
 
+def _per_row(x):
+    """Whether x is a (B, n) array with the point of each row, not one
+    point shared by every row."""
+    return isinstance(x, np.ndarray) and x.ndim == 2
+
+
 def _take(x, rows):
     """The points of ``rows``: x itself where it is one point shared by
     every row, else those rows of the (B, n) array x."""
-    return x if np.ndim(x) == 1 else x[rows]
+    return x[rows] if _per_row(x) else x
 
 
 def _point(x, b):
     """The point of row b: x itself where it is one point, else the
     list of row b of the (B, n) array x."""
-    return x if np.ndim(x) == 1 else x[b].tolist()
+    return x[b].tolist() if _per_row(x) else x
 
 
 def _major(x):
     """x as the batched F and domain take it: one point as it is, a
     (B, n) array of points coordinate-major."""
-    return x if np.ndim(x) == 1 else np.asarray(x, dtype=float).T
+    return np.asarray(x, dtype=float).T if _per_row(x) else x
 
 
 class _PartialTable:
@@ -278,23 +291,31 @@ def _gather(coeffs, tensor):
     return coeffs.take(idx, axis=-1) * factor
 
 
-def _require_finite(name, value, x, y):
-    """Raise NonFinite where the float array ``value`` is not finite."""
-    if not np.isfinite(value).all():
-        raise NonFinite(f"{name} is not finite at x={coords(x)!r}, "
-                        f"y={coords(y)!r}")
+def _non_finite(name, x, y):
+    return NonFinite(f"{name} is not finite at x={coords(x)!r}, "
+                     f"y={coords(y)!r}")
+
+
+def _not_positive_definite(x, y):
+    return SingularMetric(
+        f"fundamental tensor not positive definite at x={coords(x)!r}, "
+        f"y={coords(y)!r}")
+
+
+def _outside(x, y):
+    return DomainError(f"sample x={coords(x)!r}, y={coords(y)!r} outside "
+                       "the metric domain")
 
 
 def _require_metric(g, x, y):
     """``g`` as a list of rows; raises NonFinite where the float matrix g
     is not finite, and SingularMetric where it is not positive definite
     (a NaN g passes the Sylvester test)."""
-    _require_finite("fundamental tensor", g, x, y)
+    if not np.isfinite(g).all():
+        raise _non_finite("fundamental tensor", x, y)
     g = g.tolist()
     if not is_positive_definite(g):
-        raise SingularMetric(
-            f"fundamental tensor not positive definite at x={coords(x)!r}, "
-            f"y={coords(y)!r}")
+        raise _not_positive_definite(x, y)
     return g
 
 
@@ -311,25 +332,11 @@ def fundamental_tensor(metric, x, y):
 
 def spray(metric, x, y):
     """Geodesic coefficients G^i as a float vector (2-homogeneous in y);
-    raises NonFinite where g or G^i is not finite."""
-    metric.require_domain(x, y)
-    f = metric.jet(x, y, 2)
-    f2 = f * f
-    table = _partial_table(f2.ctx)
-    g = _require_metric(0.5 * read_partials(f2.c, table.yy, f2.ctx), x, y)
-    out = _spray_tail(g, read_partials(f2.c, table.xy, f2.ctx).tolist(),
-                      read_partials(f2.c, table.x, f2.ctx).tolist(), y)
-    _require_finite("spray", out, x, y)
-    return out
-
-
-def _spray_tail(g, f2_xy, f2_x, y):
-    """G^i from g and the F^2 partials [F^2]_{x^k y^l} and [F^2]_{x^l}."""
-    n = len(g)
-    rhs = [sum(f2_xy[k][l] * y[k] for k in range(n)) - f2_x[l]
-           for l in range(n)]
-    cols = solve(g, [rhs])
-    return np.array([0.25 * v for v in cols[0]])
+    raises NonFinite where g or G^i is not finite.  The row of a batch of
+    one of ``sprays``."""
+    out, errors = _spray_rows(metric, [[*x, *y]])
+    _raised(errors[0])
+    return out[0]
 
 
 def sprays(metric, points):
@@ -342,92 +349,98 @@ def sprays(metric, points):
 
 
 def _spray_rows(metric, points):
-    """``(out, errors)``: G^i at every row of ``points`` with the bits of
-    ``spray``, or errors[b], the FinslerError ``spray`` raises at row b.
-    The order-2 jets of F and F^2 and the float tail -- the domain and
-    positivity tests and the solve -- run on the whole batch; a row they
-    leave, and every row of a batch the batched F does not take, is
-    evaluated by ``spray``."""
+    """``(out, errors)``: G^i at every row of ``points``, or errors[b], the
+    first error at row b: outside the domain, F, g, the solve, G^i not
+    finite.  The order-2 jets of F and F^2 and the float tail run on all
+    rows at once."""
     n = metric.dim
     points = np.asarray(points, dtype=float).reshape(-1, 2 * n)
     x, y = points[:, :n], points[:, n:]
     ctx = get_context(2 * n, 2)
     table = _partial_table(ctx)
-    try:
-        f = metric.batch_jet(x.T, y.T, 2)
-        ok = metric.in_domain_rows(x, y)
-        with np.errstate(all="ignore"):
-            f2 = _cauchy(ctx, f, f)
-            g = 0.5 * read_partials(f2, table.yy, ctx)
-            ok &= positive_definite_rows(g)
-            # rhs[l] = sum_k [F^2]_{x^k y^l} y^k - [F^2]_{x^l}, summed
-            # from 0 as ``sum`` sums
-            f2_xy = read_partials(f2, table.xy, ctx)
-            rhs = np.zeros((len(points), n))
-            for k in range(n):
-                rhs = rhs + f2_xy[:, k] * y[:, k, None]
-            rhs = rhs - read_partials(f2, table.x, ctx)
-            sol, solved = solve_rows(None, g, rhs)
-        out, ok = 0.25 * sol, ok & solved
-    except (BatchFailed, FinslerError, ArithmeticError):
-        out, ok = np.zeros((len(points), n)), np.zeros(len(points), bool)
-    return _keep_rows(out, [None] * len(points), np.flatnonzero(~ok),
-                      lambda b: spray(metric, x[b].tolist(), y[b].tolist()))
-
-
-def _keep_rows(values, errors, rows, fn):
-    """``(values, errors)`` with each row b of ``rows`` set to ``fn(b)``,
-    or errors[b] to the FinslerError it raises, in row order."""
-    for b in rows.tolist():
-        try:
-            values[b] = fn(b)
-        except FinslerError as exc:
-            errors[b] = exc.with_traceback(None)  # keep no frames alive
-    return values, errors
-
-
-def _spray_jets(metric, x, y, x_degree=None):
-    """G^i as jets of the order-2 context, for the curvature extraction,
-    and the float g they solve with.  F is built with the x-degree cap
-    ``x_degree``: by default none, so the spray jets hold every partial;
-    the curvature passes ``CURVATURE_X_DEGREE``."""
-    n = metric.dim
-    f = metric.jet(x, y, 4, x_degree)
-    f2 = f * f
-    table = _tail_table(f2.ctx)
-    low = table.low
-    g = 0.5 * _gather(f2.c, table.g)
-    _require_metric(g[:, :, 0], x, y)
-    g_jets = [[Jet(low, g[i, j]) for j in range(n)] for i in range(n)]
-    f2_xy = _gather(f2.c, table.xy)
-    f2_x = _gather(f2.c, table.x)
-    y_jets = [lift_variable(low, n + k, y[k]) for k in range(n)]
-    rhs = []
-    for l in range(n):
-        acc = Jet(low, -f2_x[l])
+    with np.errstate(all="ignore"):
+        # an order-2 row is small: every row goes in one chunk
+        f2, errors = _domain_f2(metric, x, y, lambda x, y: _squares(
+            metric, x, y, ctx, max(len(y), 1)))
+        g = 0.5 * read_partials(f2, table.yy, ctx)
+        # rhs[l] = sum_k [F^2]_{x^k y^l} y^k - [F^2]_{x^l}, summed
+        # from 0 as ``sum`` sums
+        terms = read_partials(f2, table.xy, ctx) * y[:, :, None]
+        rhs = np.zeros((len(y), n))
         for k in range(n):
-            acc = acc + Jet(low, f2_xy[l, k]) * y_jets[k]
-        rhs.append(acc)
-    cols = solve(g_jets, [rhs])
-    return [0.25 * gi for gi in cols[0]], g[:, :, 0].copy()
+            rhs = rhs + terms[:, k]
+        rhs = rhs - read_partials(f2, table.x, ctx)
+        out = 0.25 * _solved(None, g, rhs, x, y, errors)
+    _fail(errors, np.isfinite(out).all(axis=1),
+          lambda b: _non_finite("spray", x[b], y[b]))
+    return out, errors
 
 
-def _curvature(metric, x, y):
-    """(g, R^i_k) at one sample from one jet solve; raises NonFinite where
-    g or R is not finite."""
-    metric.require_domain(x, y)
-    g_jets, g = _spray_jets(metric, x, y, CURVATURE_X_DEGREE)
-    coeffs = np.stack([gj.c for gj in g_jets])
-    r = _riemann_read(coeffs[None], np.array([y], dtype=float),
-                      g_jets[0].ctx)[0]
-    _require_finite("R^i_k", r, x, y)
-    return g, r
+def _domain_f2(metric, x, ys, build):
+    """F^2 at the rows (x, y) of ``ys``: ``(f2, errors)``, errors[b] the
+    DomainError of a row outside the domain, which holds zeros, and
+    ``build(x, ys)`` (``_squares``) at the rows in it."""
+    inside = metric.in_domain_rows(x, ys)
+    if all(inside.tolist()):
+        return build(x, ys)
+    rows = np.flatnonzero(inside)
+    held, held_errors = build(_take(x, rows), ys[rows])
+    f2 = np.zeros((len(ys), held.shape[1]))
+    f2[rows] = held
+    errors = [None] * len(ys)
+    _fail(errors, inside, lambda b: _outside(_point(x, b), ys[b]))
+    for b, error in zip(rows.tolist(), held_errors):
+        errors[b] = error
+    return f2, errors
+
+
+def _failing(ok):
+    """The rows where the bool array ``ok`` is false, as a list."""
+    return [b for b, good in enumerate(ok.tolist()) if not good]
+
+
+def _fail(errors, ok, error):
+    """errors[b] = ``error(b)`` where ``ok`` is false and errors[b] is
+    None: each row keeps its first error."""
+    for b in _failing(ok):
+        if errors[b] is None:
+            errors[b] = error(b)
+
+
+def _solved(ctx, g, rhs, x, ys, errors):
+    """The solution of g G = rhs at the rows (x, y) of ``ys`` (float rows
+    with ``ctx`` None, else jet rows of ``ctx``), and at a row with no
+    error yet, the first error of ``_require_metric`` on the float g and
+    then of the solve: a row the batched solve leaves is solved alone
+    (``linalg.solve_row``), which raises its error or gives its solution,
+    then not finite."""
+    value = g if ctx is None else g[..., 0]
+    finite = np.isfinite(value).all(axis=(1, 2))
+    positive = positive_definite_rows(value)
+    sol, solved = solve_rows(ctx, g, rhs)
+    for b in _failing(finite & positive & solved):
+        if errors[b] is not None:
+            continue
+        if not finite[b]:
+            errors[b] = _non_finite("fundamental tensor", _point(x, b), ys[b])
+        elif not positive[b]:
+            errors[b] = _not_positive_definite(_point(x, b), ys[b])
+        else:
+            try:
+                sol[b] = solve_row(ctx, g[b], rhs[b])
+            except FinslerError as exc:
+                errors[b] = exc.with_traceback(None)
+    return sol
 
 
 def riemann_curvature(metric, x, y):
     """R^i_k as an n-by-n float matrix (the trace is the Ricci curvature);
-    raises NonFinite where it is not finite."""
-    return _curvature(metric, x, y)[1]
+    raises NonFinite where it is not finite.  The R of a batch of one of
+    ``evaluate``."""
+    with np.errstate(all="ignore"):
+        _, r, errors = _curvature_rows(metric, x, np.array([y], dtype=float))
+    _raised(errors[0])
+    return r[0]
 
 
 def _riemann_read(coeffs, y, ctx):
@@ -453,60 +466,19 @@ def _riemann_read(coeffs, y, ctx):
     return r
 
 
-def _ricci_of(r, x, y):
-    """Ric, the trace of R^i_k; raises NonFinite where it is not finite."""
-    ric = float(np.trace(r))
-    if not math.isfinite(ric):
-        raise NonFinite(f"Ric = {ric!r} is not finite at x={coords(x)!r}, "
-                        f"y={coords(y)!r}")
-    return ric
-
-
-def _positive(f):
-    """F; raises DomainError where it is not positive."""
-    if not f > 0.0:
-        raise DomainError(f"F = {f!r} is not positive at this sample")
-    return f
-
-
-def _einstein_of(dim, f, ric, x, y):
-    """Ric / ((n-1) F^2); raises NonFinite where (n-1) F^2 is zero or not
-    finite, and where the scalar is not finite."""
-    den = (dim - 1) * f * f
-    lam = ric / den if math.isfinite(den) and den != 0.0 else math.nan
-    if not math.isfinite(lam):
-        raise NonFinite(f"lambda = {ric!r} / {den!r} is not finite at "
-                        f"x={coords(x)!r}, y={coords(y)!r}")
-    return lam
-
-
 def ricci(metric, x, y):
     """Ricci curvature: the trace of the Riemann operator; raises
-    NonFinite where it is not finite."""
-    return _ricci_of(riemann_curvature(metric, x, y), x, y)
+    NonFinite where it is not finite.  The row of a batch of one of
+    ``evaluate``."""
+    return _raised(_samples(metric, x, [y]).ric[0])
 
 
 def einstein_scalar(metric, x, y):
     """Einstein scalar: Ric / ((n-1) F^2); 0-homogeneous in y.  Raises
     DomainError where F is not positive, and NonFinite where R, Ric or the
-    scalar is not finite, and where (n-1) F^2 is zero or not finite."""
-    f = _positive(metric.value(x, y))
-    return _einstein_of(metric.dim, f, ricci(metric, x, y), x, y)
-
-
-def _sample(metric, x, y):
-    """F, g, R^i_k, Ric and lambda at one sample through the one-point
-    code, with one R: each a value, or the FinslerError ``metric.value``,
-    ``riemann_curvature`` (g and R), ``ricci`` and ``einstein_scalar``
-    raise there."""
-    f = _outcome(metric.value, x, y)
-    g = r = _outcome(_curvature, metric, x, y)
-    if not isinstance(r, FinslerError):
-        g, r = r
-    ric = _outcome(lambda: _ricci_of(_raised(r), x, y))
-    lam = _outcome(lambda: _einstein_of(metric.dim, _positive(_raised(f)),
-                                        _raised(ric), x, y))
-    return f, g, r, ric, lam
+    scalar is not finite, and where (n-1) F^2 is zero or not finite.  The
+    row of a batch of one of ``evaluate``."""
+    return _raised(_samples(metric, x, [y]).lam[0])
 
 
 def _outcome(fn, *args):
@@ -527,84 +499,76 @@ CHUNK_ROWS = 16
 
 
 def _f2_rows(metric, x, ys, x_degree=CURVATURE_X_DEGREE):
-    """Order-4 coefficients of F^2 at (x, y) for each row y of ``ys``, x
-    one point or the (B, n) array of each row's point, with the x-degree
-    cap ``x_degree``: by default the curvature pass's, None for a caller
-    that reads every partial.
-
-    Returns ``(f2, errors)``: errors[b] is None where row b holds F^2,
-    and the FinslerError that building F raised otherwise.  Rows go
-    through the metric's batched F in chunks of ``CHUNK_ROWS``; one point
-    x shares its memoised x-coefficient jets over the chunk.  Where a
-    chunk holds one row, or the batch raises, F is built row by row with
-    ``metric.jet``.
-    """
+    """Order-4 coefficients of F^2 at (x, y) for each row y of ``ys``,
+    with the x-degree cap ``x_degree`` (None for a caller that reads
+    every partial): ``_squares`` in chunks of ``CHUNK_ROWS``."""
     ctx = get_context(2 * metric.dim, 4, x_degree)
+    return _squares(metric, x, ys, ctx, CHUNK_ROWS)
+
+
+def _squares(metric, x, ys, ctx, chunk):
+    """The coefficients of F^2 in the 2n-variable ``ctx`` at (x, y) for
+    each row y of ``ys``, x one point or the (B, n) array of each row's
+    point: ``(f2, errors)``, errors[b] the FinslerError that building F
+    raised at row b, else None.  Rows go through the batched F in chunks
+    of ``chunk``, which share the memoised x-coefficient jets of one
+    point x; a chunk of one row, or one the batch does not take, row by
+    row through ``metric.jet``.
+    """
     f2 = np.zeros((len(ys), ctx.ncoef))
     errors = [None] * len(ys)
-
-    def square(b):
-        f = metric.jet(_point(x, b), ys[b].tolist(), 4, x_degree)
-        return (f * f).c
-
-    for start in range(0, len(ys), CHUNK_ROWS):
-        part = slice(start, start + CHUNK_ROWS)
-        y = ys[part]
-        if len(y) > 1:
+    for start in range(0, len(ys), chunk):
+        part = range(start, min(start + chunk, len(ys)))
+        if len(part) > 1:
+            rows = slice(start, part.stop)
             try:
-                f = metric.batch_jet(_major(_take(x, part)), y.T, 4,
-                                     x_degree)
-                f2[part] = _cauchy(ctx, f, f)
+                f = metric.batch_jet(_major(_take(x, rows)), ys[rows].T,
+                                     ctx.order, ctx.x_degree)
+                f2[rows] = _cauchy(ctx, f, f)
                 continue
             except (BatchFailed, FinslerError):
                 pass
-        _keep_rows(f2, errors, np.arange(start, start + len(y)), square)
+        for b in part:
+            try:
+                f = metric.jet(_point(x, b), ys[b].tolist(), ctx.order,
+                               ctx.x_degree)
+            except FinslerError as exc:
+                errors[b] = exc.with_traceback(None)  # keep no frames alive
+                continue
+            f2[b] = (f * f).c
     return f2, errors
 
 
 def _spray_jet_rows(metric, x, ys):
     """The spray jets G^i in the order-2 context at (x, y) for each row y
-    of the (B, n) array ``ys``, all in the domain; x is one point or the
-    (B, n) array of each row's point.
-
-    Returns ``(coeffs, errors)``: coeffs[b] is the (n, ncoef) array of the
-    coefficients of G^1..G^n with the bits of ``_spray_jets`` at row b,
-    or errors[b] the FinslerError that call raises; a row the batched
-    tail leaves is evaluated by ``_spray_jets``.
-    """
-    # rows that overflow are left to the one-point call, which warns
+    of the (B, n) array ``ys``, all in the domain, x one point or the
+    (B, n) array of each row's point, from F with every partial:
+    ``(coeffs, errors)``, coeffs[b] the (n, ncoef) coefficients of
+    G^1..G^n, or errors[b] the error of F, g or the jet solve at row b."""
     with np.errstate(all="ignore"):
         f2, errors = _f2_rows(metric, x, ys, x_degree=None)
-    coeffs, _, solved = _spray_tail_rows(get_context(2 * metric.dim, 4),
-                                         f2, ys)
-
-    def spray_jets(b):
-        g_jets, _ = _spray_jets(metric, _point(x, b), ys[b].tolist())
-        return np.stack([gi.c for gi in g_jets])
-
-    return _keep_rows(coeffs, errors, np.flatnonzero(~solved), spray_jets)
+        coeffs, _ = _spray_tail_rows(get_context(2 * metric.dim, 4), f2, x,
+                                     ys, errors)
+    return coeffs, errors
 
 
-def _spray_tail_rows(ctx, f2, ys):
+def _spray_tail_rows(ctx, f2, x, ys, errors):
     """The spray jets and g from the coefficients ``f2`` of F^2 in the
-    order-4 ``ctx`` at the rows of ``ys``: ``(coeffs, g, ok)``, coeffs in
-    the context ``_tail_table(ctx).low``, g[b] the float fundamental
-    tensor with the bits of ``fundamental_tensor``, and ok[b] false where
-    g is not positive definite or the jet solve meets a floor."""
+    order-4 ``ctx`` at the rows (x, y) of ``ys``: ``(coeffs, g)``, coeffs
+    in the context ``_tail_table(ctx).low`` and g[b] the float fundamental
+    tensor with the bits of ``fundamental_tensor``; a row whose g or jet
+    solve fails gets its error in ``errors`` (``_solved``)."""
     n = ys.shape[1]
     table = _tail_table(ctx)
     low = table.low
-    with np.errstate(all="ignore"):
-        g = 0.5 * _gather(f2, table.g)
-        ok = positive_definite_rows(g[..., 0])
-        # rhs[l] = -[F^2]_{x^l} + sum_k [F^2]_{x^k y^l} y^k, k in order
-        f2_xy = _gather(f2, table.xy)
-        rhs = -_gather(f2, table.x)
-        for k in range(n):
-            rhs = rhs + _shift_product(low, f2_xy[:, :, k], n + k,
-                                       ys[:, k:k + 1])
-        sol, solved = solve_rows(low, g, rhs)
-        return 0.25 * sol, g[..., 0].copy(), ok & solved
+    g = 0.5 * _gather(f2, table.g)
+    # rhs[l] = -[F^2]_{x^l} + sum_k [F^2]_{x^k y^l} y^k, k in order
+    f2_xy = _gather(f2, table.xy)
+    rhs = -_gather(f2, table.x)
+    for k in range(n):
+        rhs = rhs + _shift_product(low, f2_xy[:, :, k], n + k,
+                                   ys[:, k:k + 1])
+    return 0.25 * _solved(low, g, rhs, x, ys, errors), g[..., 0].copy()
 
 
 class Samples(NamedTuple):
@@ -627,63 +591,68 @@ def evaluate(metric, x, ys):
     the bits of ``metric.value``, ``fundamental_tensor(...)[0]``,
     ``riemann_curvature``, ``ricci`` and ``einstein_scalar``, or in place
     of each the error that function raises there; g, from R's jet solve,
-    holds R's error wherever R has one.  The batched kernels take two rows
-    or more (``_held_rows``); a row they leave, and a lone row, which is
-    cheaper so, goes through the one-point code, one R per row
-    (``_sample``)."""
-    ys = np.asarray(ys, dtype=float).reshape(-1, metric.dim)
+    holds R's error wherever R has one."""
     x = x if np.ndim(x) == 1 else np.asarray(x, dtype=float)
-    f, g, r, ric, lam, ok = _held_rows(metric, x, ys)
-    out = Samples(f.tolist(), list(g), list(r), ric.tolist(), lam.tolist(),
-                  ok)
-    for b in np.flatnonzero(~ok).tolist():
-        for column, value in zip(out, _sample(metric, _point(x, b),
-                                              ys[b].tolist())):
-            column[b] = value
-        ok[b] = not isinstance(out.lam[b], FinslerError)
-    return out
+    return _samples(metric, x, ys)
 
 
-def _held_rows(metric, x, ys):
-    """F, g, R, Ric, lambda and ok at the rows of ``evaluate``, through
-    the batched kernels: ok[b] is true where row b has the one-point bits,
-    false outside the domain, where F does not evaluate or is not
-    positive, where g is not positive definite, where the jet solve meets
-    a floor, where R, Ric, (n-1) F^2 or lambda is not finite or (n-1) F^2
-    is zero, and at the row of a batch of one."""
+def _samples(metric, x, ys):
+    """``evaluate``, whose batch of one the one-point functions read.
+    Each column holds a row's value or its first error: F's
+    (``metric.value``); R's (``_curvature_rows``), then Ric not finite;
+    for lambda, F's, F not positive, Ric's, then lambda not finite."""
     n = metric.dim
-    out = (np.zeros(len(ys)), np.zeros((len(ys), n, n)),
-           np.zeros((len(ys), n, n)), np.zeros(len(ys)), np.zeros(len(ys)),
-           np.zeros(len(ys), dtype=bool))
-    if len(ys) < 2:
-        return out
-    try:
-        rows = np.flatnonzero(metric.in_domain_rows(x, ys))
-        f, valued = metric.value_rows(_take(x, rows), ys[rows])
-        valued &= f > 0.0
-        rows, f = rows[valued], f[valued]
-        x, ys = _take(x, rows), ys[rows]
-        ctx = get_context(2 * n, 4, CURVATURE_X_DEGREE)
-        # rows that overflow are left to the one-point code, which warns
-        with np.errstate(all="ignore"):
-            # a row whose F raised holds zeros, which the solve leaves
-            f2, _ = _f2_rows(metric, x, ys)
-            coeffs, g, solved = _spray_tail_rows(ctx, f2, ys)
-            r = _riemann_read(coeffs, ys, _tail_table(ctx).low)
-            # np.trace adds the diagonal in order
-            ric = r[:, 0, 0]
-            for i in range(1, n):
-                ric = ric + r[:, i, i]
-            den = (n - 1) * f * f
-            lam = ric / den
-    except (FinslerError, ArithmeticError):  # leave every row
-        return out
-    for column, values in zip(out, (f, g, r, ric, lam)):
-        column[rows] = values
+    ys = np.asarray(ys, dtype=float).reshape(-1, n)
+    f, valued = metric.value_rows(x, ys)
+    with np.errstate(all="ignore"):
+        g, r, errors = _curvature_rows(metric, x, ys)
+        # np.trace adds the diagonal in order
+        ric = r[:, 0, 0]
+        for i in range(1, n):
+            ric = ric + r[:, i, i]
+        den = (n - 1) * f * f
+        lam = ric / den
+    f_list, lam_list = f.tolist(), lam.tolist()
     # a finite lambda over a finite den has a finite Ric and den != 0
-    out[5][rows] = (solved & np.isfinite(r).all(axis=(1, 2))
-                    & np.isfinite(den) & np.isfinite(lam))
+    ok = [e is None and v and fb > 0.0 and math.isfinite(d)
+          and math.isfinite(lb) for e, v, fb, d, lb in
+          zip(errors, valued.tolist(), f_list, den.tolist(), lam_list)]
+    out = Samples(f_list, list(g), list(r), ric.tolist(), lam_list,
+                  np.array(ok, dtype=bool))
+    for b in _failing(out.ok):
+        at = f"at x={coords(_point(x, b))!r}, y={coords(ys[b])!r}"
+        if errors[b] is not None:
+            out.g[b] = out.r[b] = out.ric[b] = errors[b]
+        elif not math.isfinite(out.ric[b]):
+            out.ric[b] = NonFinite(f"Ric = {out.ric[b]!r} is not finite {at}")
+        if not valued[b]:
+            out.f[b] = out.lam[b] = _outcome(metric.value, _point(x, b),
+                                             ys[b].tolist())
+        elif not out.f[b] > 0.0:
+            out.lam[b] = DomainError(
+                f"F = {out.f[b]!r} is not positive at this sample")
+        elif isinstance(out.ric[b], FinslerError):
+            out.lam[b] = out.ric[b]
+        else:
+            out.lam[b] = NonFinite(f"lambda = {out.ric[b]!r} / "
+                                   f"{float(den[b])!r} is not finite {at}")
     return out
+
+
+def _curvature_rows(metric, x, ys):
+    """g and R^i_k at the rows (x, y) of ``ys``: ``(g, r, errors)``, g[b]
+    and r[b] with the bits of ``fundamental_tensor(...)[0]`` and
+    ``riemann_curvature``, or errors[b] the first error at row b: outside
+    the domain, F, g, the jet solve, R not finite.  F is built with
+    x-degree <= 2 (``_f2_rows``); the tail runs on all rows at once."""
+    ctx = get_context(2 * metric.dim, 4, CURVATURE_X_DEGREE)
+    f2, errors = _domain_f2(metric, x, ys,
+                            lambda x, ys: _f2_rows(metric, x, ys))
+    coeffs, g = _spray_tail_rows(ctx, f2, x, ys, errors)
+    r = _riemann_read(coeffs, ys, _tail_table(ctx).low)
+    _fail(errors, np.isfinite(r).all(axis=(1, 2)),
+          lambda b: _non_finite("R^i_k", _point(x, b), ys[b]))
+    return g, r, errors
 
 
 def riccis(metric, x, ys):

@@ -8,13 +8,16 @@ SingularMetric.
 ``solve_rows`` runs either case for a batch of systems at once, on raw
 arrays, and ``positive_definite_rows`` the Sylvester test for a batch of
 matrices, each row with the bits or the verdict of the one-point call.
+A batch of one takes the one-point form itself (``solve_row``,
+``is_positive_definite``), which costs less than the batched elimination
+for one system.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularMetric
+from .errors import FinslerError, SingularMetric
 from .jets import DIV_FLOOR, Jet, _cauchy, _one, _recip
 
 PIVOT_FLOOR = 1e-12
@@ -71,6 +74,18 @@ def solve(matrix, rhs_columns):
     return solutions
 
 
+def solve_row(ctx, matrix, rhs):
+    """:func:`solve` of one system of ``solve_rows`` (a batch row, on raw
+    arrays): the solution in the shape of ``rhs``, or what ``solve``
+    raises.  Jet values that overflow give no warning."""
+    if ctx is None:
+        return np.array(solve(matrix.tolist(), [rhs.tolist()])[0])
+    a = [[Jet(ctx, entry) for entry in row] for row in matrix]
+    with np.errstate(all="ignore"):
+        cols = solve(a, [[Jet(ctx, entry) for entry in rhs]])
+    return np.array([x.c for x in cols[0]])
+
+
 def solve_rows(ctx, matrix, rhs):
     """:func:`solve` of one system per batch row, on raw arrays.
 
@@ -88,8 +103,18 @@ def solve_rows(ctx, matrix, rhs):
     its value coefficient only, multiplied by a float product and divided
     by a float ``/``, and a jet is multiplied and divided by the kernels
     of the jet operators.  The pivot is chosen per row, the first largest
-    scaled magnitude as ``max`` chooses it.
+    scaled magnitude as ``max`` chooses it.  A batch of one system is
+    solved by ``solve_row``, with the verdict above: not ok where it
+    raises or a value is not finite.
     """
+    if len(matrix) == 1:
+        a, col = (np.asarray(v[0], dtype=float) for v in (matrix, rhs))
+        try:
+            x = solve_row(ctx, a, col)
+        except (FinslerError, ArithmeticError):
+            return np.full((1,) + col.shape, np.nan), np.zeros(1, dtype=bool)
+        values = np.concatenate((a.ravel(), col.ravel(), x.ravel()))
+        return x[None], np.isfinite(values).all(keepdims=True)
     a = np.array(matrix, dtype=float)
     col = np.array(rhs, dtype=float)
     if ctx is None:
@@ -244,9 +269,12 @@ def positive_definite_rows(matrices):
     the padded determinant has the minor's bits.  A row with a value that
     is not finite, with an infinite limit (where the one-point ``**``
     raises ``OverflowError``), or with a determinant of NaN is tested by
-    ``is_positive_definite`` itself.
+    ``is_positive_definite`` itself, and so is the matrix of a batch of
+    one.
     """
-    m = np.array(matrices, dtype=float)
+    m = np.asarray(matrices, dtype=float)
+    if len(m) == 1:
+        return np.array([is_positive_definite(m[0].tolist())])
     batch, n = m.shape[:2]
     with np.errstate(all="ignore"):
         scale = np.abs(m).max(axis=(1, 2))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from finslerlab import (
     DegeneratePlane,
+    DegenerateValue,
     DomainError,
     FinslerError,
     NonFinite,
@@ -33,7 +34,8 @@ from finslerlab.core import sphere_directions
 from finslerlab.fdcheck import fd_partials
 from finslerlab.jets import get_context
 from fdtools import funk_spec
-from walks import derivative
+import walks
+from walks import _spray_jets, derivative
 
 IDENTITY = [["1", "0"], ["0", "1"]]
 SPHERE = [["4/(1+x1^2+x2^2)^2", "0"], ["0", "4/(1+x1^2+x2^2)^2"]]
@@ -411,9 +413,11 @@ def _soundness_stencils(metric, count, seed):
 
 
 def _spray_rows(metric, rows):
-    """The one-point loop that ``sprays`` replaces."""
+    """The one-point loop that ``sprays`` replaces, through the reference
+    ``walks.spray``."""
     n = metric.dim
-    return np.array([spray(metric, r[:n], r[n:]) for r in rows.tolist()])
+    return np.array([walks.spray(metric, r[:n], r[n:])
+                     for r in rows.tolist()])
 
 
 def _one_point_calls(monkeypatch):
@@ -450,16 +454,27 @@ def test_sprays_match_spray_on_soundness_stencils(p, monkeypatch):
             _same_bits(got, want)
 
 
-def test_sprays_fall_back_to_spray_without_a_batched_f(monkeypatch):
+def test_sprays_build_f_row_by_row_without_a_batched_f(monkeypatch):
+    """Where the batched F raises, each row's F is built alone with
+    ``metric.jet``, and the tail still runs on the whole batch: no
+    one-point ``spray``, and the bits of the one-point loop."""
     # a coefficient the jet kernels do not batch, so the batched F raises
     metric = ppower_metric(PPowerSpec(
         [["exp(0.1*x1)", "0"], ["0", "1"]], CURVED_BETA, 2.0))
     rows = _soundness_stencils(metric, 1, 3)[0]
     want = _spray_rows(metric, rows)
+    built = []
+    jet = metric.jet
+
+    def counting_jet(x, y, order, *cap):
+        built.append(order)
+        return jet(x, y, order, *cap)
+
     calls = _one_point_calls(monkeypatch)
+    monkeypatch.setattr(metric, "jet", counting_jet)
     got = sprays(metric, rows)
     monkeypatch.undo()
-    assert len(calls) == len(rows)
+    assert not calls and built == [2] * len(rows)
     _same_bits(got, want)
 
 
@@ -571,8 +586,6 @@ def _riemann_from(g_jets, y):
 def test_order2_tail_matches_the_order4_path(spec, x, directions):
     """G and R from the order-2 tail equal the order-4 derivative path bit
     for bit, signs of zeros included."""
-    from finslerlab.core import _spray_jets
-
     metric = ppower_metric(spec)
     for y in directions:
         got, g = _spray_jets(metric, x, y)
@@ -702,7 +715,7 @@ def test_the_curvature_ring_keeps_the_bits_of_the_full_ring(data, n, p):
     samples = core.evaluate(metric, x, ys)
     low = get_context(2 * n, 2)
     for b in np.flatnonzero(samples.ok):
-        g_jets, _ = core._spray_jets(metric, x, list(ys[b]))
+        g_jets, _ = _spray_jets(metric, x, list(ys[b]))
         assert g_jets[0].ctx is low
         r = core._riemann_read(np.stack([g.c for g in g_jets])[None],
                                ys[b:b + 1], low)[0]
@@ -765,6 +778,62 @@ def test_a_non_finite_g_or_r_raises_non_finite(y):
         assert samples.ok.tolist() == [True] * (len(ys) - 1) + [False]
 
 
+# directions of extreme scale at x = 0 on the curved p = 1/2 metric: the
+# error of spray, fundamental_tensor and flag_curvature, with the order-2
+# jets, and of riemann_curvature, ricci and einstein_scalar, with the
+# order-4 jets (None: a value)
+DEGENERATE_ERRORS = [
+    ([0.0, 1e-20], "division by a jet with value 1e-20 below the floor",
+     "division by a jet with value 1e-20 below the floor"),
+    ([0.0, 1e-60], "division by a jet with value 1e-60 below the floor",
+     "fundamental tensor is not finite at x=[0.0, 0.0], y=[0.0, 1e-60]"),
+    ([0.0, 5e-103], "division by a jet with value 5e-103 below the floor",
+     "fundamental tensor is not finite at x=[0.0, 0.0], y=[0.0, 5e-103]"),
+    ([0.0, 1e103], None,
+     "R^i_k is not finite at x=[0.0, 0.0], y=[0.0, 1e+103]"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows
+@pytest.mark.parametrize("y,order2,order4", DEGENERATE_ERRORS,
+                         ids=["1e-20", "1e-60", "5e-103", "1e103"])
+def test_degenerate_directions_keep_their_errors(y, order2, order4):
+    """Along these directions the one-point entries raise DegenerateValue
+    where the text names the jet floor and NonFinite otherwise, with these
+    texts; flag_curvature raises the error of the order-2 entries where
+    they have one, else R's.  In a batch with good rows, the direction's
+    row of ``evaluate`` and of ``_spray_rows`` holds the same error."""
+    metric = _direction_metric(2, 0.5)
+    x = [0.0, 0.0]
+
+    def kind(text):
+        return DegenerateValue if "floor" in text else NonFinite
+
+    got = {fn: _outcome(fn, metric, x, y)
+           for fn in (spray, fundamental_tensor, riemann_curvature, ricci,
+                      einstein_scalar)}
+    got[flag_curvature] = _outcome(flag_curvature, metric, x, y, [1.0, 0.0])
+    for fn, text in ((spray, order2), (fundamental_tensor, order2),
+                     (riemann_curvature, order4), (ricci, order4),
+                     (einstein_scalar, order4),
+                     (flag_curvature, order2 or order4)):
+        if text is None:
+            assert not isinstance(got[fn], FinslerError), fn
+        else:
+            assert type(got[fn]) is kind(text), fn
+            assert str(got[fn]) == text, fn
+    ys = [[0.0, 1.0], y, [0.3, -1.0]]
+    samples = core.evaluate(metric, x, ys)
+    assert samples.ok.tolist() == [True, False, True]
+    for column, fn in ((samples.g, riemann_curvature),
+                       (samples.r, riemann_curvature), (samples.ric, ricci),
+                       (samples.lam, einstein_scalar)):
+        _same_outcome_row(column[1], got[fn])
+    out, errors = core._spray_rows(metric, np.array([x + v for v in ys]))
+    assert errors[0] is None and errors[2] is None
+    _same_outcome_row(out[1] if errors[1] is None else errors[1], got[spray])
+
+
 # rows of the mixed batches: with b = (0.8, 0) and p = 3, g is not
 # positive definite at y = (1, 0); y = 0 is outside the domain; the jets
 # overflow at y = (0, 5e-103); y = (t, +-1) with |t| <= 0.5 is good
@@ -786,6 +855,8 @@ def test_every_row_of_a_batch_equals_the_one_point_call(data, per_row):
     riccis, einstein_scalars and sprays give the one-point rows or raise
     the first row's error, and _spray_rows keeps every row's spray or
     error."""
+    from walks import einstein_scalar, ricci, riemann_curvature, spray
+
     metric = ppower_metric(PPowerSpec(IDENTITY, ["0.8", "0"], 3.0))
     count = data.draw(st.integers(1, 6))
     ys = [data.draw(MIXED_ROWS) for _ in range(count)]
@@ -995,15 +1066,15 @@ def test_sprays_keep_the_float_tail_off_the_one_point_entries(monkeypatch):
     stencils = _soundness_stencils(metric, 3, 17)
     wants = [_spray_rows(metric, rows) for rows in stencils]
     calls = []
-    for module in (core, linalg):
-        for name in ("solve", "is_positive_definite"):
-            original = getattr(module, name)
+    for module, name in ((core, "is_positive_definite"), (linalg, "solve"),
+                         (linalg, "is_positive_definite")):
+        original = getattr(module, name)
 
-            def counting(*args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(module, name, counting)
     for rows, want in zip(stencils, wants):
         _same_bits(sprays(metric, rows), want)
     assert not calls
@@ -1064,5 +1135,5 @@ def test_spray_jet_rows_equal_the_one_point_spray_jets(n):
     got, errors = core._spray_jet_rows(metric, xs, ys)
     assert errors == [None] * len(xs)
     for b in range(len(xs)):
-        g_jets, _ = core._spray_jets(metric, xs[b].tolist(), ys[b].tolist())
+        g_jets, _ = _spray_jets(metric, xs[b].tolist(), ys[b].tolist())
         _same_bits(got[b], np.stack([g.c for g in g_jets]))

@@ -1,8 +1,8 @@
 """Scenario verdicts and detail lines pinned to recorded SHA-256 digests.
 
 Each digest is of the scenario's verdict and its detail lines, one per
-line, with the ``runtime:`` lines dropped, as the engine produced them
-before the scenarios' samples were evaluated in batches across points.
+line, as the engine produced them before the scenarios' samples were
+evaluated in batches across points.
 Every residual a detail line prints is therefore checked against that
 engine, digit for digit, and not only against another run of the current
 code.
@@ -25,10 +25,8 @@ from finslerlab import core, scenarios
 
 
 def scenario_digest(result):
-    """SHA-256 of the verdict and the detail lines, ``runtime:`` lines out."""
-    lines = [str(result.passed)]
-    lines += [line for line in result.details
-              if not line.startswith("runtime:")]
+    """SHA-256 of the verdict and the detail lines."""
+    lines = [str(result.passed), *result.details]
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 

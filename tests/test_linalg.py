@@ -77,11 +77,11 @@ def _jet_solve(ctx, matrix, rhs):
     return np.array([x.c for x in cols[0]])
 
 
-@pytest.mark.parametrize("n,order", [(2, 2), (3, 2), (4, 2), (3, 3)])
-def test_solve_rows_match_the_jet_solve_row_by_row(n, order):
-    """Rows pivot differently (the value matrices are random, some nearly
-    lower triangular), and rows that hit the zero-row test, the pivot
-    floor or the division floor are flagged, not raised."""
+def _jet_systems(n, order):
+    """24 jet systems in the 2n-variable context of ``order``: random
+    value matrices, some nearly lower triangular, so that rows pivot
+    differently, and rows that hit the zero-row test (row 5), the pivot
+    floor (row 6) and the division floor (row 7)."""
     ctx = get_context(2 * n, order)
     rng = np.random.default_rng(10 * n + order)
     rows = 24
@@ -93,6 +93,16 @@ def test_solve_rows_match_the_jet_solve_row_by_row(n, order):
     a[7, :, :, 0] = np.diag([1e-15] * n)  # pivots below the division floor
     rhs = rng.uniform(-1.0, 1.0, size=(rows, n, ctx.ncoef))
     rhs[2, 0] = -0.0
+    return ctx, a, rhs
+
+
+@pytest.mark.parametrize("n,order", [(2, 2), (3, 2), (4, 2), (3, 3)])
+def test_solve_rows_match_the_jet_solve_row_by_row(n, order):
+    """Rows pivot differently (the value matrices are random, some nearly
+    lower triangular), and rows that hit the zero-row test, the pivot
+    floor or the division floor are flagged, not raised."""
+    ctx, a, rhs = _jet_systems(n, order)
+    rows = len(a)
     before = (a.tobytes(), rhs.tobytes())
     x, ok = solve_rows(ctx, a, rhs)
     assert (a.tobytes(), rhs.tobytes()) == before
@@ -103,6 +113,34 @@ def test_solve_rows_match_the_jet_solve_row_by_row(n, order):
             assert np.array_equal(x[b], want)
             assert np.array_equal(np.signbit(x[b]), np.signbit(want))
     assert not ok[5:8].any() and ok.sum() == rows - 3
+
+
+@pytest.mark.parametrize("n,order", [(2, 2), (3, 2), (4, 2), (3, 3)])
+def test_a_batch_of_one_keeps_the_verdicts_and_bits(n, order):
+    """Each system of the row-by-row test alone, as jet rows and as float
+    rows of its values, and three with a value that is not finite: a
+    batch of one has the verdict and the bits of its row in the batch of
+    all of them, and never raises, although ``solve`` raises on the
+    zero-row, pivot-floor and division-floor systems."""
+    ctx, a, rhs = _jet_systems(n, order)
+    a = np.concatenate([a, a[:3]])
+    rhs = np.concatenate([rhs, rhs[:3]])
+    a[24, 0, 1, 0] = np.inf
+    a[25, n - 1, n - 1, 0] = np.inf  # a solve that returns finite values
+    rhs[26, 0, 0] = np.nan
+    assert [isinstance(_jet_solve(ctx, a[b], rhs[b]), FinslerError)
+            for b in (5, 6, 7)] == [True] * 3
+    for context, matrix, column in ((ctx, a, rhs),
+                                    (None, a[..., 0], rhs[..., 0])):
+        x, ok = solve_rows(context, matrix, column)
+        assert not ok[5:7].any() and not ok[24:].any()
+        for b in range(len(a)):
+            got, verdict = solve_rows(context, matrix[b:b + 1],
+                                      column[b:b + 1])
+            assert verdict.tolist() == [ok[b]], (context, b)
+            if ok[b]:
+                assert got.shape == x[b:b + 1].shape
+                assert got.tobytes() == x[b:b + 1].tobytes()  # -0.0 too
 
 
 # entries that meet the floors and the pivot search's ties: exact small
@@ -204,6 +242,14 @@ def test_float_rows_match_the_one_point_calls(a, data):
             positive_definite_rows(a)
     else:
         assert positive_definite_rows(a).tolist() == want
+    for m in a:  # each matrix alone, as a batch of one
+        try:
+            want = is_positive_definite(m.tolist())
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                positive_definite_rows(m[None])
+        else:
+            assert positive_definite_rows(m[None]).tolist() == [want]
     before = (a.tobytes(), rhs.tobytes())
     x, ok = solve_rows(None, a, rhs)
     assert (a.tobytes(), rhs.tobytes()) == before
@@ -215,3 +261,7 @@ def test_float_rows_match_the_one_point_calls(a, data):
         assert ok[b] == taken, b
         if ok[b]:
             assert x[b].tobytes() == want.tobytes()  # -0.0 too
+        alone, verdict = solve_rows(None, a[b:b + 1], rhs[b:b + 1])
+        assert verdict.tolist() == [taken], b
+        if taken:
+            assert alone[0].tobytes() == want.tobytes()

@@ -372,21 +372,16 @@ def test_a_failing_row_raises_its_error_again_without_old_frames():
 
 def count_rows(monkeypatch):
     """The order-4 rows of F each metric builds at each (x, y): the rows
-    of ``core._f2_rows`` and the one-point ``core._spray_jets`` calls."""
+    of ``core._f2_rows``, a lone sample's included."""
     rows = Counter()
-    f2_rows, spray_jets = core._f2_rows, core._spray_jets
+    f2_rows = core._f2_rows
 
     def counting_rows(metric, x, ys):
         for b, y in enumerate(ys):
             rows[id(metric), exact_key(core._point(x, b), y)] += 1
         return f2_rows(metric, x, ys)
 
-    def counting_jets(metric, x, y, *cap):
-        rows[id(metric), exact_key(x, y)] += 1
-        return spray_jets(metric, x, y, *cap)
-
     monkeypatch.setattr(core, "_f2_rows", counting_rows)
-    monkeypatch.setattr(core, "_spray_jets", counting_jets)
     return rows
 
 

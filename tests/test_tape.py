@@ -280,10 +280,6 @@ def test_shared_subtrees_are_one_instruction():
     assert len(tape) == 9
 
 
-def _details(result):
-    return [line for line in result.details if not line.startswith("runtime:")]
-
-
 def _namespaces():
     mods = {name: mod for name, mod in sys.modules.items()
             if name == "finslerlab" or name.startswith("finslerlab.")}
@@ -327,7 +323,7 @@ def test_spray_cross_validation_parses_once_and_traces_alike(monkeypatch):
         tracer.restore()
     assert _namespaces() == before
     assert traced.passed is plain.passed is True
-    assert _details(traced) == _details(plain)
+    assert traced.details == plain.details
     # the 500 samples go through core.sprays, one batch per exponent, and
     # never through the traced one-point spray
     assert "core.spray" not in tracer.summary()
@@ -344,7 +340,7 @@ def test_derivative_soundness_traces_alike_without_one_point_sprays():
         tracer.restore()
     assert _namespaces() == before
     assert traced.passed is plain.passed is True
-    assert _details(traced) == _details(plain)
+    assert traced.details == plain.details
     # the spray oracle's stencils go through core.sprays in batches, never
     # through the traced one-point spray (8,100 calls before batching)
     assert "core.spray" not in tracer.summary()
